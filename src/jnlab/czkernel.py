@@ -15,7 +15,7 @@ sensitivity diagnostics so the truncation error is visible, not hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +57,17 @@ class KernelSpec:
 
     k(x, y), d1(gamma, x, y), d2(gamma, x, y) accept arrays of shape (..., n)
     and return (...).  Values on the diagonal are never used (masked off).
+
+    A kernel of the form K(x, y) = a(x) kappa(x - y) also carries its
+    difference kernel `kappa(u)` and, if it has one, the modulation `a(z)`
+    together with the slot it multiplies (`modulation_slot` 1 for a(x), 2 for
+    a(y)).  On a shared midpoint lattice such a kernel runs through one
+    difference table of kappa that covers only the differences x - y between
+    the evaluation cells and the bounding box of the source cells; the
+    modulation then scales the evaluation side (slot 1) or the source weights
+    (slot 2).  Kernels without kappa, and explicit off-lattice evaluation
+    points, take the pairwise sum of k.  The Taylor correction always uses
+    the closed-form d1.
     """
 
     name: str
@@ -66,8 +77,16 @@ class KernelSpec:
     k: callable
     d1: callable
     d2: callable
-    convolution_type: bool = False
+    kappa: callable | None = None
+    modulation: callable | None = None
+    modulation_slot: int = 1
     antisymmetric: bool = False
+
+    def __post_init__(self):
+        if self.modulation_slot not in (1, 2):
+            raise ValueError("modulation_slot must be 1 or 2")
+        if self.modulation is not None and self.kappa is None:
+            raise ValueError("a modulated kernel needs its difference kernel kappa")
 
 
 @dataclass(frozen=True)
@@ -82,8 +101,14 @@ class CorrectionSpec:
         center = tuple(float(c) for c in np.atleast_1d(self.center))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("correction ball radius must be positive")
+        if not all(math.isfinite(c) for c in center):
+            raise ValueError("correction ball center must be finite")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("correction ball radius must be positive and finite")
+        order = float(self.order)
+        if not (order.is_integer() and order >= 0):
+            raise ValueError("correction order must be a non-negative integer")
+        object.__setattr__(self, "order", int(order))
 
     @property
     def ball(self) -> Ball:
@@ -91,7 +116,9 @@ class CorrectionSpec:
 
 
 def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
-    """Swap the kernel slots; slot derivatives swap along."""
+    """Swap the kernel slots; slot derivatives swap along, kappa is reflected
+    and the modulation moves to the other slot."""
+    kappa = kernel.kappa
     return KernelSpec(
         name=kernel.name + "_t",
         n=kernel.n,
@@ -100,7 +127,10 @@ def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
         k=lambda x, y: kernel.k(y, x),
         d1=lambda g, x, y: kernel.d2(g, y, x),
         d2=lambda g, x, y: kernel.d1(g, y, x),
-        convolution_type=kernel.convolution_type,
+        # 0.0 - u rather than -u: zero components stay +0.0, as in y - x
+        kappa=None if kappa is None else (lambda u: kappa(0.0 - u)),
+        modulation=kernel.modulation,
+        modulation_slot=3 - kernel.modulation_slot,
         antisymmetric=kernel.antisymmetric,
     )
 
@@ -108,8 +138,11 @@ def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
 def _convolution(name, n, order, delta, dkappa, antisymmetric) -> KernelSpec:
     zero = (0,) * n
 
+    def kappa(u):
+        return dkappa(zero, u)
+
     def k(x, y):
-        return dkappa(zero, x - y)
+        return kappa(x - y)
 
     def d1(gamma, x, y):
         return dkappa(tuple(gamma), x - y)
@@ -119,7 +152,7 @@ def _convolution(name, n, order, delta, dkappa, antisymmetric) -> KernelSpec:
         sign = -1.0 if sum(g) % 2 else 1.0
         return sign * dkappa(g, x - y)
 
-    return KernelSpec(name, n, order, delta, k, d1, d2, True, antisymmetric)
+    return KernelSpec(name, n, order, delta, k, d1, d2, kappa=kappa, antisymmetric=antisymmetric)
 
 
 def hilbert_kernel(order: int = 4) -> KernelSpec:
@@ -136,10 +169,7 @@ def hilbert_kernel(order: int = 4) -> KernelSpec:
 def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec:
     """K(x, y) = (x_j - y_j) / |x - y|^(n+1); reduces to the line kernel at n=1."""
     if n == 1:
-        k = hilbert_kernel(order=4 if order is None else order)
-        return KernelSpec(
-            "riesz0", 1, k.order, 1.0, k.k, k.d1, k.d2, True, True
-        )
+        return replace(hilbert_kernel(order=4 if order is None else order), name="riesz0")
     if n != 2:
         raise ValueError("riesz kernel built for n in {1, 2}")
     if j not in (0, 1):
@@ -172,15 +202,22 @@ def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec
 
 def perturbed_kernel(order: int = 4) -> KernelSpec:
     """K(x, y) = (2 + sin x) / (x - y): the x-modulation breaks the vanishing
-    moments of the associated operator, giving the contrast case."""
+    moments of the associated operator, giving the contrast case.  It is
+    a(x) kappa(x - y) with a = 2 + sin and kappa = 1/u."""
+
+    def modulation(z):
+        return 2.0 + np.sin(z[..., 0])
+
+    def kappa(u):
+        return 1.0 / u[..., 0]
 
     def k(x, y):
-        return (2.0 + np.sin(x[..., 0])) / (x[..., 0] - y[..., 0])
+        return modulation(x) / (x[..., 0] - y[..., 0])
 
     def d2(gamma, x, y):
         g = int(gamma[0])
         u = x[..., 0] - y[..., 0]
-        return (2.0 + np.sin(x[..., 0])) * math.factorial(g) / u ** (g + 1)
+        return modulation(x) * math.factorial(g) / u ** (g + 1)
 
     def d1(gamma, x, y):
         g = int(gamma[0])
@@ -189,12 +226,14 @@ def perturbed_kernel(order: int = 4) -> KernelSpec:
         out = np.zeros(np.broadcast(x0, u).shape)
         for m in range(g + 1):
             # d^m/dx^m of (2 + sin x); the constant survives only at m = 0
-            smooth = (2.0 + np.sin(x0)) if m == 0 else np.sin(x0 + m * math.pi / 2.0)
+            smooth = modulation(x) if m == 0 else np.sin(x0 + m * math.pi / 2.0)
             sing = (-1.0) ** (g - m) * math.factorial(g - m) / u ** (g - m + 1)
             out = out + math.comb(g, m) * smooth * sing
         return out
 
-    return KernelSpec("perturbed", 1, order, 1.0, k, d1, d2, False, False)
+    return KernelSpec(
+        "perturbed", 1, order, 1.0, k, d1, d2, kappa=kappa, modulation=modulation
+    )
 
 
 def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
@@ -287,63 +326,116 @@ def _truncated_raw(kernel, eval_pts, src_pts, src_w, eta) -> np.ndarray:
     return out
 
 
-def _common_frame(a: Window, b: Window) -> Window | None:
-    """Smallest aligned window covering both, or None if the lattices differ."""
-    if a.n != b.n or abs(a.h - b.h) > 1e-12 * a.h:
+def _lattice_offset(inner: Window, outer: Window) -> np.ndarray | None:
+    """Index of the inner window's first cell in the outer window's lattice
+    (negative below it), or None if the two lattices differ."""
+    if inner.n != outer.n or abs(inner.h - outer.h) > 1e-12 * outer.h:
         return None
-    h = a.h
-    shift = (np.asarray(b.lower) - np.asarray(a.lower)) / h
-    if np.max(np.abs(shift - np.round(shift))) > 1e-9:
+    off = (np.asarray(inner.lower) - np.asarray(outer.lower)) / outer.h
+    rounded = np.round(off).astype(int)
+    if np.max(np.abs(off - rounded)) > 1e-9:
         return None
-    lower, upper, cells = [], [], []
-    for ax in range(a.n):
-        lo = min(a.lower[ax], b.lower[ax])
-        hi = max(a.upper[ax], b.upper[ax])
-        count = round((hi - lo) / h)
-        lower.append(lo)
-        upper.append(lo + count * h)
-        cells.append(count)
-    return Window(a.n, tuple(lower), tuple(upper), tuple(cells))
+    return rounded
+
+
+def _cell_indices(window: Window, flat_idx: np.ndarray) -> np.ndarray:
+    if window.n == 1:
+        return flat_idx[:, None]
+    return np.stack(np.unravel_index(flat_idx, window.cells), axis=1)
+
+
+def _box(lo, shape) -> tuple:
+    return tuple(slice(int(a), int(a) + int(c)) for a, c in zip(lo, shape))
+
+
+def _difference_table(kappa, h: float, eta: float, lo, hi) -> np.ndarray:
+    """kappa(d h) on the integer difference vectors lo <= d <= hi (per axis),
+    zeroed where |d h| < eta.
+
+    Two cells of one midpoint lattice differ by d h with d an index vector,
+    so a single table serves every source/evaluation pair of a difference
+    kernel by index shifts."""
+    eta2 = eta * eta * (1.0 - 1e-12)
+    axes = [np.arange(a, b + 1) * h for a, b in zip(lo, hi)]
+    if len(axes) == 1:
+        pts = axes[0][:, None]
+    else:
+        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = kappa(pts)
+    vals = np.where((pts**2).sum(axis=1) >= eta2, vals, 0.0)
+    return vals.reshape(tuple(a.size for a in axes))
+
+
+def _box_table(kappa, h, eta, eval_lo, eval_hi, src_lo, src_hi):
+    """Difference table over {x - y : eval_lo <= x <= eval_hi, src_lo <= y
+    <= src_hi} (index boxes, inclusive), and the index of its first entry."""
+    origin = np.asarray(eval_lo) - np.asarray(src_hi)
+    return _difference_table(kappa, h, eta, origin, np.asarray(eval_hi) - np.asarray(src_lo)), origin
+
+
+def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndarray:
+    """Box sums out[x] = sum_s table[x - s - origin] w_s over the cells x of
+    the box eval_lo + [0, eval_shape), one shifted view per source."""
+    out = np.zeros(tuple(eval_shape))
+    for s, w in zip(src_idx, src_w):
+        out += w * table[_box(eval_lo - s - origin, eval_shape)]
+    return out.reshape(-1)
+
+
+def _conv_at_points(table, origin, eval_idx, grid_lo, W: np.ndarray) -> np.ndarray:
+    """Point sums out[k] = sum over the cells y of the box grid_lo + [0,
+    W.shape) of table[x_k - y - origin] W[y - grid_lo]."""
+    last = np.asarray(grid_lo) + np.asarray(W.shape) - 1
+    flip = (slice(None, None, -1),) * W.ndim
+    out = np.empty(len(eval_idx))
+    for k, x in enumerate(eval_idx):
+        seg = table[_box(x - last - origin, W.shape)][flip]
+        out[k] = np.dot(W, seg) if W.ndim == 1 else np.sum(W * seg)
+    return out
+
+
+def _modulate(kernel: KernelSpec, slot: int, values, pts):
+    """values * a(pts) when the kernel's modulation a multiplies `slot`."""
+    if kernel.modulation is None or kernel.modulation_slot != slot:
+        return values
+    return values * kernel.modulation(pts)
 
 
 def _fast_truncated(kernel: KernelSpec, f: GridFunction, eta: float, window: Window):
     """Difference-table application over a shared lattice; None if inapplicable.
 
-    Routes through point dots when the evaluation side is smaller than the
-    source side, and shifted full-grid accumulation otherwise; both cost
-    O(min(sources, evaluations) * frame)."""
-    if not kernel.convolution_type:
+    Indices are taken in f's lattice and the table covers the evaluation
+    window minus the bounding box of f's nonzero cells.  Routes through point
+    dots over that box, O(evaluations * box cells), when the evaluation side
+    is smaller than the source side, and through shifted accumulation over
+    the evaluation window, O(sources * evaluations), otherwise."""
+    if kernel.kappa is None:
         return None
-    frame = _common_frame(f.window, window)
-    if frame is None or frame.cell_count > 4 * max(f.window.cell_count, window.cell_count):
+    eval_lo = _lattice_offset(window, f.window)
+    if eval_lo is None:
         return None
-    table = _difference_table(kernel, frame, eta)
     nz = np.nonzero(f.flat)[0]
-    src_idx = _cell_indices(f.window, nz) + _frame_offset(f.window, frame)
+    if nz.size == 0:
+        return np.zeros(window.cell_count)
+    src_idx = _cell_indices(f.window, nz)
     src_w = f.flat[nz] * f.window.cell_measure
-    off_eval = _frame_offset(window, frame)
+    if kernel.modulation is not None:
+        src_w = _modulate(kernel, 2, src_w, f.window.midpoints()[nz])
+    lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
+    eval_hi = eval_lo + np.asarray(window.cells) - 1
+    table, origin = _box_table(kernel.kappa, f.window.h, eta, eval_lo, eval_hi, lo, hi)
     if window.cell_count <= nz.size:
-        grid_w = np.zeros(frame.cell_count)
-        flat_src = (
-            src_idx[:, 0]
-            if frame.n == 1
-            else np.ravel_multi_index((src_idx[:, 0], src_idx[:, 1]), frame.cells)
-        )
-        grid_w[flat_src] = src_w
-        eidx = _cell_indices(window, np.arange(window.cell_count)) + off_eval
-        eval_idx = eidx[:, 0] if frame.n == 1 else [tuple(r) for r in eidx]
-        return _conv_at_points(table, frame.cells, eval_idx, grid_w)
-    src_list = src_idx[:, 0] if frame.n == 1 else [tuple(r) for r in src_idx]
-    out_frame = _conv_forward(table, frame.cells, src_list, src_w)
-    if frame.n == 1:
-        o = int(off_eval[0])
-        return out_frame[o : o + window.cells[0]]
-    oi, oj = int(off_eval[0]), int(off_eval[1])
-    return (
-        out_frame.reshape(frame.cells)[oi : oi + window.cells[0], oj : oj + window.cells[1]]
-        .reshape(-1)
-        .copy()
-    )
+        W = np.zeros(tuple(hi - lo + 1))
+        W[tuple((src_idx - lo).T)] = src_w
+        eval_idx = eval_lo + _cell_indices(window, np.arange(window.cell_count))
+        out = _conv_at_points(table, origin, eval_idx, lo, W)
+    else:
+        out = _conv_forward(table, origin, eval_lo, window.cells, src_idx, src_w)
+    if kernel.modulation is not None:
+        out = _modulate(kernel, 1, out, window.midpoints())
+    return out
 
 
 def apply_truncated(
@@ -357,8 +449,8 @@ def apply_truncated(
 
     Integration runs over f's window with zero extension outside.  Returns a
     GridFunction on eval_window (default: f's window), or a plain array when
-    explicit eval_points are given.  Convolution kernels evaluated on a
-    shared lattice go through the difference-table fast path.
+    explicit eval_points are given.  Kernels with a difference kernel kappa
+    evaluated on a shared lattice go through the difference-table engine.
     """
     eta = _validate_eta(eta, f.window.h)
     if eval_points is None:
@@ -431,42 +523,33 @@ def apply_cz(
     return _ladder_result(window, ladder, [m * h for m in eta_cells], tol)
 
 
-def _modified_raw(kernel, corr: CorrectionSpec, eval_pts, src_pts, src_w, eta) -> np.ndarray:
-    """Corrected integrand: K(x,y) - sum_gamma d1K(gamma, x0, y)/gamma! *
-    (x - x0)^gamma 1_{outside B0}(y).
+def _taylor_correction(kernel, corr: CorrectionSpec, src_pts, src_w, eval_pts) -> np.ndarray:
+    """The term the corrected operator subtracts: sum_gamma (x - x0)^gamma
+    times the integral of d1K(gamma, x0, y)/gamma! over the sources outside
+    the base ball, evaluated at eval_pts.
 
-    Only the singular K(x,y) term carries the |x - y| >= eta exclusion; the
-    Taylor correction is absolutely convergent (singular at the ball center
-    only, where the indicator vanishes), so it is summed over every source
-    cell -- this realizes the eta -> 0 limit of the correction exactly and
-    keeps the polynomial-difference identities exact off the base ball.
-    """
+    It is absolutely convergent (singular at the ball center only, where the
+    indicator vanishes), so it is summed over every source cell with no
+    eta exclusion -- this realizes the eta -> 0 limit of the correction
+    exactly and keeps the polynomial-difference identities exact off the
+    base ball."""
     x0 = np.asarray(corr.center)
-    gammas = multi_indices(len(corr.center), corr.order)
-    n_eval, n_src = eval_pts.shape[0], src_pts.shape[0]
-    if n_src == 0:
-        return np.zeros(n_eval)
+    out = np.zeros(eval_pts.shape[0])
     outside = np.linalg.norm(src_pts - x0, axis=1) >= corr.radius
-
+    if not outside.any():
+        return out
     out_pts = src_pts[outside]
+    out_w = src_w[outside]
     x0b = np.broadcast_to(x0, out_pts.shape)
-    corr_coeffs = []
-    for g in gammas:
-        if out_pts.shape[0]:
-            dv = kernel.d1(g, x0b, out_pts) / index_factorial(g)
-            corr_coeffs.append(float((dv * src_w[outside]).sum()))
-        else:
-            corr_coeffs.append(0.0)
-
-    out = _truncated_raw(kernel, eval_pts, src_pts, src_w, eta)
-    for gi, g in enumerate(gammas):
-        if corr_coeffs[gi] == 0.0:
+    for g in multi_indices(len(corr.center), corr.order):
+        coef = float((kernel.d1(g, x0b, out_pts) / index_factorial(g) * out_w).sum())
+        if coef == 0.0:
             continue
-        pow_g = np.ones(n_eval)
-        for axis, gexp in enumerate(g):
-            if gexp:
-                pow_g = pow_g * (eval_pts[:, axis] - x0[axis]) ** gexp
-        out -= corr_coeffs[gi] * pow_g
+        pow_g = np.ones(eval_pts.shape[0])
+        for axis, gi in enumerate(g):
+            if gi:
+                pow_g = pow_g * (eval_pts[:, axis] - x0[axis]) ** gi
+        out += coef * pow_g
     return out
 
 
@@ -511,27 +594,9 @@ def apply_modified(
     window = eval_window or f.window
     src_pts, src_w = _source_arrays(f)
     eval_pts = window.midpoints()
-    # the Taylor correction is an absolutely convergent integral, independent
-    # of the exclusion radius: build its polynomial once for the whole ladder
-    x0 = np.asarray(corr.center)
-    corr_eval = np.zeros(eval_pts.shape[0])
-    if src_pts.shape[0]:
-        outside = np.linalg.norm(src_pts - x0, axis=1) >= corr.radius
-        out_pts = src_pts[outside]
-        x0b = np.broadcast_to(x0, out_pts.shape)
-        for g in multi_indices(len(corr.center), corr.order):
-            if not out_pts.shape[0]:
-                break
-            coef = float(
-                (kernel_tilde.d1(g, x0b, out_pts) / index_factorial(g) * src_w[outside]).sum()
-            )
-            if coef == 0.0:
-                continue
-            pow_g = np.ones(eval_pts.shape[0])
-            for axis, gi in enumerate(g):
-                if gi:
-                    pow_g = pow_g * (eval_pts[:, axis] - x0[axis]) ** gi
-            corr_eval += coef * pow_g
+    # the Taylor correction does not depend on the exclusion radius: build
+    # its polynomial once for the whole ladder
+    corr_eval = _taylor_correction(kernel_tilde, corr, src_pts, src_w, eval_pts)
     ladder = [
         apply_truncated(kernel_tilde, f, m * h, eval_window=window).flat - corr_eval
         for m in eta_cells
@@ -569,14 +634,25 @@ def _padded_window(window: Window, factor: float) -> Window:
     return Window(window.n, tuple(lower), tuple(upper), tuple(cells))
 
 
+def _check_padding(padding: float) -> None:
+    if not (math.isfinite(padding) and padding >= 4):
+        raise ValueError("padding factor must be finite and at least 4")
+
+
 @dataclass
 class MonomialImage:
+    """Corrected image of a monomial.  `engine` is "table" or "pairwise";
+    `table_cells` counts the difference-table entries at the stated padding
+    (0 on the pairwise path)."""
+
     values: GridFunction
     nu: tuple
     padding: float
     sensitivity: float
     truncation_warn: bool
     integration_cells: tuple
+    engine: str
+    table_cells: int
 
 
 def modified_on_monomial(
@@ -601,34 +677,36 @@ def modified_on_monomial(
         raise ValueError(
             f"kernel {kernel_tilde.name!r} lacks derivative evaluators up to order {corr.order}"
         )
-    if padding < 4:
-        raise ValueError("padding factor must be at least 4")
+    _check_padding(padding)
     h = eval_window.h
     eval_pts = eval_window.midpoints()
 
     def run(factor):
         big = _padded_window(eval_window, factor)
-        mono = GridFunction.monomial(big, nu)
-        grid_w = mono.flat * big.cell_measure
-        if kernel_tilde.convolution_type:
-            table = _difference_table(kernel_tilde, big, h)
-            idx = _cell_indices(eval_window, np.arange(eval_window.cell_count))
-            idx = idx + _frame_offset(eval_window, big)
-            eval_idx = idx[:, 0] if big.n == 1 else [tuple(r) for r in idx]
-            return big, _corrected_at_points(
-                kernel_tilde, corr, table, big, eval_idx, eval_pts, grid_w
+        big_pts = big.midpoints()
+        grid_w = GridFunction.monomial(big, nu).flat * big.cell_measure
+        if kernel_tilde.kappa is None:
+            keep = grid_w != 0.0
+            main = _truncated_raw(kernel_tilde, eval_pts, big_pts[keep], grid_w[keep], h)
+            cells = 0
+        else:
+            eval_lo = _lattice_offset(eval_window, big)
+            eval_hi = eval_lo + np.asarray(eval_window.cells) - 1
+            grid_lo = np.zeros(big.n, dtype=int)
+            table, origin = _box_table(
+                kernel_tilde.kappa, big.h, h, eval_lo, eval_hi, grid_lo, np.asarray(big.cells) - 1
             )
-        src_pts = big.midpoints()
-        keep = grid_w != 0.0
-        return big, _modified_raw(
-            kernel_tilde, corr, eval_pts, src_pts[keep] if keep.any() else src_pts,
-            grid_w[keep] if keep.any() else grid_w, h
-        )
+            eval_idx = eval_lo + _cell_indices(eval_window, np.arange(eval_window.cell_count))
+            W = _modulate(kernel_tilde, 2, grid_w, big_pts).reshape(big.cells)
+            main = _conv_at_points(table, origin, eval_idx, grid_lo, W)
+            main = _modulate(kernel_tilde, 1, main, eval_pts)
+            cells = table.size
+        return big, cells, main - _taylor_correction(kernel_tilde, corr, big_pts, grid_w, eval_pts)
 
-    big, base = run(padding)
+    big, cells, base = run(padding)
     scale = max(float(np.max(np.abs(GridFunction.monomial(eval_window, nu).flat))), 1e-30)
     if check_doubling:
-        _, doubled = run(2 * padding)
+        _, _, doubled = run(2 * padding)
         sensitivity = float(np.max(np.abs(doubled - base))) / scale
     else:
         sensitivity = float("nan")
@@ -639,6 +717,8 @@ def modified_on_monomial(
         sensitivity=sensitivity,
         truncation_warn=bool(check_doubling and sensitivity > warn_threshold),
         integration_cells=big.cells,
+        engine="pairwise" if kernel_tilde.kappa is None else "table",
+        table_cells=cells,
     )
 
 
@@ -653,109 +733,19 @@ def poly_distance(g: GridFunction, region, s: int, floor: float = 0.0) -> float:
     return float(np.sqrt((resid**2).sum() * g.window.cell_measure)) / denom
 
 
-def _difference_table(kernel: KernelSpec, window: Window, eta: float) -> np.ndarray:
-    """Convolution-kernel values over the difference lattice of a window,
-    with the eta-exclusion zeroed at the center.
-
-    For a convolution kernel, K(x, y) depends only on x - y, and all pairwise
-    differences of one lattice live on the (2N - 1)-per-axis difference grid;
-    one table then serves every source/evaluation pair by index shifts."""
-    h = window.h
-    eta2 = eta * eta * (1.0 - 1e-12)
-    axes = [np.arange(-(c - 1), c) * h for c in window.cells]
-    if window.n == 1:
-        pts = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = kernel.k(pts, np.zeros_like(pts))
-    vals = np.where((pts**2).sum(axis=1) >= eta2, vals, 0.0)
-    return vals.reshape(tuple(2 * c - 1 for c in window.cells))
-
-
-def _conv_forward(table: np.ndarray, cells, src_idx, src_w) -> np.ndarray:
-    """Full-grid sums out[x] = sum_s table[x - s] w_s via shifted views."""
-    if len(cells) == 1:
-        (N,) = cells
-        out = np.zeros(N)
-        for s, w in zip(src_idx, src_w):
-            out += w * table[N - 1 - s : 2 * N - 1 - s]
-        return out
-    Nx, Ny = cells
-    out = np.zeros((Nx, Ny))
-    for (si, sj), w in zip(src_idx, src_w):
-        out += w * table[Nx - 1 - si : 2 * Nx - 1 - si, Ny - 1 - sj : 2 * Ny - 1 - sj]
-    return out.reshape(-1)
-
-
-def _conv_at_points(table: np.ndarray, cells, eval_idx, grid_w: np.ndarray) -> np.ndarray:
-    """Point sums out[x] = sum over all grid cells y of table[x - y] W[y]."""
-    if len(cells) == 1:
-        (N,) = cells
-        w = grid_w
-        out = np.empty(len(eval_idx))
-        for k, xi in enumerate(eval_idx):
-            out[k] = np.dot(w, table[int(xi) : int(xi) + N][::-1])
-        return out
-    Nx, Ny = cells
-    W = grid_w.reshape(Nx, Ny)
-    out = np.empty(len(eval_idx))
-    for k, (xi, xj) in enumerate(eval_idx):
-        seg = table[int(xi) : int(xi) + Nx, int(xj) : int(xj) + Ny][::-1, ::-1]
-        out[k] = float(np.sum(W * seg))
-    return out
-
-
-def _frame_offset(inner: Window, outer: Window) -> np.ndarray:
-    """Integer index shift of the inner window's cells inside the outer one."""
-    off = (np.asarray(inner.lower) - np.asarray(outer.lower)) / outer.h
-    rounded = np.round(off).astype(int)
-    if np.max(np.abs(off - rounded)) > 1e-9:
-        raise ValueError("windows do not share a midpoint lattice")
-    return rounded
-
-
-def _cell_indices(window: Window, flat_idx: np.ndarray) -> np.ndarray:
-    if window.n == 1:
-        return flat_idx[:, None]
-    return np.stack(np.unravel_index(flat_idx, window.cells), axis=1)
-
-
-def _corrected_at_points(kernel, corr: CorrectionSpec, table, big: Window,
-                         eval_idx, eval_pts, grid_w) -> np.ndarray:
-    """Corrected-operator sums at lattice points from a difference table.
-
-    main[x] = sum_y table[x - y] W[y]; the Taylor correction subtracts
-    sum_gp coef_gp (x - x0)^gp with coef_gp integrated over sources outside
-    the base ball (one dense derivative pass per index)."""
-    out = _conv_at_points(table, big.cells, eval_idx, grid_w)
-    x0 = np.asarray(corr.center)
-    big_pts = big.midpoints()
-    outside = np.linalg.norm(big_pts - x0, axis=1) >= corr.radius
-    out_pts = big_pts[outside]
-    x0b = np.broadcast_to(x0, out_pts.shape)
-    for gp in multi_indices(big.n, corr.order):
-        coef = float(
-            (kernel.d1(gp, x0b, out_pts) / index_factorial(gp) * grid_w[outside]).sum()
-        )
-        if coef == 0.0:
-            continue
-        pow_g = np.ones(eval_pts.shape[0])
-        for axis, gi in enumerate(gp):
-            if gi:
-                pow_g = pow_g * (eval_pts[:, axis] - x0[axis]) ** gi
-        out = out - coef * pow_g
-    return out
-
-
 @dataclass
 class DefectReport:
+    """Moment defects per atom and gamma.  `engine` is "table" or "pairwise";
+    `table_cells` is the number of difference-table entries built over all
+    atoms (0 on the pairwise path)."""
+
     rows: list
     max_defect: float
     max_mismatch: float
     truncation_warning: bool
     padding: float
+    engine: str
+    table_cells: int
 
 
 def vanishing_moment_defect(
@@ -775,10 +765,13 @@ def vanishing_moment_defect(
     The defect itself is truncation-limited (~ 1/padding), so the padding
     here defaults far above the minimum of 4.
     """
-    if padding < 4:
-        raise ValueError("padding factor must be at least 4")
+    _check_padding(padding)
+    atoms = list(atoms)
+    if not atoms:
+        raise ValueError("need at least one atom")
     rows = []
     warn = False
+    table_cells = 0
     tilde = kernel_transpose(kernel)
     for idx, atom in enumerate(atoms):
         gf = atom.values if hasattr(atom, "values") else atom[0]
@@ -790,25 +783,29 @@ def vanishing_moment_defect(
         big = _padded_window(window, factor)
         half = _padded_window(window, max(factor / 2.0, 1.0))
         src_pts, src_w = _source_arrays(gf)
+        if not src_w.size:
+            raise ValueError(f"atom {idx} vanishes identically")
         eval_pts = big.midpoints()
-        conv = kernel.convolution_type
-        if conv:
-            # one difference table per window replaces all pairwise evaluations
-            nz_flat = np.nonzero(gf.flat)[0]
-            src_cells = _cell_indices(window, nz_flat)
-            idx_big = src_cells + _frame_offset(window, big)
-            idx_half = src_cells + _frame_offset(window, half)
-            table = _difference_table(kernel, big, h)
-            table_half = _difference_table(kernel, half, h)
-            src_big = idx_big[:, 0] if window.n == 1 else [tuple(r) for r in idx_big]
-            src_half = idx_half[:, 0] if window.n == 1 else [tuple(r) for r in idx_half]
-            ta = _conv_forward(table, big.cells, src_big, src_w)
-            ta_half = _conv_forward(table_half, half.cells, src_half, src_w)
-            # the transpose kernel's table is the reflection of the base one
-            table_t = table[::-1] if window.n == 1 else table[::-1, ::-1]
+        hpts = half.midpoints()
+        if kernel.kappa is not None:
+            # one table over the padded window minus the atom's support serves
+            # the forward sums and, reflected, the transpose's point sums
+            nz = np.nonzero(gf.flat)[0]
+            src_idx = _cell_indices(window, nz) + _lattice_offset(window, big)
+            lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
+            big_lo = np.zeros(big.n, dtype=int)
+            big_hi = np.asarray(big.cells) - 1
+            table, origin = _box_table(kernel.kappa, big.h, h, big_lo, big_hi, lo, hi)
+            table_cells += table.size
+            weights = _modulate(kernel, 2, src_w, src_pts)
+            ta = _conv_forward(table, origin, big_lo, big.cells, src_idx, weights)
+            ta = _modulate(kernel, 1, ta, eval_pts)
+            table_t = table[(slice(None, None, -1),) * big.n]
+            origin_t = -(origin + np.asarray(table.shape) - 1)
         else:
             ta = _truncated_raw(kernel, eval_pts, src_pts, src_w, h)
-            ta_half = _truncated_raw(kernel, half.midpoints(), src_pts, src_w, h)
+        # the half-padding frame is a sub-window of the padded one
+        ta_half = ta.reshape(big.cells)[_box(_lattice_offset(half, big), half.cells)].reshape(-1)
         a_l1 = float(np.abs(src_w).sum())
         corr = b0 or CorrectionSpec(cube.center, cube.side, s)
         glist = gammas if gammas is not None else multi_indices(window.n, s)
@@ -816,7 +813,6 @@ def vanishing_moment_defect(
             g = tuple(int(v) for v in np.atleast_1d(g))
             xg = np.ones(eval_pts.shape[0])
             xg_half = np.ones(half.cell_count)
-            hpts = half.midpoints()
             for axis, gi in enumerate(g):
                 if gi:
                     xg = xg * eval_pts[:, axis] ** gi
@@ -827,11 +823,14 @@ def vanishing_moment_defect(
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same
             # padded lattice, so the two sides share every quadrature node)
-            mono_w = GridFunction.monomial(big, g).flat * big.cell_measure
-            if conv:
-                tmono = _corrected_at_points(tilde, corr, table_t, big, src_big, src_pts, mono_w)
+            mono_w = xg * big.cell_measure
+            if kernel.kappa is not None:
+                W = _modulate(tilde, 2, mono_w, eval_pts).reshape(big.cells)
+                tmain = _conv_at_points(table_t, origin_t, src_idx, big_lo, W)
+                tmain = _modulate(tilde, 1, tmain, src_pts)
             else:
-                tmono = _modified_raw(tilde, corr, src_pts, eval_pts, mono_w, h)
+                tmain = _truncated_raw(tilde, src_pts, eval_pts, mono_w, h)
+            tmono = tmain - _taylor_correction(tilde, corr, eval_pts, mono_w, src_pts)
             rhs = float((tmono * src_w).sum())
             defect = abs(lhs) / scale
             mismatch = abs(lhs - rhs) / scale
@@ -855,6 +854,8 @@ def vanishing_moment_defect(
         max_mismatch=max(r["mismatch"] for r in rows),
         truncation_warning=warn,
         padding=padding,
+        engine="pairwise" if kernel.kappa is None else "table",
+        table_cells=table_cells,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from jnlab.czkernel import (
     standard_kernel_check,
     vanishing_moment_defect,
 )
+from jnlab.czkernel import _box_table, _difference_table, _source_arrays, _truncated_raw
 from jnlab.hardy import make_atom
 
 
@@ -378,3 +380,156 @@ def test_vanishing_moment_defect_order_one():
     assert rep.max_defect <= 5e-3
     assert rep.max_mismatch <= 1e-3
     assert {r["gamma"] for r in rep.rows} == {(0,), (1,)}
+
+
+# --- difference-table engine against the pairwise reference path ----------
+
+
+def _pairwise(kernel):
+    """The same kernel with its difference kernel dropped: pairwise path."""
+    return replace(kernel, kappa=None, modulation=None)
+
+
+def _sum_kernel():
+    K1, K2 = hilbert_kernel(), smooth_bump_kernel()
+    return KernelSpec(
+        "sum", 1, 0, 1.0,
+        k=lambda x, y: K1.k(x, y) + K2.k(x, y),
+        d1=lambda g, x, y: K1.d1(g, x, y) + K2.d1(g, x, y),
+        d2=lambda g, x, y: K1.d2(g, x, y) + K2.d2(g, x, y),
+    )
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_modulated_table_matches_pairwise(transposed, m):
+    K = perturbed_kernel()
+    if transposed:
+        K = kernel_transpose(K)
+    w = Window(1, (-1.0,), (1.0,), (64,))
+    rng = np.random.default_rng(10 + m)
+    dense = GridFunction(w, rng.normal(size=64))
+    sparse = GridFunction(w, np.where(np.abs(w.midpoints()[:, 0] - 0.2) < 0.3, rng.normal(size=64), 0.0))
+    windows = [
+        w,
+        Window(1, (0.25,), (1.75,), (48,)),  # offset, partly outside the source window
+        Window(1, (-0.5,), (0.25,), (24,)),  # smaller, inside it
+    ]
+    for f in (dense, sparse):
+        src_pts, src_w = _source_arrays(f)
+        for ew in windows:
+            got = apply_truncated(K, f, m * w.h, eval_window=ew).flat
+            ref = _truncated_raw(K, ew.midpoints(), src_pts, src_w, m * w.h)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_range_restricted_table_is_slice_of_full():
+    eta_h = 2
+    for K, N in ((hilbert_kernel(), 40), (riesz_kernel(0, 2), 24), (kernel_transpose(perturbed_kernel()), 40)):
+        n, h = K.n, 0.05
+        full = _difference_table(K.kappa, h, eta_h * h, [-(N - 1)] * n, [N - 1] * n)
+        assert full.shape == (2 * N - 1,) * n
+        # evaluation box [3, 3 + 20) against a source box [5, 9] per axis
+        lo, hi = np.array([5] * n), np.array([9] * n)
+        table, origin = _box_table(K.kappa, h, eta_h * h, [3] * n, [22] * n, lo, hi)
+        assert table.shape == (20 + 4,) * n
+        assert np.array_equal(origin, [3 - 9] * n)
+        expect = full[tuple(slice(o + N - 1, o + N - 1 + c) for o, c in zip(origin, table.shape))]
+        assert np.array_equal(table, expect)
+        # the transpose kernel's table is the reflection of the base one
+        Kt = kernel_transpose(K)
+        full_t = _difference_table(Kt.kappa, h, eta_h * h, [-(N - 1)] * n, [N - 1] * n)
+        assert np.array_equal(full_t, full[(slice(None, None, -1),) * n])
+
+
+def test_monomial_image_table_matches_pairwise():
+    ew = Window(1, (-1.0,), (1.0,), (32,))
+    for K in (kernel_transpose(perturbed_kernel()), perturbed_kernel()):
+        corr = CorrectionSpec((0.1,), 0.5, 1)
+        for nu in ((0,), (1,)):
+            fast = modified_on_monomial(K, corr, nu, ew, padding=8, check_doubling=False)
+            slow = modified_on_monomial(_pairwise(K), corr, nu, ew, padding=8, check_doubling=False)
+            assert (fast.engine, slow.engine) == ("table", "pairwise")
+            ref = slow.values.values
+            assert np.max(np.abs(fast.values.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_vanishing_moment_defect_table_matches_pairwise():
+    w = Window(1, (-2.0,), (2.0,), (64,))
+    atoms = [make_atom(60 + i, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 1, 0.3), w) for i in range(2)]
+    for K in (perturbed_kernel(), hilbert_kernel()):
+        fast = vanishing_moment_defect(K, 1, atoms, padding=16)
+        slow = vanishing_moment_defect(_pairwise(K), 1, atoms, padding=16)
+        assert (fast.engine, slow.engine) == ("table", "pairwise")
+        for a, b in zip(fast.rows, slow.rows):
+            scale = abs(b["lhs"]) / b["defect"]
+            for key in ("lhs", "rhs", "half_padding_lhs"):
+                assert abs(a[key] - b[key]) <= 1e-12 * scale
+
+
+def test_perturbed_defects_pinned():
+    # recorded from the pairwise evaluation of the perturbed kernel
+    pinned = {
+        0: ((50, 51, 52), 0.25, [0.013578297316857573, 0.0064208125933129636, 0.013006532381781072]),
+        1: ((400, 401), 0.3, [0.029451497832493657, 0.006747581373904279,
+                              0.011630406150968048, 0.0009834854416372728]),
+    }
+    w = Window(1, (-2.0,), (2.0,), (256,))
+    for s, (seeds, alpha, defects) in pinned.items():
+        atoms = [make_atom(i, Cube((0.0,), 1.0), NormParams(2.0, 2.0, s, alpha), w) for i in seeds]
+        rep = vanishing_moment_defect(perturbed_kernel(), s, atoms, padding=64)
+        assert rep.engine == "table"
+        got = [r["defect"] for r in rep.rows]
+        assert got == pytest.approx(defects, rel=1e-10)
+        assert rep.max_mismatch <= 1e-13
+
+
+def test_engine_observability():
+    w = Window(1, (-2.0,), (2.0,), (64,))
+    atom = make_atom(70, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 0, 0.25), w)
+    support = int(np.count_nonzero(atom.values.values))
+    rep = vanishing_moment_defect(hilbert_kernel(), 0, [atom], padding=16)
+    big_cells = 64 * 16 // 4  # padding times the support side, in cells
+    assert rep.engine == "table"
+    assert support <= rep.table_cells - big_cells + 1 <= 16
+    rep_p = vanishing_moment_defect(_sum_kernel(), 0, [atom], padding=16)
+    assert (rep_p.engine, rep_p.table_cells) == ("pairwise", 0)
+    ew = Window(1, (-1.0,), (1.0,), (16,))
+    corr = CorrectionSpec((0.0,), 0.5, 0)
+    img = modified_on_monomial(kernel_transpose(hilbert_kernel()), corr, (0,), ew, padding=4, check_doubling=False)
+    assert img.engine == "table"
+    assert img.table_cells == img.integration_cells[0] + 16 - 1
+    img_p = modified_on_monomial(_sum_kernel(), corr, (0,), ew, padding=4, check_doubling=False)
+    assert (img_p.engine, img_p.table_cells) == ("pairwise", 0)
+
+
+def test_correction_spec_rejects_bad_input():
+    for center, radius, order in (
+        ((0.0,), math.nan, 0),
+        ((0.0,), math.inf, 0),
+        ((0.0,), -1.0, 0),
+        ((math.nan,), 0.5, 0),
+        ((0.0, math.inf), 0.5, 0),
+        ((0.0,), 0.5, -1),
+        ((0.0,), 0.5, 1.5),
+    ):
+        with pytest.raises(ValueError):
+            CorrectionSpec(center, radius, order)
+    assert CorrectionSpec((0.0,), 0.5, 2.0).order == 2
+
+
+def test_defect_and_monomial_input_guards():
+    w = Window(1, (-2.0,), (2.0,), (64,))
+    atom = make_atom(70, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 0, 0.25), w)
+    with pytest.raises(ValueError, match="atom"):
+        vanishing_moment_defect(hilbert_kernel(), 0, [])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="padding"):
+            vanishing_moment_defect(hilbert_kernel(), 0, [atom], padding=bad)
+        with pytest.raises(ValueError, match="padding"):
+            modified_on_monomial(
+                kernel_transpose(hilbert_kernel()), CorrectionSpec((0.0,), 0.5, 0), (0,),
+                Window(1, (-1.0,), (1.0,), (16,)), padding=bad,
+            )
+    with pytest.raises(ValueError):
+        KernelSpec("bad", 1, 0, 1.0, k=None, d1=None, d2=None, modulation=np.sin)
