@@ -13,11 +13,14 @@ from .lattice import (
     double_shell,
     integrate,
     lq_norm,
+    moments,
+    monomials,
     region_measure,
 )
 from .polyproj import (
     ConditioningError,
     Polynomial,
+    Projector,
     dual_basis,
     moment_projection,
     multi_indices,

@@ -13,8 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from .lattice import Ball, Cube, GridFunction, annulus
-from .polyproj import ConditioningError, moment_projection
+from .lattice import Ball, Cube, GridFunction, Window, annulus
+from .polyproj import moment_projection
 from .spaces import NormParams, SearchConfig, jn_con_norm, rm_con_norm
 from .czkernel import (
     CorrectionSpec,
@@ -27,7 +27,6 @@ from .czkernel import (
 from .hardy import (
     CertificationError,
     MoleculeRecord,
-    ParameterError,
     decompose_molecule,
     make_atom,
     validate_atom,
@@ -41,21 +40,16 @@ EXIT_CONFIG = 3
 
 
 def _parse_region(text: str):
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *parts = text.split(":")
+    if kind not in ("cube", "ball", "annulus"):
+        raise ConfigError(f"unknown region kind {kind!r} (cube|ball|annulus)")
     try:
-        if kind == "cube":
-            center = tuple(float(v) for v in parts[1].split(","))
-            return Cube(center, float(parts[2]))
-        if kind == "ball":
-            center = tuple(float(v) for v in parts[1].split(","))
-            return Ball(center, float(parts[2]))
+        center = tuple(float(v) for v in parts[0].split(","))
         if kind == "annulus":
-            center = tuple(float(v) for v in parts[1].split(","))
-            return annulus(center, float(parts[2]), int(parts[3]))
+            return annulus(center, float(parts[1]), int(parts[2]))
+        return (Cube if kind == "cube" else Ball)(center, float(parts[1]))
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"bad region spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown region kind {kind!r} (cube|ball|annulus)")
 
 
 def _params_from_args(args) -> NormParams:
@@ -112,8 +106,7 @@ def cmd_apply_op(args) -> int:
                   "max_increments": res.max_increments, "points": res.to_json()}
         result = res.result
     else:
-        span = min(u - l for l, u in zip(f.window.lower, f.window.upper))
-        corr = CorrectionSpec(tuple(f.window.center), 0.375 * span, args.s)
+        corr = CorrectionSpec(tuple(f.window.center), 0.375 * f.window.span, args.s)
         res = apply_modified(kernel_transpose(kernel), corr, f)
         report = {"mode": "modified", "etas": res.etas, "converged": res.converged,
                   "max_increments": res.max_increments, "points": res.to_json()}
@@ -130,8 +123,6 @@ def cmd_apply_op(args) -> int:
 def cmd_atom(args) -> int:
     params = _params_from_args(args)
     if args.action == "make":
-        from .lattice import Window
-
         window = Window(1, (args.lower,), (args.upper,), (args.cells,))
         span = args.upper - args.lower
         cube = Cube(((args.lower + args.upper) / 2.0,), span / 4.0)
@@ -271,12 +262,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, ConditioningError, KeyError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
+    except (ValueError, KeyError, OSError) as exc:
+        # every library error type (lattice, projection, parameter, config,
+        # malformed JSON) is a ValueError subclass
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

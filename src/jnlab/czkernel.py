@@ -19,12 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window
-from .polyproj import (
-    index_factorial,
-    moment_projection,
-    multi_indices,
-)
+from .lattice import Ball, Cube, GridFunction, Window, moments, monomials
+from .polyproj import Projector, index_factorial, moment_projection, multi_indices
 
 __all__ = [
     "KernelSpec",
@@ -541,15 +537,11 @@ def _taylor_correction(kernel, corr: CorrectionSpec, src_pts, src_w, eval_pts) -
     out_pts = src_pts[outside]
     out_w = src_w[outside]
     x0b = np.broadcast_to(x0, out_pts.shape)
-    for g in multi_indices(len(corr.center), corr.order):
+    gammas = multi_indices(len(corr.center), corr.order)
+    for g, pow_g in zip(gammas, monomials(eval_pts, gammas, x0).T):
         coef = float((kernel.d1(g, x0b, out_pts) / index_factorial(g) * out_w).sum())
-        if coef == 0.0:
-            continue
-        pow_g = np.ones(eval_pts.shape[0])
-        for axis, gi in enumerate(g):
-            if gi:
-                pow_g = pow_g * (eval_pts[:, axis] - x0[axis]) ** gi
-        out += coef * pow_g
+        if coef != 0.0:
+            out += coef * pow_g
     return out
 
 
@@ -565,11 +557,6 @@ class ModifiedResult(CZResult):
     canonical: GridFunction | None = None
     reference_cube: Cube | None = None
     correction: CorrectionSpec | None = None
-
-
-def _reference_cube(window: Window) -> Cube:
-    side = min(u - l for l, u in zip(window.lower, window.upper)) / 2.0
-    return Cube(tuple(window.center), side)
 
 
 def apply_modified(
@@ -604,7 +591,7 @@ def apply_modified(
     if tol is None:
         tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
     base = _ladder_result(window, ladder, [m * h for m in eta_cells], tol)
-    ref = _reference_cube(window)
+    ref = window.reference_cube()
     proj = moment_projection(base.result, ref, corr.order)
     canonical = base.result - proj.on_grid(window)
     return ModifiedResult(
@@ -620,18 +607,6 @@ def apply_modified(
         reference_cube=ref,
         correction=corr,
     )
-
-
-def _padded_window(window: Window, factor: float) -> Window:
-    """Extend the window symmetrically, keeping pitch and midpoint phase."""
-    h = window.h
-    lower, upper, cells = [], [], []
-    for a in range(window.n):
-        extra = math.ceil(window.cells[a] * (factor - 1.0) / 2.0)
-        lower.append(window.lower[a] - extra * h)
-        upper.append(window.upper[a] + extra * h)
-        cells.append(window.cells[a] + 2 * extra)
-    return Window(window.n, tuple(lower), tuple(upper), tuple(cells))
 
 
 def _check_padding(padding: float) -> None:
@@ -682,7 +657,7 @@ def modified_on_monomial(
     eval_pts = eval_window.midpoints()
 
     def run(factor):
-        big = _padded_window(eval_window, factor)
+        big = eval_window.padded(factor)
         big_pts = big.midpoints()
         grid_w = GridFunction.monomial(big, nu).flat * big.cell_measure
         if kernel_tilde.kappa is None:
@@ -724,11 +699,8 @@ def modified_on_monomial(
 
 def poly_distance(g: GridFunction, region, s: int, floor: float = 0.0) -> float:
     """Relative L^2(E) distance of g to the degree-s polynomial space."""
-    from .lattice import region_mask
-
-    P = moment_projection(g, region, s)
-    mask = region_mask(g.window, region)
-    resid = g.flat[mask] - P(g.window.midpoints()[mask])
+    projector, mask = Projector.on_region(g.window, region, s)
+    resid = projector.residual(g.flat[mask])
     denom = max(float(np.sqrt((g.flat[mask] ** 2).sum() * g.window.cell_measure)), floor, 1e-300)
     return float(np.sqrt((resid**2).sum() * g.window.cell_measure)) / denom
 
@@ -780,8 +752,8 @@ def vanishing_moment_defect(
         h = window.h
         side_cells = max(1, round(cube.side / h))
         factor = max(padding * side_cells / min(window.cells), 1.0)
-        big = _padded_window(window, factor)
-        half = _padded_window(window, max(factor / 2.0, 1.0))
+        big = window.padded(factor)
+        half = window.padded(max(factor / 2.0, 1.0))
         src_pts, src_w = _source_arrays(gf)
         if not src_w.size:
             raise ValueError(f"atom {idx} vanishes identically")
@@ -811,19 +783,14 @@ def vanishing_moment_defect(
         glist = gammas if gammas is not None else multi_indices(window.n, s)
         for g in glist:
             g = tuple(int(v) for v in np.atleast_1d(g))
-            xg = np.ones(eval_pts.shape[0])
-            xg_half = np.ones(half.cell_count)
-            for axis, gi in enumerate(g):
-                if gi:
-                    xg = xg * eval_pts[:, axis] ** gi
-                    xg_half = xg_half * hpts[:, axis] ** gi
-            lhs = float((ta * xg).sum() * big.cell_measure)
-            lhs_half = float((ta_half * xg_half).sum() * half.cell_measure)
+            xg = monomials(eval_pts, [g])
+            (lhs,) = moments(ta, xg, big.cell_measure)
+            (lhs_half,) = moments(ta_half, monomials(hpts, [g]), half.cell_measure)
             scale = a_l1 * cube.side ** sum(g)
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same
             # padded lattice, so the two sides share every quadrature node)
-            mono_w = xg * big.cell_measure
+            mono_w = xg[:, 0] * big.cell_measure
             if kernel.kappa is not None:
                 W = _modulate(tilde, 2, mono_w, eval_pts).reshape(big.cells)
                 tmain = _conv_at_points(table_t, origin_t, src_idx, big_lo, W)

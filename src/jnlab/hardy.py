@@ -24,10 +24,12 @@ from .lattice import (
     Window,
     annulus,
     lq_norm,
+    moments,
+    monomials,
     region_mask,
     region_measure,
 )
-from .polyproj import dual_basis, moment_projection, multi_indices
+from .polyproj import Projector, dual_basis, multi_indices
 
 __all__ = [
     "ParameterError",
@@ -105,6 +107,22 @@ class AtomRecord:
     certification: AtomCertification
 
 
+def _moment_defects(values: GridFunction, s: int, side: float, tol: float, failures: list):
+    """|moment| and its scale ||f||_1 side^|gamma| per gamma with |gamma| <= s;
+    a defect above tol * scale appends a failure."""
+    window = values.window
+    gammas = multi_indices(window.n, s)
+    found = moments(values.flat, monomials(window.midpoints(), gammas), window.cell_measure)
+    l1 = float(np.abs(values.flat).sum()) * window.cell_measure
+    defects, scales = {}, {}
+    for g, m in zip(gammas, found):
+        defects[g] = abs(m)
+        scales[g] = l1 * side ** sum(g)
+        if defects[g] > tol * scales[g]:
+            failures.append(f"moment {g}: defect {defects[g]:.3e} exceeds tolerance")
+    return defects, scales
+
+
 def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification:
     """Check support, L^q size, and vanishing moments; failures are data."""
     window = values.window
@@ -115,24 +133,12 @@ def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification
     bound = measure ** norm_exponent(params)
     norm = lq_norm(values, cube, params.q)
     norm_ratio = norm / bound if bound > 0 else INF
-    pts = window.midpoints()
-    a_l1 = float(np.abs(values.flat).sum()) * window.cell_measure
-    defects, scales, failures = {}, {}, []
+    failures = []
     if not support_exact:
         failures.append("support: nonzero cells outside the cube")
     if norm_ratio > 1.0 + ATOM_NORM_RTOL:
         failures.append(f"size: L^q ratio {norm_ratio:.12g} exceeds 1")
-    for g in multi_indices(window.n, params.s):
-        xg = np.ones(pts.shape[0])
-        for axis, gi in enumerate(g):
-            if gi:
-                xg = xg * pts[:, axis] ** gi
-        defect = abs(float((values.flat * xg).sum()) * window.cell_measure)
-        scale = a_l1 * cube.side ** sum(g)
-        defects[g] = defect
-        scales[g] = scale
-        if defect > ATOM_MOMENT_RTOL * scale:
-            failures.append(f"moment {g}: defect {defect:.3e} exceeds tolerance")
+    defects, scales = _moment_defects(values, params.s, cube.side, ATOM_MOMENT_RTOL, failures)
     return AtomCertification(support_exact, norm_ratio, defects, scales, failures)
 
 
@@ -158,10 +164,9 @@ def make_atom(
         raw = np.broadcast_to(np.asarray(seed_values, dtype=float), (count,))
     vals = np.zeros(window.cell_count)
     vals[mask] = raw
-    g = GridFunction(window, vals.reshape(window.cells))
-    proj = moment_projection(g, cube, params.s)
+    g = GridFunction(window, vals)
     resid = np.zeros(window.cell_count)
-    resid[mask] = g.flat[mask] - proj(window.midpoints()[mask])
+    resid[mask] = Projector.on_region(window, cube, params.s)[0].residual(g.flat[mask])
     norm = lq_norm(GridFunction(window, resid.reshape(window.cells)), cube, params.q)
     ref = lq_norm(g, cube, params.q)
     if norm <= 1e-13 * max(ref, 1.0):
@@ -231,21 +236,7 @@ def validate_molecule(
         ratios.append(ratio)
         if ratio > 1.0 + ATOM_NORM_RTOL:
             failures.append(f"annulus j={j} decay ratio {ratio:.12g} exceeds 1")
-    pts = window.midpoints()
-    m_l1 = float(np.abs(values.flat).sum()) * window.cell_measure
-    outer_side = cube.side * 2**j_max
-    defects, scales = {}, {}
-    for g in multi_indices(window.n, params.s):
-        xg = np.ones(pts.shape[0])
-        for axis, gi in enumerate(g):
-            if gi:
-                xg = xg * pts[:, axis] ** gi
-        defect = abs(float((values.flat * xg).sum()) * window.cell_measure)
-        scale = m_l1 * outer_side ** sum(g)
-        defects[g] = defect
-        scales[g] = scale
-        if defect > moment_tol * scale:
-            failures.append(f"moment {g}: defect {defect:.3e} exceeds tolerance")
+    defects, scales = _moment_defects(values, params.s, cube.side * 2**j_max, moment_tol, failures)
     return MoleculeCertification(core_ratio, ratios, defects, scales, moment_tol, failures)
 
 
@@ -260,20 +251,36 @@ def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
     mask = region_mask(window, cube)
     pts = window.midpoints()
     duals = dual_basis(window, cube, s)
-    gammas = multi_indices(window.n, s)
     measure = region_measure(window, cube)
-    out = values.flat.copy()
+    m = moments(values.flat, monomials(pts, multi_indices(window.n, s)), window.cell_measure)
     # moments must be removed jointly: build the correction, then subtract
     corr = np.zeros(window.cell_count)
-    for nu_idx, nu in enumerate(gammas):
-        xg = np.ones(pts.shape[0])
-        for axis, gi in enumerate(nu):
-            if gi:
-                xg = xg * pts[:, axis] ** gi
-        m_nu = float((values.flat * xg).sum()) * window.cell_measure
-        corr[mask] += m_nu * duals[nu_idx](pts[mask]) / measure
-    out -= corr
-    return GridFunction(window, out.reshape(window.cells))
+    for m_nu, psi in zip(m, duals):
+        corr[mask] += m_nu * psi(pts[mask]) / measure
+    return GridFunction(window, (values.flat - corr).reshape(window.cells))
+
+
+def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> list:
+    """Per dyadic level j <= j_max: the annulus L_j, its mask, and the dual
+    polynomials psi_nu / |L_j| on the cells of L_j."""
+    pts = window.midpoints()
+    levels = []
+    for j in range(j_max + 1):
+        region = annulus(cube.center, cube.side, j)
+        mask = region_mask(window, region)
+        if not mask.any():
+            raise ValueError(f"window does not reach annulus level {j}")
+        measure = float(mask.sum()) * window.cell_measure
+        levels.append((region, mask, [psi(pts[mask]) / measure for psi in dual_basis(window, region, s)]))
+    return levels
+
+
+def _dual_step(levels, j: int, nu: int, size: int) -> np.ndarray:
+    """psi_nu^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi_nu^{(j)} 1_{L_j} / |L_j|."""
+    out = np.zeros(size)
+    out[levels[j + 1][1]] = levels[j + 1][2][nu]
+    out[levels[j][1]] -= levels[j][2][nu]
+    return out
 
 
 def make_molecule(
@@ -298,36 +305,23 @@ def make_molecule(
     c = norm_exponent(params)
     core_bound = region_measure(window, cube) ** c
     total = np.zeros(window.cell_count)
-    pts = window.midpoints()
-    bounds, masks, duals, measures = [], [], [], []
-    for j in range(0, j_max + 1):
-        region = annulus(cube.center, cube.side, j)
-        mask = region_mask(window, region)
-        if not mask.any():
-            raise ValueError(f"window does not reach annulus level {j}")
-        masks.append(mask)
-        measures.append(float(mask.sum()) * window.cell_measure)
-        duals.append(dual_basis(window, region, params.s))
-        bounds.append(core_bound * (2.0 ** (j * window.n / epsilon * c) if j else 1.0))
-        raw = np.zeros(window.cell_count)
-        raw[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-        piece = GridFunction(window, raw.reshape(window.cells))
-        proj = moment_projection(piece, region, params.s)
+    levels = _annulus_levels(window, cube, params.s, j_max)
+    bounds = [core_bound * (2.0 ** (j * window.n / epsilon * c) if j else 1.0) for j in range(j_max + 1)]
+    for j, (region, mask, _) in enumerate(levels):
         resid = np.zeros(window.cell_count)
-        resid[mask] = piece.flat[mask] - proj(pts[mask])
-        norm = lq_norm(GridFunction(window, resid.reshape(window.cells)), region, params.q)
+        raw = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
+        resid[mask] = Projector.on_region(window, region, params.s)[0].residual(raw)
+        norm = lq_norm(GridFunction(window, resid), region, params.q)
         if norm <= 0:
             raise ZeroAtomError("degenerate annulus piece")
         total += resid * (margin * bounds[j] / norm)
     gammas = multi_indices(window.n, params.s)
     for j in range(j_max):
-        for gi, g in enumerate(gammas):
-            pair = np.zeros(window.cell_count)
-            pair[masks[j + 1]] += duals[j + 1][gi](pts[masks[j + 1]]) / measures[j + 1]
-            pair[masks[j]] -= duals[j][gi](pts[masks[j]]) / measures[j]
-            gf = GridFunction(window, pair.reshape(window.cells))
-            norm_lo = lq_norm(gf, annulus(cube.center, cube.side, j), params.q)
-            norm_hi = lq_norm(gf, annulus(cube.center, cube.side, j + 1), params.q)
+        for gi in range(len(gammas)):
+            pair = _dual_step(levels, j, gi, window.cell_count)
+            gf = GridFunction(window, pair)
+            norm_lo = lq_norm(gf, levels[j][0], params.q)
+            norm_hi = lq_norm(gf, levels[j + 1][0], params.q)
             cap = min(
                 bounds[j] / norm_lo if norm_lo > 0 else INF,
                 bounds[j + 1] / norm_hi if norm_hi > 0 else INF,
@@ -476,14 +470,6 @@ class DecompositionReport:
         }
 
 
-def _monomial_values(pts: np.ndarray, g) -> np.ndarray:
-    out = np.ones(pts.shape[0])
-    for axis, gi in enumerate(g):
-        if gi:
-            out = out * pts[:, axis] ** gi
-    return out
-
-
 def decompose_molecule(
     mol: MoleculeRecord, l_max: int, moment_tol: float = ATOM_MOMENT_RTOL
 ) -> DecompositionReport:
@@ -524,23 +510,16 @@ def decompose_molecule(
     vals = mol.values.flat
     gammas = multi_indices(n, s)
 
-    masks, resids, proj_sup = [], [], 0.0
-    measures = []
-    duals = []
-    for j in range(l_max + 1):
-        region = annulus(cube.center, cube.side, j)
-        mask = region_mask(window, region)
-        masks.append(mask)
-        measures.append(float(mask.sum()) * window.cell_measure)
-        gf = mol.values
-        P = moment_projection(gf, region, s)
+    levels = _annulus_levels(window, cube, s, l_max)
+    resids, proj_sup = [], 0.0
+    for region, mask, _ in levels:
+        fit = Projector.on_region(window, region, s)[0].fit(vals[mask])
         resid = np.zeros(window.cell_count)
-        resid[mask] = vals[mask] - P(pts[mask])
+        resid[mask] = vals[mask] - fit
         resids.append(resid)
         mean_abs = float(np.abs(vals[mask]).mean())
         if mean_abs > 0:
-            proj_sup = max(proj_sup, float(np.abs(P(pts[mask])).max()) / mean_abs)
-        duals.append(dual_basis(window, region, s))
+            proj_sup = max(proj_sup, float(np.abs(fit).max()) / mean_abs)
 
     c_proj = proj_sup
     lam_core = 1.0 + c_proj
@@ -569,8 +548,7 @@ def decompose_molecule(
     eta = np.zeros((l_max + 1, len(gammas)))
     for j in range(l_max + 1):
         outside = ~region_mask(window, Cube(cube.center, cube.side * 2**j))
-        for gi, g in enumerate(gammas):
-            eta[j, gi] = float((vals[outside] * _monomial_values(pts[outside], g)).sum()) * window.cell_measure
+        eta[j] = moments(vals[outside], monomials(pts[outside], gammas), window.cell_measure)
 
     # correction pieces eta_nu^{(j)} [ psi^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi^{(j)} 1_{L_j} / |L_j| ]
     tilde_raw = {}
@@ -579,11 +557,8 @@ def decompose_molecule(
         support = Cube(cube.center, cube.side * 2 ** (j + 1))
         bound = decay**j * region_measure(window, support) ** c_exp
         for gi, g in enumerate(gammas):
-            piece = np.zeros(window.cell_count)
-            piece[masks[j + 1]] = duals[j + 1][gi](pts[masks[j + 1]]) / measures[j + 1]
-            piece[masks[j]] -= duals[j][gi](pts[masks[j]]) / measures[j]
-            piece *= eta[j, gi]
-            norm = lq_norm(GridFunction(window, piece.reshape(window.cells)), support, params.q)
+            piece = _dual_step(levels, j, gi, window.cell_count) * eta[j, gi]
+            norm = lq_norm(GridFunction(window, piece), support, params.q)
             tilde_raw[(j, g)] = (piece, norm, bound)
             if norm > 0:
                 tilde_norm_max = max(tilde_norm_max, norm / bound)
@@ -619,8 +594,8 @@ def decompose_molecule(
     tail_term_top = None
     for l in range(l_max + 1):
         tail = np.zeros(window.cell_count)
-        for gi, g in enumerate(gammas):
-            tail[masks[l]] -= eta[l, gi] * duals[l][gi](pts[masks[l]]) / measures[l]
+        for gi, psi in enumerate(levels[l][2]):
+            tail[levels[l][1]] -= eta[l, gi] * psi
         if l == l_max:
             tail_term_top = tail
         inside = region_mask(window, Cube(cube.center, cube.side * 2**l))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window
+from .lattice import Cube, GridFunction, Window, moments, monomials
 from .polyproj import Polynomial, multi_indices
 from .spaces import (
     NormParams,
@@ -260,8 +260,7 @@ def _family_refined(config: ExperimentConfig, window: Window, params) -> list[Gr
 
 
 def _central_correction(window: Window, s: int) -> CorrectionSpec:
-    span = min(u - l for l, u in zip(window.lower, window.upper))
-    return CorrectionSpec(tuple(window.center), 0.375 * span, s)
+    return CorrectionSpec(tuple(window.center), 0.375 * window.span, s)
 
 
 def _ratio_rows(values, name):
@@ -318,7 +317,7 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
     for g in multi_indices(window.n, params.s):
         img = modified_on_monomial(tilde, corr, g, window, padding=max(config.padding, 4.0), check_doubling=False)
         dist = poly_distance(
-            img.values, _reference(window), params.s,
+            img.values, window.reference_cube(), params.s,
             floor=float(np.abs(GridFunction.monomial(window, g).flat).max()),
         )
         mono_rows.append({"case": f"monomial {g}", "numerator": dist, "denominator": 1.0, "ratio": dist, "status": "ok"})
@@ -328,11 +327,6 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
         "jn_boundedness", rows + mono_rows, summary, not violations, violations,
         asdict(config), _environment(),
     )
-
-
-def _reference(window: Window) -> Cube:
-    side = min(u - l for l, u in zip(window.lower, window.upper)) / 2.0
-    return Cube(tuple(window.center), side)
 
 
 def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
@@ -395,8 +389,7 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
     bracket = config.tol("bracket", 64.0)
 
     def sweep(win: Window):
-        radii = config.radii or [win.h * 2**k for k in range(2, 7) if win.h * 2**k < min(
-            u - l for l, u in zip(win.lower, win.upper))]
+        radii = config.radii or [win.h * 2**k for k in range(2, 7) if win.h * 2**k < win.span]
         jn_ratios, rm_ratios = [], []
         for f in _family_refined(config, win, params):
             den = jn_con_norm(f, params, search).value
@@ -417,8 +410,7 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
     violations = []
     # a user-supplied radius set that cannot resolve the window is reported as
     # search insufficiency, not as a property failure
-    span = min(u - l for l, u in zip(window.lower, window.upper))
-    insufficient = bool(config.radii) and (len(config.radii) < 3 or max(config.radii) < span / 8)
+    insufficient = bool(config.radii) and (len(config.radii) < 3 or max(config.radii) < window.span / 8)
     summary["search_insufficiency"] = insufficient
     for name, ratios in (("jn", jn_r), ("rm", rm_r)):
         if not ratios:
@@ -454,8 +446,7 @@ def _atom_image_setup(config: ExperimentConfig):
     params = config.build_params()
     kernel = config.build_kernel()
     n = window.n
-    span = min(u - l for l, u in zip(window.lower, window.upper))
-    support_side = span / 2 ** max(config.levels, 2)
+    support_side = window.span / 2 ** max(config.levels, 2)
     cube = Cube(tuple(window.center), support_side)
     eps = config.epsilon
     if eps is None:
@@ -476,25 +467,16 @@ def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, wind
     defect is structural and is left in place so certification fails on the
     moment condition, as it should.
     """
-    from .czkernel import _padded_window
-
     ta = apply_truncated(kernel, atom.values, window.h, eval_window=window)
-    half = _padded_window(window, 0.5) if min(window.cells) >= 8 else window
+    half = window.padded(0.5) if min(window.cells) >= 8 else window
     ta_half = apply_truncated(kernel, atom.values, window.h, eval_window=half)
-    pts = window.midpoints()
-    pts_half = half.midpoints()
+    gammas = multi_indices(window.n, params.s)
+    fulls = moments(ta.flat, monomials(window.midpoints(), gammas), window.cell_measure)
+    halves = moments(ta_half.flat, monomials(half.midpoints(), gammas), half.cell_measure)
     m_l1 = float(np.abs(ta.flat).sum()) * window.cell_measure
     defects = {}
     decaying = True
-    for g in multi_indices(window.n, params.s):
-        xg = np.ones(pts.shape[0])
-        xh = np.ones(pts_half.shape[0])
-        for axis, gi in enumerate(g):
-            if gi:
-                xg = xg * pts[:, axis] ** gi
-                xh = xh * pts_half[:, axis] ** gi
-        full = float((ta.flat * xg).sum()) * window.cell_measure
-        half_v = float((ta_half.flat * xh).sum()) * half.cell_measure
+    for g, full, half_v in zip(gammas, fulls, halves):
         scale = max(m_l1 * center_cube.side ** sum(g), 1e-300)
         defects[g] = abs(full) / scale
         if abs(full) > 1e-8 * scale and abs(full) > abs(half_v) / 1.3:
@@ -573,7 +555,7 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     n_funcs = int(config.family.get("functions", 5))
     seed = int(config.family.get("seed", 7))
     tol = config.tol("pairing_mismatch", 1e-3)
-    span = min(u - l for l, u in zip(window.lower, window.upper))
+    span = window.span
     cube = Cube(tuple(window.center), span / 8.0)
     corr = _central_correction(window, params.s)
     inner = Window(
@@ -615,10 +597,8 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
                 out.append({"atom": i, "func": jf, "lhs": lhs, "rhs": rhs, "mismatch": abs(lhs - rhs) / scale})
         return out
 
-    from .czkernel import _padded_window
-
     rows = mismatches(window)
-    big = _padded_window(window, 2.0)
+    big = window.padded(2.0)
     rows_big = mismatches(big)
     max_mm = max(r["mismatch"] for r in rows)
     drift = max(

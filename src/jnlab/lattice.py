@@ -32,6 +32,8 @@ __all__ = [
     "double_shell",
     "region_mask",
     "region_measure",
+    "monomials",
+    "moments",
     "integrate",
     "average",
     "lq_norm",
@@ -79,6 +81,8 @@ class Window:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "cells", cells)
+        if not all(math.isfinite(v) for v in lower + upper):
+            raise LatticeError("window bounds must be finite")
         if any(u <= l for l, u in zip(lower, upper)):
             raise LatticeError("upper must exceed lower componentwise")
         if any(c < 2 for c in cells):
@@ -108,6 +112,15 @@ class Window:
     def center(self) -> np.ndarray:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
 
+    @property
+    def span(self) -> float:
+        """Shortest side length."""
+        return min(u - l for l, u in zip(self.lower, self.upper))
+
+    def reference_cube(self) -> "Cube":
+        """Central cube of half the shortest side."""
+        return Cube(tuple(self.center), self.span / 2.0)
+
     def axis_midpoints(self, axis: int) -> np.ndarray:
         return self.lower[axis] + (np.arange(self.cells[axis]) + 0.5) * self.h
 
@@ -122,6 +135,18 @@ class Window:
 
     def refine(self, factor: int = 2) -> "Window":
         return Window(self.n, self.lower, self.upper, tuple(c * factor for c in self.cells))
+
+    def padded(self, factor: float) -> "Window":
+        """Extend (factor > 1) or shrink (factor < 1) the window symmetrically
+        by about `factor` per axis, keeping pitch and midpoint phase."""
+        h = self.h
+        extra = [math.ceil(c * (factor - 1.0) / 2.0) for c in self.cells]
+        return Window(
+            self.n,
+            tuple(l - e * h for l, e in zip(self.lower, extra)),
+            tuple(u + e * h for u, e in zip(self.upper, extra)),
+            tuple(c + 2 * e for c, e in zip(self.cells, extra)),
+        )
 
     def same_lattice(self, other: "Window") -> bool:
         return (
@@ -163,6 +188,12 @@ class Cube:
         hi = c + self.side / 2.0
         return np.all((pts >= lo) & (pts < hi), axis=-1)
 
+    def grid_contains(self, axes) -> np.ndarray:
+        inside = True
+        for x, c in zip(axes, self.center):
+            inside = inside & (x >= c - self.side / 2.0) & (x < c + self.side / 2.0)
+        return inside
+
     def bounding_box(self):
         c = np.asarray(self.center)
         return c - self.side / 2.0, c + self.side / 2.0
@@ -199,6 +230,9 @@ class Ball:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         d = pts - np.asarray(self.center)
         return np.sum(d * d, axis=-1) < self.radius**2
+
+    def grid_contains(self, axes) -> np.ndarray:
+        return sum((x - c) * (x - c) for x, c in zip(axes, self.center)) < self.radius**2
 
     def bounding_box(self):
         c = np.asarray(self.center)
@@ -248,6 +282,9 @@ class Annulus:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return self.outer.contains(pts) & ~self.inner.contains(pts)
 
+    def grid_contains(self, axes) -> np.ndarray:
+        return self.outer.grid_contains(axes) & ~self.inner.grid_contains(axes)
+
     def bounding_box(self):
         return self.outer.bounding_box()
 
@@ -260,6 +297,10 @@ class Annulus:
         }
 
 
+# Every region has contains(pts), the pointwise membership of points of shape
+# (..., n), and grid_contains(axes), the same rule on the product grid of
+# per-axis coordinate arrays that broadcast against each other (as from
+# np.ix_): a mask costs per-axis comparisons plus one outer and/or.
 Region = Cube | Ball | Annulus
 
 
@@ -287,8 +328,12 @@ class GridFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != tuple(self.window.cells):
-            v = v.reshape(tuple(self.window.cells))
+        if v.shape == (self.window.cell_count,):
+            v = v.reshape(self.window.cells)
+        elif v.shape != self.window.cells:
+            raise LatticeError(
+                f"values of shape {v.shape} do not fit a window of {self.window.cells} cells"
+            )
         if not np.all(np.isfinite(v)):
             raise LatticeError("grid function values must be finite")
         self.values = v
@@ -310,12 +355,7 @@ class GridFunction:
     def monomial(cls, window: Window, gamma) -> "GridFunction":
         """y^gamma sampled on the window."""
         gamma = tuple(int(g) for g in np.atleast_1d(gamma))
-        pts = window.midpoints()
-        vals = np.ones(pts.shape[0])
-        for axis, g in enumerate(gamma):
-            if g:
-                vals = vals * pts[:, axis] ** g
-        return cls(window, vals.reshape(window.cells))
+        return cls(window, monomials(window.midpoints(), [gamma])[:, 0])
 
     @property
     def flat(self) -> np.ndarray:
@@ -355,9 +395,34 @@ class GridFunction:
         return cls(window, np.asarray(d["values"], dtype=float))
 
 
+def monomials(pts: np.ndarray, gammas, anchor=None, scale: float = 1.0) -> np.ndarray:
+    """Columns ((x - anchor)/scale)^gamma at the points, shape (len(pts), len(gammas))."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.ones((pts.shape[0], len(gammas)))
+    for axis in range(pts.shape[1]):
+        if not any(g[axis] for g in gammas):
+            continue
+        z = pts[:, axis] if anchor is None else pts[:, axis] - anchor[axis]
+        if scale != 1.0:
+            z = z / scale
+        for k, g in enumerate(gammas):
+            if g[axis]:
+                out[:, k] *= z ** g[axis]
+    return out
+
+
+def moments(values: np.ndarray, columns: np.ndarray, cell_measure: float) -> list[float]:
+    """Midpoint-rule moments: the sums of values * column * cell_measure over
+    the cells, one per column of `columns` (e.g. a :func:`monomials` matrix)."""
+    return [float((values * col).sum()) * cell_measure for col in columns.T]
+
+
 def region_mask(window: Window, region: Region) -> np.ndarray:
     """Boolean mask (flat, row-major) of window cells with midpoint in region."""
-    return region.contains(window.midpoints())
+    if region.n != window.n:
+        raise LatticeError(f"a {region.n}-D region on a {window.n}-D window")
+    axes = np.ix_(*(window.axis_midpoints(a) for a in range(window.n)))
+    return region.grid_contains(axes).reshape(-1)
 
 
 def _virtual_axis_indices(lower: float, h: float, lo: float, hi: float) -> np.ndarray:
@@ -384,12 +449,7 @@ def region_measure(window: Window, region: Region, policy: str = "restrict") -> 
         window.lower[a] + (_virtual_axis_indices(window.lower[a], h, lo[a], hi[a]) + 0.5) * h
         for a in range(window.n)
     ]
-    if window.n == 1:
-        pts = axes[0][:, None]
-    else:
-        x, y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([x.ravel(), y.ravel()], axis=1)
-    return float(np.count_nonzero(region.contains(pts))) * window.cell_measure
+    return float(np.count_nonzero(region.grid_contains(np.ix_(*axes)))) * window.cell_measure
 
 
 def integrate(f: GridFunction, region: Region) -> float:

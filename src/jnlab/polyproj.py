@@ -6,6 +6,9 @@ orthogonal projection of f onto polynomials of degree <= s in the discrete
 L^2(E) inner product.  Monomials are anchored at the region center and scaled
 by the region half-size before the Gram matrix is formed; an explicit
 condition-number gate rejects degenerate instances instead of regularizing.
+:class:`Projector` holds that computation for one point set; moment
+projections, orthonormal bases, the cube-tiling batches and the ball sweep
+all go through it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import EmptyRegionError, GridFunction, Region, Window, region_mask
+from .lattice import EmptyRegionError, GridFunction, Region, Window, monomials, region_mask
 
 __all__ = [
     "MAX_DEGREE",
@@ -26,6 +29,7 @@ __all__ = [
     "multi_indices",
     "index_factorial",
     "Polynomial",
+    "Projector",
     "moment_projection",
     "sup_poly_norm",
     "orthonormal_basis",
@@ -58,19 +62,6 @@ def space_dimension(n: int, s: int) -> int:
     return len(multi_indices(n, s))
 
 
-def _scaled_design(pts: np.ndarray, anchor: np.ndarray, scale: float, gammas) -> np.ndarray:
-    """Columns ((x - anchor)/scale)^gamma evaluated at pts, shape (m, len(gammas))."""
-    z = (pts - anchor) / scale
-    cols = []
-    for g in gammas:
-        c = np.ones(pts.shape[0])
-        for axis, gi in enumerate(g):
-            if gi:
-                c = c * z[:, axis] ** gi
-        cols.append(c)
-    return np.stack(cols, axis=1)
-
-
 @dataclass
 class Polynomial:
     """Polynomial of degree <= s in the basis ((x - anchor)/scale)^gamma."""
@@ -94,14 +85,10 @@ class Polynomial:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        z = (pts - np.asarray(self.anchor)) / self.scale
+        cols = monomials(pts, list(self.coeffs), self.anchor, self.scale)
         out = np.zeros(pts.shape[0])
-        for g, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for axis, gi in enumerate(g):
-                if gi:
-                    term = term * z[:, axis] ** gi
-            out += term
+        for c, col in zip(self.coeffs.values(), cols.T):
+            out += c * col
         return out
 
     def on_grid(self, window: Window) -> GridFunction:
@@ -192,66 +179,99 @@ class Polynomial:
         return cls(n, d["s"], tuple(d["anchor"]), d["scale"], coeffs)
 
 
-def _region_points(f_or_window, region: Region):
-    if isinstance(f_or_window, GridFunction):
-        window = f_or_window.window
-    else:
-        window = f_or_window
-    mask = region_mask(window, region)
-    pts = window.midpoints()[mask]
-    return window, mask, pts
+class Projector:
+    """Degree-s moment projection on one fixed set of points.
+
+    The design matrix ``phi`` holds the monomials ((x - anchor)/scale)^gamma
+    at the points.  Its Gram matrix is checked once against COND_LIMIT and
+    solved once against phi^T; every projection after that is a product with
+    the stored solution.  Rows of a batch are functions sampled at the
+    points, so congruent cubes share one projector.
+
+    With ``keep`` (rows, m) boolean, row r is its own problem on the points
+    it keeps (balls clipped by the window edge): the Gram matrices form a
+    stack, and residuals are zero off a row's points.
+    """
+
+    def __init__(self, pts: np.ndarray, s: int, anchor=None, scale: float = 1.0, keep=None):
+        pts = np.asarray(pts, dtype=float)
+        self.n, self.s = pts.shape[1], s
+        self.anchor = (0.0,) * self.n if anchor is None else tuple(anchor)
+        self.scale = float(scale)
+        self.gammas = multi_indices(self.n, s)
+        if pts.shape[0] < len(self.gammas):
+            raise ConditioningError(
+                f"{pts.shape[0]} cells cannot carry the degree-{s} space of dimension {len(self.gammas)}"
+            )
+        self.phi = monomials(pts, self.gammas, anchor, scale)
+        self.keep = keep
+        design = self.phi if keep is None else self.phi * keep[..., None]
+        self.gram = np.swapaxes(design, -1, -2) @ design
+        cond = np.linalg.cond(self.gram)
+        if not np.all(np.isfinite(cond) & (cond <= COND_LIMIT)):
+            raise ConditioningError(
+                f"monomial Gram condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}"
+            )
+        # coefficients of a row b are gram^-1 design^T b
+        self._solved = np.linalg.solve(self.gram, np.swapaxes(design, -1, -2))
+
+    @classmethod
+    def on_region(cls, window: Window, region: Region, s: int):
+        """Projector over the window cells of a region, and their mask."""
+        mask = region_mask(window, region)
+        if not mask.any():
+            raise EmptyRegionError(f"region {region} contains no cell midpoint")
+        return cls(window.midpoints()[mask], s, region.center, region.scale), mask
+
+    def coefficients(self, batch: np.ndarray) -> np.ndarray:
+        """Coefficients (..., dim) of the projections of the rows (..., m)."""
+        if self.keep is None:
+            return batch @ self._solved.T
+        return np.einsum("rdm,rm->rd", self._solved, batch)
+
+    def fit(self, batch: np.ndarray) -> np.ndarray:
+        """The projection of each row, sampled at the points."""
+        fit = self.coefficients(batch) @ self.phi.T
+        return fit if self.keep is None else fit * self.keep
+
+    def residual(self, batch: np.ndarray) -> np.ndarray:
+        """Each row minus its projection."""
+        return batch - self.fit(batch)
+
+    def polynomial(self, coef) -> Polynomial:
+        return Polynomial(self.n, self.s, self.anchor, self.scale, dict(zip(self.gammas, coef)))
 
 
-def _gram(pts: np.ndarray, region: Region, n: int, s: int, weight: float):
-    """Design matrix and Gram (weighted by `weight` per point) with a cond gate."""
-    gammas = multi_indices(n, s)
-    if pts.shape[0] < len(gammas):
-        raise ConditioningError(
-            f"region holds {pts.shape[0]} cells but degree-{s} space needs {len(gammas)}"
-        )
-    anchor = np.asarray(region.center, dtype=float)
-    scale = float(region.scale)
-    phi = _scaled_design(pts, anchor, scale, gammas)
-    gram = (phi.T @ phi) * weight
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(f"monomial Gram condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return gammas, anchor, scale, phi, gram
+def _window_of(window_or_f) -> Window:
+    return window_or_f.window if isinstance(window_or_f, GridFunction) else window_or_f
 
 
 def moment_projection(f: GridFunction, region: Region, s: int) -> Polynomial:
     """Degree-s moment-matching projection of f over the region."""
-    window, mask, pts = _region_points(f, region)
-    if pts.shape[0] == 0:
-        raise EmptyRegionError("cannot project over an empty region")
-    gammas, anchor, scale, phi, gram = _gram(pts, region, window.n, s, window.cell_measure)
-    rhs = phi.T @ f.flat[mask] * window.cell_measure
-    try:
-        L = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"Gram matrix is not positive definite: {exc}") from exc
-    coef = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-    return Polynomial(window.n, s, tuple(anchor), scale, dict(zip(gammas, coef)))
+    proj, mask = Projector.on_region(f.window, region, s)
+    return proj.polynomial(proj.coefficients(f.flat[mask]))
 
 
 def sup_poly_norm(P: Polynomial, region: Region, pitch: float) -> float:
     """Max |P| over midpoints of a pitch-h lattice covering the region."""
-    lo, hi = region.bounding_box()
-    lo = np.atleast_1d(lo)
-    hi = np.atleast_1d(hi)
-    axes = []
-    for a in range(P.n):
-        count = max(int(math.ceil((hi[a] - lo[a]) / pitch)), 1)
-        axes.append(lo[a] + (np.arange(count) + 0.5) * pitch)
-    if P.n == 1:
-        pts = axes[0][:, None]
-    else:
-        x, y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([x.ravel(), y.ravel()], axis=1)
-    inside = region.contains(pts)
+    lo, hi = (np.atleast_1d(b) for b in region.bounding_box())
+    axes = [
+        lo[a] + (np.arange(max(int(math.ceil((hi[a] - lo[a]) / pitch)), 1)) + 0.5) * pitch
+        for a in range(P.n)
+    ]
+    inside = region.grid_contains(np.ix_(*axes))
     if not inside.any():
         raise EmptyRegionError("no lattice midpoint falls in the region")
-    return float(np.abs(P(pts[inside])).max())
+    pts = np.stack([x[i] for x, i in zip(axes, np.nonzero(inside))], axis=1)
+    return float(np.abs(P(pts)).max())
+
+
+def _gram_schmidt(window_or_f, region: Region, s: int):
+    """Projector on E and the coefficient columns of the orthonormal basis."""
+    proj, mask = Projector.on_region(_window_of(window_or_f), region, s)
+    # gram / count = L L^T; columns of inv(L).T are the GS coefficients
+    L = np.linalg.cholesky(proj.gram * (1.0 / np.count_nonzero(mask)))
+    return proj, np.linalg.inv(L).T
 
 
 def orthonormal_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
@@ -259,20 +279,8 @@ def orthonormal_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
 
     Ordered like :func:`multi_indices`; span equals the degree-s space on E.
     """
-    window, mask, pts = _region_points(window_or_f, region)
-    count = pts.shape[0]
-    if count == 0:
-        raise EmptyRegionError("cannot build a basis over an empty region")
-    gammas, anchor, scale, phi, gram = _gram(pts, region, window.n, s, 1.0 / count)
-    # gram = L L^T; columns of inv(L).T are the GS coefficients in the scaled basis
-    L = np.linalg.cholesky(gram)
-    coef = np.linalg.inv(L).T
-    basis = []
-    for k in range(len(gammas)):
-        basis.append(
-            Polynomial(window.n, s, tuple(anchor), scale, dict(zip(gammas, coef[:, k])))
-        )
-    return basis
+    proj, coef = _gram_schmidt(window_or_f, region, s)
+    return [proj.polynomial(c) for c in coef.T]
 
 
 def dual_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
@@ -281,20 +289,8 @@ def dual_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
     If phi_nu = sum_gamma m[nu,gamma] x^gamma is the orthonormal basis, then
     psi_nu = sum_gamma m[gamma,nu] phi_gamma; both are built here.
     """
-    window, mask, pts = _region_points(window_or_f, region)
-    phis = orthonormal_basis(window_or_f, region, s)
-    gammas = multi_indices(window.n, s)
+    proj, coef = _gram_schmidt(window_or_f, region, s)
     # m[nu, gamma]: coefficients of phi_nu over raw monomials x^gamma
-    m = np.zeros((len(gammas), len(gammas)))
-    for i, p in enumerate(phis):
-        raw = p.raw_coeffs()
-        for j, g in enumerate(gammas):
-            m[i, j] = raw.get(g, 0.0)
-    duals = []
-    for nu_idx in range(len(gammas)):
-        acc = None
-        for g_idx, p in enumerate(phis):
-            term = p * m[g_idx, nu_idx]
-            acc = term if acc is None else acc + term
-        duals.append(acc)
-    return duals
+    raws = [proj.polynomial(c).raw_coeffs() for c in coef.T]
+    m = np.array([[raw.get(g, 0.0) for g in proj.gammas] for raw in raws])
+    return [proj.polynomial(coef @ m[:, nu]) for nu in range(len(proj.gammas))]

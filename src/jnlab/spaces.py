@@ -17,6 +17,7 @@ supremum ranges over arbitrary placements in the whole space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,8 +26,8 @@ import numpy as np
 from .lattice import Ball, Cube, GridFunction, Window, region_mask
 from .polyproj import (
     ConditioningError,
+    Projector,
     moment_projection,
-    multi_indices,
     space_dimension,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_BALL_BATCH = 1 << 18  # clipped-ball entries (balls x offsets) per masked stack
 
 
 def conjugate(p: float) -> float:
@@ -67,12 +69,15 @@ class NormParams:
     alpha: float
 
     def __post_init__(self):
-        if self.p < 1:
+        # written so that NaN fails every test
+        if not self.p >= 1:
             raise ValueError("p must be >= 1 or inf")
-        if self.q < 1:
+        if not self.q >= 1:
             raise ValueError("q must be >= 1 or inf")
-        if self.s < 0:
+        if not self.s >= 0:
             raise ValueError("s must be a nonnegative integer")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
 
     @property
     def p_conj(self) -> float:
@@ -224,115 +229,63 @@ def partition(window: Window, side_cells: int, offset, policy: str = "restrict")
     offset = tuple(int(o) for o in np.atleast_1d(offset))
     if len(offset) != window.n or any(not 0 <= o < side_cells for o in offset):
         raise ValueError("offset must have one entry per axis in [0, side_cells)")
-    _, centers = _tiling_blocks(np.zeros(window.cells), window.n, side_cells, offset, policy)
-    if centers is None:
+    _, layout = _tiling_blocks(np.zeros(window.cells), window.n, side_cells, offset, policy)
+    if layout is None:
         raise ValueError("no cube of this side fits the window at this offset")
     h = window.h
     lower = np.asarray(window.lower)
-    cubes = [Cube(tuple(lower + np.atleast_1d(c) * h), side_cells * h) for c in centers]
+    cubes = [Cube(tuple(lower + c * h), side_cells * h) for c in _tile_centers(layout, side_cells)]
     return PartitionSpec(side_cells * h, offset, cubes, policy)
 
 
-class _CubeProjector:
-    """Batched degree-s projection for congruent cell-aligned cubes.
-
-    All cubes of m cells per axis share midpoint geometry, so one design
-    matrix serves every cube in every tiling of that side.
-    """
-
-    def __init__(self, n: int, s: int | None, m: int):
-        self.n = n
-        self.s = s
-        self.m = m
-        if s is None:
-            self.phi = None
-            return
-        z1 = (2.0 * np.arange(m) + 1.0 - m) / m  # scaled midpoints in (-1, 1)
-        if n == 1:
-            pts = z1[:, None]
-        else:
-            a, b = np.meshgrid(z1, z1, indexing="ij")
-            pts = np.stack([a.ravel(), b.ravel()], axis=1)
-        gammas = multi_indices(n, s)
-        cols = []
-        for g in gammas:
-            c = np.ones(pts.shape[0])
-            for axis, gi in enumerate(g):
-                if gi:
-                    c = c * pts[:, axis] ** gi
-            cols.append(c)
-        phi = np.stack(cols, axis=1)
-        gram = phi.T @ phi
-        cond = float(np.linalg.cond(gram))
-        if not np.isfinite(cond) or cond > 1e10:
-            raise ConditioningError(
-                f"cube of {m} cells per axis cannot support degree {s}: cond {cond:.2e}"
-            )
-        self.phi = phi
-        self.gram_inv = np.linalg.inv(gram)
-
-    def residual(self, cube_values: np.ndarray) -> np.ndarray:
-        """cube_values: (n_cubes, m**n) -> residual after projection."""
-        if self.phi is None:
-            return cube_values
-        coef = cube_values @ self.phi @ self.gram_inv
-        return cube_values - coef @ self.phi.T
+def _grid_points(axes) -> np.ndarray:
+    """Points of the product grid of per-axis coordinates, shape (count, n), row-major."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _qmean(resid: np.ndarray, q: float) -> np.ndarray:
+def _projector(pts, s: int | None, anchor, scale: float, keep=None) -> Projector | None:
+    """Degree-s projector on pts; None for the plain-L^q variant s = None."""
+    return None if s is None else Projector(pts, s, anchor, scale, keep)
+
+
+def _residual(projector: Projector | None, batch: np.ndarray) -> np.ndarray:
+    return batch if projector is None else projector.residual(batch)
+
+
+def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:
+    """Per-row L^q mean; rows padded with zeros pass their true cell counts."""
     if q == INF:
         return np.abs(resid).max(axis=1)
-    return (np.abs(resid) ** q).mean(axis=1) ** (1.0 / q)
+    counts = resid.shape[1] if counts is None else counts
+    return ((np.abs(resid) ** q).sum(axis=1) / counts) ** (1.0 / q)
 
 
 def _tiling_blocks(values: np.ndarray, n: int, m: int, offset: tuple, policy: str):
-    """Cube-value batches and cube centers (in cell units) for one tiling."""
-    if n == 1:
-        (N,) = values.shape
-        (o,) = offset
-        if policy == "restrict":
-            k = (N - o) // m
-            if k <= 0:
-                return None, None
-            block = values[o : o + k * m].reshape(k, m)
-            starts = o + m * np.arange(k)
-        else:
-            first = o % m
-            if first > 0:
-                first -= m
-            k = math.ceil((N - first) / m)
-            pad_r = first + k * m - N
-            block = np.pad(values[max(first, 0) :], (max(-first, 0), pad_r)).reshape(k, m)
-            starts = first + m * np.arange(k)
-        centers = (starts + m / 2.0)[:, None]
-        return block, centers
-    Nx, Ny = values.shape
-    ox, oy = offset
+    """Cube-value batches (one row per cube, row-major over cubes) and the
+    tiling's layout: per axis the first cube's start cell and the cube count."""
     if policy == "restrict":
-        kx = (Nx - ox) // m
-        ky = (Ny - oy) // m
-        if kx <= 0 or ky <= 0:
+        firsts = list(offset)
+        counts = [(N - o) // m for N, o in zip(values.shape, offset)]
+        if min(counts) <= 0:
             return None, None
-        block = values[ox : ox + kx * m, oy : oy + ky * m]
-        sx = ox + m * np.arange(kx)
-        sy = oy + m * np.arange(ky)
+        box = values[tuple(slice(o, o + k * m) for o, k in zip(offset, counts))]
     else:
-        fx = ox % m
-        fx -= m if fx > 0 else 0
-        fy = oy % m
-        fy -= m if fy > 0 else 0
-        kx = math.ceil((Nx - fx) / m)
-        ky = math.ceil((Ny - fy) / m)
-        block = np.pad(
-            values[max(fx, 0) :, max(fy, 0) :],
-            ((max(-fx, 0), fx + kx * m - Nx), (max(-fy, 0), fy + ky * m - Ny)),
+        firsts = [o - m if o else 0 for o in offset]  # first cube starts at or before 0
+        counts = [math.ceil((N - f) / m) for N, f in zip(values.shape, firsts)]
+        box = np.pad(
+            values[tuple(slice(max(f, 0), None) for f in firsts)],
+            [(max(-f, 0), f + k * m - N) for f, k, N in zip(firsts, counts, values.shape)],
         )
-        sx = fx + m * np.arange(kx)
-        sy = fy + m * np.arange(ky)
-    cubes = block.reshape(kx, m, ky, m).transpose(0, 2, 1, 3).reshape(kx * ky, m * m)
-    cx, cy = np.meshgrid(sx + m / 2.0, sy + m / 2.0, indexing="ij")
-    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    return cubes, centers
+    # (k0, m, k1, m) -> (k0, k1, m, m): one row per cube, row-major over cubes
+    split = box.reshape([d for k in counts for d in (k, m)])
+    cubes = split.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1, m**n)
+    return cubes, (firsts, counts)
+
+
+def _tile_centers(layout, m: int) -> np.ndarray:
+    """Cube centers in cell units, one per batch row of _tiling_blocks."""
+    firsts, counts = layout
+    return _grid_points([f + m * np.arange(k) + m / 2.0 for f, k in zip(firsts, counts)])
 
 
 def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str) -> NormReport:
@@ -350,7 +303,9 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
 
     for m in sides:
         try:
-            projector = _CubeProjector(n, s, m)
+            # one projector serves every cube of m cells per axis: cell
+            # midpoints in cell units, anchored at the center, half-side scale
+            projector = _projector(_grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0)
         except ConditioningError:
             skipped.append(m)
             continue
@@ -362,21 +317,11 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
                 best_value = cand["value"]
                 best = cand
             continue
-        offsets = (
-            [(o,) for o in range(0, m, search.offset_stride)]
-            if n == 1
-            else [
-                (ox, oy)
-                for ox in range(0, m, search.offset_stride)
-                for oy in range(0, m, search.offset_stride)
-            ]
-        )
-        for offset in offsets:
-            block, centers = _tiling_blocks(values, n, m, offset, search.policy)
+        for offset in itertools.product(range(0, m, search.offset_stride), repeat=n):
+            block, layout = _tiling_blocks(values, n, m, offset, search.policy)
             if block is None:
                 continue
-            resid = projector.residual(block)
-            qm = _qmean(resid, q)
+            qm = _qmean(_residual(projector, block), q)
             if p == INF:
                 terms = weight * qm
                 idx = int(np.argmax(terms))
@@ -387,7 +332,7 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
                         "value": val,
                         "side": m,
                         "offset": offset,
-                        "centers": centers[idx : idx + 1],
+                        "centers": _tile_centers(layout, m)[idx : idx + 1],
                         "terms": terms[idx : idx + 1],
                     }
             else:
@@ -399,7 +344,7 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
                         "value": val,
                         "side": m,
                         "offset": offset,
-                        "centers": centers,
+                        "centers": _tile_centers(layout, m),
                         "terms": terms,
                     }
 
@@ -436,8 +381,7 @@ def _exhaustive_side(values, projector, m, measure, weight, p, q):
     if m > N:
         return None
     sw = np.lib.stride_tricks.sliding_window_view(values, m)
-    resid = projector.residual(np.ascontiguousarray(sw))
-    qm = _qmean(resid, q)
+    qm = _qmean(_residual(projector, np.ascontiguousarray(sw)), q)
     if p == INF:
         idx = int(np.argmax(weight * qm))
         val = float(weight * qm[idx])
@@ -546,7 +490,8 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     """Per-center q-means over balls B(y, radius), y over all midpoints.
 
     Returns (qmeans, counts).  Interior balls share cell geometry and run
-    batched; clipped boundary balls fall back to a per-center loop.
+    batched through one projector.  Balls clipped by the window edge run as
+    masked stacks: each row keeps the offsets that stay inside the window.
     """
     window = f.window
     n = window.n
@@ -554,85 +499,30 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     if radius <= 2 * h:
         raise ValueError("radius must exceed 2h")
     K = math.ceil(radius / h) - 1  # lattice offsets k with |k| h < radius
-    vals = f.values
-    dim = space_dimension(n, 0 if s is None else s)
-
-    if n == 1:
-        N = window.cells[0]
-        width = 2 * K + 1
-        if width > N:
-            interior = np.zeros(N, dtype=bool)
-        else:
-            interior = np.zeros(N, dtype=bool)
-            interior[K : N - K] = True
-        qmeans = np.empty(N)
-        counts = np.empty(N, dtype=int)
-        if interior.any():
-            sw = np.lib.stride_tricks.sliding_window_view(vals, width)
-            offs = (np.arange(width) - K) * h
-            resid = _project_rel(np.ascontiguousarray(sw), offs[:, None], s, radius, dim)
-            qmeans[K : N - K] = _qmean(resid, q)
-            counts[K : N - K] = width
-        for i in np.nonzero(~interior)[0]:
-            lo = max(i - K, 0)
-            hi = min(i + K + 1, N)
-            seg = vals[lo:hi][None, :]
-            offs = (np.arange(lo, hi) - i) * h
-            resid = _project_rel(seg, offs[:, None], s, radius, dim)
-            qmeans[i] = _qmean(resid, q)[0]
-            counts[i] = hi - lo
-        return qmeans, counts
-
-    Nx, Ny = window.cells
-    ii, jj = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1), indexing="ij")
-    inside = (ii**2 + jj**2) * h**2 < radius**2
-    di = ii[inside]
-    dj = jj[inside]
-    offs = np.stack([di * h, dj * h], axis=1)
-    qmeans = np.empty((Nx, Ny))
-    counts = np.empty((Nx, Ny), dtype=int)
-    interior = np.zeros((Nx, Ny), dtype=bool)
-    if K < Nx - K and K < Ny - K:
-        interior[K : Nx - K, K : Ny - K] = True
+    offs = _grid_points([np.arange(-K, K + 1)] * n)
+    offs = offs[(offs**2).sum(axis=1) * h**2 < radius**2]
+    rel = offs * h  # the projector's points, relative to the ball center
+    cells = np.asarray(window.cells)
+    flat_offs = offs @ np.asarray([int(np.prod(cells[a + 1 :])) for a in range(n)])
+    centers = np.stack(np.unravel_index(np.arange(window.cell_count), window.cells), axis=1)
+    interior = np.all((centers >= K) & (centers < cells - K), axis=1)
+    vals = f.flat
+    qmeans = np.empty(window.cell_count)
+    counts = np.full(window.cell_count, offs.shape[0])
     if interior.any():
-        ci, cj = np.nonzero(interior)
-        flat_idx = (ci[:, None] + di[None, :]) * Ny + (cj[:, None] + dj[None, :])
-        batch = vals.reshape(-1)[flat_idx]
-        resid = _project_rel(batch, offs, s, radius, dim)
-        qmeans[interior] = _qmean(resid, q)
-        counts[interior] = offs.shape[0]
-    for ci, cj in zip(*np.nonzero(~interior)):
-        keep = (ci + di >= 0) & (ci + di < Nx) & (cj + dj >= 0) & (cj + dj < Ny)
-        idx = (ci + di[keep]) * Ny + (cj + dj[keep])
-        seg = vals.reshape(-1)[idx][None, :]
-        resid = _project_rel(seg, offs[keep], s, radius, dim)
-        qmeans[ci, cj] = _qmean(resid, q)[0]
-        counts[ci, cj] = int(keep.sum())
-    return qmeans.reshape(-1), counts.reshape(-1)
-
-
-def _project_rel(batch: np.ndarray, offs: np.ndarray, s: int | None, scale: float, dim: int):
-    """Project each row of batch off polynomials in the relative coords offs."""
-    if s is None:
-        return batch
-    if batch.shape[1] < dim:
-        raise ConditioningError("ball holds fewer cells than the polynomial dimension")
-    n = offs.shape[1]
-    z = offs / scale
-    cols = []
-    for g in multi_indices(n, s):
-        c = np.ones(offs.shape[0])
-        for axis, gi in enumerate(g):
-            if gi:
-                c = c * z[:, axis] ** gi
-        cols.append(c)
-    phi = np.stack(cols, axis=1)
-    gram = phi.T @ phi
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > 1e10:
-        raise ConditioningError(f"ball Gram condition {cond:.2e} too large")
-    coef = batch @ phi @ np.linalg.inv(gram)
-    return batch - coef @ phi.T
+        batch = vals[np.nonzero(interior)[0][:, None] + flat_offs]
+        qmeans[interior] = _qmean(_residual(_projector(rel, s, None, radius), batch), q)
+    boundary = np.nonzero(~interior)[0]
+    chunk = max(1, _BALL_BATCH // offs.shape[0])
+    for start in range(0, boundary.size, chunk):
+        c = boundary[start : start + chunk]
+        pos = centers[c][:, None, :] + offs
+        keep = np.all((pos >= 0) & (pos < cells), axis=2)
+        batch = np.where(keep, vals[np.where(keep, c[:, None] + flat_offs, 0)], 0.0)
+        counts[c] = keep.sum(axis=1)
+        resid = _residual(_projector(rel, s, None, radius, keep), batch)
+        qmeans[c] = _qmean(resid, q, counts[c])
+    return qmeans, counts
 
 
 def _ball_aggregate(f: GridFunction, p, q, alpha, s, radii, name) -> NormReport:

@@ -136,6 +136,21 @@ def test_cli_norm_and_project(tmp_path):
     assert rc == 0
 
 
+def test_cli_library_errors_exit_config(tmp_path, capsys):
+    w = Window(1, (0.0,), (1.0,), (32,))
+    path = tmp_path / "f.json"
+    GridFunction.from_callable(w, lambda x: x).save(path)
+    # NormParams rejects p < 1
+    assert cli.main(["norm", "--function", str(path), "--p", "0.5"]) == 3
+    # EmptyRegionError: the region lies outside the window
+    assert cli.main(["project", "--function", str(path), "--region", "cube:5.0:0.5"]) == 3
+    # JSONDecodeError: a malformed function file
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 1, "lower": [0.0')
+    assert cli.main(["norm", "--function", str(bad)]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_atom_roundtrip(tmp_path):
     out = tmp_path / "atom.json"
     rc = cli.main([

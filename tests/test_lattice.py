@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnlab.lattice import (
     Annulus,
@@ -163,3 +164,64 @@ def test_average_zero_extend_policy():
     cube = Cube((0.0,), 0.5)  # half outside the window
     assert average(one, cube, "restrict") == pytest.approx(1.0)
     assert average(one, cube, "zero-extend") == pytest.approx(0.5)
+
+
+def test_window_rejects_non_finite_bounds():
+    for lower, upper in [((-math.inf,), (1.0,)), ((0.0,), (math.inf,)), ((math.nan,), (1.0,))]:
+        with pytest.raises(LatticeError):
+            Window(1, lower, upper, (8,))
+
+
+def test_grid_function_rejects_misshaped_values():
+    w = Window(2, (0.0, 0.0), (2.0, 1.0), (8, 4))
+    with pytest.raises(LatticeError):
+        GridFunction(w, np.zeros((4, 8)))
+    flat = GridFunction(w, np.arange(32.0))
+    assert flat.values.shape == (8, 4)
+    assert np.array_equal(flat.values[1], np.arange(4.0, 8.0))
+
+
+def test_padded_window_keeps_pitch_and_phase():
+    w = Window(2, (-1.0, 0.0), (1.0, 1.0), (16, 8))
+    for factor in (0.5, 2.0, 3.0):
+        big = w.padded(factor)
+        assert big.h == pytest.approx(w.h)
+        shift = (np.asarray(big.lower) - np.asarray(w.lower)) / w.h
+        assert np.allclose(shift, np.round(shift), atol=1e-9)
+        assert (big.cell_count > w.cell_count) == (factor > 1)
+    assert w.reference_cube() == Cube((0.0, 0.5), 0.5)
+
+
+def _region_strategy():
+    # centers range past the window [-1, 1]^n, so regions straddle it or miss it
+    coord = st.floats(-2.5, 2.5, allow_nan=False)
+    size = st.floats(0.05, 3.0, allow_nan=False)
+    return st.one_of(
+        st.builds(lambda c, r: ("cube", c, r), st.lists(coord, min_size=2, max_size=2), size),
+        st.builds(lambda c, r: ("ball", c, r), st.lists(coord, min_size=2, max_size=2), size),
+        st.builds(
+            lambda c, r, j: ("annulus", c, r, j),
+            st.lists(coord, min_size=2, max_size=2), size, st.integers(1, 3),
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 24), _region_strategy())
+def test_region_mask_equals_pointwise_membership(n, cells, spec):
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (cells,) * n)
+    center = tuple(spec[1][:n])
+    region = {
+        "cube": lambda: Cube(center, spec[2]),
+        "ball": lambda: Ball(center, spec[2]),
+        "annulus": lambda: Annulus(center, spec[2], spec[3]),
+    }[spec[0]]()
+    mask = region_mask(w, region)
+    assert np.array_equal(mask, region.contains(w.midpoints()))
+    # the zero-extended measure counts the same rule on the virtual lattice
+    lo, hi = region.bounding_box()
+    k = [np.arange(math.floor((l + 1) / w.h) - 2, math.ceil((u + 1) / w.h) + 2) for l, u in zip(lo, hi)]
+    axes = [-1.0 + (ka + 0.5) * w.h for ka in k]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    expected = np.count_nonzero(region.contains(pts)) * w.cell_measure
+    assert region_measure(w, region, "zero-extend") == pytest.approx(expected, abs=1e-12)

@@ -8,6 +8,7 @@ from jnlab.lattice import Ball, Cube, GridFunction, Window, annulus, lq_norm, re
 from jnlab.polyproj import (
     ConditioningError,
     Polynomial,
+    Projector,
     dual_basis,
     index_factorial,
     moment_projection,
@@ -288,3 +289,59 @@ def test_polynomial_json_roundtrip(tmp_path):
     Q = Polynomial.load(path)
     pts = np.linspace(-1, 1, 17)[:, None]
     assert np.allclose(P(pts), Q(pts), atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 10_000))
+def test_projector_batch_matches_moment_projection(n, s, seed):
+    # congruent cell-aligned cubes: one projector, built on the first cube,
+    # gives every cube's residual; each must equal that cube's own projection
+    if n == 2 and s == 2:
+        s = 1
+    rng = np.random.default_rng(seed)
+    cells = 16
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (cells,) * n)
+    f = GridFunction(w, rng.normal(size=w.cells))
+    m = int(rng.integers(s + 2, 7))
+    starts = rng.integers(0, cells - m + 1, size=(4, n))
+    cubes = [Cube(tuple(-1.0 + (st_ + m / 2.0) * w.h), m * w.h) for st_ in starts]
+    proj, _ = Projector.on_region(w, cubes[0], s)
+    batch = np.stack([f.flat[region_mask(w, c)] for c in cubes])
+    resid = proj.residual(batch)
+    for row, cube in zip(resid, cubes):
+        P = moment_projection(f, cube, s)
+        mask = region_mask(w, cube)
+        slow = f.flat[mask] - P(w.midpoints()[mask])
+        assert np.max(np.abs(row - slow)) <= 1e-12 * max(1.0, np.max(np.abs(batch)))
+    # projecting twice removes nothing more
+    assert np.max(np.abs(proj.residual(resid) - resid)) <= 1e-12 * np.max(np.abs(batch))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 1), st.integers(0, 10_000))
+def test_masked_projector_matches_per_row(n, s, seed):
+    # a masked stack (balls clipped by the window edge) solves each row on the
+    # points it keeps, exactly as a projector built on those points alone
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(20, n))
+    keep = rng.random((5, 20)) < 0.6
+    keep[:, : 2 * n + 2] = True
+    batch = np.where(keep, rng.normal(size=(5, 20)), 0.0)
+    proj = Projector(pts, s, None, 0.7, keep)
+    resid = proj.residual(batch)
+    assert np.all(resid[~keep] == 0.0)
+    for r in range(5):
+        alone = Projector(pts[keep[r]], s, None, 0.7).residual(batch[r, keep[r]])
+        assert np.max(np.abs(resid[r, keep[r]] - alone)) <= 1e-12
+    assert np.max(np.abs(proj.residual(resid) - resid)) <= 1e-12
+
+
+def test_projector_gate_is_shared():
+    # one COND_LIMIT gate: too few cells, and a degenerate row in a masked stack
+    with pytest.raises(ConditioningError):
+        Projector(np.zeros((2, 1)), 2)
+    pts = np.linspace(-1, 1, 6)[:, None]
+    keep = np.ones((2, 6), dtype=bool)
+    keep[1, 1:] = False  # one point cannot carry a line
+    with pytest.raises(ConditioningError):
+        Projector(pts, 1, keep=keep)

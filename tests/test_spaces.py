@@ -38,6 +38,13 @@ def test_norm_params():
         NormParams(0.5, 2.0, 0, 0.0)
 
 
+def test_norm_params_reject_nan_and_infinite_alpha():
+    for args in [(math.nan, 2.0, 0, 0.1), (2.0, math.nan, 0, 0.1), (2.0, 2.0, 0, math.nan),
+                 (2.0, 2.0, 0, math.inf), (2.0, 2.0, 0, -math.inf)]:
+        with pytest.raises(ValueError):
+            NormParams(*args)
+
+
 def test_jn_constant_is_zero():
     w = Window(1, (0.0,), (1.0,), (32,))
     c = GridFunction.from_callable(w, lambda x: np.full_like(x, 4.2))
@@ -450,7 +457,8 @@ def slow_tiling_value(f, m, offset, params):
 
 
 def test_2d_tiling_against_slow_reference():
-    from jnlab.spaces import _CubeProjector, _qmean, _tiling_blocks
+    from jnlab.polyproj import Projector
+    from jnlab.spaces import _qmean, _tiling_blocks
 
     rng = np.random.default_rng(7777)
     worst = 0.0
@@ -469,7 +477,10 @@ def test_2d_tiling_against_slow_reference():
         if slow is None:
             continue
         block, _ = _tiling_blocks(f.values, 2, m, off, "restrict")
-        resid = _CubeProjector(2, s, m).residual(block)
+        # every tile is congruent to the first, so its projector serves them all
+        first = Cube(tuple((np.asarray(off) + m / 2.0) * w.h), m * w.h)
+        proj, _ = Projector.on_region(w, first, s)
+        resid = proj.residual(block)
         qm = _qmean(resid, params.q)
         measure = (m * w.h) ** 2
         fast = float(
