@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, moments, monomials
+from .lattice import Ball, Cube, GridFunction, Window, grid_points, moments, monomials
 from .polyproj import Projector, index_factorial, moment_projection, multi_indices
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _PAIR_BUDGET = 4_000_000  # max pairwise entries held at once
+_BAND_CELLS = 1 << 15  # cells per row band of a full-frame pass (fits in cache)
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,9 @@ def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec
     order = 2 if order is None else min(order, 2)
 
     def dkappa(gamma, u):
-        R2 = np.sum(u * u, axis=-1)
+        # the two squares summed in np.sum's order, without its slow reduction
+        # over a last axis of length 2
+        R2 = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
         total = sum(gamma)
         uj = u[..., j]
         if total == 0:
@@ -277,10 +280,9 @@ def _validate_eta(eta: float, h: float) -> float:
 
 
 def _source_arrays(f: GridFunction):
-    pts = f.window.midpoints()
-    vals = f.flat
-    nz = np.nonzero(vals)[0]
-    return pts[nz], vals[nz] * f.window.cell_measure
+    """Midpoints and quadrature weights of f's nonzero cells."""
+    nz = np.nonzero(f.flat)[0]
+    return f.window.cell_midpoints(nz), f.flat[nz] * f.window.cell_measure
 
 
 def _eval_points(f: GridFunction, eval_window, eval_points):
@@ -344,24 +346,45 @@ def _box(lo, shape) -> tuple:
     return tuple(slice(int(a), int(a) + int(c)) for a, c in zip(lo, shape))
 
 
+def _bands(shape) -> list:
+    """Row ranges (start, stop) over the leading axis of an array of this
+    shape, each of about _BAND_CELLS cells.  A 1-D frame is a single row and
+    so a single band: cutting it would only multiply the numpy calls."""
+    rows = int(shape[0])
+    if len(shape) == 1:
+        return [(0, rows)]
+    step = max(1, _BAND_CELLS // int(np.prod(shape[1:])))
+    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+def _frame_bands(window: Window):
+    """(flat cell slice, midpoints) of each row band of the window.  The
+    midpoints are built per axis, so no (cells, n) array of the whole window
+    is formed."""
+    axes = [window.axis_midpoints(a) for a in range(window.n)]
+    row = window.cell_count // window.cells[0]
+    for a, b in _bands(window.cells):
+        yield slice(a * row, b * row), grid_points([axes[0][a:b], *axes[1:]])
+
+
 def _difference_table(kappa, h: float, eta: float, lo, hi) -> np.ndarray:
     """kappa(d h) on the integer difference vectors lo <= d <= hi (per axis),
     zeroed where |d h| < eta.
 
     Two cells of one midpoint lattice differ by d h with d an index vector,
     so a single table serves every source/evaluation pair of a difference
-    kernel by index shifts."""
+    kernel by index shifts.  kappa is evaluated one row band at a time; each
+    entry is the same elementwise expression as in a one-shot evaluation."""
     eta2 = eta * eta * (1.0 - 1e-12)
     axes = [np.arange(a, b + 1) * h for a, b in zip(lo, hi)]
-    if len(axes) == 1:
-        pts = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = kappa(pts)
-    vals = np.where((pts**2).sum(axis=1) >= eta2, vals, 0.0)
-    return vals.reshape(tuple(a.size for a in axes))
+    table = np.empty(tuple(a.size for a in axes))
+    for a, b in _bands(table.shape):
+        band = [axes[0][a:b], *axes[1:]]
+        r2 = sum(x * x for x in np.ix_(*band))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = kappa(grid_points(band)).reshape(r2.shape)
+        table[a:b] = np.where(r2 >= eta2, vals, 0.0)
+    return table
 
 
 def _box_table(kappa, h, eta, eval_lo, eval_hi, src_lo, src_hi):
@@ -373,22 +396,39 @@ def _box_table(kappa, h, eta, eval_lo, eval_hi, src_lo, src_hi):
 
 def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndarray:
     """Box sums out[x] = sum_s table[x - s - origin] w_s over the cells x of
-    the box eval_lo + [0, eval_shape), one shifted view per source."""
+    the box eval_lo + [0, eval_shape), one shifted view per source and row
+    band.  Each cell adds its sources in the same order whatever the bands,
+    so the sums are those of a one-shot accumulation, bit for bit."""
     out = np.zeros(tuple(eval_shape))
-    for s, w in zip(src_idx, src_w):
-        out += w * table[_box(eval_lo - s - origin, eval_shape)]
+    base = np.asarray(eval_lo) - np.asarray(origin)
+    for a, b in _bands(out.shape):
+        acc = out[a:b]
+        scratch = np.empty_like(acc)
+        lo = base.copy()
+        lo[0] += a
+        for s, w in zip(src_idx, src_w):
+            np.multiply(w, table[_box(lo - s, acc.shape)], out=scratch)
+            acc += scratch
     return out.reshape(-1)
 
 
 def _conv_at_points(table, origin, eval_idx, grid_lo, W: np.ndarray) -> np.ndarray:
     """Point sums out[k] = sum over the cells y of the box grid_lo + [0,
-    W.shape) of table[x_k - y - origin] W[y - grid_lo]."""
+    W.shape) of table[x_k - y - origin] W[y - grid_lo].
+
+    With W reversed, W[::-1][j] pairs with table[start_k + j].  In 2-D the
+    reversed W is made contiguous once and each point sum is contracted row
+    band by row band, with no temporary."""
     last = np.asarray(grid_lo) + np.asarray(W.shape) - 1
-    flip = (slice(None, None, -1),) * W.ndim
-    out = np.empty(len(eval_idx))
-    for k, x in enumerate(eval_idx):
-        seg = table[_box(x - last - origin, W.shape)][flip]
-        out[k] = np.dot(W, seg) if W.ndim == 1 else np.sum(W * seg)
+    starts = [x - last - origin for x in eval_idx]
+    if W.ndim == 1:
+        return np.array([np.dot(W, table[_box(lo, W.shape)][::-1]) for lo in starts])
+    flipped = np.ascontiguousarray(W[::-1, ::-1])
+    out = np.zeros(len(starts))
+    for a, b in _bands(W.shape):
+        band = flipped[a:b]
+        for k, lo in enumerate(starts):
+            out[k] += np.einsum("ab,ab->", band, table[_box(lo + (a, 0), band.shape)])
     return out
 
 
@@ -397,6 +437,27 @@ def _modulate(kernel: KernelSpec, slot: int, values, pts):
     if kernel.modulation is None or kernel.modulation_slot != slot:
         return values
     return values * kernel.modulation(pts)
+
+
+def _modulate_frame(kernel: KernelSpec, slot: int, values, window: Window):
+    """_modulate over every cell of the window (flat values), one row band at
+    a time."""
+    if kernel.modulation is None or kernel.modulation_slot != slot:
+        return values
+    out = np.empty(window.cell_count)
+    for cells, pts in _frame_bands(window):
+        out[cells] = _modulate(kernel, slot, values[cells], pts)
+    return out
+
+
+def _frame_moment(values, column, window: Window) -> float:
+    """lattice.moments of one column over the window, summed row band by row
+    band (values and column may be views of the window's shape)."""
+    v, c = values.reshape(window.cells), column.reshape(window.cells)
+    return sum(
+        moments(v[a:b].reshape(-1), c[a:b].reshape(-1, 1), window.cell_measure)[0]
+        for a, b in _bands(window.cells)
+    )
 
 
 def _fast_truncated(kernel: KernelSpec, f: GridFunction, eta: float, window: Window):
@@ -418,7 +479,7 @@ def _fast_truncated(kernel: KernelSpec, f: GridFunction, eta: float, window: Win
     src_idx = _cell_indices(f.window, nz)
     src_w = f.flat[nz] * f.window.cell_measure
     if kernel.modulation is not None:
-        src_w = _modulate(kernel, 2, src_w, f.window.midpoints()[nz])
+        src_w = _modulate(kernel, 2, src_w, f.window.cell_midpoints(nz))
     lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
     eval_hi = eval_lo + np.asarray(window.cells) - 1
     table, origin = _box_table(kernel.kappa, f.window.h, eta, eval_lo, eval_hi, lo, hi)
@@ -429,9 +490,7 @@ def _fast_truncated(kernel: KernelSpec, f: GridFunction, eta: float, window: Win
         out = _conv_at_points(table, origin, eval_idx, lo, W)
     else:
         out = _conv_forward(table, origin, eval_lo, window.cells, src_idx, src_w)
-    if kernel.modulation is not None:
-        out = _modulate(kernel, 1, out, window.midpoints())
-    return out
+    return _modulate_frame(kernel, 1, out, window)
 
 
 def apply_truncated(
@@ -519,10 +578,12 @@ def apply_cz(
     return _ladder_result(window, ladder, [m * h for m in eta_cells], tol)
 
 
-def _taylor_correction(kernel, corr: CorrectionSpec, src_pts, src_w, eval_pts) -> np.ndarray:
+def _taylor_correction(kernel, corr: CorrectionSpec, sources, eval_pts) -> np.ndarray:
     """The term the corrected operator subtracts: sum_gamma (x - x0)^gamma
     times the integral of d1K(gamma, x0, y)/gamma! over the sources outside
-    the base ball, evaluated at eval_pts.
+    the base ball, evaluated at eval_pts.  `sources` yields (points, weights)
+    chunks of at most a row band; each coefficient is accumulated chunk by
+    chunk, and the base ball is zeroed out rather than gathered away.
 
     It is absolutely convergent (singular at the ball center only, where the
     indicator vanishes), so it is summed over every source cell with no
@@ -530,19 +591,31 @@ def _taylor_correction(kernel, corr: CorrectionSpec, src_pts, src_w, eval_pts) -
     exactly and keeps the polynomial-difference identities exact off the
     base ball."""
     x0 = np.asarray(corr.center)
-    out = np.zeros(eval_pts.shape[0])
-    outside = np.linalg.norm(src_pts - x0, axis=1) >= corr.radius
-    if not outside.any():
-        return out
-    out_pts = src_pts[outside]
-    out_w = src_w[outside]
-    x0b = np.broadcast_to(x0, out_pts.shape)
     gammas = multi_indices(len(corr.center), corr.order)
-    for g, pow_g in zip(gammas, monomials(eval_pts, gammas, x0).T):
-        coef = float((kernel.d1(g, x0b, out_pts) / index_factorial(g) * out_w).sum())
+    coefs = [0.0] * len(gammas)
+    for pts, w in sources:
+        # |y - x0| as np.linalg.norm forms it: the squares summed per axis
+        outside = np.sqrt(sum((pts[:, a] - c) ** 2 for a, c in enumerate(x0))) >= corr.radius
+        x0b = np.broadcast_to(x0, pts.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, g in enumerate(gammas):
+                terms = kernel.d1(g, x0b, pts) / index_factorial(g) * w
+                coefs[k] += float(np.where(outside, terms, 0.0).sum())
+    out = np.zeros(eval_pts.shape[0])
+    for coef, pow_g in zip(coefs, monomials(eval_pts, gammas, x0).T):
         if coef != 0.0:
             out += coef * pow_g
     return out
+
+
+def _point_chunks(pts, w):
+    """Points with their weights in chunks of at most _BAND_CELLS."""
+    return ((pts[a : a + _BAND_CELLS], w[a : a + _BAND_CELLS]) for a in range(0, len(w), _BAND_CELLS))
+
+
+def _frame_sources(window: Window, w):
+    """Every cell of the window with its weight (flat), as row-band chunks."""
+    return ((pts, w[cells]) for cells, pts in _frame_bands(window))
 
 
 @dataclass
@@ -580,10 +653,9 @@ def apply_modified(
     h = f.window.h
     window = eval_window or f.window
     src_pts, src_w = _source_arrays(f)
-    eval_pts = window.midpoints()
     # the Taylor correction does not depend on the exclusion radius: build
     # its polynomial once for the whole ladder
-    corr_eval = _taylor_correction(kernel_tilde, corr, src_pts, src_w, eval_pts)
+    corr_eval = _taylor_correction(kernel_tilde, corr, _point_chunks(src_pts, src_w), window.midpoints())
     ladder = [
         apply_truncated(kernel_tilde, f, m * h, eval_window=window).flat - corr_eval
         for m in eta_cells
@@ -658,11 +730,10 @@ def modified_on_monomial(
 
     def run(factor):
         big = eval_window.padded(factor)
-        big_pts = big.midpoints()
         grid_w = GridFunction.monomial(big, nu).flat * big.cell_measure
         if kernel_tilde.kappa is None:
             keep = grid_w != 0.0
-            main = _truncated_raw(kernel_tilde, eval_pts, big_pts[keep], grid_w[keep], h)
+            main = _truncated_raw(kernel_tilde, eval_pts, big.midpoints()[keep], grid_w[keep], h)
             cells = 0
         else:
             eval_lo = _lattice_offset(eval_window, big)
@@ -672,11 +743,12 @@ def modified_on_monomial(
                 kernel_tilde.kappa, big.h, h, eval_lo, eval_hi, grid_lo, np.asarray(big.cells) - 1
             )
             eval_idx = eval_lo + _cell_indices(eval_window, np.arange(eval_window.cell_count))
-            W = _modulate(kernel_tilde, 2, grid_w, big_pts).reshape(big.cells)
+            W = _modulate_frame(kernel_tilde, 2, grid_w, big).reshape(big.cells)
             main = _conv_at_points(table, origin, eval_idx, grid_lo, W)
             main = _modulate(kernel_tilde, 1, main, eval_pts)
             cells = table.size
-        return big, cells, main - _taylor_correction(kernel_tilde, corr, big_pts, grid_w, eval_pts)
+        correction = _taylor_correction(kernel_tilde, corr, _frame_sources(big, grid_w), eval_pts)
+        return big, cells, main - correction
 
     big, cells, base = run(padding)
     scale = max(float(np.max(np.abs(GridFunction.monomial(eval_window, nu).flat))), 1e-30)
@@ -757,8 +829,6 @@ def vanishing_moment_defect(
         src_pts, src_w = _source_arrays(gf)
         if not src_w.size:
             raise ValueError(f"atom {idx} vanishes identically")
-        eval_pts = big.midpoints()
-        hpts = half.midpoints()
         if kernel.kappa is not None:
             # one table over the padded window minus the atom's support serves
             # the forward sums and, reflected, the transpose's point sums
@@ -771,33 +841,33 @@ def vanishing_moment_defect(
             table_cells += table.size
             weights = _modulate(kernel, 2, src_w, src_pts)
             ta = _conv_forward(table, origin, big_lo, big.cells, src_idx, weights)
-            ta = _modulate(kernel, 1, ta, eval_pts)
+            ta = _modulate_frame(kernel, 1, ta, big)
             table_t = table[(slice(None, None, -1),) * big.n]
             origin_t = -(origin + np.asarray(table.shape) - 1)
         else:
-            ta = _truncated_raw(kernel, eval_pts, src_pts, src_w, h)
+            ta = _truncated_raw(kernel, big.midpoints(), src_pts, src_w, h)
         # the half-padding frame is a sub-window of the padded one
-        ta_half = ta.reshape(big.cells)[_box(_lattice_offset(half, big), half.cells)].reshape(-1)
+        ta_half = ta.reshape(big.cells)[_box(_lattice_offset(half, big), half.cells)]
         a_l1 = float(np.abs(src_w).sum())
         corr = b0 or CorrectionSpec(cube.center, cube.side, s)
         glist = gammas if gammas is not None else multi_indices(window.n, s)
         for g in glist:
             g = tuple(int(v) for v in np.atleast_1d(g))
-            xg = monomials(eval_pts, [g])
-            (lhs,) = moments(ta, xg, big.cell_measure)
-            (lhs_half,) = moments(ta_half, monomials(hpts, [g]), half.cell_measure)
+            xg = GridFunction.monomial(big, g).flat
+            lhs = _frame_moment(ta, xg, big)
+            lhs_half = _frame_moment(ta_half, GridFunction.monomial(half, g).values, half)
             scale = a_l1 * cube.side ** sum(g)
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same
             # padded lattice, so the two sides share every quadrature node)
-            mono_w = xg[:, 0] * big.cell_measure
+            mono_w = xg * big.cell_measure
             if kernel.kappa is not None:
-                W = _modulate(tilde, 2, mono_w, eval_pts).reshape(big.cells)
+                W = _modulate_frame(tilde, 2, mono_w, big).reshape(big.cells)
                 tmain = _conv_at_points(table_t, origin_t, src_idx, big_lo, W)
                 tmain = _modulate(tilde, 1, tmain, src_pts)
             else:
-                tmain = _truncated_raw(tilde, src_pts, eval_pts, mono_w, h)
-            tmono = tmain - _taylor_correction(tilde, corr, eval_pts, mono_w, src_pts)
+                tmain = _truncated_raw(tilde, src_pts, big.midpoints(), mono_w, h)
+            tmono = tmain - _taylor_correction(tilde, corr, _frame_sources(big, mono_w), src_pts)
             rhs = float((tmono * src_w).sum())
             defect = abs(lhs) / scale
             mismatch = abs(lhs - rhs) / scale

@@ -32,6 +32,7 @@ __all__ = [
     "double_shell",
     "region_mask",
     "region_measure",
+    "grid_points",
     "monomials",
     "moments",
     "integrate",
@@ -48,6 +49,16 @@ class LatticeError(ValueError):
 
 class EmptyRegionError(ValueError):
     """Region contains no cell midpoint of the window."""
+
+
+def grid_points(axes) -> np.ndarray:
+    """Points of the product grid of per-axis coordinates, shape (count, n),
+    row-major (the last axis varies fastest), in the coordinates' dtype."""
+    axes = [np.asarray(x) for x in axes]
+    out = np.empty(tuple(x.size for x in axes) + (len(axes),), dtype=np.result_type(*axes))
+    for a, x in enumerate(np.ix_(*axes)):
+        out[..., a] = x
+    return out.reshape(-1, len(axes))
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -126,12 +137,13 @@ class Window:
 
     def midpoints(self) -> np.ndarray:
         """All cell midpoints, shape (cell_count, n), row-major cell order."""
-        if self.n == 1:
-            return self.axis_midpoints(0)[:, None]
-        x, y = np.meshgrid(
-            self.axis_midpoints(0), self.axis_midpoints(1), indexing="ij"
-        )
-        return np.stack([x.ravel(), y.ravel()], axis=1)
+        return grid_points([self.axis_midpoints(a) for a in range(self.n)])
+
+    def cell_midpoints(self, flat_idx) -> np.ndarray:
+        """Midpoints of the cells with the given flat (row-major) indices,
+        shape (len(flat_idx), n), taken per axis: the rows of midpoints()."""
+        idx = np.unravel_index(np.asarray(flat_idx, dtype=int), self.cells)
+        return np.stack([self.axis_midpoints(a)[i] for a, i in enumerate(idx)], axis=1)
 
     def refine(self, factor: int = 2) -> "Window":
         return Window(self.n, self.lower, self.upper, tuple(c * factor for c in self.cells))
@@ -355,7 +367,15 @@ class GridFunction:
     def monomial(cls, window: Window, gamma) -> "GridFunction":
         """y^gamma sampled on the window."""
         gamma = tuple(int(g) for g in np.atleast_1d(gamma))
-        return cls(window, monomials(window.midpoints(), [gamma])[:, 0])
+        # a product of per-axis powers, each factor evaluated by monomials on
+        # its axis: the same products as on the midpoints() array, bit for bit
+        factors = [
+            monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] for a, g in enumerate(gamma)
+        ]
+        values = factors[0]
+        for f in factors[1:]:
+            values = np.multiply.outer(values, f)
+        return cls(window, values)
 
     @property
     def flat(self) -> np.ndarray:

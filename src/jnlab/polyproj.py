@@ -221,7 +221,7 @@ class Projector:
         mask = region_mask(window, region)
         if not mask.any():
             raise EmptyRegionError(f"region {region} contains no cell midpoint")
-        return cls(window.midpoints()[mask], s, region.center, region.scale), mask
+        return cls(window.cell_midpoints(np.flatnonzero(mask)), s, region.center, region.scale), mask
 
     def coefficients(self, batch: np.ndarray) -> np.ndarray:
         """Coefficients (..., dim) of the projections of the rows (..., m)."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, region_mask
+from .lattice import Ball, Cube, GridFunction, Window, grid_points, region_mask
 from .polyproj import (
     ConditioningError,
     Projector,
@@ -238,11 +238,6 @@ def partition(window: Window, side_cells: int, offset, policy: str = "restrict")
     return PartitionSpec(side_cells * h, offset, cubes, policy)
 
 
-def _grid_points(axes) -> np.ndarray:
-    """Points of the product grid of per-axis coordinates, shape (count, n), row-major."""
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-
-
 def _projector(pts, s: int | None, anchor, scale: float, keep=None) -> Projector | None:
     """Degree-s projector on pts; None for the plain-L^q variant s = None."""
     return None if s is None else Projector(pts, s, anchor, scale, keep)
@@ -285,7 +280,7 @@ def _tiling_blocks(values: np.ndarray, n: int, m: int, offset: tuple, policy: st
 def _tile_centers(layout, m: int) -> np.ndarray:
     """Cube centers in cell units, one per batch row of _tiling_blocks."""
     firsts, counts = layout
-    return _grid_points([f + m * np.arange(k) + m / 2.0 for f, k in zip(firsts, counts)])
+    return grid_points([f + m * np.arange(k) + m / 2.0 for f, k in zip(firsts, counts)])
 
 
 def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str) -> NormReport:
@@ -305,7 +300,7 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
         try:
             # one projector serves every cube of m cells per axis: cell
             # midpoints in cell units, anchored at the center, half-side scale
-            projector = _projector(_grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0)
+            projector = _projector(grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0)
         except ConditioningError:
             skipped.append(m)
             continue
@@ -499,7 +494,7 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     if radius <= 2 * h:
         raise ValueError("radius must exceed 2h")
     K = math.ceil(radius / h) - 1  # lattice offsets k with |k| h < radius
-    offs = _grid_points([np.arange(-K, K + 1)] * n)
+    offs = grid_points([np.arange(-K, K + 1)] * n)
     offs = offs[(offs**2).sum(axis=1) * h**2 < radius**2]
     rel = offs * h  # the projector's points, relative to the ball center
     cells = np.asarray(window.cells)

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jnlab.lattice import Cube, GridFunction, Window
+from jnlab import czkernel
+from jnlab.lattice import Cube, GridFunction, Window, monomials
+from jnlab.polyproj import index_factorial, multi_indices
 from jnlab.spaces import NormParams
 from jnlab.czkernel import (
     CorrectionSpec,
@@ -23,7 +25,18 @@ from jnlab.czkernel import (
     standard_kernel_check,
     vanishing_moment_defect,
 )
-from jnlab.czkernel import _box_table, _difference_table, _source_arrays, _truncated_raw
+from jnlab.czkernel import (
+    _box,
+    _box_table,
+    _conv_at_points,
+    _conv_forward,
+    _difference_table,
+    _frame_sources,
+    _point_chunks,
+    _source_arrays,
+    _taylor_correction,
+    _truncated_raw,
+)
 from jnlab.hardy import make_atom
 
 
@@ -533,3 +546,149 @@ def test_defect_and_monomial_input_guards():
             )
     with pytest.raises(ValueError):
         KernelSpec("bad", 1, 0, 1.0, k=None, d1=None, d2=None, modulation=np.sin)
+
+
+# --- row-band streaming against one-shot references ------------------------
+
+
+def _one_shot_table(kappa, h, eta, lo, hi):
+    """The whole difference table at once, from the stacked point cloud."""
+    eta2 = eta * eta * (1.0 - 1e-12)
+    axes = [np.arange(a, b + 1) * h for a, b in zip(lo, hi)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = kappa(pts)
+    return np.where((pts**2).sum(axis=1) >= eta2, vals, 0.0).reshape(tuple(a.size for a in axes))
+
+
+def _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
+    out = np.zeros(tuple(eval_shape))
+    for s, w in zip(src_idx, src_w):
+        out += w * table[_box(eval_lo - s - origin, eval_shape)]
+    return out.reshape(-1)
+
+
+def _one_shot_points(table, origin, eval_idx, grid_lo, W):
+    last = np.asarray(grid_lo) + np.asarray(W.shape) - 1
+    flip = (slice(None, None, -1),) * W.ndim
+    segs = [table[_box(x - last - origin, W.shape)][flip] for x in eval_idx]
+    return np.array([np.dot(W, seg) if W.ndim == 1 else np.sum(W * seg) for seg in segs])
+
+
+def _gathered_taylor_coefs(kernel, corr, src_pts, src_w):
+    """Taylor coefficients with the base ball gathered away in one shot."""
+    x0 = np.asarray(corr.center)
+    outside = np.linalg.norm(src_pts - x0, axis=1) >= corr.radius
+    pts, w = src_pts[outside], src_w[outside]
+    x0b = np.broadcast_to(x0, pts.shape)
+    gammas = multi_indices(len(x0), corr.order)
+    return gammas, [float((kernel.d1(g, x0b, pts) / index_factorial(g) * w).sum()) for g in gammas]
+
+
+_BANDED_KERNELS = [
+    hilbert_kernel(),
+    perturbed_kernel(),
+    kernel_transpose(perturbed_kernel()),
+    riesz_kernel(0, 2),
+    riesz_kernel(1, 2),
+    kernel_transpose(riesz_kernel(0, 2)),
+    smooth_bump_kernel(2),
+]
+
+
+@pytest.mark.parametrize("K", _BANDED_KERNELS, ids=lambda K: K.name)
+def test_banded_table_and_forward_equal_one_shot(K, monkeypatch):
+    # a 29 x 9 table in bands of 3 rows, 23 x 3 sums in bands of 9 rows:
+    # neither divides its row count
+    monkeypatch.setattr(czkernel, "_BAND_CELLS", 3 * 9 + 2)
+    rng = np.random.default_rng(5)
+    h, n = 0.05, K.n
+    eval_lo, eval_shape = np.array([-4, 2][:n]), np.array([23, 3][:n])
+    src_idx = rng.integers(-3, 4, size=(9, n))
+    src_idx[:2] = [[-3], [3]]
+    src_w = rng.normal(size=9)
+    lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
+    for m in (1, 2):
+        table, origin = _box_table(K.kappa, h, m * h, eval_lo, eval_lo + eval_shape - 1, lo, hi)
+        assert table.shape == (29, 9)[:n]
+        ref = _one_shot_table(K.kappa, h, m * h, origin, origin + np.asarray(table.shape) - 1)
+        assert np.array_equal(table, ref)
+        got = _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w)
+        assert np.array_equal(got, _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w))
+
+
+@pytest.mark.parametrize("K", _BANDED_KERNELS, ids=lambda K: K.name)
+def test_banded_point_sums_match_one_shot(K, monkeypatch):
+    monkeypatch.setattr(czkernel, "_BAND_CELLS", 4 * 17 + 5)  # 4-row bands over 23 rows
+    rng = np.random.default_rng(6)
+    n, h = K.n, 0.05
+    grid_lo = np.array([-11, -8][:n])
+    W = rng.normal(size=(23, 17)[:n])
+    eval_idx = rng.integers(-30, 30, size=(12, n))
+    eval_lo, eval_hi = eval_idx.min(axis=0), eval_idx.max(axis=0)
+    table, origin = _box_table(K.kappa, h, h, eval_lo, eval_hi, grid_lo, grid_lo + np.asarray(W.shape) - 1)
+    got = _conv_at_points(table, origin, eval_idx, grid_lo, W)
+    ref = _one_shot_points(table, origin, eval_idx, grid_lo, W)
+    if n == 1:
+        assert np.array_equal(got, ref)  # a 1-D frame is one band: same dot products
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K", _BANDED_KERNELS[:6], ids=lambda K: K.name)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_banded_taylor_coefficients_match_gathered(K, order, monkeypatch):
+    monkeypatch.setattr(czkernel, "_BAND_CELLS", 5 * 20 + 3)
+    n = K.n
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (20,) * n if n == 2 else (137,))
+    pts = w.midpoints()
+    weights = np.random.default_rng(order).normal(size=w.cell_count)
+    # the center sits on a midpoint, so the kernel is singular at one source
+    corr = CorrectionSpec(tuple(pts[w.cell_count // 3]), 0.35, order)
+    gammas, coefs = _gathered_taylor_coefs(K, corr, pts, weights)
+    assert len(list(_frame_sources(w, weights))) == (4 if n == 2 else 1)
+    assert len(list(_point_chunks(pts, weights))) == (4 if n == 2 else 2)
+    # the correction is sum_gamma c_gamma (x - x0)^gamma: read each c_gamma
+    # back by least squares on enough evaluation points
+    probe = np.random.default_rng(9).uniform(-0.5, 0.5, size=(3 * len(gammas), n)) + corr.center
+    basis = monomials(probe, gammas, np.asarray(corr.center))
+    for sources in (_frame_sources(w, weights), _point_chunks(pts, weights)):
+        with np.errstate(all="raise"):
+            got = _taylor_correction(K, corr, sources, probe)
+        fitted = np.linalg.lstsq(basis, got, rcond=None)[0]
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(fitted - coefs)) <= 1e-12 * np.max(np.abs(coefs))
+
+
+def test_riesz_square_norm_matches_reduction():
+    u = np.random.default_rng(3).normal(size=(5, 7, 2))
+    R2 = np.sum(u * u, axis=-1)
+    for j in (0, 1):
+        K = riesz_kernel(j, 2)
+        assert np.array_equal(K.kappa(u), u[..., j] * R2**-1.5)
+        assert np.array_equal(K.d1((1, 0), u, 0.0 * u), (j == 0) * R2**-1.5 - 3.0 * u[..., 0] * u[..., j] * R2**-2.5)
+
+
+def test_frame_reports_independent_of_band_size(monkeypatch):
+    # frames of 64^2, 32^2 and 56^2 cells: one band each by default, bands of
+    # 3, 6 and 3 rows (none a divisor of the row count) with the cut constant
+    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
+    atom = make_atom(90, Cube((0.0, 0.0), 0.5), NormParams(2.0, 2.0, 1, 0.3), w)
+    K = riesz_kernel(0, 2)
+    corr = CorrectionSpec((0.0625, -0.0625), 0.4, 1)
+    ew = Window(2, (-0.5, -0.5), (0.5, 0.5), (8, 8))
+
+    def run():
+        rep = vanishing_moment_defect(K, 1, [atom], padding=16)
+        img = modified_on_monomial(kernel_transpose(K), corr, (1, 0), ew, padding=7, check_doubling=False)
+        assert img.integration_cells == (56, 56)
+        return rep, img.values.flat
+
+    rep, img = run()
+    monkeypatch.setattr(czkernel, "_BAND_CELLS", 3 * 64 + 1)
+    rep_b, img_b = run()
+    for a, b in zip(rep_b.rows, rep.rows):
+        scale = abs(b["lhs"]) / b["defect"]
+        for key in ("lhs", "rhs", "half_padding_lhs"):
+            assert abs(a[key] - b[key]) <= 1e-12 * scale
+    assert np.max(np.abs(img_b - img)) <= 1e-12 * np.max(np.abs(img))

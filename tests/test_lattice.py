@@ -18,6 +18,7 @@ from jnlab.lattice import (
     double_shell,
     integrate,
     lq_norm,
+    monomials,
     region_mask,
     region_measure,
 )
@@ -225,3 +226,17 @@ def test_region_mask_equals_pointwise_membership(n, cells, spec):
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     expected = np.count_nonzero(region.contains(pts)) * w.cell_measure
     assert region_measure(w, region, "zero-extend") == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 13), st.integers(0, 3), st.integers(0, 3), st.integers(0, 10_000))
+def test_per_axis_midpoints_and_monomials_are_the_point_cloud_ones(n, cells, g0, g1, seed):
+    shape = (cells, cells + 3)[:n]
+    w = Window(n, (-0.7,) * n, tuple(-0.7 + 0.15 * c for c in shape), shape)
+    pts = w.midpoints()
+    idx = np.random.default_rng(seed).choice(w.cell_count, size=min(5, w.cell_count), replace=False)
+    assert np.array_equal(w.cell_midpoints(idx), pts[idx])
+    gamma = (g0, g1)[:n]
+    got = GridFunction.monomial(w, gamma)
+    assert got.values.shape == w.cells
+    assert np.array_equal(got.flat, monomials(pts, [gamma])[:, 0])

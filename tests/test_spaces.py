@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnlab.lattice import Ball, Cube, GridFunction, Window, region_mask
 from jnlab.polyproj import Polynomial
@@ -535,3 +536,68 @@ def test_zero_extend_equals_padded_restrict():
             f_big, params, SearchConfig(side_cells=[m], policy="restrict", min_cells_per_cube=1)
         ).value
         assert ze == pytest.approx(re, abs=1e-13)
+
+
+_NORM_PARAMS = st.builds(
+    NormParams,
+    st.sampled_from([1.0, 2.0, 3.0, INF]),
+    st.sampled_from([1.0, 2.0]),
+    st.integers(0, 1),
+    st.sampled_from([0.0, 0.1, 0.3]),
+)
+
+
+def _both_norms(f, params, search):
+    return (
+        jn_con_norm(f, params, search).value,
+        rm_con_norm(f, params.p, params.q, params.alpha, search).value,
+    )
+
+
+@st.composite
+def _shifted_support(draw):
+    """A window with a zero margin, a support block inside it, and two
+    whole-cell positions of that block, both clear of the margin."""
+    n = draw(st.integers(1, 2))
+    margin = draw(st.integers(2, 8 if n == 1 else 4))
+    size = draw(st.integers(2, 12 if n == 1 else 5))
+    slack = draw(st.integers(0, 6 if n == 1 else 3))
+    starts = [
+        [draw(st.integers(margin, margin + slack)) for _ in range(n)] for _ in range(2)
+    ]
+    return n, margin, size, 2 * margin + size + slack, starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shifted_support(), _NORM_PARAMS, st.integers(0, 10_000))
+def test_cube_norms_invariant_under_whole_cell_translation(layout, params, seed):
+    n, margin, size, cells, starts = layout
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (cells,) * n)
+    block = np.random.default_rng(seed).normal(size=(size,) * n)
+    values = []
+    for start in starts:
+        v = np.zeros(w.cells)
+        v[tuple(slice(a, a + size) for a in start)] = block
+        values.append(GridFunction(w, v))
+    # every side fits in the margin, so each tiling meets the support in
+    # whole cubes and the translate sees the same cubes at another offset
+    search = SearchConfig(side_cells=list(range(1, margin + 1)))
+    for a, b in zip(*(_both_norms(f, params, search) for f in values)):
+        assert abs(a - b) <= 1e-12 * abs(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(4, 12),
+    st.lists(st.integers(2, 4), min_size=1, max_size=2),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    _NORM_PARAMS,
+    st.integers(0, 10_000),
+)
+def test_cube_norms_monotone_in_search_set(n, cells, sides, extra, params, seed):
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (cells,) * n)
+    f = GridFunction(w, np.random.default_rng(seed).normal(size=w.cells))
+    small = _both_norms(f, params, SearchConfig(side_cells=sides))
+    large = _both_norms(f, params, SearchConfig(side_cells=sides + extra))
+    assert large[0] >= small[0] and large[1] >= small[1]
