@@ -96,7 +96,7 @@ def cmd_apply_op(args) -> int:
     f = GridFunction.load(args.function)
     kernel = kernel_by_name(args.kernel, **json.loads(args.kernel_params))
     if args.mode == "truncated":
-        eta = args.eta if args.eta else f.window.h
+        eta = f.window.h if args.eta is None else args.eta
         out = apply_truncated(kernel, f, eta)
         report = {"mode": "truncated", "eta": eta}
         result = out

@@ -14,12 +14,13 @@ sensitivity diagnostics so the truncation error is visible, not hidden.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, grid_points, moments, monomials
+from .lattice import Ball, Cube, GridFunction, Window, grid_points, moments, monomials, whole_number
 from .polyproj import Projector, index_factorial, moment_projection, multi_indices
 
 __all__ = [
@@ -102,10 +103,7 @@ class CorrectionSpec:
             raise ValueError("correction ball center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("correction ball radius must be positive and finite")
-        order = float(self.order)
-        if not (order.is_integer() and order >= 0):
-            raise ValueError("correction order must be a non-negative integer")
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", whole_number(self.order, "correction order"))
 
     @property
     def ball(self) -> Ball:
@@ -132,35 +130,60 @@ def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
     )
 
 
-def _convolution(name, n, order, delta, dkappa, antisymmetric) -> KernelSpec:
+def _convolution(name, n, order, delta, dkappa, antisymmetric, dmod=None) -> KernelSpec:
+    """K(x, y) = a(x) kappa(x - y) from dkappa(gamma, u), the derivatives of
+    kappa, and dmod(gamma, z), those of the modulation a (a = 1 when dmod is
+    None).  The second slot's derivatives follow from the chain rule, the
+    first slot's from the Leibniz rule."""
     zero = (0,) * n
 
     def kappa(u):
         return dkappa(zero, u)
 
-    def k(x, y):
-        return kappa(x - y)
-
-    def d1(gamma, x, y):
-        return dkappa(tuple(gamma), x - y)
-
-    def d2(gamma, x, y):
+    def d2k(gamma, x, y):
         g = tuple(gamma)
         sign = -1.0 if sum(g) % 2 else 1.0
         return sign * dkappa(g, x - y)
 
-    return KernelSpec(name, n, order, delta, k, d1, d2, kappa=kappa, antisymmetric=antisymmetric)
+    if dmod is None:
+        return KernelSpec(
+            name, n, order, delta,
+            k=lambda x, y: kappa(x - y),
+            d1=lambda g, x, y: dkappa(tuple(g), x - y),
+            d2=d2k, kappa=kappa, antisymmetric=antisymmetric,
+        )
+
+    def a(z):
+        return dmod(zero, z)
+
+    def d1(gamma, x, y):
+        out = 0.0
+        for beta in itertools.product(*(range(g + 1) for g in gamma)):
+            coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
+            rest = tuple(g - b for g, b in zip(gamma, beta))
+            out = out + coef * dmod(beta, x) * dkappa(rest, x - y)
+        return out
+
+    return KernelSpec(
+        name, n, order, delta,
+        k=lambda x, y: a(x) * kappa(x - y),
+        d1=d1,
+        d2=lambda g, x, y: a(x) * d2k(g, x, y),
+        kappa=kappa, modulation=a, antisymmetric=antisymmetric,
+    )
+
+
+def _dhilbert(gamma, u):
+    """Derivatives of 1/u on the line."""
+    g = int(gamma[0])
+    if g == 0:
+        return 1.0 / u[..., 0]  # the value below, without the power
+    return (-1.0) ** g * math.factorial(g) / u[..., 0] ** (g + 1)
 
 
 def hilbert_kernel(order: int = 4) -> KernelSpec:
     """K(x, y) = 1 / (x - y) on the line."""
-
-    def dkappa(gamma, u):
-        g = int(gamma[0])
-        u0 = u[..., 0]
-        return (-1.0) ** g * math.factorial(g) / u0 ** (g + 1)
-
-    return _convolution("hilbert", 1, order, 1.0, dkappa, True)
+    return _convolution("hilbert", 1, order, 1.0, _dhilbert, True)
 
 
 def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec:
@@ -204,35 +227,14 @@ def perturbed_kernel(order: int = 4) -> KernelSpec:
     moments of the associated operator, giving the contrast case.  It is
     a(x) kappa(x - y) with a = 2 + sin and kappa = 1/u."""
 
-    def modulation(z):
-        return 2.0 + np.sin(z[..., 0])
+    def dmod(gamma, z):
+        # d^m/dx^m of (2 + sin x); the constant survives only at m = 0
+        m = int(gamma[0])
+        if m == 0:
+            return 2.0 + np.sin(z[..., 0])
+        return np.sin(z[..., 0] + m * math.pi / 2.0)
 
-    def kappa(u):
-        return 1.0 / u[..., 0]
-
-    def k(x, y):
-        return modulation(x) / (x[..., 0] - y[..., 0])
-
-    def d2(gamma, x, y):
-        g = int(gamma[0])
-        u = x[..., 0] - y[..., 0]
-        return modulation(x) * math.factorial(g) / u ** (g + 1)
-
-    def d1(gamma, x, y):
-        g = int(gamma[0])
-        x0 = x[..., 0]
-        u = x0 - y[..., 0]
-        out = np.zeros(np.broadcast(x0, u).shape)
-        for m in range(g + 1):
-            # d^m/dx^m of (2 + sin x); the constant survives only at m = 0
-            smooth = modulation(x) if m == 0 else np.sin(x0 + m * math.pi / 2.0)
-            sing = (-1.0) ** (g - m) * math.factorial(g - m) / u ** (g - m + 1)
-            out = out + math.comb(g, m) * smooth * sing
-        return out
-
-    return KernelSpec(
-        "perturbed", 1, order, 1.0, k, d1, d2, kappa=kappa, modulation=modulation
-    )
+    return _convolution("perturbed", 1, order, 1.0, _dhilbert, False, dmod)
 
 
 def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
@@ -273,9 +275,9 @@ def kernel_by_name(name: str, **params) -> KernelSpec:
 
 
 def _validate_eta(eta: float, h: float) -> float:
-    m = round(eta / h)
+    m = round(eta / h) if math.isfinite(eta) else 0
     if m < 1 or abs(eta - m * h) > 1e-9 * h:
-        raise ValueError("eta must be an integer multiple of the pitch, at least h")
+        raise ValueError("eta must be a finite integer multiple of the pitch, at least h")
     return float(m * h)
 
 
@@ -283,14 +285,6 @@ def _source_arrays(f: GridFunction):
     """Midpoints and quadrature weights of f's nonzero cells."""
     nz = np.nonzero(f.flat)[0]
     return f.window.cell_midpoints(nz), f.flat[nz] * f.window.cell_measure
-
-
-def _eval_points(f: GridFunction, eval_window, eval_points):
-    if eval_points is not None:
-        pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        return pts, None
-    window = eval_window or f.window
-    return window.midpoints(), window
 
 
 def _truncated_raw(kernel, eval_pts, src_pts, src_w, eta) -> np.ndarray:
@@ -322,18 +316,6 @@ def _truncated_raw(kernel, eval_pts, src_pts, src_w, eta) -> np.ndarray:
             )
             out[start : start + chunk] = np.where(mask, kv, 0.0) @ src_w
     return out
-
-
-def _lattice_offset(inner: Window, outer: Window) -> np.ndarray | None:
-    """Index of the inner window's first cell in the outer window's lattice
-    (negative below it), or None if the two lattices differ."""
-    if inner.n != outer.n or abs(inner.h - outer.h) > 1e-12 * outer.h:
-        return None
-    off = (np.asarray(inner.lower) - np.asarray(outer.lower)) / outer.h
-    rounded = np.round(off).astype(int)
-    if np.max(np.abs(off - rounded)) > 1e-9:
-        return None
-    return rounded
 
 
 def _cell_indices(window: Window, flat_idx: np.ndarray) -> np.ndarray:
@@ -432,22 +414,29 @@ def _conv_at_points(table, origin, eval_idx, grid_lo, W: np.ndarray) -> np.ndarr
     return out
 
 
-def _modulate(kernel: KernelSpec, slot: int, values, pts):
-    """values * a(pts) when the kernel's modulation a multiplies `slot`."""
+def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None):
+    """values * a when the kernel's modulation a multiplies `slot`: values
+    over every cell of the window (flat), scaled one row band at a time, or
+    at the cells with flat indices `cells`."""
     if kernel.modulation is None or kernel.modulation_slot != slot:
         return values
-    return values * kernel.modulation(pts)
-
-
-def _modulate_frame(kernel: KernelSpec, slot: int, values, window: Window):
-    """_modulate over every cell of the window (flat values), one row band at
-    a time."""
-    if kernel.modulation is None or kernel.modulation_slot != slot:
-        return values
+    if cells is not None:
+        return values * kernel.modulation(window.cell_midpoints(cells))
     out = np.empty(window.cell_count)
-    for cells, pts in _frame_bands(window):
-        out[cells] = _modulate(kernel, slot, values[cells], pts)
+    for band, pts in _frame_bands(window):
+        out[band] = values[band] * kernel.modulation(pts)
     return out
+
+
+def _support_box(frame: np.ndarray):
+    """Per-axis index bounds (lo, hi) of the nonzero cells of a frame, found
+    without listing the cells."""
+    lo, hi = [], []
+    for a in range(frame.ndim):
+        rows = np.flatnonzero(np.any(frame, axis=tuple(b for b in range(frame.ndim) if b != a)))
+        lo.append(rows[0])
+        hi.append(rows[-1])
+    return np.array(lo), np.array(hi)
 
 
 def _frame_moment(values, column, window: Window) -> float:
@@ -460,37 +449,53 @@ def _frame_moment(values, column, window: Window) -> float:
     )
 
 
-def _fast_truncated(kernel: KernelSpec, f: GridFunction, eta: float, window: Window):
-    """Difference-table application over a shared lattice; None if inapplicable.
+def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None):
+    """Truncated sums: sum over the cells y of src_window with |x - y| >= eta
+    of K(x, y) w_y, with the flat weights w = src_weights.  They are taken at
+    every cell x of eval_window, at its cells with flat indices eval_cells, or
+    at the rows of an (m, n) point array passed as eval_window.  Returns the sums and
+    the difference table (table, origin) they used, or None for the pairwise
+    sum.
 
-    Indices are taken in f's lattice and the table covers the evaluation
-    window minus the bounding box of f's nonzero cells.  Routes through point
-    dots over that box, O(evaluations * box cells), when the evaluation side
-    is smaller than the source side, and through shifted accumulation over
-    the evaluation window, O(sources * evaluations), otherwise."""
-    if kernel.kappa is None:
-        return None
-    eval_lo = _lattice_offset(window, f.window)
+    This is the one place that picks the engine.  A kernel with a difference
+    kernel kappa, evaluated at cells of the source lattice, runs through one
+    difference table of kappa at the source pitch over the evaluation window
+    minus the bounding box of the nonzero sources (or through `table`, which
+    must cover the differences in use).  With no more evaluation cells than
+    nonzero sources, each evaluation cell takes one point sum over the dense
+    weight box of the sources, O(evaluations * box cells); otherwise each
+    nonzero source adds one shifted view over the evaluation window,
+    O(sources * evaluations).  The modulation scales the source weights
+    (slot 2) or the sums (slot 1).  Kernels without kappa, other lattices and
+    explicit points take the pairwise sum of k over the nonzero sources."""
+    on_cells = isinstance(eval_window, Window)
+    if on_cells:
+        cells = range(eval_window.cell_count) if eval_cells is None else eval_cells
+    eval_lo = eval_window.lattice_offset(src_window) if on_cells and kernel.kappa is not None else None
     if eval_lo is None:
-        return None
-    nz = np.nonzero(f.flat)[0]
-    if nz.size == 0:
-        return np.zeros(window.cell_count)
-    src_idx = _cell_indices(f.window, nz)
-    src_w = f.flat[nz] * f.window.cell_measure
-    if kernel.modulation is not None:
-        src_w = _modulate(kernel, 2, src_w, f.window.cell_midpoints(nz))
-    lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
-    eval_hi = eval_lo + np.asarray(window.cells) - 1
-    table, origin = _box_table(kernel.kappa, f.window.h, eta, eval_lo, eval_hi, lo, hi)
-    if window.cell_count <= nz.size:
-        W = np.zeros(tuple(hi - lo + 1))
-        W[tuple((src_idx - lo).T)] = src_w
-        eval_idx = eval_lo + _cell_indices(window, np.arange(window.cell_count))
-        out = _conv_at_points(table, origin, eval_idx, lo, W)
+        pts = eval_window.cell_midpoints(cells) if on_cells else eval_window
+        keep = np.flatnonzero(src_weights)
+        return _truncated_raw(kernel, pts, src_window.cell_midpoints(keep), src_weights[keep], eta), None
+    count = np.count_nonzero(src_weights)
+    if count == 0:
+        return np.zeros(len(cells)), table
+    frame = src_weights.reshape(src_window.cells)
+    if count == frame.size:  # a dense frame (a monomial's) is its own support box
+        lo, hi = np.zeros(frame.ndim, int), np.asarray(frame.shape) - 1
     else:
-        out = _conv_forward(table, origin, eval_lo, window.cells, src_idx, src_w)
-    return _modulate_frame(kernel, 1, out, window)
+        lo, hi = _support_box(frame)
+    if table is None:
+        eval_hi = eval_lo + np.asarray(eval_window.cells) - 1
+        table = _box_table(kernel.kappa, src_window.h, eta, eval_lo, eval_hi, lo, hi)
+    if len(cells) <= count:
+        W = _modulated(kernel, 2, src_weights, src_window).reshape(frame.shape)[_box(lo, hi - lo + 1)]
+        out = _conv_at_points(*table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
+        return _modulated(kernel, 1, out, eval_window, eval_cells), table
+    nz = np.flatnonzero(src_weights)
+    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz)
+    out = _conv_forward(*table, eval_lo, eval_window.cells, _cell_indices(src_window, nz), weights)
+    out = _modulated(kernel, 1, out, eval_window)
+    return (out if eval_cells is None else out[eval_cells]), table
 
 
 def apply_truncated(
@@ -508,15 +513,10 @@ def apply_truncated(
     evaluated on a shared lattice go through the difference-table engine.
     """
     eta = _validate_eta(eta, f.window.h)
-    if eval_points is None:
-        window = eval_window or f.window
-        fast = _fast_truncated(kernel, f, eta, window)
-        if fast is not None:
-            return GridFunction(window, fast.reshape(window.cells))
-    src_pts, src_w = _source_arrays(f)
-    eval_pts, window = _eval_points(f, eval_window, eval_points)
-    out = _truncated_raw(kernel, eval_pts, src_pts, src_w, eta)
-    if window is None:
+    window = eval_window or f.window
+    target = window if eval_points is None else np.atleast_2d(np.asarray(eval_points, dtype=float))
+    out, _ = _lattice_sums(kernel, eta, f.window, f.flat * f.window.cell_measure, target)
+    if eval_points is not None:
         return out
     return GridFunction(window, out.reshape(window.cells))
 
@@ -646,39 +646,21 @@ def apply_modified(
     Pass the transposed kernel to realize the adjoint-style operator acting
     on oscillation classes.
     """
-    if corr.order > kernel_tilde.order:
-        raise ValueError(
-            f"kernel {kernel_tilde.name!r} lacks derivative evaluators up to order {corr.order}"
-        )
-    h = f.window.h
-    window = eval_window or f.window
-    src_pts, src_w = _source_arrays(f)
+    _check_order(kernel_tilde, corr.order)
+    cz = apply_cz(kernel_tilde, f, eval_window, tol, eta_cells)
+    window = cz.result.window
     # the Taylor correction does not depend on the exclusion radius: build
     # its polynomial once for the whole ladder
-    corr_eval = _taylor_correction(kernel_tilde, corr, _point_chunks(src_pts, src_w), window.midpoints())
-    ladder = [
-        apply_truncated(kernel_tilde, f, m * h, eval_window=window).flat - corr_eval
-        for m in eta_cells
-    ]
-    if tol is None:
-        tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
-    base = _ladder_result(window, ladder, [m * h for m in eta_cells], tol)
+    corr_eval = _taylor_correction(kernel_tilde, corr, _point_chunks(*_source_arrays(f)), window.midpoints())
+    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol)
     ref = window.reference_cube()
-    proj = moment_projection(base.result, ref, corr.order)
-    canonical = base.result - proj.on_grid(window)
-    return ModifiedResult(
-        result=base.result,
-        etas=base.etas,
-        ladder=base.ladder,
-        max_increments=base.max_increments,
-        tol=base.tol,
-        converged=base.converged,
-        diverged=base.diverged,
-        converged_fraction=base.converged_fraction,
-        canonical=canonical,
-        reference_cube=ref,
-        correction=corr,
-    )
+    canonical = base.result - moment_projection(base.result, ref, corr.order).on_grid(window)
+    return ModifiedResult(**vars(base), canonical=canonical, reference_cube=ref, correction=corr)
+
+
+def _check_order(kernel: KernelSpec, order: int) -> None:
+    if order > kernel.order:
+        raise ValueError(f"kernel {kernel.name!r} lacks derivative evaluators up to order {order}")
 
 
 def _check_padding(padding: float) -> None:
@@ -720,35 +702,18 @@ def modified_on_monomial(
     nu = tuple(int(g) for g in np.atleast_1d(nu))
     if sum(nu) > corr.order:
         raise ValueError("|nu| must not exceed the correction order")
-    if corr.order > kernel_tilde.order:
-        raise ValueError(
-            f"kernel {kernel_tilde.name!r} lacks derivative evaluators up to order {corr.order}"
-        )
+    _check_order(kernel_tilde, corr.order)
     _check_padding(padding)
     h = eval_window.h
     eval_pts = eval_window.midpoints()
 
     def run(factor):
         big = eval_window.padded(factor)
+        # one weight frame serves the lattice sums and the Taylor correction
         grid_w = GridFunction.monomial(big, nu).flat * big.cell_measure
-        if kernel_tilde.kappa is None:
-            keep = grid_w != 0.0
-            main = _truncated_raw(kernel_tilde, eval_pts, big.midpoints()[keep], grid_w[keep], h)
-            cells = 0
-        else:
-            eval_lo = _lattice_offset(eval_window, big)
-            eval_hi = eval_lo + np.asarray(eval_window.cells) - 1
-            grid_lo = np.zeros(big.n, dtype=int)
-            table, origin = _box_table(
-                kernel_tilde.kappa, big.h, h, eval_lo, eval_hi, grid_lo, np.asarray(big.cells) - 1
-            )
-            eval_idx = eval_lo + _cell_indices(eval_window, np.arange(eval_window.cell_count))
-            W = _modulate_frame(kernel_tilde, 2, grid_w, big).reshape(big.cells)
-            main = _conv_at_points(table, origin, eval_idx, grid_lo, W)
-            main = _modulate(kernel_tilde, 1, main, eval_pts)
-            cells = table.size
+        main, table = _lattice_sums(kernel_tilde, h, big, grid_w, eval_window)
         correction = _taylor_correction(kernel_tilde, corr, _frame_sources(big, grid_w), eval_pts)
-        return big, cells, main - correction
+        return big, 0 if table is None else table[0].size, main - correction
 
     big, cells, base = run(padding)
     scale = max(float(np.max(np.abs(GridFunction.monomial(eval_window, nu).flat))), 1e-30)
@@ -764,7 +729,7 @@ def modified_on_monomial(
         sensitivity=sensitivity,
         truncation_warn=bool(check_doubling and sensitivity > warn_threshold),
         integration_cells=big.cells,
-        engine="pairwise" if kernel_tilde.kappa is None else "table",
+        engine="table" if cells else "pairwise",
         table_cells=cells,
     )
 
@@ -826,28 +791,18 @@ def vanishing_moment_defect(
         factor = max(padding * side_cells / min(window.cells), 1.0)
         big = window.padded(factor)
         half = window.padded(max(factor / 2.0, 1.0))
-        src_pts, src_w = _source_arrays(gf)
-        if not src_w.size:
+        weights = gf.flat * window.cell_measure
+        nz = np.flatnonzero(weights)
+        if not nz.size:
             raise ValueError(f"atom {idx} vanishes identically")
-        if kernel.kappa is not None:
-            # one table over the padded window minus the atom's support serves
-            # the forward sums and, reflected, the transpose's point sums
-            nz = np.nonzero(gf.flat)[0]
-            src_idx = _cell_indices(window, nz) + _lattice_offset(window, big)
-            lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
-            big_lo = np.zeros(big.n, dtype=int)
-            big_hi = np.asarray(big.cells) - 1
-            table, origin = _box_table(kernel.kappa, big.h, h, big_lo, big_hi, lo, hi)
-            table_cells += table.size
-            weights = _modulate(kernel, 2, src_w, src_pts)
-            ta = _conv_forward(table, origin, big_lo, big.cells, src_idx, weights)
-            ta = _modulate_frame(kernel, 1, ta, big)
-            table_t = table[(slice(None, None, -1),) * big.n]
-            origin_t = -(origin + np.asarray(table.shape) - 1)
-        else:
-            ta = _truncated_raw(kernel, big.midpoints(), src_pts, src_w, h)
+        src_w = weights[nz]
+        ta, table = _lattice_sums(kernel, h, window, weights, big)
+        if table is not None:
+            # the forward table, reflected, serves the transpose's point sums
+            table_cells += table[0].size
+            table = table[0][(slice(None, None, -1),) * big.n], -(table[1] + np.asarray(table[0].shape) - 1)
         # the half-padding frame is a sub-window of the padded one
-        ta_half = ta.reshape(big.cells)[_box(_lattice_offset(half, big), half.cells)]
+        ta_half = ta.reshape(big.cells)[_box(half.lattice_offset(big), half.cells)]
         a_l1 = float(np.abs(src_w).sum())
         corr = b0 or CorrectionSpec(cube.center, cube.side, s)
         glist = gammas if gammas is not None else multi_indices(window.n, s)
@@ -861,13 +816,8 @@ def vanishing_moment_defect(
             # (evaluated at the atom's support cells, integrated over the same
             # padded lattice, so the two sides share every quadrature node)
             mono_w = xg * big.cell_measure
-            if kernel.kappa is not None:
-                W = _modulate_frame(tilde, 2, mono_w, big).reshape(big.cells)
-                tmain = _conv_at_points(table_t, origin_t, src_idx, big_lo, W)
-                tmain = _modulate(tilde, 1, tmain, src_pts)
-            else:
-                tmain = _truncated_raw(tilde, src_pts, big.midpoints(), mono_w, h)
-            tmono = tmain - _taylor_correction(tilde, corr, _frame_sources(big, mono_w), src_pts)
+            tmain, _ = _lattice_sums(tilde, h, big, mono_w, window, nz, table)
+            tmono = tmain - _taylor_correction(tilde, corr, _frame_sources(big, mono_w), window.cell_midpoints(nz))
             rhs = float((tmono * src_w).sum())
             defect = abs(lhs) / scale
             mismatch = abs(lhs - rhs) / scale
@@ -891,7 +841,7 @@ def vanishing_moment_defect(
         max_mismatch=max(r["mismatch"] for r in rows),
         truncation_warning=warn,
         padding=padding,
-        engine="pairwise" if kernel.kappa is None else "table",
+        engine="table" if table_cells else "pairwise",
         table_cells=table_cells,
     )
 
@@ -940,22 +890,10 @@ def standard_kernel_check(
     reg: dict = {}
     dlt = kernel.delta
     for g in multi_indices(n, kernel.order):
-        s2 = float(np.max(np.abs(kernel.d2(g, x, y)) * d ** (n + sum(g))))
-        s1 = float(np.max(np.abs(kernel.d1(g, x, y)) * d ** (n + sum(g))))
-        r2 = float(
-            np.max(
-                np.abs(kernel.d2(g, x, y) - kernel.d2(g, x, z))
-                * d ** (n + sum(g) + dlt)
-                / dz**dlt
-            )
-        )
-        r1 = float(
-            np.max(
-                np.abs(kernel.d1(g, x, y) - kernel.d1(g, w, y))
-                * d ** (n + sum(g) + dlt)
-                / dw**dlt
-            )
-        )
-        size[g] = {"slot1": s1, "slot2": s2}
-        reg[g] = {"slot1": r1, "slot2": r2}
+        size[g], reg[g] = {}, {}
+        # slot 1 moves x to w, slot 2 moves y to z
+        for slot, dk, moved, gap in (("slot1", kernel.d1, (w, y), dw), ("slot2", kernel.d2, (x, z), dz)):
+            base = dk(g, x, y)
+            size[g][slot] = float(np.max(np.abs(base) * d ** (n + sum(g))))
+            reg[g][slot] = float(np.max(np.abs(base - dk(g, *moved)) * d ** (n + sum(g) + dlt) / gap**dlt))
     return StandardKernelReport(size, reg, dlt, int(x.shape[0]))

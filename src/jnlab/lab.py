@@ -263,7 +263,7 @@ def _central_correction(window: Window, s: int) -> CorrectionSpec:
     return CorrectionSpec(tuple(window.center), 0.375 * window.span, s)
 
 
-def _ratio_rows(values, name):
+def _ratio_rows(values):
     rows = []
     for i, (num, den) in enumerate(values):
         if den <= 1e-12 * max(1.0, abs(num)):
@@ -299,11 +299,11 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
             pairs.append((num, den))
         return pairs
 
-    rows, max_ratio = _ratio_rows(ratios_on(window), "jn")
+    rows, max_ratio = _ratio_rows(ratios_on(window))
     summary = {"max_ratio": max_ratio}
     violations = []
     if config.refine:
-        _, max_fine = _ratio_rows(ratios_on(window.refine()), "jn")
+        _, max_fine = _ratio_rows(ratios_on(window.refine()))
         summary["max_ratio_refined"] = max_fine
         lo, hi = sorted([max_ratio, max_fine])
         summary["refinement_factor"] = hi / lo if lo > 0 else INF
@@ -355,8 +355,8 @@ def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
         return rm_pairs, am_pairs
 
     rm_pairs, am_pairs = ratios_on(window)
-    rm_rows, rm_max = _ratio_rows(rm_pairs, "rm")
-    am_rows, am_max = _ratio_rows(am_pairs, "amalgam")
+    rm_rows, rm_max = _ratio_rows(rm_pairs)
+    am_rows, am_max = _ratio_rows(am_pairs)
     for row in rm_rows:
         row["norm"] = "rm_con"
     for row in am_rows:
@@ -370,7 +370,7 @@ def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
             violations.append("amalgam and cube-aggregate ratios disagree beyond factor 4")
     if config.refine:
         rm2, am2 = ratios_on(window.refine())
-        _, rm_max2 = _ratio_rows(rm2, "rm")
+        _, rm_max2 = _ratio_rows(rm2)
         summary["max_rm_ratio_refined"] = rm_max2
         lo, hi = sorted([rm_max, rm_max2])
         if lo == 0 or hi / lo > config.tol("refine_factor", 2.0):
@@ -567,20 +567,12 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     funcs = make_family("random-osc", inner, n_funcs, seed + 1000)
 
     def embed(f_small: GridFunction, win: Window) -> GridFunction:
-        vals = np.zeros(win.cell_count)
-        pts = win.midpoints()
-        small = f_small.window
-        shift = (np.asarray(small.lower) - np.asarray(win.lower)) / win.h
-        if abs(win.h - small.h) > 1e-12 * win.h or np.any(np.abs(shift - np.round(shift)) > 1e-9):
+        off = f_small.window.lattice_offset(win)
+        if off is None:
             raise ConfigError("duality window must align with the test-function lattice")
-        inside = np.all(
-            (pts >= np.asarray(small.lower)) & (pts < np.asarray(small.upper)), axis=1
-        )
-        # same pitch and phase: direct lookup
-        idx = np.round((pts[inside] - np.asarray(small.lower)) / small.h - 0.5).astype(int)
-        flat = idx[:, 0] if win.n == 1 else idx[:, 0] * small.cells[1] + idx[:, 1]
-        vals[inside] = f_small.flat[flat]
-        return GridFunction(win, vals.reshape(win.cells))
+        vals = np.zeros(win.cells)
+        vals[tuple(slice(o, o + c) for o, c in zip(off, f_small.window.cells))] = f_small.values
+        return GridFunction(win, vals)
 
     def mismatches(win: Window):
         out = []
@@ -624,6 +616,17 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
     center_cells = max(2, round(cube.side * 2 / window.h))
     center_cube = Cube(cube.center, center_cells * window.h)
     j_max = int(math.floor(math.log2(min(window.cells) / center_cells)))
+
+    def row(case, rep) -> dict:
+        return {
+            "case": case,
+            "hk_bound": hk_upper_bound(rep.hk_groups(), params.p),
+            "max_residual": max(rep.residuals),
+            "coef_p_sum": rep.coef_p_sum_core,
+            "geometric_bound": rep.geometric_bound,
+            "atoms": len(rep.atoms),
+        }
+
     rows = []
     bounds_images = []
     violations = []
@@ -635,38 +638,17 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
         mol = MoleculeRecord(center_cube, params, eps, ta * (1.0 / c_needed),
                              validate_molecule(ta * (1.0 / c_needed), center_cube, params, eps, j_max))
         rep = decompose_molecule(mol, j_max)
-        bound = hk_upper_bound(rep.hk_groups(), params.p)
-        bounds_images.append(bound)
-        worst = max(rep.residuals)
-        rows.append(
-            {
-                "case": f"image-{i}",
-                "hk_bound": bound,
-                "max_residual": worst,
-                "coef_p_sum": rep.coef_p_sum_core,
-                "geometric_bound": rep.geometric_bound,
-                "atoms": len(rep.atoms),
-            }
-        )
+        rows.append(row(f"image-{i}", rep))
+        bounds_images.append(rows[-1]["hk_bound"])
+        worst = rows[-1]["max_residual"]
         if worst > res_tol:
             violations.append(f"image {i}: reconstruction residual {worst:.3e} exceeds {res_tol}")
         if rep.coef_p_sum_core > rep.geometric_bound * (1 + 1e-9):
             violations.append(f"image {i}: coefficient sum exceeds the geometric bound")
     for i in range(count):
         mol = make_molecule(seed + 500 + i, center_cube, params, eps, window, j_max)
-        rep = decompose_molecule(mol, j_max)
-        bound = hk_upper_bound(rep.hk_groups(), params.p)
-        worst = max(rep.residuals)
-        rows.append(
-            {
-                "case": f"molecule-{i}",
-                "hk_bound": bound,
-                "max_residual": worst,
-                "coef_p_sum": rep.coef_p_sum_core,
-                "geometric_bound": rep.geometric_bound,
-                "atoms": len(rep.atoms),
-            }
-        )
+        rows.append(row(f"molecule-{i}", decompose_molecule(mol, j_max)))
+        worst = rows[-1]["max_residual"]
         if worst > res_tol:
             violations.append(f"molecule {i}: reconstruction residual {worst:.3e} exceeds {res_tol}")
     summary = {"max_image_bound": max(bounds_images), "min_image_bound": min(bounds_images)}

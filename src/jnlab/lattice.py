@@ -33,6 +33,7 @@ __all__ = [
     "region_mask",
     "region_measure",
     "grid_points",
+    "whole_number",
     "monomials",
     "moments",
     "integrate",
@@ -59,6 +60,18 @@ def grid_points(axes) -> np.ndarray:
     for a, x in enumerate(np.ix_(*axes)):
         out[..., a] = x
     return out.reshape(-1, len(axes))
+
+
+def whole_number(value, what: str, least: int = 0) -> int:
+    """value as an int if it is a whole number >= least, integral floats such
+    as 2.0 from a JSON file included; ValueError otherwise."""
+    try:
+        v = float(value)
+    except TypeError:
+        v = math.nan
+    if not (v.is_integer() and v >= least):
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(v)
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -167,6 +180,18 @@ class Window:
             and self.upper == other.upper
             and self.cells == other.cells
         )
+
+    def lattice_offset(self, other: "Window") -> np.ndarray | None:
+        """Index of this window's first cell in the other window's lattice
+        (negative below it), or None if the two lattices differ in dimension,
+        pitch (beyond 1e-12 relative) or midpoint phase (beyond 1e-9 cells)."""
+        if self.n != other.n or abs(self.h - other.h) > 1e-12 * other.h:
+            return None
+        off = (np.asarray(self.lower) - np.asarray(other.lower)) / other.h
+        rounded = np.round(off).astype(int)
+        if np.max(np.abs(off - rounded)) > 1e-9:
+            return None
+        return rounded
 
     def to_dict(self) -> dict:
         return {"n": self.n, "lower": list(self.lower), "upper": list(self.upper), "cells": list(self.cells)}

@@ -62,6 +62,19 @@ def space_dimension(n: int, s: int) -> int:
     return len(multi_indices(n, s))
 
 
+def _binomial_expand(coeffs: dict, weights) -> dict:
+    """Collect sum_gamma c_gamma prod_i (sum_j w_ij t_i^j) by the exponent
+    tuple of t, where weights(i, gamma_i) lists w_ij for j = 0..gamma_i: each
+    axis factor expanded binomially."""
+    out: dict[tuple, float] = {}
+    for g, c in coeffs.items():
+        axis_terms = [list(enumerate(weights(axis, gi))) for axis, gi in enumerate(g)]
+        for combo in itertools.product(*axis_terms):
+            mono = tuple(j for j, _ in combo)
+            out[mono] = out.get(mono, 0.0) + c * float(math.prod(w for _, w in combo))
+    return out
+
+
 @dataclass
 class Polynomial:
     """Polynomial of degree <= s in the basis ((x - anchor)/scale)^gamma."""
@@ -100,42 +113,21 @@ class Polynomial:
 
     def raw_coeffs(self) -> dict:
         """Coefficients over plain monomials x^gamma (binomial expansion)."""
-        n = self.n
-        out: dict[tuple, float] = {}
         a = np.asarray(self.anchor)
-        for g, c in self.coeffs.items():
-            c_scaled = c / self.scale ** sum(g)
-            # expand prod_i (x_i - a_i)^{g_i}
-            axis_terms = []
-            for axis, gi in enumerate(g):
-                terms = [
-                    (j, math.comb(gi, j) * (-a[axis]) ** (gi - j)) for j in range(gi + 1)
-                ]
-                axis_terms.append(terms)
-            for combo in itertools.product(*axis_terms):
-                mono = tuple(j for j, _ in combo)
-                w = c_scaled * float(np.prod([w for _, w in combo]))
-                out[mono] = out.get(mono, 0.0) + w
-        return out
+        # expand prod_i (x_i - a_i)^{g_i}
+        scaled = {g: c / self.scale ** sum(g) for g, c in self.coeffs.items()}
+        return _binomial_expand(
+            scaled, lambda axis, gi: [math.comb(gi, j) * (-a[axis]) ** (gi - j) for j in range(gi + 1)]
+        )
 
     @classmethod
     def from_raw_coeffs(cls, n: int, s: int, raw: dict, anchor=None, scale: float = 1.0) -> "Polynomial":
         anchor = (0.0,) * n if anchor is None else tuple(float(a) for a in np.atleast_1d(anchor))
         a = np.asarray(anchor)
-        coeffs: dict[tuple, float] = {}
         # x^gamma = (scale z + a)^gamma with z = (x - a)/scale
-        for g, c in raw.items():
-            axis_terms = []
-            for axis, gi in enumerate(g):
-                terms = [
-                    (j, math.comb(gi, j) * scale**j * a[axis] ** (gi - j))
-                    for j in range(gi + 1)
-                ]
-                axis_terms.append(terms)
-            for combo in itertools.product(*axis_terms):
-                mono = tuple(j for j, _ in combo)
-                w = c * float(np.prod([w for _, w in combo]))
-                coeffs[mono] = coeffs.get(mono, 0.0) + w
+        coeffs = _binomial_expand(
+            raw, lambda axis, gi: [math.comb(gi, j) * scale**j * a[axis] ** (gi - j) for j in range(gi + 1)]
+        )
         return cls(n, s, anchor, scale, coeffs)
 
     def rebase(self, anchor, scale: float) -> "Polynomial":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, grid_points, region_mask
+from .lattice import Ball, Cube, GridFunction, Window, grid_points, region_mask, whole_number
 from .polyproj import (
     ConditioningError,
     Projector,
@@ -74,8 +74,7 @@ class NormParams:
             raise ValueError("p must be >= 1 or inf")
         if not self.q >= 1:
             raise ValueError("q must be >= 1 or inf")
-        if not self.s >= 0:
-            raise ValueError("s must be a nonnegative integer")
+        object.__setattr__(self, "s", whole_number(self.s, "s"))
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
@@ -125,6 +124,13 @@ class SearchConfig:
     policy: str = "restrict"
     packings: str = "tiling"
     min_cells_per_cube: int = 4
+
+    def __post_init__(self):
+        if self.policy not in ("restrict", "zero-extend"):
+            raise ValueError(f"unknown policy {self.policy!r}; have 'restrict', 'zero-extend'")
+        if self.packings not in ("tiling", "exhaustive"):
+            raise ValueError(f"unknown packings {self.packings!r}; have 'tiling', 'exhaustive'")
+        self.offset_stride = whole_number(self.offset_stride, "offset_stride", 1)
 
     def sides(self, window: Window, s: int) -> list[int]:
         n = window.n
@@ -491,8 +497,8 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     window = f.window
     n = window.n
     h = window.h
-    if radius <= 2 * h:
-        raise ValueError("radius must exceed 2h")
+    if not (math.isfinite(radius) and radius > 2 * h):
+        raise ValueError("radius must be finite and exceed 2h")
     K = math.ceil(radius / h) - 1  # lattice offsets k with |k| h < radius
     offs = grid_points([np.arange(-K, K + 1)] * n)
     offs = offs[(offs**2).sum(axis=1) * h**2 < radius**2]
@@ -565,8 +571,6 @@ def rm_ball_seminorm(f: GridFunction, p: float, q: float, alpha: float, radii) -
 
 def amalgam_norm(f: GridFunction, p: float, q: float, r: float) -> float:
     """Wiener-amalgam style norm: l^p over centers of ball L^q means."""
-    if r <= 2 * f.window.h:
-        raise ValueError("radius must exceed 2h")
     qmeans, _ = _ball_sweep(f, float(r), None, q)
     if p == INF:
         return float(qmeans.max())

@@ -32,6 +32,7 @@ from jnlab.czkernel import (
     _conv_forward,
     _difference_table,
     _frame_sources,
+    _lattice_sums,
     _point_chunks,
     _source_arrays,
     _taylor_correction,
@@ -114,6 +115,14 @@ def test_truncated_eta_validation():
     with pytest.raises(ValueError):
         apply_truncated(K, f, 1.37 * w.h)
 
+
+
+def test_truncation_radius_must_be_finite():
+    w = Window(1, (-1.0,), (1.0,), (64,))
+    f = GridFunction.from_callable(w, lambda x: x)
+    for eta in (math.inf, -math.inf, math.nan, 0.0, -w.h):
+        with pytest.raises(ValueError, match="eta must be"):
+            apply_truncated(hilbert_kernel(), f, eta)
 
 def test_smooth_bump_equals_plain_quadrature():
     B = smooth_bump_kernel()
@@ -479,6 +488,96 @@ def test_vanishing_moment_defect_table_matches_pairwise():
             for key in ("lhs", "rhs", "half_padding_lhs"):
                 assert abs(a[key] - b[key]) <= 1e-12 * scale
 
+
+
+_ENTRY_KERNELS = [
+    hilbert_kernel(),
+    perturbed_kernel(),
+    smooth_bump_kernel(),
+    riesz_kernel(0, 2),
+    riesz_kernel(1, 2),
+    smooth_bump_kernel(2, order=2),
+]
+
+
+@pytest.mark.parametrize(
+    "K", _ENTRY_KERNELS + [kernel_transpose(K) for K in _ENTRY_KERNELS], ids=lambda K: f"{K.name}-{K.n}d"
+)
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_lattice_sums_on_eval_cells_match_pairwise(K, m):
+    # a subset of the cells of an offset evaluation window, as the dual route
+    # of the defect report takes the atom's support cells
+    n = K.n
+    src = Window(n, (-1.0,) * n, (1.0,) * n, (40,) if n == 1 else (16, 16))
+    if n == 1:
+        evals = [Window(1, (-0.5,), (0.75,), (25,)), Window(1, (0.5,), (1.5,), (20,))]
+    else:
+        evals = [Window(2, (-0.5, 0.0), (0.5, 1.0), (8, 8)), Window(2, (0.5, -1.25), (1.5, -0.25), (8, 8))]
+    rng = np.random.default_rng(20 + m)
+    dense = rng.normal(size=src.cell_count)
+    sparse = np.zeros(src.cell_count)
+    sparse[rng.choice(src.cell_count, 3, replace=False)] = rng.normal(size=3)
+    # dense sources take point sums over their weight box, sparse ones shifted sums
+    for weights in (dense, sparse):
+        keep = np.flatnonzero(weights)
+        for ew in evals:
+            cells = np.sort(rng.choice(ew.cell_count, 7, replace=False))
+            got, table = _lattice_sums(K, m * src.h, src, weights, ew, cells)
+            assert table is not None
+            ref = _truncated_raw(K, ew.cell_midpoints(cells), src.cell_midpoints(keep), weights[keep], m * src.h)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K", [hilbert_kernel(), perturbed_kernel(), riesz_kernel(0, 2)], ids=lambda K: K.name)
+def test_reflected_forward_table_serves_the_transpose(K):
+    n, Kt = K.n, kernel_transpose(K)
+    small = Window(n, (-0.5,) * n, (0.5,) * n, (12,) * n)
+    big = small.padded(4.0)
+    rng = np.random.default_rng(7)
+    atom = np.where(rng.uniform(size=small.cell_count) < 0.5, rng.normal(size=small.cell_count), 0.0)
+    frame = rng.normal(size=big.cell_count)
+    _, (table, origin) = _lattice_sums(K, small.h, small, atom, big)
+    reflected = table[(slice(None, None, -1),) * n], -(origin + np.asarray(table.shape) - 1)
+    cells = np.flatnonzero(atom)
+    got, used = _lattice_sums(Kt, small.h, big, frame, small, cells, reflected)
+    built, (table_t, origin_t) = _lattice_sums(Kt, small.h, big, frame, small, cells)
+    assert used is reflected
+    # the transpose's own table covers the whole evaluation window, the
+    # reflected one only the atom's support box: one is a slice of the other
+    assert np.array_equal(reflected[0], table_t[_box(reflected[1] - origin_t, reflected[0].shape)])
+    if n == 1:
+        assert np.array_equal(got, built)
+    else:  # the 2-D point sums contract a reversed view: same terms, other order
+        assert np.max(np.abs(got - built)) <= 1e-12 * np.max(np.abs(built))
+
+
+def test_perturbed_builder_matches_closed_forms():
+    # the closed forms of (2 + sin x) / (x - y) and its slot derivatives
+    def k(x, y):
+        return (2.0 + np.sin(x[..., 0])) / (x[..., 0] - y[..., 0])
+
+    def d2(g, x, y):
+        return (2.0 + np.sin(x[..., 0])) * math.factorial(g) / (x[..., 0] - y[..., 0]) ** (g + 1)
+
+    def d1(g, x, y):
+        x0, u = x[..., 0], x[..., 0] - y[..., 0]
+        out = np.zeros(u.shape)
+        for m in range(g + 1):
+            smooth = 2.0 + np.sin(x0) if m == 0 else np.sin(x0 + m * math.pi / 2.0)
+            out = out + math.comb(g, m) * smooth * ((-1.0) ** (g - m) * math.factorial(g - m) / u ** (g - m + 1))
+        return out
+
+    K = perturbed_kernel()
+    x, y = sample_pairs(1, count=200, seed=8)
+    assert np.max(np.abs(K.k(x, y) - k(x, y)) / np.abs(k(x, y))) <= 1e-14
+    assert np.array_equal(K.modulation(x), 2.0 + np.sin(x[:, 0]))
+    for g in range(K.order + 1):
+        assert np.array_equal(K.d1((g,), x, y), d1(g, x, y))
+        assert np.max(np.abs(K.d2((g,), x, y) - d2(g, x, y)) / np.abs(d2(g, x, y))) <= 1e-14
+    # the transpose swaps the slots and moves the modulation to the source side
+    Kt = kernel_transpose(K)
+    assert Kt.modulation_slot == 2
+    assert np.array_equal(Kt.d2((2,), y, x), d1(2, x, y))
 
 def test_perturbed_defects_pinned():
     # recorded from the pairwise evaluation of the perturbed kernel

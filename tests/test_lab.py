@@ -376,6 +376,37 @@ def test_experiment_config_from_json(tmp_path):
     assert rc == 3
 
 
+
+def test_cli_rejects_bad_truncation_radius(tmp_path, capsys):
+    w = Window(1, (-1.0,), (1.0,), (32,))
+    path = tmp_path / "f.json"
+    GridFunction.from_callable(w, lambda x: x).save(path)
+    base = ["apply-op", "--kernel", "hilbert", "--function", str(path), "--mode", "truncated"]
+    # an explicit 0 is checked, not replaced by the pitch
+    for eta in ("inf", "nan", "0", "-0.0625"):
+        assert cli.main(base + ["--eta", eta]) == 3
+        assert "eta must be" in capsys.readouterr().err
+    assert cli.main(base + ["--eta", str(2 * w.h)]) == 0
+    assert json.loads(capsys.readouterr().out)["eta"] == 2 * w.h
+
+
+def test_cli_config_rejects_fractional_s(tmp_path, capsys):
+    cfg = {
+        "experiment": "jn-boundedness",
+        "window": {"n": 1, "lower": [-1.0], "upper": [1.0], "cells": [32]},
+        "params": {"p": 2.0, "q": 2.0, "s": 0.5, "alpha": 0.1},
+        "family": {"kind": "random-osc", "count": 1, "seed": 5},
+        "refine": False,
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "jn-boundedness", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "s must be an integer" in capsys.readouterr().err
+    # the same value written as a float with no fraction is accepted
+    cfg["params"]["s"] = 0.0
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "jn-boundedness", "--config", str(path), "--out", str(tmp_path)]) == 0
+
 def test_atom_image_order_one():
     cfg = ExperimentConfig(
         experiment="atom-image",

@@ -18,6 +18,7 @@ from jnlab.lattice import (
     double_shell,
     integrate,
     lq_norm,
+    whole_number,
     monomials,
     region_mask,
     region_measure,
@@ -192,6 +193,28 @@ def test_padded_window_keeps_pitch_and_phase():
         assert (big.cell_count > w.cell_count) == (factor > 1)
     assert w.reference_cube() == Cube((0.0, 0.5), 0.5)
 
+
+
+def test_lattice_offset():
+    w = Window(1, (-1.0,), (1.0,), (40,))
+    inner = Window(1, (-0.5,), (0.75,), (25,))
+    assert inner.lattice_offset(w).tolist() == [10]
+    assert w.lattice_offset(inner).tolist() == [-10]
+    assert w.padded(3.0).lattice_offset(w).tolist() == [-40]
+    assert Window(1, (-0.51,), (0.74,), (25,)).lattice_offset(w) is None  # other phase
+    assert Window(1, (-1.0,), (1.0,), (41,)).lattice_offset(w) is None  # other pitch
+    w2 = Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
+    assert Window(2, (0.5, -1.25), (1.5, -0.25), (8, 8)).lattice_offset(w2).tolist() == [12, -2]
+    assert w.lattice_offset(w2) is None  # other dimension
+
+
+def test_whole_number():
+    assert whole_number(3, "k") == 3
+    assert whole_number(2.0, "k") == 2 and isinstance(whole_number(2.0, "k"), int)
+    assert whole_number(np.int64(1), "k", 1) == 1
+    for bad, least in ((0.5, 0), (-1, 0), (0, 1), (math.nan, 0), (math.inf, 0), (None, 0)):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            whole_number(bad, "k", least)
 
 def _region_strategy():
     # centers range past the window [-1, 1]^n, so regions straddle it or miss it

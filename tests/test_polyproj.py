@@ -282,6 +282,21 @@ def test_polynomial_rebase_pointwise():
     assert np.max(np.abs(P(pts) - Q(pts))) <= 1e-10 * max(1.0, np.max(np.abs(P(pts))))
 
 
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_raw_coefficients_round_trip(n):
+    # raw_coeffs and from_raw_coeffs expand the same binomials both ways
+    rng = np.random.default_rng(12 + n)
+    coeffs = {g: rng.uniform(-1, 1) for g in multi_indices(n, 3)}
+    P = Polynomial(n, 3, tuple(rng.uniform(-1, 1, size=n)), 0.75, coeffs)
+    raw = P.raw_coeffs()
+    pts = rng.uniform(-2, 2, size=(40, n))
+    plain = sum(c * np.prod(pts**np.asarray(g), axis=1) for g, c in raw.items())
+    assert np.max(np.abs(plain - P(pts))) <= 1e-12 * np.max(np.abs(P(pts)))
+    back = Polynomial.from_raw_coeffs(n, 3, raw, P.anchor, P.scale)
+    assert set(back.coeffs) == set(coeffs)
+    assert max(abs(back.coeffs[g] - c) for g, c in coeffs.items()) <= 1e-12
+
 def test_polynomial_json_roundtrip(tmp_path):
     P = Polynomial(1, 2, (0.1,), 1.5, {(0,): 1.0, (1,): -2.0, (2,): 0.25})
     path = tmp_path / "p.json"

@@ -46,6 +46,38 @@ def test_norm_params_reject_nan_and_infinite_alpha():
             NormParams(*args)
 
 
+
+def test_norm_params_s_is_a_whole_number():
+    # an integral float (a JSON config's 1.0) is coerced, as the correction order is
+    p = NormParams(2.0, 2.0, 1.0, 0.1)
+    assert p.s == 1 and isinstance(p.s, int)
+    assert NormParams(2.0, 2.0, np.int64(2), 0.1).s == 2
+    for s in (0.5, -1, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match="s must be an integer"):
+            NormParams(2.0, 2.0, s, 0.1)
+
+
+def test_search_config_rejects_unknown_options():
+    for kwargs in ({"policy": "bogus"}, {"packings": "bogus"}, {"offset_stride": 0},
+                   {"offset_stride": 1.5}, {"offset_stride": math.nan}):
+        with pytest.raises(ValueError):
+            SearchConfig(**kwargs)
+    assert SearchConfig(offset_stride=2.0).offset_stride == 2
+    assert SearchConfig(policy="zero-extend", packings="exhaustive").policy == "zero-extend"
+
+
+def test_ball_radius_must_be_finite():
+    w = Window(1, (0.0,), (1.0,), (32,))
+    f = GridFunction.from_callable(w, lambda x: np.sin(5 * x))
+    params = NormParams(2.0, 2.0, 0, 0.0)
+    for radius in (math.inf, math.nan, w.h):
+        with pytest.raises(ValueError, match="radius"):
+            jn_ball_seminorm(f, params, [radius])
+        with pytest.raises(ValueError, match="radius"):
+            rm_ball_seminorm(f, 2.0, 2.0, 0.0, [radius])
+        with pytest.raises(ValueError, match="radius"):
+            amalgam_norm(f, 2.0, 2.0, radius)
+
 def test_jn_constant_is_zero():
     w = Window(1, (0.0,), (1.0,), (32,))
     c = GridFunction.from_callable(w, lambda x: np.full_like(x, 4.2))
