@@ -206,6 +206,8 @@ class Projector:
             )
         # coefficients of a row b are gram^-1 design^T b
         self._solved = np.linalg.solve(self.gram, np.swapaxes(design, -1, -2))
+        for a in (self.phi, self.gram, self._solved):  # read-only: caches share projectors
+            a.flags.writeable = False
 
     @classmethod
     def on_region(cls, window: Window, region: Region, s: int):

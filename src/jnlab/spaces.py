@@ -17,6 +17,7 @@ supremum ranges over arbitrary placements in the whole space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ __all__ = [
 
 INF = math.inf
 _BALL_BATCH = 1 << 18  # clipped-ball entries (balls x offsets) per masked stack
+_TABLE_BATCH = 1 << 14  # cube entries (cubes x cells per cube) per projection batch
 
 
 def conjugate(p: float) -> float:
@@ -131,13 +133,15 @@ class SearchConfig:
         if self.packings not in ("tiling", "exhaustive"):
             raise ValueError(f"unknown packings {self.packings!r}; have 'tiling', 'exhaustive'")
         self.offset_stride = whole_number(self.offset_stride, "offset_stride", 1)
+        if self.side_cells is not None:
+            self.side_cells = [whole_number(m, "side_cells entry", 1) for m in self.side_cells]
 
     def sides(self, window: Window, s: int) -> list[int]:
         n = window.n
         max_m = min(window.cells)
         dim = space_dimension(n, s)
         if self.side_cells is not None:
-            sides = [int(m) for m in self.side_cells if 1 <= m <= max_m and m**n >= dim]
+            sides = [m for m in self.side_cells if m <= max_m and m**n >= dim]
         else:
             sides = []
             m = 1
@@ -222,12 +226,14 @@ class PartitionSpec:
         for c in self.cubes:
             if abs(c.side - self.side) > 1e-12 * self.side:
                 raise ValueError("partition cubes must be congruent")
-        for i in range(len(self.cubes)):
-            for j in range(i + 1, len(self.cubes)):
-                ci = np.asarray(self.cubes[i].center)
-                cj = np.asarray(self.cubes[j].center)
-                if np.all(np.abs(ci - cj) < self.side * (1 - 1e-12)):
-                    raise ValueError("partition cubes must be interior disjoint")
+        # two cubes overlap iff their centers are closer than a side on every
+        # axis; a chunk of rows i meets every j > i at once
+        ctr = np.asarray([cube.center for cube in self.cubes], dtype=float)
+        chunk = max(1, (1 << 18) // len(ctr))
+        for i in range(0, len(ctr), chunk):
+            near = np.all(np.abs(ctr[i : i + chunk, None] - ctr) < self.side * (1 - 1e-12), axis=2)
+            if np.triu(near, i + 1).any():
+                raise ValueError("partition cubes must be interior disjoint")
 
 
 def partition(window: Window, side_cells: int, offset, policy: str = "restrict") -> PartitionSpec:
@@ -235,18 +241,13 @@ def partition(window: Window, side_cells: int, offset, policy: str = "restrict")
     offset = tuple(int(o) for o in np.atleast_1d(offset))
     if len(offset) != window.n or any(not 0 <= o < side_cells for o in offset):
         raise ValueError("offset must have one entry per axis in [0, side_cells)")
-    _, layout = _tiling_blocks(np.zeros(window.cells), window.n, side_cells, offset, policy)
-    if layout is None:
+    layout = [_tiling_layout(N, side_cells, o, policy) for N, o in zip(window.cells, offset)]
+    if min(k for _, k in layout) <= 0:
         raise ValueError("no cube of this side fits the window at this offset")
     h = window.h
     lower = np.asarray(window.lower)
     cubes = [Cube(tuple(lower + c * h), side_cells * h) for c in _tile_centers(layout, side_cells)]
     return PartitionSpec(side_cells * h, offset, cubes, policy)
-
-
-def _projector(pts, s: int | None, anchor, scale: float, keep=None) -> Projector | None:
-    """Degree-s projector on pts; None for the plain-L^q variant s = None."""
-    return None if s is None else Projector(pts, s, anchor, scale, keep)
 
 
 def _residual(projector: Projector | None, batch: np.ndarray) -> np.ndarray:
@@ -261,104 +262,134 @@ def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:
     return ((np.abs(resid) ** q).sum(axis=1) / counts) ** (1.0 / q)
 
 
-def _tiling_blocks(values: np.ndarray, n: int, m: int, offset: tuple, policy: str):
-    """Cube-value batches (one row per cube, row-major over cubes) and the
-    tiling's layout: per axis the first cube's start cell and the cube count."""
+def _tiling_layout(cells: int, m: int, offset, policy: str):
+    """Along one axis of `cells` cells, the maximal side-m tiling at each
+    offset in [0, m): its first cube's start cell and its cube count."""
+    offset = np.asarray(offset)
     if policy == "restrict":
-        firsts = list(offset)
-        counts = [(N - o) // m for N, o in zip(values.shape, offset)]
-        if min(counts) <= 0:
-            return None, None
-        box = values[tuple(slice(o, o + k * m) for o, k in zip(offset, counts))]
-    else:
-        firsts = [o - m if o else 0 for o in offset]  # first cube starts at or before 0
-        counts = [math.ceil((N - f) / m) for N, f in zip(values.shape, firsts)]
-        box = np.pad(
-            values[tuple(slice(max(f, 0), None) for f in firsts)],
-            [(max(-f, 0), f + k * m - N) for f, k, N in zip(firsts, counts, values.shape)],
-        )
-    # (k0, m, k1, m) -> (k0, k1, m, m): one row per cube, row-major over cubes
-    split = box.reshape([d for k in counts for d in (k, m)])
-    cubes = split.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1, m**n)
-    return cubes, (firsts, counts)
+        return offset, (cells - offset) // m
+    first = np.where(offset > 0, offset - m, 0)  # the first cube starts at or before cell 0
+    return first, (cells - first + m - 1) // m
 
 
 def _tile_centers(layout, m: int) -> np.ndarray:
-    """Cube centers in cell units, one per batch row of _tiling_blocks."""
-    firsts, counts = layout
-    return grid_points([f + m * np.arange(k) + m / 2.0 for f, k in zip(firsts, counts)])
+    """Cube centers in cell units, row-major over the cubes of one tiling."""
+    return grid_points([f + m * np.arange(k) + m / 2.0 for f, k in layout])
+
+
+@functools.lru_cache(maxsize=32)
+def _cube_projector(n: int, m: int, s: int) -> Projector:
+    """The projector of every cube of m cells per axis: cell midpoints in
+    cell units, anchored at the center, half-side scale."""
+    return Projector(grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0)
+
+
+def _qmean_table(values, projector, m: int, positions, q):
+    """Table of the q-means of the side-m cubes starting at the product grid
+    of the per-axis `positions` (entry x: cube at cell x; others stay 0),
+    projected in chunks of about _TABLE_BATCH entries."""
+    table = np.zeros([N // m * m for N in values.shape])
+    windows = np.lib.stride_tricks.sliding_window_view(values, (m,) * values.ndim)
+    grid = [g.ravel() for g in np.meshgrid(*positions, indexing="ij")]
+    step = max(1, _TABLE_BATCH // m**values.ndim)
+    for i in range(0, grid[0].size, step):
+        at = tuple(g[i : i + step] for g in grid)
+        table[at] = _qmean(_residual(projector, windows[at].reshape(len(at[0]), -1)), q)
+    return table
+
+
+def _best_tiling(table, m: int, pad: int, axes, p):
+    """Offset, value, cube centers and terms of the first maximal tiling in
+    itertools.product order (under p = inf, of its first maximal cube).
+
+    axes holds per axis the offsets searched, their first start cells and
+    cube counts.  Offsets with the same counts reduce together, each tiling
+    as one contiguous row, as a lone tiling would.
+    """
+    n = table.ndim
+    # R[phase..., cube...]: (k0, m, k1, m) -> (m, m, k0, k1); phase = first + pad
+    R = table.reshape([d for N in table.shape for d in (N // m, m)])
+    R = R.transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)])
+    agg = np.empty([len(o) for o, _, _ in axes])  # per tiling: sum (p finite) or max of terms
+    groups = [[(np.flatnonzero(k == c), c) for c in set(k.tolist())] for _, _, k in axes]
+    for combo in itertools.product(*groups):
+        idx, counts = zip(*combo)
+        sub = R[np.ix_(*(first[i] + pad for (_, first, _), i in zip(axes, idx)))]
+        rows = sub[(Ellipsis, *(slice(c) for c in counts))].reshape(*map(len, idx), -1)
+        agg[np.ix_(*idx)] = rows.max(axis=-1) if p == INF else rows.sum(axis=-1)
+    # the value sum^(1/p) can round sums that differ in the last bits to one
+    # value, so the first maximal value is sought among the near-maximal sums
+    flat = agg.ravel()
+    near = np.flatnonzero(flat >= flat.max() * (1 - 1e-12))
+    vals = [float(flat[i] ** (1.0 if p == INF else 1.0 / p)) for i in near]
+    i, val = int(near[int(np.argmax(vals))]), max(vals)
+    at = np.unravel_index(i, agg.shape)
+    pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(axes, at)]
+    terms = R[tuple(f + pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
+    centers = _tile_centers([(f, k) for _, f, k in pick], m)
+    if p == INF:
+        j = int(np.argmax(terms))
+        centers, terms = centers[j : j + 1], terms[j : j + 1]
+    return tuple(int(o) for o, _, _ in pick), val, centers, terms
 
 
 def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str) -> NormReport:
-    """Shared engine: s is None for the plain-L^q (Riesz-Morrey) variant."""
+    """Shared engine: s is None for the plain-L^q (Riesz-Morrey) variant.
+
+    Per side, one table holds the term of the cube at every start cell in
+    use, and every offset tiling (or 1-D packing) is read from it.
+    zero-extend is restrict on the values padded by m - 1 zeros per side.
+    """
     window = f.window
     n = window.n
     h = window.h
-    if search.packings == "exhaustive" and (n != 1 or search.policy != "restrict"):
+    exhaustive = search.packings == "exhaustive"
+    if exhaustive and (n != 1 or search.policy != "restrict"):
         raise ValueError("exhaustive packings are available in 1-D under restrict only")
     sides = search.sides(window, 0 if s is None else s)
-    values = f.values
     best_value = -1.0
-    best: dict | None = None
-    skipped: list[int] = []
+    best = None
+    reasons: dict[int, str] = {}  # skipped side -> conditioning message
+    offsets_evaluated = cubes_evaluated = 0
 
     for m in sides:
         try:
-            # one projector serves every cube of m cells per axis: cell
-            # midpoints in cell units, anchored at the center, half-side scale
-            projector = _projector(grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0)
-        except ConditioningError:
-            skipped.append(m)
+            projector = None if s is None else _cube_projector(n, m, s)
+        except ConditioningError as err:
+            reasons[m] = str(err)
             continue
         measure = float(m**n) * window.cell_measure
         weight = measure ** (-alpha)
-        if search.packings == "exhaustive":
-            cand = _exhaustive_side(values, projector, m, measure, weight, p, q)
-            if cand is not None and cand["value"] > best_value:
-                best_value = cand["value"]
-                best = cand
-            continue
-        for offset in itertools.product(range(0, m, search.offset_stride), repeat=n):
-            block, layout = _tiling_blocks(values, n, m, offset, search.policy)
-            if block is None:
-                continue
-            qm = _qmean(_residual(projector, block), q)
-            if p == INF:
-                terms = weight * qm
-                idx = int(np.argmax(terms))
-                val = float(terms[idx])
-                if val > best_value:
-                    best_value = val
-                    best = {
-                        "value": val,
-                        "side": m,
-                        "offset": offset,
-                        "centers": _tile_centers(layout, m)[idx : idx + 1],
-                        "terms": terms[idx : idx + 1],
-                    }
-            else:
-                terms = measure * (weight * qm) ** p
-                val = float(terms.sum() ** (1.0 / p))
-                if val > best_value:
-                    best_value = val
-                    best = {
-                        "value": val,
-                        "side": m,
-                        "offset": offset,
-                        "centers": _tile_centers(layout, m),
-                        "terms": terms,
-                    }
+        pad = m - 1 if search.policy == "zero-extend" else 0
+        values = np.pad(f.values, pad) if pad else f.values
+        offsets = np.arange(0, m, 1 if exhaustive else search.offset_stride)
+        axes = []  # per axis: offsets that hold a cube, first start cells, cube counts
+        starts = []  # per axis: the padded start cells in those tilings' phases
+        for N in window.cells:
+            first, k = _tiling_layout(N, m, offsets, search.policy)
+            axes.append((offsets[k > 0], first[k > 0], k[k > 0]))
+            used = np.bincount(first[k > 0] + pad, minlength=m) > 0
+            starts.append(np.flatnonzero(used[np.arange(N + 2 * pad - m + 1) % m]))
+        table = _qmean_table(values, projector, m, starts, q)
+        cubes_evaluated += math.prod(len(x) for x in starts)
+        table = weight * table if p == INF else measure * (weight * table) ** p
+        if exhaustive:
+            table = table[: window.cells[0] - m + 1]
+            val, at = _exhaustive_side(table, m, p)
+            offset, centers, terms = None, np.asarray([[x + m / 2.0] for x in at]), table[at]
+        else:
+            offset, val, centers, terms = _best_tiling(table, m, pad, axes, p)
+            offsets_evaluated += math.prod(len(o) for o, _, _ in axes)
+        if val > best_value:
+            best_value, best = val, (m, offset, centers, terms)
 
     if best is None:
         raise ValueError("search produced no admissible cube")
+    side, offset, centers, terms = best
     lower = np.asarray(window.lower)
     cubes = [
-        {
-            "center": tuple(lower + np.atleast_1d(c) * h),
-            "side": best["side"] * h,
-            "term": float(t),
-        }
-        for c, t in zip(best["centers"], best["terms"])
+        {"center": tuple(lower + np.atleast_1d(c) * h), "side": side * h, "term": float(t)}
+        for c, t in zip(centers, terms)
     ]
     return NormReport(
         name=name,
@@ -367,33 +398,26 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
         q=q,
         s=s,
         alpha=alpha,
-        argmax_side=best["side"] * h,
-        argmax_offset=best.get("offset"),
+        argmax_side=side * h,
+        argmax_offset=offset,
         cubes=cubes,
         policy=search.policy,
         grid_cells=window.cells,
-        diagnostics={"skipped_sides": skipped, "packings": search.packings},
+        diagnostics={
+            "engine": "per-side cube table", "packings": search.packings, "sides": sides,
+            "offsets_evaluated": offsets_evaluated, "cubes_evaluated": cubes_evaluated,
+            "skipped_sides": list(reasons), "skip_reasons": reasons,
+        },
     )
 
 
-def _exhaustive_side(values, projector, m, measure, weight, p, q):
-    """Best packing of side-m cubes over all cell positions (1-D DP)."""
-    N = values.shape[0]
-    if m > N:
-        return None
-    sw = np.lib.stride_tricks.sliding_window_view(values, m)
-    qm = _qmean(_residual(projector, np.ascontiguousarray(sw)), q)
+def _exhaustive_side(c, m, p):
+    """The best packing of side-m cubes at any cell positions (1-D DP over
+    c, the term of the cube at each start cell): its value and start cells."""
     if p == INF:
-        idx = int(np.argmax(weight * qm))
-        val = float(weight * qm[idx])
-        return {
-            "value": val,
-            "side": m,
-            "offset": None,
-            "centers": np.asarray([[idx + m / 2.0]]),
-            "terms": np.asarray([val]),
-        }
-    c = measure * (weight * qm) ** p
+        idx = int(np.argmax(c))
+        return float(c[idx]), [idx]
+    N = len(c) + m - 1
     dp = np.zeros(N + 1)
     take = np.zeros(N + 1, dtype=bool)
     for i in range(1, N + 1):
@@ -409,16 +433,7 @@ def _exhaustive_side(values, projector, m, measure, weight, p, q):
             i -= m
         else:
             i -= 1
-    positions.reverse()
-    terms = np.asarray([c[pos] for pos in positions])
-    centers = np.asarray([[pos + m / 2.0] for pos in positions])
-    return {
-        "value": float(dp[N] ** (1.0 / p)),
-        "side": m,
-        "offset": None,
-        "centers": centers,
-        "terms": terms,
-    }
+    return float(dp[N] ** (1.0 / p)), positions[::-1]
 
 
 def jn_con_norm(f: GridFunction, params: NormParams, search: SearchConfig | None = None) -> NormReport:
@@ -487,6 +502,20 @@ def jn_partition_oracle(f: GridFunction, params: NormParams) -> float:
     return best_total ** (1.0 / params.p)
 
 
+def _ball_offsets(n: int, h: float, radius: float):
+    """K and the lattice offsets k with |k| h < radius, |k_a| <= K."""
+    K = math.ceil(radius / h) - 1
+    offs = grid_points([np.arange(-K, K + 1)] * n)
+    return K, offs[(offs**2).sum(axis=1) * h**2 < radius**2]
+
+
+@functools.lru_cache(maxsize=32)
+def _ball_projector(n: int, s: int, h: float, radius: float) -> Projector:
+    """The projector of every ball B(y, radius) the window does not clip:
+    lattice offsets times h, relative to the ball center."""
+    return Projector(_ball_offsets(n, h, radius)[1] * h, s, None, radius)
+
+
 def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     """Per-center q-means over balls B(y, radius), y over all midpoints.
 
@@ -499,10 +528,7 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     h = window.h
     if not (math.isfinite(radius) and radius > 2 * h):
         raise ValueError("radius must be finite and exceed 2h")
-    K = math.ceil(radius / h) - 1  # lattice offsets k with |k| h < radius
-    offs = grid_points([np.arange(-K, K + 1)] * n)
-    offs = offs[(offs**2).sum(axis=1) * h**2 < radius**2]
-    rel = offs * h  # the projector's points, relative to the ball center
+    K, offs = _ball_offsets(n, h, radius)
     cells = np.asarray(window.cells)
     flat_offs = offs @ np.asarray([int(np.prod(cells[a + 1 :])) for a in range(n)])
     centers = np.stack(np.unravel_index(np.arange(window.cell_count), window.cells), axis=1)
@@ -512,7 +538,8 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     counts = np.full(window.cell_count, offs.shape[0])
     if interior.any():
         batch = vals[np.nonzero(interior)[0][:, None] + flat_offs]
-        qmeans[interior] = _qmean(_residual(_projector(rel, s, None, radius), batch), q)
+        projector = None if s is None else _ball_projector(n, s, h, radius)
+        qmeans[interior] = _qmean(_residual(projector, batch), q)
     boundary = np.nonzero(~interior)[0]
     chunk = max(1, _BALL_BATCH // offs.shape[0])
     for start in range(0, boundary.size, chunk):
@@ -521,7 +548,7 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
         keep = np.all((pos >= 0) & (pos < cells), axis=2)
         batch = np.where(keep, vals[np.where(keep, c[:, None] + flat_offs, 0)], 0.0)
         counts[c] = keep.sum(axis=1)
-        resid = _residual(_projector(rel, s, None, radius, keep), batch)
+        resid = _residual(None if s is None else Projector(offs * h, s, None, radius, keep), batch)
         qmeans[c] = _qmean(resid, q, counts[c])
     return qmeans, counts
 

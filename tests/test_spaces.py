@@ -490,9 +490,6 @@ def slow_tiling_value(f, m, offset, params):
 
 
 def test_2d_tiling_against_slow_reference():
-    from jnlab.polyproj import Projector
-    from jnlab.spaces import _qmean, _tiling_blocks
-
     rng = np.random.default_rng(7777)
     worst = 0.0
     for _ in range(10):
@@ -505,21 +502,11 @@ def test_2d_tiling_against_slow_reference():
             float(rng.uniform(1, 3)), float(rng.uniform(1, 3)), s, float(rng.uniform(-0.3, 0.3))
         )
         m = int(rng.integers(2, min(Nx, Ny) // 2 + 1))
-        off = (int(rng.integers(0, m)), int(rng.integers(0, m)))
-        slow = slow_tiling_value(f, m, off, params)
-        if slow is None:
-            continue
-        block, _ = _tiling_blocks(f.values, 2, m, off, "restrict")
-        # every tile is congruent to the first, so its projector serves them all
-        first = Cube(tuple((np.asarray(off) + m / 2.0) * w.h), m * w.h)
-        proj, _ = Projector.on_region(w, first, s)
-        resid = proj.residual(block)
-        qm = _qmean(resid, params.q)
-        measure = (m * w.h) ** 2
-        fast = float(
-            (measure * (measure ** (-params.alpha) * qm) ** params.p).sum() ** (1 / params.p)
-        )
-        worst = max(worst, abs(fast - slow) / max(slow, 1e-30))
+        rep = jn_con_norm(f, params, SearchConfig(side_cells=[m], min_cells_per_cube=1))
+        slow = {off: slow_tiling_value(f, m, off, params) for off in np.ndindex(m, m)}
+        top = max(v for v in slow.values() if v is not None)
+        worst = max(worst, abs(rep.value - top) / top)
+        worst = max(worst, abs(rep.value - slow[rep.argmax_offset]) / top)
     assert worst <= 1e-12
 
 
@@ -633,3 +620,267 @@ def test_cube_norms_monotone_in_search_set(n, cells, sides, extra, params, seed)
     small = _both_norms(f, params, SearchConfig(side_cells=sides))
     large = _both_norms(f, params, SearchConfig(side_cells=sides + extra))
     assert large[0] >= small[0] and large[1] >= small[1]
+
+
+def _tiling_blocks(values, m, offset, policy):
+    """One row per cube of the maximal tiling at one offset, row-major over
+    the cubes, and per axis the first cube's start cell and the cube count."""
+    n = values.ndim
+    if policy == "restrict":
+        firsts = list(offset)
+        counts = [(N - o) // m for N, o in zip(values.shape, offset)]
+        if min(counts) <= 0:
+            return None, None
+        box = values[tuple(slice(o, o + k * m) for o, k in zip(offset, counts))]
+    else:
+        firsts = [o - m if o else 0 for o in offset]
+        counts = [math.ceil((N - f) / m) for N, f in zip(values.shape, firsts)]
+        box = np.pad(
+            values[tuple(slice(max(f, 0), None) for f in firsts)],
+            [(max(-f, 0), f + k * m - N) for f, k, N in zip(firsts, counts, values.shape)],
+        )
+    split = box.reshape([d for k in counts for d in (k, m)])
+    cubes = split.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1, m**n)
+    return cubes, (firsts, counts)
+
+
+def per_offset_search(f, p, q, s, alpha, search):
+    """The cube search one (side, offset) tiling at a time: the reference the
+    per-side engine is checked against.  Returns value, side, offset,
+    centers (cell units) and terms of the first maximal tiling."""
+    from itertools import product
+
+    from jnlab.lattice import grid_points
+    from jnlab.polyproj import ConditioningError, Projector
+
+    w = f.window
+    n = w.n
+    best = (-1.0, None)
+    for m in search.sides(w, 0 if s is None else s):
+        try:
+            proj = None if s is None else Projector(
+                grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0
+            )
+        except ConditioningError:
+            continue
+        measure = float(m**n) * w.cell_measure
+        weight = measure ** (-alpha)
+        for offset in product(range(0, m, search.offset_stride), repeat=n):
+            block, layout = _tiling_blocks(f.values, m, offset, search.policy)
+            if block is None:
+                continue
+            resid = block if proj is None else proj.residual(block)
+            if q == INF:
+                qm = np.abs(resid).max(axis=1)
+            else:
+                qm = ((np.abs(resid) ** q).sum(axis=1) / resid.shape[1]) ** (1.0 / q)
+            centers = grid_points([fi + m * np.arange(k) + m / 2.0 for fi, k in zip(*layout)])
+            if p == INF:
+                terms = weight * qm
+                idx = int(np.argmax(terms))
+                val = float(terms[idx])
+                centers, terms = centers[idx : idx + 1], terms[idx : idx + 1]
+            else:
+                terms = measure * (weight * qm) ** p
+                val = float(terms.sum() ** (1.0 / p))
+            if val > best[0]:
+                best = (val, (m, offset, centers, terms))
+    value, (side, offset, centers, terms) = best
+    return value, side, offset, centers, terms
+
+
+def _engine_search(f, p, q, s, alpha, search):
+    if s is None:
+        return rm_con_norm(f, p, q, alpha, search)
+    return jn_con_norm(f, NormParams(p, q, s, alpha), search)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.data(),
+    st.sampled_from(["restrict", "zero-extend"]),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 2.0, INF]),
+    st.sampled_from([1.0, 2.0, INF]),
+    st.sampled_from([None, 0, 1]),
+    st.integers(0, 10_000),
+    st.sampled_from([1, 7, 1 << 14]),
+)
+def test_engine_matches_per_offset_search(n, data, policy, stride, p, q, s, seed, batch):
+    from unittest import mock
+
+    from jnlab import spaces
+
+    cells = tuple(data.draw(st.integers(4, 40 if n == 1 else 14)) for _ in range(n))
+    sides = data.draw(st.lists(st.integers(1, min(cells)), min_size=1, max_size=4, unique=True))
+    alpha = data.draw(st.sampled_from([0.0, 0.15, -0.2]))
+    w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
+    f = GridFunction(w, np.random.default_rng(seed).normal(size=cells))
+    search = SearchConfig(side_cells=sides, offset_stride=stride, policy=policy, min_cells_per_cube=1)
+    if not any(m**n >= (1 if s is None else s * n + 1) for m in sides):
+        return  # no admissible side at all
+    value, *_ = per_offset_search(f, p, q, s, alpha, search)
+    with mock.patch.object(spaces, "_TABLE_BATCH", batch):  # chunks of one cube and more
+        rep = _engine_search(f, p, q, s, alpha, search)
+    assert abs(rep.value - value) <= 1e-12 * value
+    assert rep.recompute() == pytest.approx(rep.value, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.sampled_from(["restrict", "zero-extend"]),
+    st.sampled_from([1.0, 2.0, INF]),
+    st.sampled_from([1.0, 2.0, INF]),
+    st.sampled_from([None, 0, 1]),
+    st.integers(0, 10_000),
+)
+def test_engine_reports_the_reference_tiling_on_dyadic_defaults(n, policy, p, q, s, seed):
+    cells = (64,) if n == 1 else (16, 12)
+    w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
+    f = GridFunction(w, np.random.default_rng(seed).normal(size=cells))
+    search = SearchConfig(policy=policy)
+    value, side, offset, centers, terms = per_offset_search(f, p, q, s, 0.1, search)
+    rep = _engine_search(f, p, q, s, 0.1, search)
+    assert rep.argmax_side == side * w.h
+    assert rep.argmax_offset == offset
+    lower = np.asarray(w.lower)
+    assert [c["center"] for c in rep.cubes] == [tuple(lower + c * w.h) for c in centers]
+    got = np.asarray([c["term"] for c in rep.cubes])
+    # the projection's matrix product sees other batch shapes than the
+    # per-offset loop, so terms may move at roundoff when s is not None
+    np.testing.assert_allclose(got, terms, rtol=0 if s is None else 1e-13, atol=0)
+    assert abs(rep.value - value) <= (0 if s is None else 1e-13) * value
+
+
+def test_engine_diagnostics():
+    w = Window(1, (0.0,), (1.0,), (16,))
+    f = GridFunction(w, np.random.default_rng(3).normal(size=16))
+    rep = jn_con_norm(f, NormParams(2.0, 2.0, 0, 0.0), SearchConfig(side_cells=[4, 8], offset_stride=2))
+    d = rep.diagnostics
+    assert d["engine"] == "per-side cube table" and d["sides"] == [4, 8]
+    assert d["offsets_evaluated"] == 2 + 4  # offsets 0, 2 and 0, 2, 4, 6
+    # start cells whose phase a searched offset uses: 0,2,4,...,12 and 0,2,4,...,8
+    assert d["cubes_evaluated"] == 7 + 5
+    assert d["skipped_sides"] == [] and d["skip_reasons"] == {}
+    full = jn_con_norm(f, NormParams(2.0, 2.0, 0, 0.0), SearchConfig.full(w))
+    assert full.diagnostics["cubes_evaluated"] == sum(16 - m + 1 for m in range(1, 17))
+    assert full.diagnostics["offsets_evaluated"] == 0  # packings, not tilings
+
+
+def test_skipped_sides_carry_their_reason(monkeypatch):
+    from jnlab import polyproj
+    from jnlab.spaces import _cube_projector
+
+    # the degree-1 Gram condition numbers of 2- and 4-cell cubes are 4 and 3.2
+    monkeypatch.setattr(polyproj, "COND_LIMIT", 3.5)
+    _cube_projector.cache_clear()
+    try:
+        w = Window(1, (0.0,), (1.0,), (16,))
+        f = GridFunction(w, np.random.default_rng(4).normal(size=16))
+        rep = jn_con_norm(f, NormParams(2.0, 2.0, 1, 0.0), SearchConfig(side_cells=[2, 4]))
+    finally:
+        _cube_projector.cache_clear()
+    assert rep.diagnostics["skipped_sides"] == [2]
+    assert list(rep.diagnostics["skip_reasons"]) == [2]
+    assert "condition" in rep.diagnostics["skip_reasons"][2]
+    assert rep.argmax_side == pytest.approx(4 * w.h)
+
+
+def test_memoised_projectors_are_read_only_and_shared():
+    from jnlab.spaces import _ball_projector, _cube_projector
+
+    w = Window(1, (0.0,), (1.0,), (64,))
+    for proj in (_cube_projector(2, 4, 1), _ball_projector(1, 0, w.h, 8 * w.h)):
+        for arr in (proj.phi, proj.gram, proj._solved):
+            with pytest.raises(ValueError):
+                arr[0, ...] = 1.0
+        assert proj.residual(np.ones((2, proj.phi.shape[0]))).flags.writeable
+    assert _cube_projector(2, 4, 1) is _cube_projector(2, 4, 1)
+    assert _cube_projector.cache_info().maxsize is not None
+    assert _ball_projector.cache_info().maxsize is not None
+
+
+def test_search_config_rejects_fractional_sides():
+    for sides in ([2.5, 4.9], [4, math.nan], [math.inf], [0], [-2]):
+        with pytest.raises(ValueError, match="side_cells"):
+            SearchConfig(side_cells=sides)
+    cfg = SearchConfig(side_cells=[2.0, np.int64(4)])
+    assert cfg.side_cells == [2, 4] and all(type(m) is int for m in cfg.side_cells)
+    w = Window(1, (0.0,), (1.0,), (8,))
+    assert cfg.sides(w, 0) == [2, 4]
+
+
+def _pairwise_overlap(centers, side):
+    """The double loop the partition check replaced."""
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if np.all(np.abs(np.asarray(centers[i]) - np.asarray(centers[j])) < side * (1 - 1e-12)):
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=24))
+def test_partition_overlap_rule_matches_pairwise_loop(n, starts):
+    from jnlab.spaces import PartitionSpec
+
+    side = 0.25
+    centers = sorted({tuple(0.125 * np.asarray(st_[:n]) + side / 2) for st_ in starts})
+    cubes = [Cube(c, side) for c in centers]
+    if _pairwise_overlap(centers, side):
+        with pytest.raises(ValueError, match="disjoint"):
+            PartitionSpec(side, (0,) * n, cubes, "restrict")
+    else:
+        PartitionSpec(side, (0,) * n, cubes, "restrict")
+
+
+def test_partition_of_many_cubes_is_fast():
+    import time
+
+    from jnlab.spaces import PartitionSpec, partition
+
+    w = Window(2, (0.0, 0.0), (1.0, 1.0), (64, 64))
+    start = time.perf_counter()
+    spec = partition(w, 2, (0, 0))
+    assert time.perf_counter() - start < 0.5
+    assert len(spec.cubes) == 1024
+    overlapping = spec.cubes + [Cube((0.5, 0.5), 2 * w.h)]
+    with pytest.raises(ValueError, match="disjoint"):
+        PartitionSpec(spec.side, (0, 0), overlapping, "restrict")
+    with pytest.raises(ValueError, match="congruent"):
+        PartitionSpec(spec.side, (0, 0), spec.cubes[:-1] + [Cube((0.99, 0.99), w.h)], "restrict")
+
+
+def test_first_maximal_offset_under_rounding_ties():
+    # a mirror-symmetric f has mirrored tilings whose term sums differ in the
+    # last bits; sum^(1/p) can round them to one value, and then the first
+    # offset must win, as in the per-offset loop
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(6, 40))
+        half = rng.normal(size=(N + 1) // 2)
+        w = Window(1, (0.0,), (1.0,), (N,))
+        f = GridFunction(w, np.concatenate([half, half[::-1][N % 2 :]]))
+        m = int(rng.integers(2, N // 2 + 1))
+        p = float(rng.choice([2.0, 3.0, 1.5]))
+        search = SearchConfig(side_cells=[m], min_cells_per_cube=1)
+        value, _, offset, _, _ = per_offset_search(f, p, 2.0, None, 0.1, search)
+        rep = rm_con_norm(f, p, 2.0, 0.1, search)
+        assert (rep.value, rep.argmax_offset) == (value, offset)
+
+
+@pytest.mark.parametrize("policy", ["restrict", "zero-extend"])
+def test_first_maximal_cube_under_exact_ties(policy):
+    # m-periodic data repeats every cube of a phase exactly, so under p = inf
+    # the tiling's first maximal cube must be the reported one
+    w = Window(2, (0.0, 0.0), (1.0, 1.0), (16, 16))
+    block = np.random.default_rng(5).normal(size=(4, 4))
+    f = GridFunction(w, np.tile(block, (4, 4)))
+    search = SearchConfig(side_cells=[4], policy=policy)
+    for s in (None, 0, 1):
+        value, _, offset, centers, _ = per_offset_search(f, INF, 2.0, s, 0.0, search)
+        rep = _engine_search(f, INF, 2.0, s, 0.0, search)
+        assert rep.argmax_offset == offset
+        assert rep.cubes[0]["center"] == tuple(np.asarray(w.lower) + centers[0] * w.h)
