@@ -428,17 +428,6 @@ def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None
     return out
 
 
-def _support_box(frame: np.ndarray):
-    """Per-axis index bounds (lo, hi) of the nonzero cells of a frame, found
-    without listing the cells."""
-    lo, hi = [], []
-    for a in range(frame.ndim):
-        rows = np.flatnonzero(np.any(frame, axis=tuple(b for b in range(frame.ndim) if b != a)))
-        lo.append(rows[0])
-        hi.append(rows[-1])
-    return np.array(lo), np.array(hi)
-
-
 def _frame_moment(values, column, window: Window) -> float:
     """lattice.moments of one column over the window, summed row band by row
     band (values and column may be views of the window's shape)."""
@@ -479,21 +468,25 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
     count = np.count_nonzero(src_weights)
     if count == 0:
         return np.zeros(len(cells)), table
-    frame = src_weights.reshape(src_window.cells)
-    if count == frame.size:  # a dense frame (a monomial's) is its own support box
-        lo, hi = np.zeros(frame.ndim, int), np.asarray(frame.shape) - 1
-    else:
-        lo, hi = _support_box(frame)
+    nz = None
+    if count == src_weights.size:  # a dense frame (a monomial's) is its own support box
+        lo, hi = np.zeros(src_window.n, int), np.asarray(src_window.cells) - 1
+    else:  # the box of the nonzero list
+        nz = np.flatnonzero(src_weights)
+        src_at = _cell_indices(src_window, nz)
+        lo, hi = src_at.min(axis=0), src_at.max(axis=0)
     if table is None:
         eval_hi = eval_lo + np.asarray(eval_window.cells) - 1
         table = _box_table(kernel.kappa, src_window.h, eta, eval_lo, eval_hi, lo, hi)
     if len(cells) <= count:
-        W = _modulated(kernel, 2, src_weights, src_window).reshape(frame.shape)[_box(lo, hi - lo + 1)]
+        W = _modulated(kernel, 2, src_weights, src_window).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
         out = _conv_at_points(*table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
         return _modulated(kernel, 1, out, eval_window, eval_cells), table
-    nz = np.flatnonzero(src_weights)
+    if nz is None:
+        nz = np.arange(count)
+        src_at = _cell_indices(src_window, nz)
     weights = _modulated(kernel, 2, src_weights[nz], src_window, nz)
-    out = _conv_forward(*table, eval_lo, eval_window.cells, _cell_indices(src_window, nz), weights)
+    out = _conv_forward(*table, eval_lo, eval_window.cells, src_at, weights)
     out = _modulated(kernel, 1, out, eval_window)
     return (out if eval_cells is None else out[eval_cells]), table
 

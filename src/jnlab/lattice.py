@@ -74,13 +74,6 @@ def whole_number(value, what: str, least: int = 0) -> int:
     return int(v)
 
 
-def _as_point(x, n: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.shape != (n,):
-        raise ValueError(f"expected point of dimension {n}, got shape {p.shape}")
-    return p
-
-
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned rectangular window with a uniform cell pitch.
@@ -122,7 +115,7 @@ class Window:
 
     @property
     def cell_count(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     @property
     def cell_measure(self) -> float:

@@ -13,6 +13,7 @@ all go through it.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -182,7 +183,9 @@ class Projector:
 
     With ``keep`` (rows, m) boolean, row r is its own problem on the points
     it keeps (balls clipped by the window edge): the Gram matrices form a
-    stack, and residuals are zero off a row's points.
+    stack, each row's system is solved against that row's moment vector,
+    and residuals are zero off a row's points.  A masked batch row must be
+    zero off the points it keeps.
     """
 
     def __init__(self, pts: np.ndarray, s: int, anchor=None, scale: float = 1.0, keep=None):
@@ -204,10 +207,17 @@ class Projector:
             raise ConditioningError(
                 f"monomial Gram condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}"
             )
-        # coefficients of a row b are gram^-1 design^T b
-        self._solved = np.linalg.solve(self.gram, np.swapaxes(design, -1, -2))
+        # coefficients of a row b are gram^-1 phi^T b, solved here once or per masked row
+        self._solved = np.linalg.solve(self.gram, self.phi.T) if keep is None else self.phi.T
         for a in (self.phi, self.gram, self._solved):  # read-only: caches share projectors
             a.flags.writeable = False
+
+    def clipped(self, keep, gram) -> "Projector":
+        """This projector in masked mode on the points ``keep`` marks, where
+        ``gram`` is the Gram stack of a projector built with that mask."""
+        out = copy.copy(self)
+        out.keep, out.gram = keep, gram
+        return out
 
     @classmethod
     def on_region(cls, window: Window, region: Region, s: int):
@@ -221,7 +231,7 @@ class Projector:
         """Coefficients (..., dim) of the projections of the rows (..., m)."""
         if self.keep is None:
             return batch @ self._solved.T
-        return np.einsum("rdm,rm->rd", self._solved, batch)
+        return np.linalg.solve(self.gram, (batch @ self.phi)[..., None])[..., 0]
 
     def fit(self, batch: np.ndarray) -> np.ndarray:
         """The projection of each row, sampled at the points."""

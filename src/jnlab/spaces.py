@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 INF = math.inf
-_BALL_BATCH = 1 << 18  # clipped-ball entries (balls x offsets) per masked stack
+_BALL_BATCH = 1 << 18  # ball entries (centers x offsets) per row band
 _TABLE_BATCH = 1 << 14  # cube entries (cubes x cells per cube) per projection batch
 
 
@@ -250,8 +251,14 @@ def partition(window: Window, side_cells: int, offset, policy: str = "restrict")
     return PartitionSpec(side_cells * h, offset, cubes, policy)
 
 
-def _residual(projector: Projector | None, batch: np.ndarray) -> np.ndarray:
-    return batch if projector is None else projector.residual(batch)
+def _frozen(tree):
+    """The tuple/list tree with its arrays made read-only: memos share them."""
+    if isinstance(tree, np.ndarray):
+        tree.flags.writeable = False
+    elif isinstance(tree, (tuple, list)):
+        for item in tree:
+            _frozen(item)
+    return tree
 
 
 def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:
@@ -284,39 +291,75 @@ def _cube_projector(n: int, m: int, s: int) -> Projector:
     return Projector(grid_points([np.arange(m) + 0.5] * n), s, (m / 2.0,) * n, m / 2.0)
 
 
-def _qmean_table(values, projector, m: int, positions, q):
-    """Table of the q-means of the side-m cubes starting at the product grid
-    of the per-axis `positions` (entry x: cube at cell x; others stay 0),
-    projected in chunks of about _TABLE_BATCH entries."""
+class _SidePlan(NamedTuple):
+    """Geometry of one side's search on one window shape (see _side_plan)."""
+
+    pad: int
+    axes: list  # per axis: offsets that hold a cube, first start cells, cube counts
+    chunks: list  # the used start cells in the padded values, per-axis indices, in chunks
+    groups: list  # per offset group: agg index, table index, count cut, row shape
+    offsets_evaluated: int
+    cubes_evaluated: int
+
+
+@functools.lru_cache(maxsize=256)
+def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, batch: int) -> _SidePlan:
+    """The search geometry of side m on a window of `cells`, which holds no
+    values: tiling layouts, the start cells in those tilings' phases cut
+    into chunks of about `batch` entries, and the offset groups of
+    _best_tiling.  zero-extend pads the values by m - 1 zeros per side."""
+    n = len(cells)
+    exhaustive = packings == "exhaustive"
+    pad = m - 1 if policy == "zero-extend" else 0
+    offsets = np.arange(0, m, 1 if exhaustive else stride)
+    axes, starts = [], []
+    for N in cells:
+        first, k = _tiling_layout(N, m, offsets, policy)
+        axes.append((offsets[k > 0], first[k > 0], k[k > 0]))
+        used = np.bincount(first[k > 0] + pad, minlength=m) > 0
+        starts.append(np.flatnonzero(used[np.arange(N + 2 * pad - m + 1) % m]))
+    grid = [g.ravel() for g in np.meshgrid(*starts, indexing="ij")]
+    step = max(1, batch // m**n)
+    chunks = [tuple(g[i : i + step] for g in grid) for i in range(0, grid[0].size, step)]
+    groups = []
+    # offsets with the same cube counts reduce together, each tiling as one
+    # contiguous row, as a lone tiling would
+    per_axis = [[(np.flatnonzero(k == c), c) for c in set(k.tolist())] for _, _, k in axes]
+    for combo in [] if exhaustive else itertools.product(*per_axis):
+        idx, counts = zip(*combo)
+        phase = np.ix_(*(first[i] + pad for (_, first, _), i in zip(axes, idx)))
+        cut = (Ellipsis, *(slice(c) for c in counts))
+        groups.append((np.ix_(*idx), phase, cut, (*map(len, idx), -1)))
+    return _frozen(_SidePlan(
+        pad, axes, chunks, groups,
+        0 if exhaustive else math.prod(len(o) for o, _, _ in axes),
+        math.prod(len(x) for x in starts),
+    ))
+
+
+def _qmean_table(values, projector, m: int, plan: _SidePlan, q):
+    """Table of the q-means of the side-m cubes starting at the plan's start
+    cells in the (padded) values (entry x: cube at cell x; others stay 0),
+    gathered from a sliding-window view chunk by chunk."""
     table = np.zeros([N // m * m for N in values.shape])
     windows = np.lib.stride_tricks.sliding_window_view(values, (m,) * values.ndim)
-    grid = [g.ravel() for g in np.meshgrid(*positions, indexing="ij")]
-    step = max(1, _TABLE_BATCH // m**values.ndim)
-    for i in range(0, grid[0].size, step):
-        at = tuple(g[i : i + step] for g in grid)
-        table[at] = _qmean(_residual(projector, windows[at].reshape(len(at[0]), -1)), q)
+    for at in plan.chunks:
+        batch = windows[at].reshape(len(at[0]), -1)
+        table[at] = _qmean(batch if projector is None else projector.residual(batch), q)
     return table
 
 
-def _best_tiling(table, m: int, pad: int, axes, p):
-    """Offset, value, cube centers and terms of the first maximal tiling in
-    itertools.product order (under p = inf, of its first maximal cube).
-
-    axes holds per axis the offsets searched, their first start cells and
-    cube counts.  Offsets with the same counts reduce together, each tiling
-    as one contiguous row, as a lone tiling would.
-    """
+def _best_tiling(table, m: int, plan: _SidePlan, p):
+    """Offset, value, layout and terms of the first maximal tiling in
+    itertools.product order."""
     n = table.ndim
     # R[phase..., cube...]: (k0, m, k1, m) -> (m, m, k0, k1); phase = first + pad
     R = table.reshape([d for N in table.shape for d in (N // m, m)])
     R = R.transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)])
-    agg = np.empty([len(o) for o, _, _ in axes])  # per tiling: sum (p finite) or max of terms
-    groups = [[(np.flatnonzero(k == c), c) for c in set(k.tolist())] for _, _, k in axes]
-    for combo in itertools.product(*groups):
-        idx, counts = zip(*combo)
-        sub = R[np.ix_(*(first[i] + pad for (_, first, _), i in zip(axes, idx)))]
-        rows = sub[(Ellipsis, *(slice(c) for c in counts))].reshape(*map(len, idx), -1)
-        agg[np.ix_(*idx)] = rows.max(axis=-1) if p == INF else rows.sum(axis=-1)
+    agg = np.empty([len(o) for o, _, _ in plan.axes])  # per tiling: sum (p finite) or max of terms
+    for agg_at, at, cut, shape in plan.groups:
+        rows = R[at][cut].reshape(shape)
+        agg[agg_at] = rows.max(axis=-1) if p == INF else rows.sum(axis=-1)
     # the value sum^(1/p) can round sums that differ in the last bits to one
     # value, so the first maximal value is sought among the near-maximal sums
     flat = agg.ravel()
@@ -324,21 +367,17 @@ def _best_tiling(table, m: int, pad: int, axes, p):
     vals = [float(flat[i] ** (1.0 if p == INF else 1.0 / p)) for i in near]
     i, val = int(near[int(np.argmax(vals))]), max(vals)
     at = np.unravel_index(i, agg.shape)
-    pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(axes, at)]
-    terms = R[tuple(f + pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
-    centers = _tile_centers([(f, k) for _, f, k in pick], m)
-    if p == INF:
-        j = int(np.argmax(terms))
-        centers, terms = centers[j : j + 1], terms[j : j + 1]
-    return tuple(int(o) for o, _, _ in pick), val, centers, terms
+    pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(plan.axes, at)]
+    terms = R[tuple(f + plan.pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
+    return tuple(int(o) for o, _, _ in pick), val, [(f, k) for _, f, k in pick], terms
 
 
 def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str) -> NormReport:
     """Shared engine: s is None for the plain-L^q (Riesz-Morrey) variant.
 
     Per side, one table holds the term of the cube at every start cell in
-    use, and every offset tiling (or 1-D packing) is read from it.
-    zero-extend is restrict on the values padded by m - 1 zeros per side.
+    use, and every offset tiling (or 1-D packing) is read from it; the
+    geometry comes from the memoised side plan.
     """
     window = f.window
     n = window.n
@@ -358,38 +397,35 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
         except ConditioningError as err:
             reasons[m] = str(err)
             continue
+        plan = _side_plan(window.cells, m, search.policy, search.offset_stride, search.packings, _TABLE_BATCH)
         measure = float(m**n) * window.cell_measure
         weight = measure ** (-alpha)
-        pad = m - 1 if search.policy == "zero-extend" else 0
-        values = np.pad(f.values, pad) if pad else f.values
-        offsets = np.arange(0, m, 1 if exhaustive else search.offset_stride)
-        axes = []  # per axis: offsets that hold a cube, first start cells, cube counts
-        starts = []  # per axis: the padded start cells in those tilings' phases
-        for N in window.cells:
-            first, k = _tiling_layout(N, m, offsets, search.policy)
-            axes.append((offsets[k > 0], first[k > 0], k[k > 0]))
-            used = np.bincount(first[k > 0] + pad, minlength=m) > 0
-            starts.append(np.flatnonzero(used[np.arange(N + 2 * pad - m + 1) % m]))
-        table = _qmean_table(values, projector, m, starts, q)
-        cubes_evaluated += math.prod(len(x) for x in starts)
+        values = np.pad(f.values, plan.pad) if plan.pad else f.values
+        table = _qmean_table(values, projector, m, plan, q)
+        cubes_evaluated += plan.cubes_evaluated
+        offsets_evaluated += plan.offsets_evaluated
         table = weight * table if p == INF else measure * (weight * table) ** p
         if exhaustive:
             table = table[: window.cells[0] - m + 1]
             val, at = _exhaustive_side(table, m, p)
-            offset, centers, terms = None, np.asarray([[x + m / 2.0] for x in at]), table[at]
+            found = (None, np.asarray([[x + m / 2.0] for x in at]), table[at])
         else:
-            offset, val, centers, terms = _best_tiling(table, m, pad, axes, p)
-            offsets_evaluated += math.prod(len(o) for o, _, _ in axes)
+            offset, val, layout, terms = _best_tiling(table, m, plan, p)
+            found = (offset, layout, terms)
         if val > best_value:
-            best_value, best = val, (m, offset, centers, terms)
+            best_value, best = val, (m, *found)
 
     if best is None:
         raise ValueError("search produced no admissible cube")
     side, offset, centers, terms = best
-    lower = np.asarray(window.lower)
+    if offset is not None:  # a tiling: its layout; under p = inf, its first maximal cube
+        centers = _tile_centers(centers, side)
+        if p == INF:
+            j = int(np.argmax(terms))
+            centers, terms = centers[j : j + 1], terms[j : j + 1]
     cubes = [
-        {"center": tuple(lower + np.atleast_1d(c) * h), "side": side * h, "term": float(t)}
-        for c, t in zip(centers, terms)
+        {"center": tuple(c), "side": side * h, "term": float(t)}
+        for c, t in zip(np.asarray(window.lower) + centers * h, terms)
     ]
     return NormReport(
         name=name,
@@ -502,55 +538,72 @@ def jn_partition_oracle(f: GridFunction, params: NormParams) -> float:
     return best_total ** (1.0 / params.p)
 
 
-def _ball_offsets(n: int, h: float, radius: float):
-    """K and the lattice offsets k with |k| h < radius, |k_a| <= K."""
-    K = math.ceil(radius / h) - 1
-    offs = grid_points([np.arange(-K, K + 1)] * n)
-    return K, offs[(offs**2).sum(axis=1) * h**2 < radius**2]
+class _BallPlan(NamedTuple):
+    """Geometry of the balls B(y, radius) on one window shape (see _ball_plan)."""
+
+    offsets: np.ndarray  # padded flat offsets of a ball's cells from its (2K+1)^n box corner
+    corners: np.ndarray  # per center: padded flat index of its box corner
+    inside: np.ndarray  # the padded frame's indicator of window cells, flat
+    counts: np.ndarray  # per center: cells of its ball inside the window
+    projector: Projector | None  # on the unclipped ball, relative to its center
+    gram: np.ndarray | None  # per center: Gram matrix on its clipped ball
+
+    def bands(self):
+        """Row bands of at most _BALL_BATCH entries (one center at least): the
+        centers' rows and, per center, the padded flat indices of its ball."""
+        step = max(1, _BALL_BATCH // self.offsets.size)
+        for lo in range(0, self.corners.size, step):
+            yield slice(lo, lo + step), self.corners[lo : lo + step, None] + self.offsets
 
 
 @functools.lru_cache(maxsize=32)
-def _ball_projector(n: int, s: int, h: float, radius: float) -> Projector:
-    """The projector of every ball B(y, radius) the window does not clip:
-    lattice offsets times h, relative to the ball center."""
-    return Projector(_ball_offsets(n, h, radius)[1] * h, s, None, radius)
+def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPlan:
+    """The balls of every center on a window of `cells`, which hold no
+    values: lattice offsets k with |k| h < radius into the frame padded by
+    K = ceil(radius/h) - 1 zeros per side, the clipped cell counts, and for
+    s not None the clipped Gram stack, checked once here."""
+    n = len(cells)
+    K = math.ceil(radius / h) - 1
+    grid = grid_points([np.arange(-K, K + 1)] * n)
+    offs = grid[(grid**2).sum(axis=1) * h**2 < radius**2]
+    padded = tuple(N + 2 * K for N in cells)
+    plan = _BallPlan(
+        np.ravel_multi_index(tuple((offs + K).T), padded),
+        np.ravel_multi_index(tuple(np.indices(cells).reshape(n, -1)), padded),
+        np.pad(np.ones(cells, dtype=bool), K).ravel(),
+        np.empty(math.prod(cells), dtype=int),
+        None if s is None else Projector(offs * h, s, None, radius),
+        None,
+    )
+    grams = []
+    for rows, at in plan.bands():
+        keep = plan.inside[at]
+        plan.counts[rows] = keep.sum(axis=1)
+        if s is not None:
+            grams.append(Projector(offs * h, s, None, radius, keep).gram)
+    return _frozen(plan._replace(gram=np.concatenate(grams) if grams else None))
 
 
 def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     """Per-center q-means over balls B(y, radius), y over all midpoints.
 
-    Returns (qmeans, counts).  Interior balls share cell geometry and run
-    batched through one projector.  Balls clipped by the window edge run as
-    masked stacks: each row keeps the offsets that stay inside the window.
+    Returns (qmeans, counts).  Every center reads its ball from the values
+    zero-padded by the plan's K cells, in row bands; a ball clipped by the
+    window edge is projected on the cells it keeps.
     """
     window = f.window
-    n = window.n
-    h = window.h
-    if not (math.isfinite(radius) and radius > 2 * h):
+    if not (math.isfinite(radius) and radius > 2 * window.h):
         raise ValueError("radius must be finite and exceed 2h")
-    K, offs = _ball_offsets(n, h, radius)
-    cells = np.asarray(window.cells)
-    flat_offs = offs @ np.asarray([int(np.prod(cells[a + 1 :])) for a in range(n)])
-    centers = np.stack(np.unravel_index(np.arange(window.cell_count), window.cells), axis=1)
-    interior = np.all((centers >= K) & (centers < cells - K), axis=1)
-    vals = f.flat
+    plan = _ball_plan(window.cells, window.h, radius, s)
+    vals = np.zeros(plan.inside.size)
+    vals[plan.inside] = f.flat
     qmeans = np.empty(window.cell_count)
-    counts = np.full(window.cell_count, offs.shape[0])
-    if interior.any():
-        batch = vals[np.nonzero(interior)[0][:, None] + flat_offs]
-        projector = None if s is None else _ball_projector(n, s, h, radius)
-        qmeans[interior] = _qmean(_residual(projector, batch), q)
-    boundary = np.nonzero(~interior)[0]
-    chunk = max(1, _BALL_BATCH // offs.shape[0])
-    for start in range(0, boundary.size, chunk):
-        c = boundary[start : start + chunk]
-        pos = centers[c][:, None, :] + offs
-        keep = np.all((pos >= 0) & (pos < cells), axis=2)
-        batch = np.where(keep, vals[np.where(keep, c[:, None] + flat_offs, 0)], 0.0)
-        counts[c] = keep.sum(axis=1)
-        resid = _residual(None if s is None else Projector(offs * h, s, None, radius, keep), batch)
-        qmeans[c] = _qmean(resid, q, counts[c])
-    return qmeans, counts
+    for rows, at in plan.bands():
+        batch = vals[at]
+        if plan.projector is not None:
+            batch = plan.projector.clipped(plan.inside[at], plan.gram[rows]).residual(batch)
+        qmeans[rows] = _qmean(batch, q, plan.counts[rows])
+    return qmeans, plan.counts
 
 
 def _ball_aggregate(f: GridFunction, p, q, alpha, s, radii, name) -> NormReport:
@@ -558,19 +611,21 @@ def _ball_aggregate(f: GridFunction, p, q, alpha, s, radii, name) -> NormReport:
     hn = window.cell_measure
     best_val = -1.0
     best_r = None
-    per_radius = {}
-    for r in radii:
-        qmeans, counts = _ball_sweep(f, float(r), s, q)
+    per_radius, offsets, clipped = {}, {}, {}
+    for r in map(float, radii):
+        qmeans, counts = _ball_sweep(f, r, s, q)
         meas = counts * hn
         terms = meas ** (-alpha) * qmeans if alpha != 0 else qmeans
         if p == INF:
             val = float(terms.max())
         else:
             val = float(((terms**p) * hn).sum() ** (1.0 / p))
-        per_radius[float(r)] = val
+        per_radius[r] = val
+        offsets[r] = int(_ball_plan(window.cells, window.h, r, s).offsets.size)
+        clipped[r] = int(np.count_nonzero(counts < offsets[r]))
         if val > best_val:
             best_val = val
-            best_r = float(r)
+            best_r = r
     return NormReport(
         name=name,
         value=best_val,
@@ -583,7 +638,10 @@ def _ball_aggregate(f: GridFunction, p, q, alpha, s, radii, name) -> NormReport:
         cubes=[],
         policy="restrict",
         grid_cells=window.cells,
-        diagnostics={"per_radius": per_radius, "centers": "all cell midpoints"},
+        diagnostics={
+            "engine": "zero-padded ball sweep", "per_radius": per_radius,
+            "centers": "all cell midpoints", "offsets": offsets, "clipped_centers": clipped,
+        },
     )
 
 
@@ -597,11 +655,9 @@ def rm_ball_seminorm(f: GridFunction, p: float, q: float, alpha: float, radii) -
 
 
 def amalgam_norm(f: GridFunction, p: float, q: float, r: float) -> float:
-    """Wiener-amalgam style norm: l^p over centers of ball L^q means."""
-    qmeans, _ = _ball_sweep(f, float(r), None, q)
-    if p == INF:
-        return float(qmeans.max())
-    return float(((qmeans**p) * f.window.cell_measure).sum() ** (1.0 / p))
+    """Wiener-amalgam style norm: l^p over centers of ball L^q means, which
+    is the Riesz-Morrey ball seminorm at alpha = 0 and the one radius r."""
+    return rm_ball_seminorm(f, p, q, 0.0, [r]).value
 
 
 @dataclass

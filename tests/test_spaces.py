@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jnlab.lattice import Ball, Cube, GridFunction, Window, region_mask
-from jnlab.polyproj import Polynomial
+from jnlab.polyproj import ConditioningError, Polynomial, Projector
 from jnlab.spaces import (
     NormParams,
     SearchConfig,
@@ -537,6 +537,92 @@ def test_ball_sweep_against_slow_reference():
             assert fast_q[i] == pytest.approx(slow, abs=1e-12)
 
 
+def lstsq_ball_sweep(f, radius, s, q):
+    """Per-center q-means and counts of the balls B(y, radius) inside the
+    window, each fitted on its own cells by lstsq."""
+    w = f.window
+    h = w.h
+    idx = np.stack(np.unravel_index(np.arange(w.cell_count), w.cells), axis=1)
+    gammas = [g for g in np.ndindex(*(3,) * w.n) if s is not None and sum(g) <= s]
+    qmeans, counts = [], []
+    for c in idx:
+        mask = ((idx - c) ** 2).sum(axis=1) * h**2 < radius**2
+        cells = f.flat[mask]
+        local = (idx[mask] - c) * h / radius
+        if gammas:
+            A = np.stack([np.prod(local**np.asarray(g), axis=1) for g in gammas], axis=1)
+            coef, *_ = np.linalg.lstsq(A, cells, rcond=None)
+            cells = cells - A @ coef
+        qmeans.append(np.abs(cells).max() if q == INF else np.mean(np.abs(cells) ** q) ** (1 / q))
+        counts.append(int(mask.sum()))
+    return np.asarray(qmeans), np.asarray(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.data(),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from([1.0, 1.5, 2.0, INF]),
+    st.sampled_from([1, 5, 64]),
+    st.integers(0, 10_000),
+)
+def test_ball_engine_matches_lstsq_reference(n, data, s, q, batch, seed):
+    from unittest import mock
+
+    from jnlab import spaces
+
+    cells = tuple(data.draw(st.integers(3, 40 if n == 1 else 10)) for _ in range(n))
+    # from just above 2h to beyond the window, where every ball is clipped
+    radius = data.draw(st.floats(2.001, 1.5 * max(cells))) / 16
+    w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
+    f = GridFunction(w, np.random.default_rng(seed).normal(size=cells))
+    spaces._ball_plan.cache_clear()  # bands of the tiny batch build the plan too
+    with mock.patch.object(spaces, "_BALL_BATCH", batch):
+        fast, counts = spaces._ball_sweep(f, radius, s, q)
+    slow, slow_counts = lstsq_ball_sweep(f, radius, s, q)
+    np.testing.assert_array_equal(counts, slow_counts)
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+
+
+def test_clipped_ball_raises_conditioning_error_on_every_call(monkeypatch):
+    from jnlab import polyproj
+    from jnlab.spaces import _ball_plan, _ball_sweep
+
+    w = Window(1, (0.0,), (1.0,), (16,))
+    f = GridFunction(w, np.random.default_rng(6).normal(size=16))
+    radius = 2.5 * w.h
+    # degree-1 Gram condition numbers: 2 for the unclipped 5-cell ball, about
+    # 10 for the 3 cells a window corner keeps
+    monkeypatch.setattr(polyproj, "COND_LIMIT", 5.0)
+    _ball_plan.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(ConditioningError):
+                _ball_sweep(f, radius, 1, 2.0)
+        assert _ball_plan.cache_info().currsize == 0
+        _ball_sweep(f, radius, 0, 2.0)  # a constant fits every clipped ball
+    finally:
+        _ball_plan.cache_clear()
+
+
+def test_ball_norm_diagnostics():
+    w = Window(1, (0.0,), (1.0,), (16,))
+    f = GridFunction(w, np.random.default_rng(3).normal(size=16))
+    radii = [3.5 * w.h, 20 * w.h]
+    for rep in (
+        jn_ball_seminorm(f, NormParams(2.0, 2.0, 1, 0.0), radii),
+        rm_ball_seminorm(f, 2.0, 2.0, 0.0, radii),
+    ):
+        d = rep.diagnostics
+        assert d["engine"] == "zero-padded ball sweep" and d["centers"] == "all cell midpoints"
+        assert list(d["per_radius"]) == radii and max(d["per_radius"].values()) == rep.value
+        # offsets -3..3 and -19..19; the first three and last three centers
+        # lose cells at radius 3.5h, every center at 20h
+        assert d["offsets"] == {radii[0]: 7, radii[1]: 39}
+        assert d["clipped_centers"] == {radii[0]: 6, radii[1]: 16}
+
+
 def test_zero_extend_equals_padded_restrict():
     rng = np.random.default_rng(3)
     N, pad = 16, 8
@@ -721,8 +807,19 @@ def test_engine_matches_per_offset_search(n, data, policy, stride, p, q, s, seed
     if not any(m**n >= (1 if s is None else s * n + 1) for m in sides):
         return  # no admissible side at all
     value, *_ = per_offset_search(f, p, q, s, alpha, search)
+    chunk_sizes = []  # per side: largest chunk, and the most the batch allows
+
+    def side_plan(cells, m, *rest):
+        plan = real_side_plan(cells, m, *rest)
+        chunk_sizes.append((max(len(at[0]) for at in plan.chunks), max(1, batch // m**n)))
+        return plan
+
+    real_side_plan = spaces._side_plan
     with mock.patch.object(spaces, "_TABLE_BATCH", batch):  # chunks of one cube and more
-        rep = _engine_search(f, p, q, s, alpha, search)
+        with mock.patch.object(spaces, "_side_plan", side_plan):
+            rep = _engine_search(f, p, q, s, alpha, search)
+    # the memoised side plans are keyed on the batch, so they were cut for it
+    assert chunk_sizes and all(size <= most for size, most in chunk_sizes)
     assert abs(rep.value - value) <= 1e-12 * value
     assert rep.recompute() == pytest.approx(rep.value, rel=1e-12)
 
@@ -788,18 +885,40 @@ def test_skipped_sides_carry_their_reason(monkeypatch):
     assert rep.argmax_side == pytest.approx(4 * w.h)
 
 
+def _plan_arrays(plan):
+    """Every array a memoised plan holds, its projector's included."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    if isinstance(plan, Projector):
+        return [plan.phi, plan.gram, plan._solved]
+    if isinstance(plan, (tuple, list)):
+        return [a for item in plan for a in _plan_arrays(item)]
+    return []
+
+
 def test_memoised_projectors_are_read_only_and_shared():
-    from jnlab.spaces import _ball_projector, _cube_projector
+    from jnlab.spaces import _ball_plan, _ball_sweep, _cube_projector, _side_plan
 
     w = Window(1, (0.0,), (1.0,), (64,))
-    for proj in (_cube_projector(2, 4, 1), _ball_projector(1, 0, w.h, 8 * w.h)):
-        for arr in (proj.phi, proj.gram, proj._solved):
+    f = GridFunction(w, np.random.default_rng(0).normal(size=64))
+    proj = _cube_projector(2, 4, 1)
+    assert proj.residual(np.ones((2, proj.phi.shape[0]))).flags.writeable
+    assert _ball_sweep(f, 8 * w.h, 1, 2.0)[0].flags.writeable
+    memos = [
+        (_cube_projector, (2, 4, 1)),
+        (_ball_plan, (w.cells, w.h, 8 * w.h, 1)),
+        (_ball_plan, ((12, 10), 0.1, 0.35, None)),
+        (_side_plan, ((16, 12), 4, "zero-extend", 1, "tiling", 1 << 14)),
+        (_side_plan, ((40,), 8, "restrict", 1, "exhaustive", 7)),
+    ]
+    for memo, key in memos:
+        arrays = _plan_arrays(memo(*key))
+        assert arrays
+        for arr in arrays:
             with pytest.raises(ValueError):
-                arr[0, ...] = 1.0
-        assert proj.residual(np.ones((2, proj.phi.shape[0]))).flags.writeable
-    assert _cube_projector(2, 4, 1) is _cube_projector(2, 4, 1)
-    assert _cube_projector.cache_info().maxsize is not None
-    assert _ball_projector.cache_info().maxsize is not None
+                arr.flat[0] = 1
+        assert memo(*key) is memo(*key)
+        assert memo.cache_info().maxsize is not None
 
 
 def test_search_config_rejects_fractional_sides():
