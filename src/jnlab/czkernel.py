@@ -78,7 +78,6 @@ class KernelSpec:
     kappa: callable | None = None
     modulation: callable | None = None
     modulation_slot: int = 1
-    antisymmetric: bool = False
 
     def __post_init__(self):
         if self.modulation_slot not in (1, 2):
@@ -126,11 +125,10 @@ def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
         kappa=None if kappa is None else (lambda u: kappa(0.0 - u)),
         modulation=kernel.modulation,
         modulation_slot=3 - kernel.modulation_slot,
-        antisymmetric=kernel.antisymmetric,
     )
 
 
-def _convolution(name, n, order, delta, dkappa, antisymmetric, dmod=None) -> KernelSpec:
+def _convolution(name, n, order, delta, dkappa, dmod=None) -> KernelSpec:
     """K(x, y) = a(x) kappa(x - y) from dkappa(gamma, u), the derivatives of
     kappa, and dmod(gamma, z), those of the modulation a (a = 1 when dmod is
     None).  The second slot's derivatives follow from the chain rule, the
@@ -150,7 +148,7 @@ def _convolution(name, n, order, delta, dkappa, antisymmetric, dmod=None) -> Ker
             name, n, order, delta,
             k=lambda x, y: kappa(x - y),
             d1=lambda g, x, y: dkappa(tuple(g), x - y),
-            d2=d2k, kappa=kappa, antisymmetric=antisymmetric,
+            d2=d2k, kappa=kappa,
         )
 
     def a(z):
@@ -169,7 +167,7 @@ def _convolution(name, n, order, delta, dkappa, antisymmetric, dmod=None) -> Ker
         k=lambda x, y: a(x) * kappa(x - y),
         d1=d1,
         d2=lambda g, x, y: a(x) * d2k(g, x, y),
-        kappa=kappa, modulation=a, antisymmetric=antisymmetric,
+        kappa=kappa, modulation=a,
     )
 
 
@@ -183,7 +181,7 @@ def _dhilbert(gamma, u):
 
 def hilbert_kernel(order: int = 4) -> KernelSpec:
     """K(x, y) = 1 / (x - y) on the line."""
-    return _convolution("hilbert", 1, order, 1.0, _dhilbert, True)
+    return _convolution("hilbert", 1, order, 1.0, _dhilbert)
 
 
 def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec:
@@ -219,7 +217,7 @@ def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec
             )
         raise ValueError("riesz derivatives implemented up to order 2")
 
-    return _convolution(f"riesz{j}", 2, order, 1.0, dkappa, True)
+    return _convolution(f"riesz{j}", 2, order, 1.0, dkappa)
 
 
 def perturbed_kernel(order: int = 4) -> KernelSpec:
@@ -234,7 +232,7 @@ def perturbed_kernel(order: int = 4) -> KernelSpec:
             return 2.0 + np.sin(z[..., 0])
         return np.sin(z[..., 0] + m * math.pi / 2.0)
 
-    return _convolution("perturbed", 1, order, 1.0, _dhilbert, False, dmod)
+    return _convolution("perturbed", 1, order, 1.0, _dhilbert, dmod)
 
 
 def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
@@ -257,7 +255,7 @@ def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
             out = out * (-1.0) ** g * herm(g, t) * np.exp(-t * t)
         return out
 
-    return _convolution("smooth_bump", n, order, 1.0, dkappa, False)
+    return _convolution("smooth_bump", n, order, 1.0, dkappa)
 
 
 def kernel_by_name(name: str, **params) -> KernelSpec:
@@ -293,15 +291,6 @@ def _truncated_raw(kernel, eval_pts, src_pts, src_w, eta) -> np.ndarray:
     out = np.zeros(eval_pts.shape[0])
     n_eval, n_src = eval_pts.shape[0], src_pts.shape[0]
     if n_src == 0:
-        return out
-    if n_src <= n_eval:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(n_src):
-                y = src_pts[i]
-                d2 = ((eval_pts - y) ** 2).sum(axis=1)
-                mask = d2 >= eta2
-                kv = kernel.k(eval_pts, np.broadcast_to(y, eval_pts.shape))
-                out[mask] += kv[mask] * src_w[i]
         return out
     chunk = max(1, _PAIR_BUDGET // n_src)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -23,6 +23,7 @@ from .lattice import (
     GridFunction,
     Window,
     annulus,
+    check_packing,
     lq_norm,
     moments,
     monomials,
@@ -143,6 +144,16 @@ def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification
     return AtomCertification(support_exact, norm_ratio, defects, scales, failures)
 
 
+def _certified_atom(window: Window, flat: np.ndarray, cube: Cube, params, what: str, seed=None) -> AtomRecord:
+    """The record of the atom with these flat values on the cube; raises
+    CertificationError naming `what` if validate_atom fails it."""
+    values = GridFunction(window, flat.reshape(window.cells))
+    cert = validate_atom(values, cube, params)
+    if not cert.passed:
+        raise CertificationError(f"{what} failed: {cert.failures}")
+    return AtomRecord(cube, params, values, seed, cert)
+
+
 def make_atom(
     seed: int,
     cube: Cube,
@@ -174,11 +185,8 @@ def make_atom(
         raise ZeroAtomError("projection removed the seed function entirely")
     bound = region_measure(window, cube) ** norm_exponent(params)
     resid *= bound / norm
-    a = GridFunction(window, resid.reshape(window.cells))
-    cert = validate_atom(a, cube, params)
-    if not cert.passed:
-        raise CertificationError(f"constructed atom failed: {cert.failures}")
-    return AtomRecord(cube, params, a, seed if seed_values is None else None, cert)
+    seed = seed if seed_values is None else None
+    return _certified_atom(window, resid, cube, params, "constructed atom", seed)
 
 
 @dataclass
@@ -493,12 +501,12 @@ def decompose_molecule(
     side_cells = round(cube.side / h)
     if abs(cube.side - side_cells * h) > 1e-9 * h:
         raise CertificationError("core cube side must be a whole number of cells")
-    core_count = int(np.count_nonzero(region_mask(window, cube)))
-    if core_count != side_cells**n:
+    # the dyadic cubes Q_j = 2^j Q and their masks, j = 0..l_max
+    cubes = [Cube(cube.center, cube.side * 2**j) for j in range(l_max + 1)]
+    inside = [region_mask(window, q) for q in cubes]
+    if int(np.count_nonzero(inside[0])) != side_cells**n:
         raise CertificationError("core cube must be cell-aligned inside the window")
-    outer = annulus(cube.center, cube.side, l_max).outer if l_max else cube
-    outer_count = int(np.count_nonzero(region_mask(window, outer)))
-    if outer_count != (side_cells * 2**l_max) ** n:
+    if int(np.count_nonzero(inside[l_max])) != (side_cells * 2**l_max) ** n:
         raise CertificationError(f"window does not fully contain level {l_max}")
 
     cert = validate_molecule(mol.values, cube, params, eps, l_max, moment_tol)
@@ -530,64 +538,45 @@ def decompose_molecule(
     core_partials = []
     for j in range(l_max + 1):
         lam_j = lam_core * decay**j
-        if not np.any(resids[j]):
-            core_partials.append(partial_core.copy())
-            continue
-        a_vals = resids[j] / lam_j
-        rec_gf = GridFunction(window, a_vals.reshape(window.cells))
-        support = Cube(cube.center, cube.side * 2**j)
-        cert_j = validate_atom(rec_gf, support, params)
-        if not cert_j.passed:
-            raise CertificationError(f"core atom at level {j} failed: {cert_j.failures}")
-        atoms.append(
-            DecompositionAtom(j, "core", None, lam_j, AtomRecord(support, params, rec_gf, None, cert_j))
-        )
-        partial_core = partial_core + lam_j * a_vals
-        core_partials.append(partial_core.copy())
+        if np.any(resids[j]):
+            a_vals = resids[j] / lam_j
+            rec = _certified_atom(window, a_vals, cubes[j], params, f"core atom at level {j}")
+            atoms.append(DecompositionAtom(j, "core", None, lam_j, rec))
+            partial_core = partial_core + lam_j * a_vals
+        core_partials.append(partial_core)
 
     # tail moments over the window beyond each dyadic cube
     eta = np.zeros((l_max + 1, len(gammas)))
     for j in range(l_max + 1):
-        outside = ~region_mask(window, Cube(cube.center, cube.side * 2**j))
+        outside = ~inside[j]
         eta[j] = moments(vals[outside], monomials(pts[outside], gammas), window.cell_measure)
 
     # correction pieces eta_nu^{(j)} [ psi^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi^{(j)} 1_{L_j} / |L_j| ]
     tilde_raw = {}
     tilde_norm_max = 0.0
     for j in range(l_max):
-        support = Cube(cube.center, cube.side * 2 ** (j + 1))
-        bound = decay**j * region_measure(window, support) ** c_exp
+        bound = decay**j * region_measure(window, cubes[j + 1]) ** c_exp
         for gi, g in enumerate(gammas):
             piece = _dual_step(levels, j, gi, window.cell_count) * eta[j, gi]
-            norm = lq_norm(GridFunction(window, piece), support, params.q)
-            tilde_raw[(j, g)] = (piece, norm, bound)
+            norm = lq_norm(GridFunction(window, piece), cubes[j + 1], params.q)
+            tilde_raw[(j, g)] = (piece, norm)
             if norm > 0:
                 tilde_norm_max = max(tilde_norm_max, norm / bound)
 
     c_tilde = tilde_norm_max * (1.0 + 1e-8)
     corr_partial = np.zeros(window.cell_count)
-    corr_partials = [corr_partial.copy()]  # corrections up to level l-1 for l = 0
+    corr_partials = [corr_partial]  # corrections up to level l-1 for l = 0
     for j in range(l_max):
         lam_t = c_tilde * decay**j
-        for gi, g in enumerate(gammas):
-            piece, norm, _ = tilde_raw[(j, g)]
+        for g in gammas:
+            piece, norm = tilde_raw[(j, g)]
             if norm == 0.0 or c_tilde == 0.0:
                 continue
-            support = Cube(cube.center, cube.side * 2 ** (j + 1))
-            a_vals = piece / lam_t
-            rec_gf = GridFunction(window, a_vals.reshape(window.cells))
-            cert_t = validate_atom(rec_gf, support, params)
-            if not cert_t.passed:
-                raise CertificationError(
-                    f"correction atom level {j}, nu={g} failed: {cert_t.failures}"
-                )
-            atoms.append(
-                DecompositionAtom(
-                    j, "correction", g, lam_t, AtomRecord(support, params, rec_gf, None, cert_t)
-                )
-            )
+            what = f"correction atom level {j}, nu={g}"
+            rec = _certified_atom(window, piece / lam_t, cubes[j + 1], params, what)
+            atoms.append(DecompositionAtom(j, "correction", g, lam_t, rec))
             corr_partial = corr_partial + piece
-        corr_partials.append(corr_partial.copy())
+        corr_partials.append(corr_partial)
 
     # tail term and reconstruction residual per level
     residuals = []
@@ -599,9 +588,8 @@ def decompose_molecule(
             tail[levels[l][1]] -= eta[l, gi] * psi
         if l == l_max:
             tail_term_top = tail
-        inside = region_mask(window, Cube(cube.center, cube.side * 2**l))
         recon = core_partials[l] + corr_partials[l] + tail
-        diff = np.where(inside, vals, 0.0) - recon
+        diff = np.where(inside[l], vals, 0.0) - recon
         residuals.append(float(np.abs(diff).sum()) * window.cell_measure / max(m_l1, 1e-300))
 
     p = params.p
@@ -633,16 +621,8 @@ def hk_upper_bound(groups, p: float) -> float:
     for group in groups:
         if not group:
             continue
-        sides = [rec.cube.side for _, rec in group]
-        if any(abs(s0 - sides[0]) > 1e-12 * sides[0] for s0 in sides):
-            raise ValueError("polymer group mixes cube side lengths")
-        for i in range(len(group)):
-            for k in range(i + 1, len(group)):
-                ci = np.asarray(group[i][1].cube.center)
-                ck = np.asarray(group[k][1].cube.center)
-                half = (group[i][1].cube.side + group[k][1].cube.side) / 2.0
-                if np.all(np.abs(ci - ck) < half - 1e-12 * half):
-                    raise ValueError("polymer group has overlapping support cubes")
+        cubes = [rec.cube for _, rec in group]
+        check_packing(cubes, cubes[0].side, "polymer group")
         lams = np.asarray([abs(l) for l, _ in group])
         total += float((lams**p).sum() ** (1.0 / p)) if p != INF else float(lams.max())
     return total

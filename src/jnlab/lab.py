@@ -249,31 +249,45 @@ def make_family(kind: str, window: Window, count: int, seed: int, params: NormPa
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
-def _family_refined(config: ExperimentConfig, window: Window, params) -> list[GridFunction]:
-    return make_family(
-        config.family.get("kind", "random-osc"),
-        window,
-        int(config.family.get("count", 20)),
-        int(config.family.get("seed", 7)),
-        params,
-    )
-
-
 def _central_correction(window: Window, s: int) -> CorrectionSpec:
     return CorrectionSpec(tuple(window.center), 0.375 * window.span, s)
 
 
 def _ratio_rows(values):
+    """Rows of (numerator, denominator) pairs and the list of their finite
+    ratios; a vanishing denominator gives a skipped row, never an infinity."""
     rows = []
     for i, (num, den) in enumerate(values):
-        if den <= 1e-12 * max(1.0, abs(num)):
-            rows.append({"case": i, "numerator": num, "denominator": den, "ratio": "", "status": "skipped"})
-        else:
-            rows.append(
-                {"case": i, "numerator": num, "denominator": den, "ratio": num / den, "status": "ok"}
-            )
-    finite = [r["ratio"] for r in rows if r["status"] == "ok"]
-    return rows, (max(finite) if finite else 0.0)
+        skip = den <= 1e-12 * max(1.0, abs(num))
+        ratio, status = ("", "skipped") if skip else (num / den, "ok")
+        rows.append({"case": i, "numerator": num, "denominator": den, "ratio": ratio, "status": status})
+    return rows, [r["ratio"] for r in rows if r["status"] == "ok"]
+
+
+def _family_ratios(config: ExperimentConfig, win: Window, params, pairs_of) -> list:
+    """_ratio_rows of each ratio over the family sampled on win (the window
+    or its refinement); pairs_of(f) gives one (numerator, denominator) pair
+    per ratio for the family member f."""
+    count = int(config.family.get("count", 20))
+    if count < 1:
+        raise ConfigError("the test family needs at least one function")
+    kind, seed = config.family.get("kind", "random-osc"), int(config.family.get("seed", 7))
+    pairs = [pairs_of(f) for f in make_family(kind, win, count, seed, params)]
+    return [_ratio_rows(column) for column in zip(*pairs)]
+
+
+def _refine_check(config: ExperimentConfig, coarse: float, fine: float, violations: list, message: str):
+    """The factor hi/lo between a statistic on the window and on its
+    refinement; a zero statistic or a factor above tol("refine_factor", 2.0)
+    appends the violation."""
+    lo, hi = sorted([coarse, fine])
+    if lo == 0 or hi / lo > config.tol("refine_factor", 2.0):
+        violations.append(message)
+    return hi / lo if lo > 0 else INF
+
+
+def _result(name: str, rows: list, summary: dict, violations: list, config: ExperimentConfig):
+    return ExperimentResult(name, rows, summary, not violations, violations, asdict(config), _environment())
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +299,24 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
     refinement-stability check and the monomial blow-up indicator."""
     window = config.build_window()
     params = config.build_params()
-    kernel = config.build_kernel()
-    tilde = kernel_transpose(kernel)
+    tilde = kernel_transpose(config.build_kernel())
     search = SearchConfig()
 
-    def ratios_on(win: Window):
-        corr = _central_correction(win, params.s)
-        pairs = []
-        for f in _family_refined(config, win, params):
-            tf = apply_modified(tilde, corr, f).result
-            num = jn_con_norm(tf, params, search).value
-            den = jn_con_norm(f, params, search).value
-            pairs.append((num, den))
-        return pairs
+    def pairs(f):
+        tf = apply_modified(tilde, _central_correction(f.window, params.s), f).result
+        return ((jn_con_norm(tf, params, search).value, jn_con_norm(f, params, search).value),)
 
-    rows, max_ratio = _ratio_rows(ratios_on(window))
+    ((rows, ratios),) = _family_ratios(config, window, params, pairs)
+    max_ratio = max(ratios, default=0.0)
     summary = {"max_ratio": max_ratio}
     violations = []
     if config.refine:
-        _, max_fine = _ratio_rows(ratios_on(window.refine()))
-        summary["max_ratio_refined"] = max_fine
-        lo, hi = sorted([max_ratio, max_fine])
-        summary["refinement_factor"] = hi / lo if lo > 0 else INF
-        if lo == 0 or hi / lo > config.tol("refine_factor", 2.0):
-            violations.append("max ratio unstable under grid refinement")
+        ((_, fine),) = _family_ratios(config, window.refine(), params, pairs)
+        summary["max_ratio_refined"] = max(fine, default=0.0)
+        summary["refinement_factor"] = _refine_check(
+            config, max_ratio, summary["max_ratio_refined"], violations,
+            "max ratio unstable under grid refinement",
+        )
 
     # monomial indicator: images of x^gamma must stay polynomial iff the
     # kernel has vanishing moments
@@ -322,11 +330,7 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
         )
         mono_rows.append({"case": f"monomial {g}", "numerator": dist, "denominator": 1.0, "ratio": dist, "status": "ok"})
     summary["monomial_poly_distance_max"] = max(r["ratio"] for r in mono_rows)
-
-    return ExperimentResult(
-        "jn_boundedness", rows + mono_rows, summary, not violations, violations,
-        asdict(config), _environment(),
-    )
+    return _result("jn_boundedness", rows + mono_rows, summary, violations, config)
 
 
 def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
@@ -336,31 +340,22 @@ def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
     params = config.build_params()
     kernel = config.build_kernel()
     search = SearchConfig()
+    p, q, alpha = params.p, params.q, params.alpha
     radius = config.radii[0] if config.radii else 8 * window.h
 
-    def ratios_on(win: Window):
-        rm_pairs, am_pairs = [], []
-        r = max(radius, 3 * win.h)
-        for f in _family_refined(config, win, params):
-            tf = apply_cz(kernel, f).result
-            rm_pairs.append(
-                (
-                    rm_con_norm(tf, params.p, params.q, params.alpha, search).value,
-                    rm_con_norm(f, params.p, params.q, params.alpha, search).value,
-                )
-            )
-            am_pairs.append(
-                (amalgam_norm(tf, params.p, params.q, r), amalgam_norm(f, params.p, params.q, r))
-            )
-        return rm_pairs, am_pairs
+    def rm_pair(f, tf):
+        return rm_con_norm(tf, p, q, alpha, search).value, rm_con_norm(f, p, q, alpha, search).value
 
-    rm_pairs, am_pairs = ratios_on(window)
-    rm_rows, rm_max = _ratio_rows(rm_pairs)
-    am_rows, am_max = _ratio_rows(am_pairs)
-    for row in rm_rows:
-        row["norm"] = "rm_con"
-    for row in am_rows:
-        row["norm"] = "amalgam"
+    def pairs(f):
+        tf = apply_cz(kernel, f).result
+        r = max(radius, 3 * f.window.h)
+        return rm_pair(f, tf), (amalgam_norm(tf, p, q, r), amalgam_norm(f, p, q, r))
+
+    (rm_rows, rm_ratios), (am_rows, am_ratios) = _family_ratios(config, window, params, pairs)
+    rm_max, am_max = max(rm_ratios, default=0.0), max(am_ratios, default=0.0)
+    for name, table in (("rm_con", rm_rows), ("amalgam", am_rows)):
+        for row in table:
+            row["norm"] = name
     summary = {"max_rm_ratio": rm_max, "max_amalgam_ratio": am_max}
     violations = []
     if rm_max > 0 and am_max > 0:
@@ -369,16 +364,15 @@ def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
         if agree > config.tol("rm_amalgam_factor", 4.0):
             violations.append("amalgam and cube-aggregate ratios disagree beyond factor 4")
     if config.refine:
-        rm2, am2 = ratios_on(window.refine())
-        _, rm_max2 = _ratio_rows(rm2)
-        summary["max_rm_ratio_refined"] = rm_max2
-        lo, hi = sorted([rm_max, rm_max2])
-        if lo == 0 or hi / lo > config.tol("refine_factor", 2.0):
-            violations.append("cube-aggregate ratio unstable under refinement")
-    return ExperimentResult(
-        "rm_boundedness", rm_rows + am_rows, summary, not violations, violations,
-        asdict(config), _environment(),
-    )
+        ((_, fine),) = _family_ratios(
+            config, window.refine(), params, lambda f: (rm_pair(f, apply_cz(kernel, f).result),)
+        )
+        summary["max_rm_ratio_refined"] = max(fine, default=0.0)
+        _refine_check(
+            config, rm_max, summary["max_rm_ratio_refined"], violations,
+            "cube-aggregate ratio unstable under refinement",
+        )
+    return _result("rm_boundedness", rm_rows + am_rows, summary, violations, config)
 
 
 def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
@@ -387,32 +381,29 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
     params = config.build_params()
     search = SearchConfig()
     bracket = config.tol("bracket", 64.0)
+    p, q, alpha = params.p, params.q, params.alpha
 
-    def sweep(win: Window):
-        radii = config.radii or [win.h * 2**k for k in range(2, 7) if win.h * 2**k < win.span]
-        jn_ratios, rm_ratios = [], []
-        for f in _family_refined(config, win, params):
-            den = jn_con_norm(f, params, search).value
-            num = jn_ball_seminorm(f, params, radii).value
-            if den > 1e-12:
-                jn_ratios.append(num / den)
-            den = rm_con_norm(f, params.p, params.q, params.alpha, search).value
-            num = rm_ball_seminorm(f, params.p, params.q, params.alpha, radii).value
-            if den > 1e-12:
-                rm_ratios.append(num / den)
-        return jn_ratios, rm_ratios
+    def pairs(f):
+        h, span = f.window.h, f.window.span
+        radii = config.radii or [h * 2**k for k in range(2, 7) if h * 2**k < span]
+        jn_den = jn_con_norm(f, params, search).value
+        jn = (jn_ball_seminorm(f, params, radii).value, jn_den)
+        rm_den = rm_con_norm(f, p, q, alpha, search).value
+        return jn, (rm_ball_seminorm(f, p, q, alpha, radii).value, rm_den)
 
-    jn_r, rm_r = sweep(window)
+    base = _family_ratios(config, window, params, pairs)
     rows = [
-        {"case": i, "norm": "jn", "ratio": r, "status": "ok"} for i, r in enumerate(jn_r)
-    ] + [{"case": i, "norm": "rm", "ratio": r, "status": "ok"} for i, r in enumerate(rm_r)]
+        {"case": r["case"], "norm": name, "ratio": r["ratio"], "status": r["status"]}
+        for name, (table, _) in zip(("jn", "rm"), base)
+        for r in table
+    ]
     summary = {}
     violations = []
     # a user-supplied radius set that cannot resolve the window is reported as
     # search insufficiency, not as a property failure
     insufficient = bool(config.radii) and (len(config.radii) < 3 or max(config.radii) < window.span / 8)
     summary["search_insufficiency"] = insufficient
-    for name, ratios in (("jn", jn_r), ("rm", rm_r)):
+    for name, (_, ratios) in zip(("jn", "rm"), base):
         if not ratios:
             summary[f"{name}_bracket"] = "skipped"
             continue
@@ -427,21 +418,23 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
             else:
                 violations.append(f"{name} ball/cube ratio spread {spread:.3g} exceeds bracket {bracket}")
     if config.refine:
-        jn2, rm2 = sweep(window.refine())
-        for name, base, fine in (("jn", jn_r, jn2), ("rm", rm_r, rm2)):
-            if not base or not fine:
+        fine = _family_ratios(config, window.refine(), params, pairs)
+        for name, (_, coarse), (_, refined) in zip(("jn", "rm"), base, fine):
+            if not coarse or not refined:
                 continue
-            for stat, b, f2 in (("min", min(base), min(fine)), ("max", max(base), max(fine))):
-                lo, hi = sorted([b, f2])
-                summary[f"{name}_{stat}_refine_factor"] = hi / lo if lo > 0 else INF
-                if lo == 0 or hi / lo > config.tol("refine_factor", 2.0):
-                    violations.append(f"{name} bracket {stat} moved beyond factor 2 under refinement")
-    return ExperimentResult(
-        "equivalence", rows, summary, not violations, violations, asdict(config), _environment(),
-    )
+            for stat in (min, max):
+                summary[f"{name}_{stat.__name__}_refine_factor"] = _refine_check(
+                    config, stat(coarse), stat(refined), violations,
+                    f"{name} bracket {stat.__name__} moved beyond factor 2 under refinement",
+                )
+    return _result("equivalence", rows, summary, violations, config)
 
 
-def _atom_image_setup(config: ExperimentConfig):
+def _atom_image_setup(config: ExperimentConfig, diagonal: bool):
+    """Window, parameters, kernel, the atoms' support cube, epsilon, and the
+    molecule centre cube with its deepest dyadic level j_max.  The centre
+    cube is twice the support cube, times sqrt(n) when `diagonal`, snapped
+    to whole cells."""
     window = config.build_window()
     params = config.build_params()
     kernel = config.build_kernel()
@@ -454,7 +447,10 @@ def _atom_image_setup(config: ExperimentConfig):
         if win_eps.empty:
             raise ConfigError("epsilon window is empty for these parameters")
         eps = float(win_eps.midpoint())
-    return window, params, kernel, cube, float(eps)
+    center_side = cube.side * (2 * math.sqrt(n) if diagonal else 2)
+    center_cells = max(2, round(center_side / window.h))
+    j_max = int(math.floor(math.log2(min(window.cells) / center_cells)))
+    return window, params, kernel, cube, float(eps), Cube(cube.center, center_cells * window.h), j_max
 
 
 def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, window) -> tuple:
@@ -469,10 +465,12 @@ def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, wind
     """
     ta = apply_truncated(kernel, atom.values, window.h, eval_window=window)
     half = window.padded(0.5) if min(window.cells) >= 8 else window
-    ta_half = apply_truncated(kernel, atom.values, window.h, eval_window=half)
+    # a truncated sum at a cell does not depend on which other cells are
+    # evaluated, so the image on the half window is a slice of the full one
+    ta_half = ta.values[tuple(slice(o, o + c) for o, c in zip(half.lattice_offset(window), half.cells))]
     gammas = multi_indices(window.n, params.s)
     fulls = moments(ta.flat, monomials(window.midpoints(), gammas), window.cell_measure)
-    halves = moments(ta_half.flat, monomials(half.midpoints(), gammas), half.cell_measure)
+    halves = moments(ta_half.reshape(-1), monomials(half.midpoints(), gammas), half.cell_measure)
     m_l1 = float(np.abs(ta.flat).sum()) * window.cell_measure
     defects = {}
     decaying = True
@@ -491,28 +489,18 @@ def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, wind
 
 def run_atom_image(config: ExperimentConfig) -> ExperimentResult:
     """Operator images of atoms certify as molecules with one constant."""
-    window, params, kernel, cube, eps = _atom_image_setup(config)
+    window, params, kernel, cube, eps, center_cube, j_max = _atom_image_setup(config, diagonal=True)
     count = int(config.family.get("count", 10))
     seed = int(config.family.get("seed", 7))
-    sqrt_n = math.sqrt(window.n)
-    center_side = cube.side * (2 if window.n == 1 else 2 * sqrt_n)
-    # snap the molecule's center cube to whole cells
-    center_cells = max(2, round(center_side / window.h))
-    center_cube = Cube(cube.center, center_cells * window.h)
-    j_max = int(math.floor(math.log2(min(window.cells) / center_cells)))
     rows = []
-    constants = []
     images = []
-    pre_defects = []
     violations = []
     for i in range(count):
         atom = make_atom(seed + i, cube, params, window)
         ta, cert, c_needed, info = _operator_molecule(
             kernel, atom, center_cube, params, eps, j_max, window
         )
-        constants.append(c_needed)
         images.append(ta)
-        pre_defects.append(info["pre_repair_defect"])
         moments_pass = not any("moment" in f for f in cert.failures)
         if not moments_pass:
             violations.append(f"atom {i} image breaks the moment condition (structural defect)")
@@ -527,7 +515,7 @@ def run_atom_image(config: ExperimentConfig) -> ExperimentResult:
                 "repaired": info["repaired"],
             }
         )
-    c_family = max(constants)
+    c_family = max(r["constant_needed"] for r in rows)
     # one constant must certify every image: rescale by the family constant
     for i, ta in enumerate(images):
         cert = validate_molecule(ta * (1.0 / c_family), center_cube, params, eps, j_max)
@@ -537,11 +525,9 @@ def run_atom_image(config: ExperimentConfig) -> ExperimentResult:
         "epsilon": eps,
         "family_constant": c_family,
         "j_max": j_max,
-        "max_pre_repair_defect": max(pre_defects) if pre_defects else 0.0,
+        "max_pre_repair_defect": max(r["pre_repair_defect"] for r in rows),
     }
-    return ExperimentResult(
-        "atom_image", rows, summary, not violations, violations, asdict(config), _environment(),
-    )
+    return _result("atom_image", rows, summary, violations, config)
 
 
 def run_duality(config: ExperimentConfig) -> ExperimentResult:
@@ -601,64 +587,51 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     if max_mm > tol:
         violations.append(f"pairing mismatch {max_mm:.3e} exceeds {tol}")
     summary = {"max_mismatch": max_mm, "padding_doubling_drift": drift}
-    return ExperimentResult(
-        "duality", rows, summary, not violations, violations, asdict(config), _environment(),
-    )
+    return _result("duality", rows, summary, violations, config)
 
 
 def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
     """Decompose generated molecules and operator images; check residuals,
     coefficient sums against the geometric bound, and bound uniformity."""
-    window, params, kernel, cube, eps = _atom_image_setup(config)
+    window, params, kernel, cube, eps, center_cube, j_max = _atom_image_setup(config, diagonal=False)
     count = int(config.family.get("count", 5))
     seed = int(config.family.get("seed", 7))
     res_tol = config.tol("residual", 1e-6)
-    center_cells = max(2, round(cube.side * 2 / window.h))
-    center_cube = Cube(cube.center, center_cells * window.h)
-    j_max = int(math.floor(math.log2(min(window.cells) / center_cells)))
+    rows = []
+    violations = []
 
-    def row(case, rep) -> dict:
-        return {
-            "case": case,
+    def record(kind: str, i: int, rep) -> None:
+        worst = max(rep.residuals)
+        rows.append({
+            "case": f"{kind}-{i}",
             "hk_bound": hk_upper_bound(rep.hk_groups(), params.p),
-            "max_residual": max(rep.residuals),
+            "max_residual": worst,
             "coef_p_sum": rep.coef_p_sum_core,
             "geometric_bound": rep.geometric_bound,
             "atoms": len(rep.atoms),
-        }
+        })
+        if worst > res_tol:
+            violations.append(f"{kind} {i}: reconstruction residual {worst:.3e} exceeds {res_tol}")
 
-    rows = []
-    bounds_images = []
-    violations = []
     for i in range(count):
         atom = make_atom(seed + i, cube, params, window)
-        ta, cert, c_needed, _ = _operator_molecule(
-            kernel, atom, center_cube, params, eps, j_max, window
-        )
-        mol = MoleculeRecord(center_cube, params, eps, ta * (1.0 / c_needed),
-                             validate_molecule(ta * (1.0 / c_needed), center_cube, params, eps, j_max))
-        rep = decompose_molecule(mol, j_max)
-        rows.append(row(f"image-{i}", rep))
-        bounds_images.append(rows[-1]["hk_bound"])
-        worst = rows[-1]["max_residual"]
-        if worst > res_tol:
-            violations.append(f"image {i}: reconstruction residual {worst:.3e} exceeds {res_tol}")
+        ta, _, c_needed, _ = _operator_molecule(kernel, atom, center_cube, params, eps, j_max, window)
+        image = ta * (1.0 / c_needed)
+        cert = validate_molecule(image, center_cube, params, eps, j_max)
+        rep = decompose_molecule(MoleculeRecord(center_cube, params, eps, image, cert), j_max)
+        record("image", i, rep)
         if rep.coef_p_sum_core > rep.geometric_bound * (1 + 1e-9):
             violations.append(f"image {i}: coefficient sum exceeds the geometric bound")
     for i in range(count):
         mol = make_molecule(seed + 500 + i, center_cube, params, eps, window, j_max)
-        rows.append(row(f"molecule-{i}", decompose_molecule(mol, j_max)))
-        worst = rows[-1]["max_residual"]
-        if worst > res_tol:
-            violations.append(f"molecule {i}: reconstruction residual {worst:.3e} exceeds {res_tol}")
+        record("molecule", i, decompose_molecule(mol, j_max))
+    bounds_images = [r["hk_bound"] for r in rows[:count]]
     summary = {"max_image_bound": max(bounds_images), "min_image_bound": min(bounds_images)}
     spread = summary["max_image_bound"] / summary["min_image_bound"] if summary["min_image_bound"] > 0 else INF
     summary["image_bound_spread"] = spread
     if spread > config.tol("bound_spread", 4.0):
         violations.append(f"operator-image bounds spread {spread:.3g} beyond factor 4")
-    return ExperimentResult(
-        "decomposition", rows, summary, not violations, violations, asdict(config), _environment(),
-    )
+    return _result("decomposition", rows, summary, violations, config)
 
 
 EXPERIMENTS = {

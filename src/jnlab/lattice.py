@@ -30,6 +30,7 @@ __all__ = [
     "Region",
     "annulus",
     "double_shell",
+    "check_packing",
     "region_mask",
     "region_measure",
     "grid_points",
@@ -453,6 +454,20 @@ def moments(values: np.ndarray, columns: np.ndarray, cell_measure: float) -> lis
     """Midpoint-rule moments: the sums of values * column * cell_measure over
     the cells, one per column of `columns` (e.g. a :func:`monomials` matrix)."""
     return [float((values * col).sum()) * cell_measure for col in columns.T]
+
+
+def check_packing(cubes, side: float, what: str) -> None:
+    """Raise ValueError unless the cubes all have this side and are interior
+    pairwise disjoint.  Two such cubes overlap iff their centers are closer
+    than a side on every axis; a chunk of rows i meets every j > i at once."""
+    if any(abs(c.side - side) > 1e-12 * side for c in cubes):
+        raise ValueError(f"{what} cubes must be congruent")
+    ctr = np.asarray([c.center for c in cubes], dtype=float)
+    chunk = max(1, (1 << 18) // len(ctr))
+    for i in range(0, len(ctr), chunk):
+        near = np.all(np.abs(ctr[i : i + chunk, None] - ctr) < side * (1 - 1e-12), axis=2)
+        if np.triu(near, i + 1).any():
+            raise ValueError(f"{what} cubes must be interior disjoint")
 
 
 def region_mask(window: Window, region: Region) -> np.ndarray:

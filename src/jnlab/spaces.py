@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, grid_points, region_mask, whole_number
+from .lattice import Ball, Cube, GridFunction, Window, check_packing, grid_points, region_mask, whole_number
 from .polyproj import (
     ConditioningError,
     Projector,
@@ -224,17 +224,7 @@ class PartitionSpec:
     def __post_init__(self):
         if not self.cubes:
             raise ValueError("a partition needs at least one cube")
-        for c in self.cubes:
-            if abs(c.side - self.side) > 1e-12 * self.side:
-                raise ValueError("partition cubes must be congruent")
-        # two cubes overlap iff their centers are closer than a side on every
-        # axis; a chunk of rows i meets every j > i at once
-        ctr = np.asarray([cube.center for cube in self.cubes], dtype=float)
-        chunk = max(1, (1 << 18) // len(ctr))
-        for i in range(0, len(ctr), chunk):
-            near = np.all(np.abs(ctr[i : i + chunk, None] - ctr) < self.side * (1 - 1e-12), axis=2)
-            if np.triu(near, i + 1).any():
-                raise ValueError("partition cubes must be interior disjoint")
+        check_packing(self.cubes, self.side, "partition")
 
 
 def partition(window: Window, side_cells: int, offset, policy: str = "restrict") -> PartitionSpec:

@@ -791,3 +791,21 @@ def test_frame_reports_independent_of_band_size(monkeypatch):
         for key in ("lhs", "rhs", "half_padding_lhs"):
             assert abs(a[key] - b[key]) <= 1e-12 * scale
     assert np.max(np.abs(img_b - img)) <= 1e-12 * np.max(np.abs(img))
+
+
+@pytest.mark.parametrize(
+    "K, cells",
+    [(hilbert_kernel(), 512), (perturbed_kernel(), 512), (riesz_kernel(0, 2), 128), (riesz_kernel(0, 2), 32)],
+)
+def test_half_window_image_is_slice_of_full(K, cells):
+    # the atom-image triage reads T(atom) on window.padded(0.5) as a slice of
+    # T(atom) on the window: both must be the same sums, bit for bit
+    n = K.n
+    w = Window(n, (-2.0,) * n, (2.0,) * n, (cells,) * n)
+    atom = make_atom(3, Cube((0.0,) * n, 0.25 if cells > 32 else 0.5), NormParams(2.0, 2.0, 1, 0.25), w)
+    dense = GridFunction(w, np.random.default_rng(cells).normal(size=(cells,) * n))
+    half = w.padded(0.5)
+    part = tuple(slice(o, o + c) for o, c in zip(half.lattice_offset(w), half.cells))
+    for f in (atom.values, dense):
+        full = apply_truncated(K, f, w.h, eval_window=w)
+        assert np.array_equal(apply_truncated(K, f, w.h, eval_window=half).values, full.values[part])

@@ -86,6 +86,26 @@ def test_constant_family_rows_skipped():
     assert len(skipped) == 3  # polynomial inputs have zero oscillation norm
 
 
+def test_equivalence_keeps_skipped_rows():
+    # constants have zero jn oscillation: each keeps its family index as a
+    # skipped row, and the jn bracket is skipped, not computed from nothing
+    cfg = ExperimentConfig(
+        experiment="equivalence",
+        window={"n": 1, "lower": [0.0], "upper": [1.0], "cells": [64]},
+        params={"p": 2.0, "q": 2.0, "s": 0, "alpha": 0.0},
+        family={"kind": "polynomial", "count": 3, "seed": 1},
+        refine=False,
+    )
+    res = run_experiment("equivalence", cfg)
+    jn = [r for r in res.rows if r["norm"] == "jn"]
+    assert [(r["case"], r["ratio"], r["status"]) for r in jn] == [(i, "", "skipped") for i in range(3)]
+    assert [r["case"] for r in res.rows if r["norm"] == "rm"] == [0, 1, 2]
+    assert res.summary["jn_bracket"] == "skipped" and "rm_ratio_max" in res.summary
+    cfg.family = {"kind": "polynomial", "count": 0, "seed": 1}
+    with pytest.raises(ConfigError, match="at least one function"):
+        run_experiment("equivalence", cfg)
+
+
 def test_equivalence_search_insufficiency_mode():
     cfg = ExperimentConfig(
         experiment="equivalence",
