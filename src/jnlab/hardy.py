@@ -29,8 +29,9 @@ from .lattice import (
     monomials,
     region_mask,
     region_measure,
+    whole_number,
 )
-from .polyproj import Projector, dual_basis, multi_indices
+from .polyproj import Projector, multi_indices
 
 __all__ = [
     "ParameterError",
@@ -226,6 +227,7 @@ def validate_molecule(
     moment_tol: float = ATOM_MOMENT_RTOL,
 ) -> MoleculeCertification:
     """Per-annulus decay margins, core margin, and global moment defects."""
+    j_max = whole_number(j_max, "j_max")
     window = values.window
     c = norm_exponent(params)
     if c >= 0:
@@ -257,38 +259,40 @@ def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
     the same moments, leaving the tails untouched.
     """
     window = values.window
-    mask = region_mask(window, cube)
-    pts = window.midpoints()
-    duals = dual_basis(window, cube, s)
-    measure = region_measure(window, cube)
-    m = moments(values.flat, monomials(pts, multi_indices(window.n, s)), window.cell_measure)
+    mask, _, duals, measure = _annulus_levels(window, cube, s, 0)[0]
+    cols = np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)], axis=1)
+    m = moments(values.flat, cols, window.cell_measure)
     # moments must be removed jointly: build the correction, then subtract
     corr = np.zeros(window.cell_count)
     for m_nu, psi in zip(m, duals):
-        corr[mask] += m_nu * psi(pts[mask]) / measure
+        corr[mask] += m_nu * psi / measure
     return GridFunction(window, (values.flat - corr).reshape(window.cells))
 
 
-def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> list:
-    """Per dyadic level j <= j_max: the annulus L_j, its mask, and the dual
-    polynomials psi_nu / |L_j| on the cells of L_j."""
-    pts = window.midpoints()
+def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int, inside=None) -> list:
+    """The dyadic ladder around the core cube Q, each level j <= j_max built once:
+    the mask of L_j = Q_j minus Q_{j-1} (Q_0 at j = 0; Q_j = 2^j Q), the projector
+    on its cells, the duals psi_nu there (each caller divides them by |L_j| at its
+    own place in the product) and |L_j|.  `inside` holds the Q_j masks if known."""
+    cubes = [cube.dilate(2**j) for j in range(j_max + 1)]
+    inside = [region_mask(window, q) for q in cubes] if inside is None else inside
     levels = []
-    for j in range(j_max + 1):
-        region = annulus(cube.center, cube.side, j)
-        mask = region_mask(window, region)
+    for j, q in enumerate(cubes):
+        mask = inside[j] & ~inside[j - 1] if j else inside[0]
         if not mask.any():
             raise ValueError(f"window does not reach annulus level {j}")
-        measure = float(mask.sum()) * window.cell_measure
-        levels.append((region, mask, [psi(pts[mask]) / measure for psi in dual_basis(window, region, s)]))
+        pts = window.cell_midpoints(np.flatnonzero(mask))
+        proj = Projector(pts, s, q.center, q.scale)
+        levels.append((mask, proj, [psi(pts) for psi in proj.bases()[1]], float(mask.sum()) * window.cell_measure))
     return levels
 
 
 def _dual_step(levels, j: int, nu: int, size: int) -> np.ndarray:
     """psi_nu^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi_nu^{(j)} 1_{L_j} / |L_j|."""
+    (hi, _, psi_hi, m_hi), (lo, _, psi_lo, m_lo) = levels[j + 1], levels[j]
     out = np.zeros(size)
-    out[levels[j + 1][1]] = levels[j + 1][2][nu]
-    out[levels[j][1]] -= levels[j][2][nu]
+    out[hi] = psi_hi[nu] / m_hi
+    out[lo] -= psi_lo[nu] / m_lo
     return out
 
 
@@ -310,17 +314,19 @@ def make_molecule(
     """
     if params.q == INF:
         raise ParameterError("q = inf molecules are excluded")
+    j_max = whole_number(j_max, "j_max")
     rng = np.random.default_rng(seed)
     c = norm_exponent(params)
-    core_bound = region_measure(window, cube) ** c
     total = np.zeros(window.cell_count)
     levels = _annulus_levels(window, cube, params.s, j_max)
+    regions = [annulus(cube.center, cube.side, j) for j in range(j_max + 1)]
+    core_bound = levels[0][3] ** c
     bounds = [core_bound * (2.0 ** (j * window.n / epsilon * c) if j else 1.0) for j in range(j_max + 1)]
-    for j, (region, mask, _) in enumerate(levels):
+    for j, (mask, proj, _, _) in enumerate(levels):
         resid = np.zeros(window.cell_count)
         raw = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-        resid[mask] = Projector.on_region(window, region, params.s)[0].residual(raw)
-        norm = lq_norm(GridFunction(window, resid), region, params.q)
+        resid[mask] = proj.residual(raw)
+        norm = lq_norm(GridFunction(window, resid), regions[j], params.q)
         if norm <= 0:
             raise ZeroAtomError("degenerate annulus piece")
         total += resid * (margin * bounds[j] / norm)
@@ -329,8 +335,8 @@ def make_molecule(
         for gi in range(len(gammas)):
             pair = _dual_step(levels, j, gi, window.cell_count)
             gf = GridFunction(window, pair)
-            norm_lo = lq_norm(gf, levels[j][0], params.q)
-            norm_hi = lq_norm(gf, levels[j + 1][0], params.q)
+            norm_lo = lq_norm(gf, regions[j], params.q)
+            norm_hi = lq_norm(gf, regions[j + 1], params.q)
             cap = min(
                 bounds[j] / norm_lo if norm_lo > 0 else INF,
                 bounds[j + 1] / norm_hi if norm_hi > 0 else INF,
@@ -491,6 +497,7 @@ def decompose_molecule(
     from dual bases on adjacent annuli, leaving the explicit tail term at the
     top level.  The reconstruction residual is checked at every level.
     """
+    l_max = whole_number(l_max, "l_max")
     params = mol.params
     window = mol.values.window
     cube = mol.cube
@@ -501,8 +508,8 @@ def decompose_molecule(
     side_cells = round(cube.side / h)
     if abs(cube.side - side_cells * h) > 1e-9 * h:
         raise CertificationError("core cube side must be a whole number of cells")
-    # the dyadic cubes Q_j = 2^j Q and their masks, j = 0..l_max
-    cubes = [Cube(cube.center, cube.side * 2**j) for j in range(l_max + 1)]
+    # the dyadic cubes Q_j = 2^j Q, j <= l_max; their masks are checked before the ladder can raise
+    cubes = [cube.dilate(2**j) for j in range(l_max + 1)]
     inside = [region_mask(window, q) for q in cubes]
     if int(np.count_nonzero(inside[0])) != side_cells**n:
         raise CertificationError("core cube must be cell-aligned inside the window")
@@ -515,22 +522,20 @@ def decompose_molecule(
 
     c_exp = norm_exponent(params)
     decay = 2.0 ** (n * (1.0 / eps - 1.0) * c_exp)
-    pts = window.midpoints()
     vals = mol.values.flat
     gammas = multi_indices(n, s)
 
-    levels = _annulus_levels(window, cube, s, l_max)
-    resids, proj_sup = [], 0.0
-    for region, mask, _ in levels:
-        fit = Projector.on_region(window, region, s)[0].fit(vals[mask])
+    levels = _annulus_levels(window, cube, s, l_max, inside)
+    resids, c_proj = [], 0.0
+    for mask, proj, _, _ in levels:
+        fit = proj.fit(vals[mask])
         resid = np.zeros(window.cell_count)
         resid[mask] = vals[mask] - fit
         resids.append(resid)
         mean_abs = float(np.abs(vals[mask]).mean())
         if mean_abs > 0:
-            proj_sup = max(proj_sup, float(np.abs(fit).max()) / mean_abs)
+            c_proj = max(c_proj, float(np.abs(fit).max()) / mean_abs)
 
-    c_proj = proj_sup
     lam_core = 1.0 + c_proj
 
     atoms: list[DecompositionAtom] = []
@@ -546,10 +551,11 @@ def decompose_molecule(
         core_partials.append(partial_core)
 
     # tail moments over the window beyond each dyadic cube
+    cols = np.stack([GridFunction.monomial(window, g).flat for g in gammas], axis=1)
     eta = np.zeros((l_max + 1, len(gammas)))
     for j in range(l_max + 1):
         outside = ~inside[j]
-        eta[j] = moments(vals[outside], monomials(pts[outside], gammas), window.cell_measure)
+        eta[j] = moments(vals[outside], cols[outside], window.cell_measure)
 
     # correction pieces eta_nu^{(j)} [ psi^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi^{(j)} 1_{L_j} / |L_j| ]
     tilde_raw = {}
@@ -581,13 +587,10 @@ def decompose_molecule(
     # tail term and reconstruction residual per level
     residuals = []
     m_l1 = float(np.abs(vals).sum()) * window.cell_measure
-    tail_term_top = None
-    for l in range(l_max + 1):
+    for l, (mask, _, duals, measure) in enumerate(levels):
         tail = np.zeros(window.cell_count)
-        for gi, psi in enumerate(levels[l][2]):
-            tail[levels[l][1]] -= eta[l, gi] * psi
-        if l == l_max:
-            tail_term_top = tail
+        for gi, psi in enumerate(duals):
+            tail[mask] -= eta[l, gi] * (psi / measure)
         recon = core_partials[l] + corr_partials[l] + tail
         diff = np.where(inside[l], vals, 0.0) - recon
         residuals.append(float(np.abs(diff).sum()) * window.cell_measure / max(m_l1, 1e-300))
@@ -601,7 +604,7 @@ def decompose_molecule(
 
     return DecompositionReport(
         atoms=atoms,
-        tail_term=GridFunction(window, tail_term_top.reshape(window.cells)),
+        tail_term=GridFunction(window, tail.reshape(window.cells)),  # level l_max's, the loop's last
         tail_level=l_max,
         residuals=residuals,
         coef_p_sum_core=coef_core,

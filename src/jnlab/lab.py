@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Cube, GridFunction, Window, moments, monomials
+from .lattice import Cube, GridFunction, Window, moments, monomials, whole_number
 from .polyproj import Polynomial, multi_indices
 from .spaces import (
     NormParams,
@@ -264,14 +264,23 @@ def _ratio_rows(values):
     return rows, [r["ratio"] for r in rows if r["status"] == "ok"]
 
 
+def _family(config: ExperimentConfig, count: int, key: str = "count") -> tuple[str, int, int]:
+    """Kind, size and seed of the experiment's function family.  The size is
+    family[key], `count` if the config names none; ConfigError unless it is a
+    whole number >= 1."""
+    what = f"the test family needs at least one function: family {key}"
+    try:
+        size = whole_number(config.family.get(key, count), what, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return config.family.get("kind", "random-osc"), size, int(config.family.get("seed", 7))
+
+
 def _family_ratios(config: ExperimentConfig, win: Window, params, pairs_of) -> list:
     """_ratio_rows of each ratio over the family sampled on win (the window
     or its refinement); pairs_of(f) gives one (numerator, denominator) pair
     per ratio for the family member f."""
-    count = int(config.family.get("count", 20))
-    if count < 1:
-        raise ConfigError("the test family needs at least one function")
-    kind, seed = config.family.get("kind", "random-osc"), int(config.family.get("seed", 7))
+    kind, count, seed = _family(config, 20)
     pairs = [pairs_of(f) for f in make_family(kind, win, count, seed, params)]
     return [_ratio_rows(column) for column in zip(*pairs)]
 
@@ -490,8 +499,7 @@ def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, wind
 def run_atom_image(config: ExperimentConfig) -> ExperimentResult:
     """Operator images of atoms certify as molecules with one constant."""
     window, params, kernel, cube, eps, center_cube, j_max = _atom_image_setup(config, diagonal=True)
-    count = int(config.family.get("count", 10))
-    seed = int(config.family.get("seed", 7))
+    _, count, seed = _family(config, 10)
     rows = []
     images = []
     violations = []
@@ -537,9 +545,8 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     params = config.build_params()
     kernel = config.build_kernel()
     tilde = kernel_transpose(kernel)
-    n_atoms = int(config.family.get("count", 10))
-    n_funcs = int(config.family.get("functions", 5))
-    seed = int(config.family.get("seed", 7))
+    _, n_atoms, seed = _family(config, 10)
+    n_funcs = _family(config, 5, "functions")[1]
     tol = config.tol("pairing_mismatch", 1e-3)
     span = window.span
     cube = Cube(tuple(window.center), span / 8.0)
@@ -594,8 +601,7 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
     """Decompose generated molecules and operator images; check residuals,
     coefficient sums against the geometric bound, and bound uniformity."""
     window, params, kernel, cube, eps, center_cube, j_max = _atom_image_setup(config, diagonal=False)
-    count = int(config.family.get("count", 5))
-    seed = int(config.family.get("seed", 7))
+    _, count, seed = _family(config, 5)
     res_tol = config.tol("residual", 1e-6)
     rows = []
     violations = []

@@ -93,7 +93,10 @@ class Window:
             raise LatticeError("only dimensions 1 and 2 are supported")
         lower = tuple(float(v) for v in np.atleast_1d(self.lower))
         upper = tuple(float(v) for v in np.atleast_1d(self.upper))
-        cells = tuple(int(c) for c in np.atleast_1d(self.cells))
+        try:
+            cells = tuple(whole_number(c, "window cells") for c in np.atleast_1d(self.cells).tolist())
+        except ValueError as exc:
+            raise LatticeError(str(exc)) from None
         if not (len(lower) == len(upper) == len(cells) == self.n):
             raise LatticeError("lower/upper/cells must all have length n")
         object.__setattr__(self, "lower", lower)
@@ -191,6 +194,15 @@ class Window:
         return {"n": self.n, "lower": list(self.lower), "upper": list(self.upper), "cells": list(self.cells)}
 
 
+def _finite_center(center, size: float, what: str) -> tuple:
+    """The center as a tuple of floats; ValueError unless it and the region's
+    size (side or radius) are finite."""
+    center = tuple(float(v) for v in np.atleast_1d(center))
+    if not all(math.isfinite(v) for v in center + (size,)):
+        raise ValueError(f"{what} and center must be finite")
+    return center
+
+
 @dataclass(frozen=True)
 class Cube:
     """Half-open cube Q_z(r): [z_i - r/2, z_i + r/2) on every axis."""
@@ -199,9 +211,8 @@ class Cube:
     side: float
 
     def __post_init__(self):
-        center = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "side", float(self.side))
+        object.__setattr__(self, "center", _finite_center(self.center, self.side, "cube side"))
         if self.side <= 0:
             raise ValueError("cube side must be positive")
 
@@ -244,9 +255,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        center = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", _finite_center(self.center, self.radius, "ball radius"))
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
@@ -285,14 +295,11 @@ class Annulus:
     level: int
 
     def __post_init__(self):
-        center = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "base_side", float(self.base_side))
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "center", _finite_center(self.center, self.base_side, "base side"))
+        object.__setattr__(self, "level", whole_number(self.level, "annulus level (0 is the core cube)", 1))
         if self.base_side <= 0:
             raise ValueError("base side must be positive")
-        if self.level < 1:
-            raise ValueError("annulus level must be >= 1 (level 0 is the core cube)")
 
     @property
     def n(self) -> int:

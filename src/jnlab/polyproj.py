@@ -219,6 +219,19 @@ class Projector:
         out.keep, out.gram = keep, gram
         return out
 
+    def bases(self) -> tuple[list[Polynomial], list[Polynomial]]:
+        """The Gram-Schmidt orthonormal polynomials phi_nu on the points with
+        weight 1/count, ordered like :func:`multi_indices`, and their duals
+        psi_nu with (1/count) sum psi_nu1 x^nu2 = delta_{nu1,nu2}.  With
+        gram / count = L L^T, the columns of inv(L).T are the coefficients of
+        phi; if phi_nu = sum_gamma m[nu,gamma] x^gamma, then
+        psi_nu = sum_gamma m[gamma,nu] phi_gamma."""
+        coef = np.linalg.inv(np.linalg.cholesky(self.gram * (1.0 / self.phi.shape[0]))).T
+        phis = [self.polynomial(c) for c in coef.T]
+        # m[nu, gamma]: coefficients of phi_nu over raw monomials x^gamma
+        m = np.array([[phi.raw_coeffs().get(g, 0.0) for g in self.gammas] for phi in phis])
+        return phis, [self.polynomial(coef @ m[:, nu]) for nu in range(len(self.gammas))]
+
     @classmethod
     def on_region(cls, window: Window, region: Region, s: int):
         """Projector over the window cells of a region, and their mask."""
@@ -270,31 +283,15 @@ def sup_poly_norm(P: Polynomial, region: Region, pitch: float) -> float:
     return float(np.abs(P(pts)).max())
 
 
-def _gram_schmidt(window_or_f, region: Region, s: int):
-    """Projector on E and the coefficient columns of the orthonormal basis."""
-    proj, mask = Projector.on_region(_window_of(window_or_f), region, s)
-    # gram / count = L L^T; columns of inv(L).T are the GS coefficients
-    L = np.linalg.cholesky(proj.gram * (1.0 / np.count_nonzero(mask)))
-    return proj, np.linalg.inv(L).T
-
-
 def orthonormal_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
     """Gram-Schmidt orthonormal polynomials on E with weight 1/|E|.
 
     Ordered like :func:`multi_indices`; span equals the degree-s space on E.
     """
-    proj, coef = _gram_schmidt(window_or_f, region, s)
-    return [proj.polynomial(c) for c in coef.T]
+    return Projector.on_region(_window_of(window_or_f), region, s)[0].bases()[0]
 
 
 def dual_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
-    """Polynomials psi_nu with (1/|E|) int_E psi_nu1 x^nu2 = delta_{nu1,nu2}.
-
-    If phi_nu = sum_gamma m[nu,gamma] x^gamma is the orthonormal basis, then
-    psi_nu = sum_gamma m[gamma,nu] phi_gamma; both are built here.
-    """
-    proj, coef = _gram_schmidt(window_or_f, region, s)
-    # m[nu, gamma]: coefficients of phi_nu over raw monomials x^gamma
-    raws = [proj.polynomial(c).raw_coeffs() for c in coef.T]
-    m = np.array([[raw.get(g, 0.0) for g in proj.gammas] for raw in raws])
-    return [proj.polynomial(coef @ m[:, nu]) for nu in range(len(proj.gammas))]
+    """Polynomials psi_nu with (1/|E|) int_E psi_nu1 x^nu2 = delta_{nu1,nu2},
+    from :meth:`Projector.bases` on the cells of E."""
+    return Projector.on_region(_window_of(window_or_f), region, s)[0].bases()[1]

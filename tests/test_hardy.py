@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jnlab.lattice import Cube, GridFunction, Window, annulus, region_mask
-from jnlab.polyproj import multi_indices
+from jnlab.lattice import Cube, GridFunction, Window, annulus, region_mask, region_measure
+from jnlab.polyproj import Projector, dual_basis, multi_indices
 from jnlab.spaces import NormParams, jn_con_norm
 from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose
 from jnlab.hardy import (
@@ -15,6 +15,7 @@ from jnlab.hardy import (
     ParameterError,
     WindowMismatchError,
     ZeroAtomError,
+    _annulus_levels,
     abel_transform,
     decompose_molecule,
     epsilon_window,
@@ -429,3 +430,56 @@ def test_decompose_two_dimensional():
     assert len(rep.atoms) == 4 + 3
     assert max(rep.residuals) <= 1e-6
     assert np.isfinite(hk_upper_bound(rep.hk_groups(), 2.0))
+
+
+def ladder_setup():
+    # 2-D, s = 1 at 64^2: an 8-cell core cube whose level 3 fills the window
+    params = NormParams(2.0, 2.0, 1, 0.25)
+    w = Window(2, (-2.0, -2.0), (2.0, 2.0), (64, 64))
+    return params, w, Cube((0.0, 0.0), 0.5), float(epsilon_window(2, 2, 1, Fraction(1, 4), 1, 2).midpoint())
+
+
+def test_ladder_builds_one_projector_per_level(monkeypatch):
+    params, w, cube, eps = ladder_setup()
+    built = []
+    init = Projector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Projector, "__init__", counting_init)
+    mol = make_molecule(3, cube, params, eps, w, 3)
+    assert len(built) == 3 + 1
+    built.clear()
+    rep = decompose_molecule(mol, 3)
+    assert len(built) == 3 + 1
+    assert max(rep.residuals) <= 1e-6
+
+
+def test_ladder_levels_partition_and_match_dual_basis():
+    params, w, cube, _ = ladder_setup()
+    levels = _annulus_levels(w, cube, params.s, 3)
+    masks = np.array([mask for mask, _, _, _ in levels])
+    assert masks.sum(axis=0).max() == 1  # pairwise disjoint
+    assert np.array_equal(masks.any(axis=0), region_mask(w, cube.dilate(8)))
+    pts = w.midpoints()
+    for j, (mask, proj, duals, measure) in enumerate(levels):
+        region = annulus(cube.center, cube.side, j)
+        assert np.array_equal(mask, region_mask(w, region))
+        assert measure == region_measure(w, region)
+        expect = [psi(pts[mask]) for psi in dual_basis(w, region, params.s)]
+        assert len(duals) == len(expect) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(duals, expect))
+
+
+def test_molecule_level_counts_must_be_whole_numbers():
+    params, w, cube, eps = ladder_setup()
+    mol = make_molecule(3, cube, params, eps, w, 2)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            validate_molecule(mol.values, cube, params, eps, bad)
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            make_molecule(3, cube, params, eps, w, bad)
+        with pytest.raises(ValueError, match="l_max must be an integer"):
+            decompose_molecule(mol, bad)

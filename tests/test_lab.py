@@ -295,6 +295,37 @@ def test_cli_molecule_check_and_decompose(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("action", ["check", "decompose"])
+def test_cli_molecule_rejects_negative_j_max(tmp_path, capsys, action):
+    w = Window(1, (-2.0,), (2.0,), (64,))
+    path = tmp_path / "f.json"
+    GridFunction.zeros(w).save(path)
+    rc = cli.main([
+        "molecule", action, "--function", str(path), "--region", "cube:0.0:0.25",
+        "--epsilon", "0.3", "--j-max", "-1", "--p", "2", "--q", "2", "--alpha", "0.25",
+    ])
+    assert rc == 3
+    assert "j_max must be an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        ("atom-image", {"kind": "atom", "count": 0, "seed": 7}),
+        ("decomposition", {"kind": "atom", "count": 0, "seed": 7}),
+        ("duality", {"kind": "atom", "count": 0, "seed": 7}),
+        ("duality", {"kind": "atom", "count": 2, "seed": 7, "functions": 0}),
+        ("atom-image", {"kind": "atom", "count": 2.7, "seed": 7}),
+        ("jn-boundedness", {"kind": "random-osc", "count": 2.7, "seed": 7}),
+    ],
+)
+def test_family_size_must_be_a_whole_number(name, family):
+    cfg = default_config(name)
+    cfg.family = family
+    with pytest.raises(ConfigError, match="at least one function"):
+        run_experiment(name, cfg)
+
+
 def atom_image_cfg(kernel_name):
     return ExperimentConfig(
         experiment="atom-image",

@@ -35,6 +35,29 @@ def test_window_invariants():
     w = Window(2, (0.0, 0.0), (1.0, 2.0), (4, 8))
     assert w.h == pytest.approx(0.25)
     assert w.cell_count == 32
+    # integral floats, as from a JSON file, stay accepted
+    assert Window(1, (0.0,), (1.0,), (4.0,)).cells == (4,)
+    assert Annulus((0.0,), 1.0, 2.0).level == 2
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Cube((0.0,), math.nan), ValueError),
+        (lambda: Cube((math.nan,), 1.0), ValueError),
+        (lambda: Cube((0.0, 0.0), math.inf), ValueError),
+        (lambda: Ball((0.0,), math.inf), ValueError),
+        (lambda: Ball((math.inf, 0.0), 1.0), ValueError),
+        (lambda: annulus((0.0,), math.nan, 1), ValueError),
+        (lambda: Annulus((0.0,), 1.0, 1.5), ValueError),
+        (lambda: Window(1, (0.0,), (1.0,), (2.5,)), LatticeError),
+    ],
+    ids=["cube-nan-side", "cube-nan-center", "cube-inf-side", "ball-inf-radius", "ball-inf-center",
+         "annulus-nan-side", "annulus-fractional-level", "window-fractional-cells"],
+)
+def test_non_finite_or_fractional_sizes_are_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_integrate_constant_and_zero():

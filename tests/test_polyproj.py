@@ -179,6 +179,16 @@ def test_dual_basis_matches_orthonormal_expansion():
         assert np.max(np.abs(recon - duals[nu_idx](pts))) <= 1e-8 * max(1.0, np.max(np.abs(recon)))
 
 
+def test_projector_bases_are_the_module_bases():
+    # orthonormal_basis and dual_basis read the bases of the projector on E
+    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (24, 24))
+    for region, s in ((annulus((0.1, -0.05), 0.4, 2), 2), (Ball((0.2, 0.1), 0.6), 1), (Cube((0.0, 0.0), 1.0), 0)):
+        phis, psis = Projector.on_region(w, region, s)[0].bases()
+        assert phis == orthonormal_basis(w, region, s)
+        assert psis == dual_basis(w, region, s)
+        assert len(phis) == len(psis) == len(multi_indices(2, s))
+
+
 def test_dual_basis_annulus_decay():
     # |psi_nu| <= C0 / (2^(j-1) r)^|nu| on the level-j annulus, C0 uniform in j
     w = Window(1, (-16.0,), (16.0,), (1024,))
