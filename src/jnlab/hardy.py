@@ -12,6 +12,7 @@ explicit tail term at the outermost level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,11 +23,11 @@ from .lattice import (
     Cube,
     GridFunction,
     Window,
+    _window_memo,
     annulus,
     check_packing,
     lq_norm,
     moments,
-    monomials,
     region_mask,
     region_measure,
     whole_number,
@@ -109,13 +110,20 @@ class AtomRecord:
     certification: AtomCertification
 
 
+@_window_memo(8)
+def _monomial_columns(window: Window, s: int) -> np.ndarray:
+    """The monomials x^gamma, |gamma| <= s, on every cell of the window: one
+    column each, ordered like multi_indices."""
+    return np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)], axis=1)
+
+
 def _moment_defects(values: GridFunction, s: int, side: float, tol: float, failures: list):
     """|moment| and its scale ||f||_1 side^|gamma| per gamma with |gamma| <= s;
     a defect above tol * scale appends a failure."""
     window = values.window
     gammas = multi_indices(window.n, s)
     nz = np.nonzero(values.flat)[0]
-    found = moments(values.flat[nz], monomials(window.cell_midpoints(nz), gammas), window.cell_measure)
+    found = moments(values.flat[nz], _monomial_columns(window, s)[nz], window.cell_measure)
     l1 = float(np.abs(values.flat).sum()) * window.cell_measure
     defects, scales = {}, {}
     for g, m in zip(gammas, found):
@@ -260,8 +268,7 @@ def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
     """
     window = values.window
     mask, _, duals, measure = _annulus_levels(window, cube, s, 0)[0]
-    cols = np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)], axis=1)
-    m = moments(values.flat, cols, window.cell_measure)
+    m = moments(values.flat, _monomial_columns(window, s), window.cell_measure)
     # moments must be removed jointly: build the correction, then subtract
     corr = np.zeros(window.cell_count)
     for m_nu, psi in zip(m, duals):
@@ -269,22 +276,25 @@ def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
     return GridFunction(window, (values.flat - corr).reshape(window.cells))
 
 
-def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int, inside=None) -> list:
-    """The dyadic ladder around the core cube Q, each level j <= j_max built once:
-    the mask of L_j = Q_j minus Q_{j-1} (Q_0 at j = 0; Q_j = 2^j Q), the projector
-    on its cells, the duals psi_nu there (each caller divides them by |L_j| at its
-    own place in the product) and |L_j|.  `inside` holds the Q_j masks if known."""
-    cubes = [cube.dilate(2**j) for j in range(j_max + 1)]
-    inside = [region_mask(window, q) for q in cubes] if inside is None else inside
-    levels = []
-    for j, q in enumerate(cubes):
-        mask = inside[j] & ~inside[j - 1] if j else inside[0]
-        if not mask.any():
-            raise ValueError(f"window does not reach annulus level {j}")
-        pts = window.cell_midpoints(np.flatnonzero(mask))
-        proj = Projector(pts, s, q.center, q.scale)
-        levels.append((mask, proj, [psi(pts) for psi in proj.bases()[1]], float(mask.sum()) * window.cell_measure))
-    return levels
+@_window_memo(16)
+def _annulus_level(window: Window, cube: Cube, s: int, j: int) -> tuple:
+    """Level j of the dyadic ladder around the core cube Q: the mask of
+    L_j = Q_j minus Q_{j-1} (Q_0 at j = 0; Q_j = 2^j Q), the projector on its
+    cells, the duals psi_nu there (each caller divides them by |L_j| at its
+    own place in the product) and |L_j|.  It holds no values, so each
+    geometry is built once and shared, read-only."""
+    q = cube.dilate(2**j)
+    mask = region_mask(window, annulus(cube.center, cube.side, j))
+    if not mask.any():
+        raise ValueError(f"window does not reach annulus level {j}")
+    pts = window.cell_midpoints(np.flatnonzero(mask))
+    proj = Projector(pts, s, q.center, q.scale)
+    return mask, proj, tuple(psi(pts) for psi in proj.bases()[1]), float(mask.sum()) * window.cell_measure
+
+
+def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> tuple:
+    """The dyadic ladder around the core cube, levels 0 to j_max."""
+    return tuple(_annulus_level(window, cube, s, j) for j in range(j_max + 1))
 
 
 def _dual_step(levels, j: int, nu: int, size: int) -> np.ndarray:
@@ -314,6 +324,10 @@ def make_molecule(
     """
     if params.q == INF:
         raise ParameterError("q = inf molecules are excluded")
+    if not 0 < margin <= 1:
+        raise ParameterError(f"the margin must lie in (0, 1], got {margin!r}")
+    if not 0 <= tail_weight < INF:
+        raise ParameterError(f"the tail weight must be finite and >= 0, got {tail_weight!r}")
     j_max = whole_number(j_max, "j_max")
     rng = np.random.default_rng(seed)
     c = norm_exponent(params)
@@ -508,12 +522,12 @@ def decompose_molecule(
     side_cells = round(cube.side / h)
     if abs(cube.side - side_cells * h) > 1e-9 * h:
         raise CertificationError("core cube side must be a whole number of cells")
-    # the dyadic cubes Q_j = 2^j Q, j <= l_max; their masks are checked before the ladder can raise
+    # the dyadic cubes Q_j = 2^j Q, j <= l_max; the innermost and outermost
+    # are checked before the ladder can raise
     cubes = [cube.dilate(2**j) for j in range(l_max + 1)]
-    inside = [region_mask(window, q) for q in cubes]
-    if int(np.count_nonzero(inside[0])) != side_cells**n:
+    if int(np.count_nonzero(region_mask(window, cubes[0]))) != side_cells**n:
         raise CertificationError("core cube must be cell-aligned inside the window")
-    if int(np.count_nonzero(inside[l_max])) != (side_cells * 2**l_max) ** n:
+    if int(np.count_nonzero(region_mask(window, cubes[l_max]))) != (side_cells * 2**l_max) ** n:
         raise CertificationError(f"window does not fully contain level {l_max}")
 
     cert = validate_molecule(mol.values, cube, params, eps, l_max, moment_tol)
@@ -525,7 +539,8 @@ def decompose_molecule(
     vals = mol.values.flat
     gammas = multi_indices(n, s)
 
-    levels = _annulus_levels(window, cube, s, l_max, inside)
+    levels = _annulus_levels(window, cube, s, l_max)
+    inside = list(itertools.accumulate((mask for mask, *_ in levels), np.logical_or))  # Q_j = L_0 + ... + L_j
     resids, c_proj = [], 0.0
     for mask, proj, _, _ in levels:
         fit = proj.fit(vals[mask])
@@ -551,7 +566,7 @@ def decompose_molecule(
         core_partials.append(partial_core)
 
     # tail moments over the window beyond each dyadic cube
-    cols = np.stack([GridFunction.monomial(window, g).flat for g in gammas], axis=1)
+    cols = _monomial_columns(window, s)
     eta = np.zeros((l_max + 1, len(gammas)))
     for j in range(l_max + 1):
         outside = ~inside[j]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Cube, GridFunction, Window, moments, monomials, whole_number
+from .lattice import Cube, GridFunction, Window, moments, whole_number
 from .polyproj import Polynomial, multi_indices
 from .spaces import (
     NormParams,
@@ -41,6 +41,7 @@ from .czkernel import (
 )
 from .hardy import (
     MoleculeRecord,
+    _monomial_columns,
     decompose_molecule,
     epsilon_window,
     hk_upper_bound,
@@ -478,8 +479,8 @@ def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, wind
     # evaluated, so the image on the half window is a slice of the full one
     ta_half = ta.values[tuple(slice(o, o + c) for o, c in zip(half.lattice_offset(window), half.cells))]
     gammas = multi_indices(window.n, params.s)
-    fulls = moments(ta.flat, monomials(window.midpoints(), gammas), window.cell_measure)
-    halves = moments(ta_half.reshape(-1), monomials(half.midpoints(), gammas), half.cell_measure)
+    fulls = moments(ta.flat, _monomial_columns(window, params.s), window.cell_measure)
+    halves = moments(ta_half.reshape(-1), _monomial_columns(half, params.s), half.cell_measure)
     m_l1 = float(np.abs(ta.flat).sum()) * window.cell_measure
     defects = {}
     decaying = True

@@ -14,6 +14,8 @@ partition the window with no double counting.  Dimensions 1 and 2 only.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +45,9 @@ __all__ = [
     "EmptyRegionError",
     "LatticeError",
 ]
+
+
+_MEMO_CELLS = 1 << 16  # windows of more cells are not memoised (see _window_memo)
 
 
 class LatticeError(ValueError):
@@ -477,8 +482,47 @@ def check_packing(cubes, side: float, what: str) -> None:
             raise ValueError(f"{what} cubes must be interior disjoint")
 
 
+def _frozen(tree):
+    """The tuple/list tree with its arrays made read-only: memos share them."""
+    if isinstance(tree, np.ndarray):
+        tree.flags.writeable = False
+    elif isinstance(tree, (tuple, list)):
+        for item in tree:
+            _frozen(item)
+    return tree
+
+
+def _window_memo(maxsize: int):
+    """Memoise fn(window, *geometry), a function of a window and hashable
+    geometry that reads no values and has no defaulted arguments, in an LRU
+    of maxsize entries keyed by the arguments in positional order, however
+    they are passed.  Its results are read-only, as callers share them.  A
+    window of more than _MEMO_CELLS cells is computed afresh on every call
+    and not retained, so the memo holds at most maxsize results of at most
+    that many cells."""
+
+    def wrap(fn):
+        cached = functools.lru_cache(maxsize)(lambda *args: _frozen(fn(*args)))
+        bind = inspect.signature(fn).bind
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            if kwargs:
+                args = bind(*args, **kwargs).args
+            if args[0].cell_count > _MEMO_CELLS:
+                return _frozen(fn(*args))
+            return cached(*args)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return wrap
+
+
+@_window_memo(256)
 def region_mask(window: Window, region: Region) -> np.ndarray:
-    """Boolean mask (flat, row-major) of window cells with midpoint in region."""
+    """Boolean mask (flat, row-major) of window cells with midpoint in region;
+    read-only and memoised per (window, region)."""
     if region.n != window.n:
         raise LatticeError(f"a {region.n}-D region on a {window.n}-D window")
     axes = np.ix_(*(window.axis_midpoints(a) for a in range(window.n)))

@@ -25,7 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, check_packing, grid_points, region_mask, whole_number
+from .lattice import (
+    Ball, Cube, GridFunction, Window, _frozen, check_packing, grid_points, region_mask, whole_number
+)
 from .polyproj import (
     ConditioningError,
     Projector,
@@ -239,16 +241,6 @@ def partition(window: Window, side_cells: int, offset, policy: str = "restrict")
     lower = np.asarray(window.lower)
     cubes = [Cube(tuple(lower + c * h), side_cells * h) for c in _tile_centers(layout, side_cells)]
     return PartitionSpec(side_cells * h, offset, cubes, policy)
-
-
-def _frozen(tree):
-    """The tuple/list tree with its arrays made read-only: memos share them."""
-    if isinstance(tree, np.ndarray):
-        tree.flags.writeable = False
-    elif isinstance(tree, (tuple, list)):
-        for item in tree:
-            _frozen(item)
-    return tree
 
 
 def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:

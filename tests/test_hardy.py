@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jnlab.lattice import Cube, GridFunction, Window, annulus, region_mask, region_measure
+from jnlab.lattice import Cube, GridFunction, Window, annulus, moments, monomials, region_mask, region_measure
 from jnlab.polyproj import Projector, dual_basis, multi_indices
 from jnlab.spaces import NormParams, jn_con_norm
 from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose
@@ -15,6 +15,7 @@ from jnlab.hardy import (
     ParameterError,
     WindowMismatchError,
     ZeroAtomError,
+    _annulus_level,
     _annulus_levels,
     abel_transform,
     decompose_molecule,
@@ -439,8 +440,10 @@ def ladder_setup():
     return params, w, Cube((0.0, 0.0), 0.5), float(epsilon_window(2, 2, 1, Fraction(1, 4), 1, 2).midpoint())
 
 
-def test_ladder_builds_one_projector_per_level(monkeypatch):
-    params, w, cube, eps = ladder_setup()
+def _counting_projectors(monkeypatch) -> list:
+    """Clear the geometry memos and count Projector constructions from now on."""
+    region_mask.cache_clear()
+    _annulus_level.cache_clear()
     built = []
     init = Projector.__init__
 
@@ -449,12 +452,55 @@ def test_ladder_builds_one_projector_per_level(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Projector, "__init__", counting_init)
+    return built
+
+
+def test_ladder_builds_one_projector_per_level(monkeypatch):
+    params, w, cube, eps = ladder_setup()
+    built = _counting_projectors(monkeypatch)
     mol = make_molecule(3, cube, params, eps, w, 3)
-    assert len(built) == 3 + 1
+    assert len(built) == 3 + 1  # cold: one projector per level
     built.clear()
     rep = decompose_molecule(mol, 3)
-    assert len(built) == 3 + 1
+    assert len(built) == 0  # the same window, cube, s and levels: all memoised
     assert max(rep.residuals) <= 1e-6
+    make_molecule(3, Cube((0.0, 0.0), 0.25), params, eps, w, 3)
+    assert len(built) == 3 + 1  # another core cube is another ladder
+
+
+def test_ladder_memo_is_read_only_and_cold_equals_warm():
+    params, w, cube, _ = ladder_setup()
+    warm = _annulus_levels(w, cube, params.s, 3)
+    for mask, proj, duals, _ in warm:
+        for a in (mask, proj.phi) + duals:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+    assert all(a is b for a, b in zip(_annulus_levels(w, cube, params.s, 1), warm))  # shared across j_max
+    region_mask.cache_clear()
+    _annulus_level.cache_clear()
+    cold = _annulus_levels(w, cube, params.s, 3)
+    assert region_mask.cache_info()[:2] == (0, 3 + 1)  # one mask per level, no hits
+    for (mask, proj, duals, measure), (m0, p0, d0, meas0) in zip(cold, warm):
+        assert proj is not p0 and measure == meas0
+        assert np.array_equal(mask, m0) and np.array_equal(proj.gram, p0.gram)
+        assert all(np.array_equal(a, b) for a, b in zip(duals, d0))
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_moment_check_reads_memoised_columns_bit_for_bit(s):
+    # the memoised window columns give the moments of the monomials evaluated
+    # at the nonzero cells alone, bit for bit, for dense and sparse values
+    w = Window(2, (-1.0, -1.0), (1.3, 1.3), (24, 24))
+    params = NormParams(2.0, 2.0, s, 0.25)
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=w.cells)
+    cube = Cube((0.1, 0.1), 0.5)
+    gammas = multi_indices(2, s)
+    for f in (GridFunction(w, dense), GridFunction(w, np.where(rng.random(w.cells) < 0.1, dense, 0.0))):
+        nz = np.nonzero(f.flat)[0]
+        expect = moments(f.flat[nz], monomials(w.cell_midpoints(nz), gammas), w.cell_measure)
+        assert list(validate_atom(f, cube, params).moment_defects.values()) == [abs(m) for m in expect]
 
 
 def test_ladder_levels_partition_and_match_dual_basis():
@@ -471,6 +517,27 @@ def test_ladder_levels_partition_and_match_dual_basis():
         expect = [psi(pts[mask]) for psi in dual_basis(w, region, params.s)]
         assert len(duals) == len(expect) == 3
         assert all(np.array_equal(a, b) for a, b in zip(duals, expect))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"margin": math.nan},
+        {"margin": math.inf},
+        {"margin": -1.0},
+        {"margin": 0.0},
+        {"margin": 2.0},
+        {"tail_weight": math.nan},
+        {"tail_weight": math.inf},
+        {"tail_weight": -0.1},
+    ],
+)
+def test_make_molecule_rejects_bad_margin_and_tail_weight(monkeypatch, bad):
+    params, w, cube, eps = ladder_setup()
+    built = _counting_projectors(monkeypatch)
+    with pytest.raises(ParameterError, match="margin|tail weight"):
+        make_molecule(3, cube, params, eps, w, 3, **bad)
+    assert not built  # rejected before any work
 
 
 def test_molecule_level_counts_must_be_whole_numbers():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jnlab import lattice
 from jnlab.lattice import (
     Annulus,
     Ball,
@@ -272,6 +273,57 @@ def test_region_mask_equals_pointwise_membership(n, cells, spec):
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     expected = np.count_nonzero(region.contains(pts)) * w.cell_measure
     assert region_measure(w, region, "zero-extend") == pytest.approx(expected, abs=1e-12)
+
+
+def _memo_regions():
+    """A cube, a ball and an annulus on a 1-D and on a 2-D window."""
+    for n in (1, 2):
+        w = Window(n, (-2.0,) * n, (2.0,) * n, (32,) * n)
+        c = (0.1,) * n
+        yield w, Cube(c, 0.75)
+        yield w, Ball(c, 0.6)
+        yield w, Annulus(c, 0.5, 2)
+
+
+def test_region_mask_memo_is_read_only_and_cold_equals_warm():
+    warm = [region_mask(w, r) for w, r in _memo_regions()]
+    for mask in warm:
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    region_mask.cache_clear()
+    assert region_mask.cache_info().currsize == 0
+    for (w, r), mask in zip(_memo_regions(), warm):
+        cold = region_mask(w, r)
+        assert cold is not mask and np.array_equal(cold, mask)
+        assert np.array_equal(cold, r.contains(w.midpoints()))
+
+
+def test_region_mask_memo_keys_on_equal_geometry():
+    region_mask.cache_clear()
+    first = region_mask(Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16)), Cube((0.0, 0.0), 0.5))
+    again = region_mask(Window(2, [-1, -1], [1, 1], [16, 16]), Cube([0, 0], 0.5))
+    assert again is first
+    assert region_mask.cache_info().hits == 1
+    # keyword and mixed calls share the positional key
+    assert region_mask(window=Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
+    assert region_mask(Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
+    assert region_mask.cache_info().hits == 3
+    assert region_mask.cache_info().currsize == 1
+
+
+def test_region_mask_memo_is_bounded():
+    region_mask.cache_clear()
+    big = Window(1, (0.0,), (1.0,), (lattice._MEMO_CELLS + 2,))
+    cube = Cube((0.5,), 0.25)
+    a, b = region_mask(big, cube), region_mask(big, cube)
+    assert a is not b and np.array_equal(a, b) and not a.flags.writeable
+    assert region_mask.cache_info().currsize == 0  # the window is above the cell budget
+    w = Window(1, (0.0,), (1.0,), (8,))
+    cap = region_mask.cache_info().maxsize
+    for k in range(cap + 10):
+        region_mask(w, Cube((0.5,), 0.5 + k / 1024))
+    assert region_mask.cache_info().currsize == cap
 
 
 @settings(max_examples=60, deadline=None)
