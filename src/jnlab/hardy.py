@@ -12,7 +12,6 @@ explicit tail term at the outermost level.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,11 +22,13 @@ from .lattice import (
     Cube,
     GridFunction,
     Window,
+    _lq,
     _window_memo,
     annulus,
     check_packing,
     lq_norm,
     moments,
+    region_cells,
     region_mask,
     region_measure,
     whole_number,
@@ -95,6 +96,7 @@ class AtomCertification:
     moment_defects: dict
     moment_scales: dict
     failures: list = field(default_factory=list)
+    route: str = "support"  # "support": read on the cube's cells; "window": the full-window fallback
 
     @property
     def passed(self) -> bool:
@@ -113,20 +115,18 @@ class AtomRecord:
 @_window_memo(8)
 def _monomial_columns(window: Window, s: int) -> np.ndarray:
     """The monomials x^gamma, |gamma| <= s, on every cell of the window: one
-    column each, ordered like multi_indices."""
-    return np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)], axis=1)
+    contiguous row each, ordered like multi_indices, shape (dim, cells)."""
+    return np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)])
 
 
-def _moment_defects(values: GridFunction, s: int, side: float, tol: float, failures: list):
-    """|moment| and its scale ||f||_1 side^|gamma| per gamma with |gamma| <= s;
-    a defect above tol * scale appends a failure."""
+def _moment_defects(values: GridFunction, nz: np.ndarray, s: int, side: float, tol: float, failures: list):
+    """|moment| over the nonzero cells nz and its scale ||f||_1 side^|gamma|
+    per gamma with |gamma| <= s; a defect above tol * scale appends a failure."""
     window = values.window
-    gammas = multi_indices(window.n, s)
-    nz = np.nonzero(values.flat)[0]
-    found = moments(values.flat[nz], _monomial_columns(window, s)[nz], window.cell_measure)
+    found = moments(values.flat[nz], np.take(_monomial_columns(window, s), nz, axis=1).T, window.cell_measure)
     l1 = float(np.abs(values.flat).sum()) * window.cell_measure
     defects, scales = {}, {}
-    for g, m in zip(gammas, found):
+    for g, m in zip(multi_indices(window.n, s), found):
         defects[g] = abs(m)
         scales[g] = l1 * side ** sum(g)
         if defects[g] > tol * scales[g]:
@@ -135,27 +135,36 @@ def _moment_defects(values: GridFunction, s: int, side: float, tol: float, failu
 
 
 def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification:
-    """Check support, L^q size, and vanishing moments; failures are data."""
+    """Check support, L^q size, and vanishing moments; failures are data.
+
+    The support is exact iff the cube holds every nonzero cell.  Then the
+    moments are read on the cube's cells alone (route "support"); otherwise
+    on the window's nonzero cells (route "window").  Either way they sum the
+    nonzero cells in row-major order, as the size sums the cube's cells."""
     window = values.window
-    mask = region_mask(window, cube)
-    outside = values.flat[~mask]
-    support_exact = bool(np.all(outside == 0.0))
-    measure = region_measure(window, cube)
-    bound = measure ** norm_exponent(params)
-    norm = lq_norm(values, cube, params.q)
+    cells = region_cells(window, cube)
+    inner = values.flat[cells]
+    support_exact = bool(np.count_nonzero(values.flat != 0.0) == np.count_nonzero(inner))  # bool counts are fast
+    nz = cells[np.flatnonzero(inner)] if support_exact else np.flatnonzero(values.flat)
+    bound = (float(cells.size) * window.cell_measure) ** norm_exponent(params)  # region_measure(window, cube)
+    norm = _lq(inner, params.q, window.cell_measure)
     norm_ratio = norm / bound if bound > 0 else INF
     failures = []
     if not support_exact:
         failures.append("support: nonzero cells outside the cube")
     if norm_ratio > 1.0 + ATOM_NORM_RTOL:
         failures.append(f"size: L^q ratio {norm_ratio:.12g} exceeds 1")
-    defects, scales = _moment_defects(values, params.s, cube.side, ATOM_MOMENT_RTOL, failures)
-    return AtomCertification(support_exact, norm_ratio, defects, scales, failures)
+    defects, scales = _moment_defects(values, nz, params.s, cube.side, ATOM_MOMENT_RTOL, failures)
+    route = "support" if support_exact else "window"
+    return AtomCertification(support_exact, norm_ratio, defects, scales, failures, route)
 
 
-def _certified_atom(window: Window, flat: np.ndarray, cube: Cube, params, what: str, seed=None) -> AtomRecord:
-    """The record of the atom with these flat values on the cube; raises
-    CertificationError naming `what` if validate_atom fails it."""
+def _certified_atom(window: Window, cells, vals, cube: Cube, params, what: str, seed=None) -> AtomRecord:
+    """The record of the atom with these values on these flat cells (zero
+    elsewhere) on the cube; raises CertificationError naming `what` if
+    validate_atom fails it."""
+    flat = np.zeros(window.cell_count)
+    flat[cells] = vals
     values = GridFunction(window, flat.reshape(window.cells))
     cert = validate_atom(values, cube, params)
     if not cert.passed:
@@ -174,8 +183,8 @@ def make_atom(
     rescaled to meet the L^q bound with equality."""
     if params.q == INF:
         raise ParameterError("q = inf atoms are excluded (sup-norm certification is fragile)")
-    mask = region_mask(window, cube)
-    count = int(np.count_nonzero(mask))
+    cells = region_cells(window, cube)
+    count = cells.size
     if count < (params.s + 2) ** window.n:
         raise ValueError(f"cube holds {count} cells; need at least {(params.s + 2) ** window.n}")
     if seed_values is None:
@@ -183,19 +192,14 @@ def make_atom(
         raw = rng.uniform(-1.0, 1.0, size=count)
     else:
         raw = np.broadcast_to(np.asarray(seed_values, dtype=float), (count,))
-    vals = np.zeros(window.cell_count)
-    vals[mask] = raw
-    g = GridFunction(window, vals)
-    resid = np.zeros(window.cell_count)
-    resid[mask] = Projector.on_region(window, cube, params.s)[0].residual(g.flat[mask])
-    norm = lq_norm(GridFunction(window, resid.reshape(window.cells)), cube, params.q)
-    ref = lq_norm(g, cube, params.q)
+    resid = Projector.on_region(window, cube, params.s)[0].residual(raw)
+    norm = _lq(resid, params.q, window.cell_measure)
+    ref = _lq(raw, params.q, window.cell_measure)
     if norm <= 1e-13 * max(ref, 1.0):
         raise ZeroAtomError("projection removed the seed function entirely")
     bound = region_measure(window, cube) ** norm_exponent(params)
-    resid *= bound / norm
     seed = seed if seed_values is None else None
-    return _certified_atom(window, resid, cube, params, "constructed atom", seed)
+    return _certified_atom(window, cells, resid * (bound / norm), cube, params, "constructed atom", seed)
 
 
 @dataclass
@@ -255,7 +259,8 @@ def validate_molecule(
         ratios.append(ratio)
         if ratio > 1.0 + ATOM_NORM_RTOL:
             failures.append(f"annulus j={j} decay ratio {ratio:.12g} exceeds 1")
-    defects, scales = _moment_defects(values, params.s, cube.side * 2**j_max, moment_tol, failures)
+    nz = np.flatnonzero(values.flat)
+    defects, scales = _moment_defects(values, nz, params.s, cube.side * 2**j_max, moment_tol, failures)
     return MoleculeCertification(core_ratio, ratios, defects, scales, moment_tol, failures)
 
 
@@ -267,29 +272,29 @@ def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
     the same moments, leaving the tails untouched.
     """
     window = values.window
-    mask, _, duals, measure = _annulus_levels(window, cube, s, 0)[0]
-    m = moments(values.flat, _monomial_columns(window, s), window.cell_measure)
+    cells, _, duals, measure = _annulus_levels(window, cube, s, 0)[0]
+    m = moments(values.flat, _monomial_columns(window, s).T, window.cell_measure)
     # moments must be removed jointly: build the correction, then subtract
     corr = np.zeros(window.cell_count)
     for m_nu, psi in zip(m, duals):
-        corr[mask] += m_nu * psi / measure
+        corr[cells] += m_nu * psi / measure
     return GridFunction(window, (values.flat - corr).reshape(window.cells))
 
 
 @_window_memo(16)
 def _annulus_level(window: Window, cube: Cube, s: int, j: int) -> tuple:
-    """Level j of the dyadic ladder around the core cube Q: the mask of
-    L_j = Q_j minus Q_{j-1} (Q_0 at j = 0; Q_j = 2^j Q), the projector on its
-    cells, the duals psi_nu there (each caller divides them by |L_j| at its
-    own place in the product) and |L_j|.  It holds no values, so each
-    geometry is built once and shared, read-only."""
+    """Level j of the dyadic ladder around the core cube Q: the cells of
+    L_j = Q_j minus Q_{j-1} (Q_0 at j = 0; Q_j = 2^j Q) as region_cells lists
+    them, the projector on them, the duals psi_nu there (each caller divides
+    them by |L_j| at its own place in the product) and |L_j|.  It holds no
+    values, so each geometry is built once and shared, read-only."""
     q = cube.dilate(2**j)
-    mask = region_mask(window, annulus(cube.center, cube.side, j))
-    if not mask.any():
+    cells = region_cells(window, annulus(cube.center, cube.side, j))
+    if not cells.size:
         raise ValueError(f"window does not reach annulus level {j}")
-    pts = window.cell_midpoints(np.flatnonzero(mask))
+    pts = window.cell_midpoints(cells)
     proj = Projector(pts, s, q.center, q.scale)
-    return mask, proj, tuple(psi(pts) for psi in proj.bases()[1]), float(mask.sum()) * window.cell_measure
+    return cells, proj, tuple(psi(pts) for psi in proj.bases()[1]), float(cells.size) * window.cell_measure
 
 
 def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> tuple:
@@ -297,13 +302,18 @@ def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> tuple:
     return tuple(_annulus_level(window, cube, s, j) for j in range(j_max + 1))
 
 
-def _dual_step(levels, j: int, nu: int, size: int) -> np.ndarray:
-    """psi_nu^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi_nu^{(j)} 1_{L_j} / |L_j|."""
-    (hi, _, psi_hi, m_hi), (lo, _, psi_lo, m_lo) = levels[j + 1], levels[j]
-    out = np.zeros(size)
-    out[hi] = psi_hi[nu] / m_hi
-    out[lo] -= psi_lo[nu] / m_lo
-    return out
+@_window_memo(16)
+def _outside_cells(window: Window, cube: Cube) -> np.ndarray:
+    """The sorted flat indices of the window cells outside the cube: the
+    cells of a tail moment."""
+    return np.flatnonzero(~region_mask(window, cube))
+
+
+def _dual_step(levels, j: int, nu: int) -> tuple:
+    """psi_nu^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi_nu^{(j)} 1_{L_j} / |L_j|
+    as its values (lo, hi) on the cells of L_j and of L_{j+1}."""
+    (_, _, psi_lo, m_lo), (_, _, psi_hi, m_hi) = levels[j], levels[j + 1]
+    return 0.0 - psi_lo[nu] / m_lo, psi_hi[nu] / m_hi
 
 
 def make_molecule(
@@ -331,32 +341,30 @@ def make_molecule(
     j_max = whole_number(j_max, "j_max")
     rng = np.random.default_rng(seed)
     c = norm_exponent(params)
+    cm = window.cell_measure
     total = np.zeros(window.cell_count)
     levels = _annulus_levels(window, cube, params.s, j_max)
-    regions = [annulus(cube.center, cube.side, j) for j in range(j_max + 1)]
     core_bound = levels[0][3] ** c
     bounds = [core_bound * (2.0 ** (j * window.n / epsilon * c) if j else 1.0) for j in range(j_max + 1)]
-    for j, (mask, proj, _, _) in enumerate(levels):
-        resid = np.zeros(window.cell_count)
-        raw = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-        resid[mask] = proj.residual(raw)
-        norm = lq_norm(GridFunction(window, resid), regions[j], params.q)
+    for j, (cells, proj, _, _) in enumerate(levels):
+        piece = proj.residual(rng.uniform(-1.0, 1.0, size=cells.size))
+        norm = _lq(piece, params.q, cm)
         if norm <= 0:
             raise ZeroAtomError("degenerate annulus piece")
-        total += resid * (margin * bounds[j] / norm)
+        total[cells] += piece * (margin * bounds[j] / norm)
     gammas = multi_indices(window.n, params.s)
     for j in range(j_max):
         for gi in range(len(gammas)):
-            pair = _dual_step(levels, j, gi, window.cell_count)
-            gf = GridFunction(window, pair)
-            norm_lo = lq_norm(gf, regions[j], params.q)
-            norm_hi = lq_norm(gf, regions[j + 1], params.q)
+            lo, hi = _dual_step(levels, j, gi)
+            norm_lo, norm_hi = _lq(lo, params.q, cm), _lq(hi, params.q, cm)
             cap = min(
                 bounds[j] / norm_lo if norm_lo > 0 else INF,
                 bounds[j + 1] / norm_hi if norm_hi > 0 else INF,
             )
             amp = tail_weight * cap * rng.uniform(0.5, 1.0) / len(gammas)
-            total += amp * pair * (1 if rng.random() < 0.5 else -1)
+            sign = 1 if rng.random() < 0.5 else -1
+            total[levels[j][0]] += amp * lo * sign
+            total[levels[j + 1][0]] += amp * hi * sign
     values = GridFunction(window, total.reshape(window.cells))
     cert = validate_molecule(values, cube, params, epsilon, j_max)
     if not cert.passed:
@@ -525,9 +533,9 @@ def decompose_molecule(
     # the dyadic cubes Q_j = 2^j Q, j <= l_max; the innermost and outermost
     # are checked before the ladder can raise
     cubes = [cube.dilate(2**j) for j in range(l_max + 1)]
-    if int(np.count_nonzero(region_mask(window, cubes[0]))) != side_cells**n:
+    if region_cells(window, cubes[0]).size != side_cells**n:
         raise CertificationError("core cube must be cell-aligned inside the window")
-    if int(np.count_nonzero(region_mask(window, cubes[l_max]))) != (side_cells * 2**l_max) ** n:
+    if region_cells(window, cubes[l_max]).size != (side_cells * 2**l_max) ** n:
         raise CertificationError(f"window does not fully contain level {l_max}")
 
     cert = validate_molecule(mol.values, cube, params, eps, l_max, moment_tol)
@@ -537,78 +545,86 @@ def decompose_molecule(
     c_exp = norm_exponent(params)
     decay = 2.0 ** (n * (1.0 / eps - 1.0) * c_exp)
     vals = mol.values.flat
+    cm = window.cell_measure
     gammas = multi_indices(n, s)
 
+    # each per-level array holds the values on the cells of one L_j, in the
+    # ladder's order; only the atoms' records and the tail term fill a window
     levels = _annulus_levels(window, cube, s, l_max)
-    inside = list(itertools.accumulate((mask for mask, *_ in levels), np.logical_or))  # Q_j = L_0 + ... + L_j
-    resids, c_proj = [], 0.0
-    for mask, proj, _, _ in levels:
-        fit = proj.fit(vals[mask])
-        resid = np.zeros(window.cell_count)
-        resid[mask] = vals[mask] - fit
-        resids.append(resid)
-        mean_abs = float(np.abs(vals[mask]).mean())
+    on = [vals[cells] for cells, *_ in levels]
+    core, c_proj = [], 0.0
+    for v, (_, proj, _, _) in zip(on, levels):
+        fit = proj.fit(v)
+        core.append(v - fit)
+        mean_abs = float(np.abs(v).mean())
         if mean_abs > 0:
             c_proj = max(c_proj, float(np.abs(fit).max()) / mean_abs)
 
     lam_core = 1.0 + c_proj
 
     atoms: list[DecompositionAtom] = []
-    partial_core = np.zeros(window.cell_count)
-    core_partials = []
-    for j in range(l_max + 1):
+    for j, (cells, *_) in enumerate(levels):
         lam_j = lam_core * decay**j
-        if np.any(resids[j]):
-            a_vals = resids[j] / lam_j
-            rec = _certified_atom(window, a_vals, cubes[j], params, f"core atom at level {j}")
+        if np.any(core[j]):
+            a_vals = core[j] / lam_j
+            rec = _certified_atom(window, cells, a_vals, cubes[j], params, f"core atom at level {j}")
             atoms.append(DecompositionAtom(j, "core", None, lam_j, rec))
-            partial_core = partial_core + lam_j * a_vals
-        core_partials.append(partial_core)
+            core[j] = lam_j * a_vals  # from here on, level j's share of the core partial sums
 
     # tail moments over the window beyond each dyadic cube
-    cols = _monomial_columns(window, s)
     eta = np.zeros((l_max + 1, len(gammas)))
     for j in range(l_max + 1):
-        outside = ~inside[j]
-        eta[j] = moments(vals[outside], cols[outside], window.cell_measure)
+        out = _outside_cells(window, cubes[j])
+        eta[j] = moments(vals[out], np.take(_monomial_columns(window, s), out, axis=1).T, cm)
 
     # correction pieces eta_nu^{(j)} [ psi^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi^{(j)} 1_{L_j} / |L_j| ]
+    # on the cells of L_j then L_{j+1}; a norm over Q_{j+1} reads them back
+    # from buf in the window's order, with Q_{j-1}'s zeros
+    buf = np.zeros(window.cell_count)
+    pairs = [np.concatenate((levels[j][0], levels[j + 1][0])) for j in range(l_max)]
     tilde_raw = {}
     tilde_norm_max = 0.0
-    for j in range(l_max):
+    for j, pair in enumerate(pairs):
         bound = decay**j * region_measure(window, cubes[j + 1]) ** c_exp
         for gi, g in enumerate(gammas):
-            piece = _dual_step(levels, j, gi, window.cell_count) * eta[j, gi]
-            norm = lq_norm(GridFunction(window, piece), cubes[j + 1], params.q)
+            piece = np.concatenate(_dual_step(levels, j, gi)) * eta[j, gi]
+            buf[pair] = piece
+            norm = _lq(buf[region_cells(window, cubes[j + 1])], params.q, cm)
             tilde_raw[(j, g)] = (piece, norm)
             if norm > 0:
                 tilde_norm_max = max(tilde_norm_max, norm / bound)
+        buf[pair] = 0.0
 
+    # per level l: the reconstruction residual from the partial sums of the
+    # atoms below l and the tail term, then level l's correction atoms.
+    # buf holds M 1_{Q_l} - reconstruction on Q_l and zeros beyond, so the
+    # L^1 sum keeps the window's order; L_k's entry is final once k < l
     c_tilde = tilde_norm_max * (1.0 + 1e-8)
-    corr_partial = np.zeros(window.cell_count)
-    corr_partials = [corr_partial]  # corrections up to level l-1 for l = 0
-    for j in range(l_max):
-        lam_t = c_tilde * decay**j
+    corr = [np.zeros(v.size) for v in on]
+    residuals = []
+    m_l1 = float(np.abs(vals).sum()) * cm
+    for l, (cells, _, duals, measure) in enumerate(levels):
+        if l:
+            buf[levels[l - 1][0]] = on[l - 1] - (core[l - 1] + corr[l - 1])
+        tail = np.zeros(cells.size)
+        for gi, psi in enumerate(duals):
+            tail -= eta[l, gi] * (psi / measure)
+        buf[cells] = on[l] - ((core[l] + corr[l]) + tail)
+        residuals.append(float(np.abs(buf).sum()) * cm / max(m_l1, 1e-300))
+        if l == l_max:
+            break
+        lam_t = c_tilde * decay**l
         for g in gammas:
-            piece, norm = tilde_raw[(j, g)]
+            piece, norm = tilde_raw[(l, g)]
             if norm == 0.0 or c_tilde == 0.0:
                 continue
-            what = f"correction atom level {j}, nu={g}"
-            rec = _certified_atom(window, piece / lam_t, cubes[j + 1], params, what)
-            atoms.append(DecompositionAtom(j, "correction", g, lam_t, rec))
-            corr_partial = corr_partial + piece
-        corr_partials.append(corr_partial)
-
-    # tail term and reconstruction residual per level
-    residuals = []
-    m_l1 = float(np.abs(vals).sum()) * window.cell_measure
-    for l, (mask, _, duals, measure) in enumerate(levels):
-        tail = np.zeros(window.cell_count)
-        for gi, psi in enumerate(duals):
-            tail[mask] -= eta[l, gi] * (psi / measure)
-        recon = core_partials[l] + corr_partials[l] + tail
-        diff = np.where(inside[l], vals, 0.0) - recon
-        residuals.append(float(np.abs(diff).sum()) * window.cell_measure / max(m_l1, 1e-300))
+            what = f"correction atom level {l}, nu={g}"
+            rec = _certified_atom(window, pairs[l], piece / lam_t, cubes[l + 1], params, what)
+            atoms.append(DecompositionAtom(l, "correction", g, lam_t, rec))
+            corr[l] += piece[: cells.size]
+            corr[l + 1] += piece[cells.size :]
+    tail_term = np.zeros(window.cell_count)
+    tail_term[cells] = tail  # level l_max's, the loop's last
 
     p = params.p
     lam_values = [a.lam for a in atoms if a.kind == "core"]
@@ -619,7 +635,7 @@ def decompose_molecule(
 
     return DecompositionReport(
         atoms=atoms,
-        tail_term=GridFunction(window, tail.reshape(window.cells)),  # level l_max's, the loop's last
+        tail_term=GridFunction(window, tail_term.reshape(window.cells)),
         tail_level=l_max,
         residuals=residuals,
         coef_p_sum_core=coef_core,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jnlab.lattice import Cube, GridFunction, Window, annulus, moments, monomials, region_mask, region_measure
+from jnlab.lattice import (
+    Cube,
+    GridFunction,
+    Window,
+    annulus,
+    moments,
+    monomials,
+    region_cells,
+    region_mask,
+    region_measure,
+)
 from jnlab.polyproj import Projector, dual_basis, multi_indices
 from jnlab.spaces import NormParams, jn_con_norm
 from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose
@@ -23,6 +35,7 @@ from jnlab.hardy import (
     hk_upper_bound,
     make_atom,
     make_molecule,
+    norm_exponent,
     pairing,
     repair_moments,
     validate_atom,
@@ -443,6 +456,7 @@ def ladder_setup():
 def _counting_projectors(monkeypatch) -> list:
     """Clear the geometry memos and count Projector constructions from now on."""
     region_mask.cache_clear()
+    region_cells.cache_clear()
     _annulus_level.cache_clear()
     built = []
     init = Projector.__init__
@@ -471,19 +485,21 @@ def test_ladder_builds_one_projector_per_level(monkeypatch):
 def test_ladder_memo_is_read_only_and_cold_equals_warm():
     params, w, cube, _ = ladder_setup()
     warm = _annulus_levels(w, cube, params.s, 3)
-    for mask, proj, duals, _ in warm:
-        for a in (mask, proj.phi) + duals:
+    for cells, proj, duals, _ in warm:
+        for a in (cells, proj.phi) + duals:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]
     assert all(a is b for a, b in zip(_annulus_levels(w, cube, params.s, 1), warm))  # shared across j_max
     region_mask.cache_clear()
+    region_cells.cache_clear()
     _annulus_level.cache_clear()
     cold = _annulus_levels(w, cube, params.s, 3)
     assert region_mask.cache_info()[:2] == (0, 3 + 1)  # one mask per level, no hits
-    for (mask, proj, duals, measure), (m0, p0, d0, meas0) in zip(cold, warm):
+    assert region_cells.cache_info()[:2] == (0, 3 + 1)  # one cell list per level, no hits
+    for (cells, proj, duals, measure), (c0, p0, d0, meas0) in zip(cold, warm):
         assert proj is not p0 and measure == meas0
-        assert np.array_equal(mask, m0) and np.array_equal(proj.gram, p0.gram)
+        assert np.array_equal(cells, c0) and np.array_equal(proj.gram, p0.gram)
         assert all(np.array_equal(a, b) for a, b in zip(duals, d0))
 
 
@@ -506,15 +522,17 @@ def test_moment_check_reads_memoised_columns_bit_for_bit(s):
 def test_ladder_levels_partition_and_match_dual_basis():
     params, w, cube, _ = ladder_setup()
     levels = _annulus_levels(w, cube, params.s, 3)
-    masks = np.array([mask for mask, _, _, _ in levels])
+    masks = np.zeros((len(levels), w.cell_count), dtype=int)
+    for row, (cells, _, _, _) in zip(masks, levels):
+        row[cells] += 1
     assert masks.sum(axis=0).max() == 1  # pairwise disjoint
     assert np.array_equal(masks.any(axis=0), region_mask(w, cube.dilate(8)))
     pts = w.midpoints()
-    for j, (mask, proj, duals, measure) in enumerate(levels):
+    for j, (cells, proj, duals, measure) in enumerate(levels):
         region = annulus(cube.center, cube.side, j)
-        assert np.array_equal(mask, region_mask(w, region))
+        assert np.array_equal(cells, np.flatnonzero(region_mask(w, region)))  # sorted: row-major order
         assert measure == region_measure(w, region)
-        expect = [psi(pts[mask]) for psi in dual_basis(w, region, params.s)]
+        expect = [psi(pts[region_mask(w, region)]) for psi in dual_basis(w, region, params.s)]
         assert len(duals) == len(expect) == 3
         assert all(np.array_equal(a, b) for a, b in zip(duals, expect))
 
@@ -550,3 +568,131 @@ def test_molecule_level_counts_must_be_whole_numbers():
             make_molecule(3, cube, params, eps, w, bad)
         with pytest.raises(ValueError, match="l_max must be an integer"):
             decompose_molecule(mol, bad)
+
+
+def _window_route(f: GridFunction, cube: Cube, params) -> tuple:
+    """validate_atom's answer read on the whole window, as the reference:
+    the support on the cube's complement, the size on its mask, and the
+    moments of the monomials evaluated at the window's nonzero cells."""
+    w = f.window
+    mask = region_mask(w, cube)
+    nz = np.flatnonzero(f.flat)
+    gammas = multi_indices(w.n, params.s)
+    found = moments(f.flat[nz], monomials(w.cell_midpoints(nz), gammas), w.cell_measure)
+    l1 = float(np.abs(f.flat).sum()) * w.cell_measure
+    norm = float((np.abs(f.flat[mask]) ** params.q).sum() * w.cell_measure) ** (1.0 / params.q)
+    ratio = norm / region_measure(w, cube) ** norm_exponent(params)
+    defects = {g: abs(m).hex() for g, m in zip(gammas, found)}
+    return not np.any(f.flat[~mask]), ratio.hex(), defects, {g: (l1 * cube.side ** sum(g)).hex() for g in gammas}
+
+
+def _hexed(cert) -> tuple:
+    hexes = [{g: v.hex() for g, v in d.items()} for d in (cert.moment_defects, cert.moment_scales)]
+    return (cert.support_exact, cert.norm_ratio.hex(), *hexes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    s=st.integers(0, 2),
+    q=st.sampled_from([1.5, 2.0, 3.0]),
+    cells=st.integers(12, 40),
+    side_cells=st.integers(3, 12),
+    offset=st.floats(-0.6, 0.6),
+    keep=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_validate_atom_support_route_equals_window_route(n, s, q, cells, side_cells, offset, keep, seed):
+    # values on the cube (with zeros inside it, and a cube the window may
+    # clip): the cube-local reads give the full-window answer bit for bit
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (cells,) * n)
+    cube = Cube((offset,) * n, side_cells * w.h)
+    params = NormParams(2.0, q, s, 0.25)
+    rng = np.random.default_rng(seed)
+    live = region_mask(w, cube) & (rng.random(w.cell_count) < keep)
+    f = GridFunction(w, np.where(live, rng.normal(size=w.cell_count), 0.0).reshape(w.cells))
+    cert = validate_atom(f, cube, params)
+    assert cert.route == "support" and cert.support_exact
+    assert _hexed(cert) == _window_route(f, cube, params)
+
+
+def test_leaky_atom_takes_the_window_route_and_reports_its_defects():
+    w = Window(2, (-2.0, -2.0), (2.0, 2.0), (64, 64))
+    params = NormParams(2.0, 2.0, 1, 0.25)
+    cube = Cube((0.25, -0.5), 6 * w.h)
+    atom = make_atom(5, cube, params, w)
+    assert atom.certification.route == "support"
+    leak = atom.values.values.copy()
+    leak[0, 0] = 1e-3
+    f = GridFunction(w, leak)
+    cert = validate_atom(f, cube, params)
+    assert cert.route == "window" and not cert.support_exact
+    assert "support: nonzero cells outside the cube" in cert.failures
+    assert any(m.startswith("moment") for m in cert.failures)  # the leak's moments count
+    assert _hexed(cert) == _window_route(f, cube, params)
+
+
+# Decompositions pinned bit for bit (numpy 2.4.6, x86-64): residuals,
+# constants, every lambda and the tail term's bytes.  The 264^2 window is
+# above the memo budget, so nothing of it is memoised.
+PINNED_DECOMPOSITIONS = {
+    "1d-s0": {
+        "residuals": ["0x1.634cdc6033429p-57", "0x1.21d9a64e7aa8dp-55", "0x1.34291e936fd3dp-55",
+                      "0x1.6b1787624f54ep-55", "0x1.78ba32a60074ep-55"],
+        "constants": {"annulus_projection": "0x1.1c9010078c0b9p-3", "core_factor": "0x1.23920200f1817p+0",
+                      "correction_factor": "0x1.cc45e1c762455p-4"},
+        "lams": ["0x1.23920200f1817p+0", "0x1.85332078c1e18p-1", "0x1.03c27816708c8p-1", "0x1.5abcce89842c0p-2",
+                 "0x1.ced6cd3f3047fp-3", "0x1.cc45e1c762455p-4", "0x1.333202df38751p-4", "0x1.9a0e7da4317c4p-5",
+                 "0x1.11ae112608c52p-5"],
+        "tail": "ad7facb2586fc6e966c004d7d1d16b02",
+    },
+    "2d-128-s1": {
+        "residuals": ["0x1.df742a7ccf92ep-56", "0x1.53f84682063bcp-55", "0x1.4fe3c04a089c2p-55",
+                      "0x1.5cf8144fb40d6p-55", "0x1.631e891de4945p-55", "0x1.62a8f1bbea107p-55"],
+        "constants": {"annulus_projection": "0x1.5acbbe20ea1cep-3", "core_factor": "0x1.2b5977c41d43ap+0",
+                      "correction_factor": "0x1.2a5c82d26ea98p-5"},
+        "lams": ["0x1.2b5977c41d43ap+0", "0x1.40d5b79862fc1p-2", "0x1.57dcbd0a7b30ap-4", "0x1.708adda52fe8bp-6",
+                 "0x1.8afe778fec6adp-8", "0x1.a75816ec76e2bp-10"]
+        + ["0x1.2a5c82d26ea98p-5"] * 3 + ["0x1.3fc69ad233004p-7"] * 3 + ["0x1.56ba2ad88741ap-9"] * 3
+        + ["0x1.6f53707ecee80p-11"] * 3 + ["0x1.89b0b04321076p-13"] * 3,
+        "tail": "fa43239bcee7b97ca62f007cc6848756",
+    },
+    "2d-264-s1": {
+        "residuals": ["0x1.98063f9006ca1p-53", "0x1.afcdea1a06606p-53", "0x1.b79f606010d25p-53",
+                      "0x1.b8de1d8654969p-53", "0x1.b90b307f319e1p-53"],
+        "constants": {"annulus_projection": "0x1.6aea57a3c728cp-3", "core_factor": "0x1.2d5d4af478e52p+0",
+                      "correction_factor": "0x1.295da0dc03375p-5"},
+        "lams": ["0x1.2d5d4af478e52p+0", "0x1.42fe908e22c14p-2", "0x1.5a2d44063f676p-4", "0x1.7305ebba8f594p-6",
+                 "0x1.8da71a268c5d7p-8"]
+        + ["0x1.295da0dc03375p-5"] * 3 + ["0x1.3eb56da48c85cp-7"] * 3 + ["0x1.55956252361a3p-9"] * 3
+        + ["0x1.6e19a45e528b0p-11"] * 3,
+        "tail": "6fa15acbb96ac80aa40b41e9d3438222",
+    },
+}
+
+
+def _pinned_molecule(name: str):
+    if name == "1d-s0":
+        w = Window(1, (-2.0,), (2.0,), (512,))
+        return make_molecule(31, Cube((0.0,), 0.25), PARAMS, 0.3, w, 4), 4
+    cells, side, levels = {"2d-128-s1": (128, 4, 5), "2d-264-s1": (264, 8, 4)}[name]
+    params, _, _, eps = ladder_setup()
+    w = Window(2, (-2.0, -2.0), (2.0, 2.0), (cells, cells))
+    return make_molecule(3, Cube((0.0, 0.0), side * w.h), params, eps, w, levels), levels
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DECOMPOSITIONS))
+def test_decomposition_is_pinned_bit_for_bit(name):
+    held = (region_cells.cache_info().currsize, _annulus_level.cache_info().currsize)
+    mol, levels = _pinned_molecule(name)
+    rep = decompose_molecule(mol, levels)
+    if mol.values.window.cell_count > 1 << 16:
+        assert (region_cells.cache_info().currsize, _annulus_level.cache_info().currsize) == held
+    assert {
+        "residuals": [r.hex() for r in rep.residuals],
+        "constants": {k: v.hex() for k, v in rep.constants.items()},
+        "lams": [a.lam.hex() for a in rep.atoms],
+        "tail": hashlib.sha256(rep.tail_term.values.tobytes()).hexdigest()[:32],
+    } == PINNED_DECOMPOSITIONS[name]
+    assert all(a.record.certification.route == "support" for a in rep.atoms)
+    assert "route" not in json.dumps(rep.to_json(), default=repr)

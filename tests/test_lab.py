@@ -283,7 +283,7 @@ def test_cli_molecule_check_and_decompose(tmp_path):
         "--out", str(tmp_path / "dec"),
     ])
     assert rc == 0
-    assert (tmp_path / "dec" / "decomposition.json").exists()
+    assert "route" not in (tmp_path / "dec" / "decomposition.json").read_text()  # the route is not an output
     # a non-molecule input is refused with the property exit code
     bad = mol.values * 100.0
     bad_path = tmp_path / "bad.json"
