@@ -23,7 +23,7 @@ from .lattice import (
     GridFunction,
     Window,
     _lq,
-    _window_memo,
+    _memo,
     annulus,
     check_packing,
     lq_norm,
@@ -112,7 +112,7 @@ class AtomRecord:
     certification: AtomCertification
 
 
-@_window_memo(8)
+@_memo
 def _monomial_columns(window: Window, s: int) -> np.ndarray:
     """The monomials x^gamma, |gamma| <= s, on every cell of the window: one
     contiguous row each, ordered like multi_indices, shape (dim, cells)."""
@@ -146,7 +146,7 @@ def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification
     inner = values.flat[cells]
     support_exact = bool(np.count_nonzero(values.flat != 0.0) == np.count_nonzero(inner))  # bool counts are fast
     nz = cells[np.flatnonzero(inner)] if support_exact else np.flatnonzero(values.flat)
-    bound = (float(cells.size) * window.cell_measure) ** norm_exponent(params)  # region_measure(window, cube)
+    bound = region_measure(window, cube) ** norm_exponent(params)
     norm = _lq(inner, params.q, window.cell_measure)
     norm_ratio = norm / bound if bound > 0 else INF
     failures = []
@@ -281,7 +281,7 @@ def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
     return GridFunction(window, (values.flat - corr).reshape(window.cells))
 
 
-@_window_memo(16)
+@_memo
 def _annulus_level(window: Window, cube: Cube, s: int, j: int) -> tuple:
     """Level j of the dyadic ladder around the core cube Q: the cells of
     L_j = Q_j minus Q_{j-1} (Q_0 at j = 0; Q_j = 2^j Q) as region_cells lists
@@ -302,7 +302,7 @@ def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> tuple:
     return tuple(_annulus_level(window, cube, s, j) for j in range(j_max + 1))
 
 
-@_window_memo(16)
+@_memo
 def _outside_cells(window: Window, cube: Cube) -> np.ndarray:
     """The sorted flat indices of the window cells outside the cube: the
     cells of a tail moment."""

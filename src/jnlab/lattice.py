@@ -18,6 +18,7 @@ import functools
 import inspect
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +49,8 @@ __all__ = [
 ]
 
 
-_MEMO_CELLS = 1 << 16  # windows of more cells are not memoised (see _window_memo)
+_MEMO_BYTES = 64 << 20  # the bytes of arrays the geometry memos may hold (see _memo)
+_MEMO = OrderedDict()  # (fn, args) -> (result, bytes), least recently used first; .held sums the bytes
 
 
 class LatticeError(ValueError):
@@ -483,44 +485,47 @@ def check_packing(cubes, side: float, what: str) -> None:
             raise ValueError(f"{what} cubes must be interior disjoint")
 
 
-def _frozen(tree):
-    """The tuple/list tree with its arrays made read-only: memos share them."""
+def _frozen(tree) -> int:
+    """Make a result's arrays read-only, as memos share them, through tuples,
+    lists and objects' attributes; return their bytes."""
     if isinstance(tree, np.ndarray):
         tree.flags.writeable = False
-    elif isinstance(tree, (tuple, list)):
-        for item in tree:
-            _frozen(item)
-    return tree
+        return tree.nbytes
+    if isinstance(tree, (tuple, list)):
+        return sum(map(_frozen, tree))
+    return sum(map(_frozen, vars(tree).values())) if hasattr(tree, "__dict__") else 0
 
 
-def _window_memo(maxsize: int):
-    """Memoise fn(window, *geometry), a function of a window and hashable
-    geometry that reads no values and has no defaulted arguments, in an LRU
-    of maxsize entries keyed by the arguments in positional order, however
-    they are passed.  Its results are read-only, as callers share them.  A
-    window of more than _MEMO_CELLS cells is computed afresh on every call
-    and not retained, so the memo holds at most maxsize results of at most
-    that many cells."""
+def _memo(fn):
+    """Memoise fn, a function of hashable geometry that reads no values and has
+    no defaulted arguments, in _MEMO under fn and its arguments in positional
+    order, however passed.  Results are read-only, as callers share them.  A miss
+    evicts least recently used entries until the arrays held fit in _MEMO_BYTES."""
+    bind = inspect.signature(fn).bind
 
-    def wrap(fn):
-        cached = functools.lru_cache(maxsize)(lambda *args: _frozen(fn(*args)))
-        bind = inspect.signature(fn).bind
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if kwargs:
+            args = bind(*args, **kwargs).args
+        key = (call, args)
+        hit = _MEMO.get(key)
+        if hit is not None:
+            _MEMO.move_to_end(key)
+            return hit[0]
+        result = fn(*args)
+        size = _frozen(result)
+        if size <= _MEMO_BYTES:
+            held = size + (_MEMO.held if _MEMO else 0)  # an empty store, as after _MEMO.clear(), holds 0
+            _MEMO[key] = result, size
+            while held > _MEMO_BYTES:
+                held -= _MEMO.popitem(last=False)[1][1]
+            _MEMO.held = held
+        return result
 
-        @functools.wraps(fn)
-        def call(*args, **kwargs):
-            if kwargs:
-                args = bind(*args, **kwargs).args
-            if args[0].cell_count > _MEMO_CELLS:
-                return _frozen(fn(*args))
-            return cached(*args)
-
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-
-    return wrap
+    return call
 
 
-@_window_memo(256)
+@_memo
 def region_mask(window: Window, region: Region) -> np.ndarray:
     """Boolean mask (flat, row-major) of window cells with midpoint in region;
     read-only and memoised per (window, region)."""
@@ -530,7 +535,7 @@ def region_mask(window: Window, region: Region) -> np.ndarray:
     return region.grid_contains(axes).reshape(-1)
 
 
-@_window_memo(256)
+@_memo
 def region_cells(window: Window, region: Region) -> np.ndarray:
     """The flat indices of region_mask's cells, sorted, so a gather through
     them reads the region's values in row-major order; read-only and
@@ -553,7 +558,7 @@ def region_measure(window: Window, region: Region, policy: str = "restrict") -> 
     there, but the region keeps its full size).
     """
     if policy == "restrict":
-        return float(np.count_nonzero(region_mask(window, region))) * window.cell_measure
+        return float(region_cells(window, region).size) * window.cell_measure
     if policy != "zero-extend":
         raise ValueError(f"unknown policy {policy!r}")
     lo, hi = region.bounding_box()
@@ -567,10 +572,7 @@ def region_measure(window: Window, region: Region, policy: str = "restrict") -> 
 
 def integrate(f: GridFunction, region: Region) -> float:
     """Midpoint-rule integral of f over the region (0 for a disjoint region)."""
-    mask = region_mask(f.window, region)
-    if not mask.any():
-        return 0.0
-    return float(f.flat[mask].sum()) * f.window.cell_measure
+    return float(f.flat[region_cells(f.window, region)].sum()) * f.window.cell_measure
 
 
 def average(f: GridFunction, region: Region, policy: str = "restrict") -> float:

@@ -209,8 +209,6 @@ class Projector:
             )
         # coefficients of a row b are gram^-1 phi^T b, solved here once or per masked row
         self._solved = np.linalg.solve(self.gram, self.phi.T) if keep is None else self.phi.T
-        for a in (self.phi, self.gram, self._solved):  # read-only: caches share projectors
-            a.flags.writeable = False
 
     def clipped(self, keep, gram) -> "Projector":
         """This projector in masked mode on the points ``keep`` marks, where

@@ -17,7 +17,6 @@ supremum ranges over arbitrary placements in the whole space.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    Ball, Cube, GridFunction, Window, _frozen, check_packing, grid_points, region_mask, whole_number
+    Ball, Cube, GridFunction, Window, _memo, check_packing, grid_points, region_mask, whole_number
 )
 from .polyproj import (
     ConditioningError,
@@ -266,7 +265,7 @@ def _tile_centers(layout, m: int) -> np.ndarray:
     return grid_points([f + m * np.arange(k) + m / 2.0 for f, k in layout])
 
 
-@functools.lru_cache(maxsize=32)
+@_memo
 def _cube_projector(n: int, m: int, s: int) -> Projector:
     """The projector of every cube of m cells per axis: cell midpoints in
     cell units, anchored at the center, half-side scale."""
@@ -284,7 +283,7 @@ class _SidePlan(NamedTuple):
     cubes_evaluated: int
 
 
-@functools.lru_cache(maxsize=256)
+@_memo
 def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, batch: int) -> _SidePlan:
     """The search geometry of side m on a window of `cells`, which holds no
     values: tiling layouts, the start cells in those tilings' phases cut
@@ -312,11 +311,11 @@ def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, ba
         phase = np.ix_(*(first[i] + pad for (_, first, _), i in zip(axes, idx)))
         cut = (Ellipsis, *(slice(c) for c in counts))
         groups.append((np.ix_(*idx), phase, cut, (*map(len, idx), -1)))
-    return _frozen(_SidePlan(
+    return _SidePlan(
         pad, axes, chunks, groups,
         0 if exhaustive else math.prod(len(o) for o, _, _ in axes),
         math.prod(len(x) for x in starts),
-    ))
+    )
 
 
 def _qmean_table(values, projector, m: int, plan: _SidePlan, q):
@@ -538,7 +537,7 @@ class _BallPlan(NamedTuple):
             yield slice(lo, lo + step), self.corners[lo : lo + step, None] + self.offsets
 
 
-@functools.lru_cache(maxsize=32)
+@_memo
 def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPlan:
     """The balls of every center on a window of `cells`, which hold no
     values: lattice offsets k with |k| h < radius into the frame padded by
@@ -563,7 +562,7 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
         plan.counts[rows] = keep.sum(axis=1)
         if s is not None:
             grams.append(Projector(offs * h, s, None, radius, keep).gram)
-    return _frozen(plan._replace(gram=np.concatenate(grams) if grams else None))
+    return plan._replace(gram=np.concatenate(grams) if grams else None)
 
 
 def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):

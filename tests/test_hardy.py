@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jnlab import lattice
 from jnlab.lattice import (
     Cube,
     GridFunction,
@@ -453,11 +454,15 @@ def ladder_setup():
     return params, w, Cube((0.0, 0.0), 0.5), float(epsilon_window(2, 2, 1, Fraction(1, 4), 1, 2).midpoint())
 
 
+def _entries(fn) -> int:
+    """The entries a memoised function holds in the one memo store: after
+    lattice._MEMO.clear(), its misses."""
+    return sum(key[0] is fn for key in lattice._MEMO)
+
+
 def _counting_projectors(monkeypatch) -> list:
     """Clear the geometry memos and count Projector constructions from now on."""
-    region_mask.cache_clear()
-    region_cells.cache_clear()
-    _annulus_level.cache_clear()
+    lattice._MEMO.clear()
     built = []
     init = Projector.__init__
 
@@ -491,12 +496,12 @@ def test_ladder_memo_is_read_only_and_cold_equals_warm():
             with pytest.raises(ValueError):
                 a[0] = a[0]
     assert all(a is b for a, b in zip(_annulus_levels(w, cube, params.s, 1), warm))  # shared across j_max
-    region_mask.cache_clear()
-    region_cells.cache_clear()
-    _annulus_level.cache_clear()
+    lattice._MEMO.clear()
     cold = _annulus_levels(w, cube, params.s, 3)
-    assert region_mask.cache_info()[:2] == (0, 3 + 1)  # one mask per level, no hits
-    assert region_cells.cache_info()[:2] == (0, 3 + 1)  # one cell list per level, no hits
+    # after a clear a memo's entries are its misses: one mask, one cell list
+    # and one level per level
+    assert [_entries(fn) for fn in (region_mask, region_cells, _annulus_level)] == [3 + 1] * 3
+    assert len(lattice._MEMO) == 3 * (3 + 1)
     for (cells, proj, duals, measure), (c0, p0, d0, meas0) in zip(cold, warm):
         assert proj is not p0 and measure == meas0
         assert np.array_equal(cells, c0) and np.array_equal(proj.gram, p0.gram)
@@ -683,11 +688,14 @@ def _pinned_molecule(name: str):
 
 @pytest.mark.parametrize("name", sorted(PINNED_DECOMPOSITIONS))
 def test_decomposition_is_pinned_bit_for_bit(name):
-    held = (region_cells.cache_info().currsize, _annulus_level.cache_info().currsize)
     mol, levels = _pinned_molecule(name)
     rep = decompose_molecule(mol, levels)
-    if mol.values.window.cell_count > 1 << 16:
-        assert (region_cells.cache_info().currsize, _annulus_level.cache_info().currsize) == held
+    # every window's ladder is memoised, 264^2 (above 2^16 cells) included
+    window = mol.values.window
+    ladder = [(_annulus_level, (window, mol.cube, mol.params.s, j)) for j in range(levels + 1)]
+    assert all(key in lattice._MEMO for key in ladder)
+    warm = _annulus_levels(window, mol.cube, mol.params.s, levels)
+    assert all(level is lattice._MEMO[key][0] for level, key in zip(warm, ladder))
     assert {
         "residuals": [r.hex() for r in rep.residuals],
         "constants": {k: v.hex() for k, v in rep.constants.items()},

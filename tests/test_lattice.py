@@ -21,6 +21,7 @@ from jnlab.lattice import (
     lq_norm,
     whole_number,
     monomials,
+    region_cells,
     region_mask,
     region_measure,
 )
@@ -285,14 +286,24 @@ def _memo_regions():
         yield w, Annulus(c, 0.5, 2)
 
 
+def _entries(fn) -> int:
+    """The entries a memoised function holds in the one memo store: after
+    lattice._MEMO.clear(), its misses."""
+    return sum(key[0] is fn for key in lattice._MEMO)
+
+
+def _held() -> int:
+    return sum(size for _, size in lattice._MEMO.values())
+
+
 def test_region_mask_memo_is_read_only_and_cold_equals_warm():
     warm = [region_mask(w, r) for w, r in _memo_regions()]
     for mask in warm:
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0] = not mask[0]
-    region_mask.cache_clear()
-    assert region_mask.cache_info().currsize == 0
+    lattice._MEMO.clear()
+    assert _entries(region_mask) == 0
     for (w, r), mask in zip(_memo_regions(), warm):
         cold = region_mask(w, r)
         assert cold is not mask and np.array_equal(cold, mask)
@@ -300,30 +311,56 @@ def test_region_mask_memo_is_read_only_and_cold_equals_warm():
 
 
 def test_region_mask_memo_keys_on_equal_geometry():
-    region_mask.cache_clear()
+    lattice._MEMO.clear()
     first = region_mask(Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16)), Cube((0.0, 0.0), 0.5))
     again = region_mask(Window(2, [-1, -1], [1, 1], [16, 16]), Cube([0, 0], 0.5))
     assert again is first
-    assert region_mask.cache_info().hits == 1
+    assert _entries(region_mask) == 1
     # keyword and mixed calls share the positional key
     assert region_mask(window=Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
     assert region_mask(Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
-    assert region_mask.cache_info().hits == 3
-    assert region_mask.cache_info().currsize == 1
+    assert _entries(region_mask) == 1
+    assert len(lattice._MEMO) == 1
 
 
-def test_region_mask_memo_is_bounded():
-    region_mask.cache_clear()
-    big = Window(1, (0.0,), (1.0,), (lattice._MEMO_CELLS + 2,))
-    cube = Cube((0.5,), 0.25)
-    a, b = region_mask(big, cube), region_mask(big, cube)
+def test_region_mask_memo_is_bounded(monkeypatch):
+    # a mask on 64 cells holds 64 bytes and an 8-cell list 64: a budget of
+    # five such arrays evicts the least recently used, whichever memo holds it
+    monkeypatch.setattr(lattice, "_MEMO_BYTES", 5 * 64)
+    lattice._MEMO.clear()
+    w = Window(1, (0.0,), (1.0,), (64,))
+    cubes = [Cube((0.5,), 0.5 + k / 1024) for k in range(5)]
+    masks = [region_mask(w, c) for c in cubes]
+    assert _held() == lattice._MEMO.held == 5 * 64
+    assert region_mask(w, cubes[0]) is masks[0]  # now the most recently used
+    small = Cube((0.5,), 0.125)
+    assert region_cells(w, small).size == 8  # a sixth mask, then its cell list
+    assert _held() == lattice._MEMO.held == 5 * 64
+    kept = [(region_mask, (w, c)) in lattice._MEMO for c in cubes]
+    assert kept == [True, False, False, True, True]
+    assert list(lattice._MEMO)[-2:] == [(region_mask, (w, small)), (region_cells, (w, small))]
+    for k in range(40):
+        region_cells(w, Cube((0.5,), 0.125 + k / 1024))
+        region_mask(w, cubes[k % 5])
+        assert _held() == lattice._MEMO.held <= lattice._MEMO_BYTES
+
+
+def test_memo_returns_but_does_not_keep_a_result_above_the_budget(monkeypatch):
+    monkeypatch.setattr(lattice, "_MEMO_BYTES", 100)
+    lattice._MEMO.clear()
+    w = Window(1, (0.0,), (1.0,), (64,))
+    cube = Cube((0.5,), 0.75)  # 48 cells: a 64-byte mask and a 384-byte cell list
+    a, b = region_cells(w, cube), region_cells(w, cube)
     assert a is not b and np.array_equal(a, b) and not a.flags.writeable
-    assert region_mask.cache_info().currsize == 0  # the window is above the cell budget
-    w = Window(1, (0.0,), (1.0,), (8,))
-    cap = region_mask.cache_info().maxsize
-    for k in range(cap + 10):
-        region_mask(w, Cube((0.5,), 0.5 + k / 1024))
-    assert region_mask.cache_info().currsize == cap
+    assert list(lattice._MEMO) == [(region_mask, (w, cube))] and lattice._MEMO.held == 64
+
+
+def test_memo_keeps_a_window_above_2_16_cells():
+    big = Window(1, (0.0,), (1.0,), ((1 << 16) + 2,))
+    cube = Cube((0.5,), 0.25)
+    a = region_mask(big, cube)
+    assert region_mask(big, cube) is a and not a.flags.writeable
+    assert region_cells(big, cube) is region_cells(big, cube)
 
 
 @settings(max_examples=60, deadline=None)

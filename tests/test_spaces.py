@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jnlab import lattice
 from jnlab.lattice import Ball, Cube, GridFunction, Window, region_mask
 from jnlab.polyproj import ConditioningError, Polynomial, Projector
 from jnlab.spaces import (
@@ -577,7 +578,7 @@ def test_ball_engine_matches_lstsq_reference(n, data, s, q, batch, seed):
     radius = data.draw(st.floats(2.001, 1.5 * max(cells))) / 16
     w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
     f = GridFunction(w, np.random.default_rng(seed).normal(size=cells))
-    spaces._ball_plan.cache_clear()  # bands of the tiny batch build the plan too
+    lattice._MEMO.clear()  # bands of the tiny batch build the plan too
     with mock.patch.object(spaces, "_BALL_BATCH", batch):
         fast, counts = spaces._ball_sweep(f, radius, s, q)
     slow, slow_counts = lstsq_ball_sweep(f, radius, s, q)
@@ -595,15 +596,16 @@ def test_clipped_ball_raises_conditioning_error_on_every_call(monkeypatch):
     # degree-1 Gram condition numbers: 2 for the unclipped 5-cell ball, about
     # 10 for the 3 cells a window corner keeps
     monkeypatch.setattr(polyproj, "COND_LIMIT", 5.0)
-    _ball_plan.cache_clear()
+    lattice._MEMO.clear()
     try:
         for _ in range(2):
             with pytest.raises(ConditioningError):
                 _ball_sweep(f, radius, 1, 2.0)
-        assert _ball_plan.cache_info().currsize == 0
+        assert not any(key[0] is _ball_plan for key in lattice._MEMO)
         _ball_sweep(f, radius, 0, 2.0)  # a constant fits every clipped ball
+        assert [key[1] for key in lattice._MEMO if key[0] is _ball_plan] == [(w.cells, w.h, radius, 0)]
     finally:
-        _ball_plan.cache_clear()
+        lattice._MEMO.clear()
 
 
 def test_ball_norm_diagnostics():
@@ -872,13 +874,14 @@ def test_skipped_sides_carry_their_reason(monkeypatch):
 
     # the degree-1 Gram condition numbers of 2- and 4-cell cubes are 4 and 3.2
     monkeypatch.setattr(polyproj, "COND_LIMIT", 3.5)
-    _cube_projector.cache_clear()
+    lattice._MEMO.clear()
     try:
         w = Window(1, (0.0,), (1.0,), (16,))
         f = GridFunction(w, np.random.default_rng(4).normal(size=16))
         rep = jn_con_norm(f, NormParams(2.0, 2.0, 1, 0.0), SearchConfig(side_cells=[2, 4]))
+        assert [key[1] for key in lattice._MEMO if key[0] is _cube_projector] == [(1, 4, 1)]
     finally:
-        _cube_projector.cache_clear()
+        lattice._MEMO.clear()
     assert rep.diagnostics["skipped_sides"] == [2]
     assert list(rep.diagnostics["skip_reasons"]) == [2]
     assert "condition" in rep.diagnostics["skip_reasons"][2]
@@ -918,7 +921,8 @@ def test_memoised_projectors_are_read_only_and_shared():
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
         assert memo(*key) is memo(*key)
-        assert memo.cache_info().maxsize is not None
+        assert (memo, key) in lattice._MEMO
+    assert lattice._MEMO.held <= lattice._MEMO_BYTES
 
 
 def test_search_config_rejects_fractional_sides():
