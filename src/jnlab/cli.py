@@ -13,11 +13,10 @@ import math
 import sys
 from pathlib import Path
 
-from .lattice import Ball, Cube, GridFunction, Window, annulus
+from .lattice import Ball, Cube, GridFunction, Window, annulus, whole_number
 from .polyproj import moment_projection
 from .spaces import NormParams, SearchConfig, jn_con_norm, rm_con_norm
 from .czkernel import (
-    CorrectionSpec,
     apply_cz,
     apply_modified,
     apply_truncated,
@@ -32,7 +31,7 @@ from .hardy import (
     validate_atom,
     validate_molecule,
 )
-from .lab import ConfigError, ExperimentConfig, default_config, run_experiment
+from .lab import ConfigError, ExperimentConfig, _central_correction, default_config, run_experiment
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
@@ -106,8 +105,7 @@ def cmd_apply_op(args) -> int:
                   "max_increments": res.max_increments, "points": res.to_json()}
         result = res.result
     else:
-        corr = CorrectionSpec(tuple(f.window.center), 0.375 * f.window.span, args.s)
-        res = apply_modified(kernel_transpose(kernel), corr, f)
+        res = apply_modified(kernel_transpose(kernel), _central_correction(f.window, args.s), f)
         report = {"mode": "modified", "etas": res.etas, "converged": res.converged,
                   "max_increments": res.max_increments, "points": res.to_json()}
         result = res.canonical
@@ -144,13 +142,14 @@ def cmd_molecule(args) -> int:
     params = _params_from_args(args)
     f = GridFunction.load(args.function)
     cube = _parse_region(args.region)
-    cert = validate_molecule(f, cube, params, args.epsilon, args.j_max)
+    j_max = whole_number(args.j_max, "j_max")
     if args.action == "check":
+        cert = validate_molecule(f, cube, params, args.epsilon, j_max)
         print(json.dumps({"passed": cert.passed, "constant_needed": cert.constant_needed,
                           "failures": cert.failures}))
         return EXIT_OK if cert.passed else EXIT_PROPERTY
-    mol = MoleculeRecord(cube, params, args.epsilon, f, cert)
-    report = decompose_molecule(mol, args.j_max)
+    # decompose_molecule certifies the molecule before it decomposes it
+    report = decompose_molecule(MoleculeRecord(cube, params, args.epsilon, f), j_max)
     payload = report.to_json()
     if args.out:
         outdir = Path(args.out)

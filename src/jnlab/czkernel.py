@@ -672,14 +672,13 @@ def modified_on_monomial(
     nu,
     eval_window: Window,
     padding: float = 8.0,
-    warn_threshold: float = 0.02,
     check_doubling: bool = True,
 ) -> MonomialImage:
     """Corrected operator applied to the monomial y^nu.
 
     The space integral is truncated to a padded window (padding factor >= 4
     relative to the evaluation window); doubling the padding gives the
-    reported truncation sensitivity.
+    reported truncation sensitivity, and truncation_warn flags one above 0.02.
     """
     nu = tuple(int(g) for g in np.atleast_1d(nu))
     if sum(nu) > corr.order:
@@ -709,7 +708,7 @@ def modified_on_monomial(
         nu=nu,
         padding=padding,
         sensitivity=sensitivity,
-        truncation_warn=bool(check_doubling and sensitivity > warn_threshold),
+        truncation_warn=bool(check_doubling and sensitivity > 0.02),
         integration_cells=big.cells,
         engine="table" if cells else "pairwise",
         table_cells=cells,
@@ -718,9 +717,10 @@ def modified_on_monomial(
 
 def poly_distance(g: GridFunction, region, s: int, floor: float = 0.0) -> float:
     """Relative L^2(E) distance of g to the degree-s polynomial space."""
-    projector, mask = Projector.on_region(g.window, region, s)
-    resid = projector.residual(g.flat[mask])
-    denom = max(float(np.sqrt((g.flat[mask] ** 2).sum() * g.window.cell_measure)), floor, 1e-300)
+    projector, cells = Projector.on_region(g.window, region, s)
+    vals = g.flat[cells]
+    resid = projector.residual(vals)
+    denom = max(float(np.sqrt((vals**2).sum() * g.window.cell_measure)), floor, 1e-300)
     return float(np.sqrt((resid**2).sum() * g.window.cell_measure)) / denom
 
 
@@ -745,7 +745,6 @@ def vanishing_moment_defect(
     atoms,
     gammas=None,
     padding: float = 512.0,
-    b0: CorrectionSpec | None = None,
 ) -> DefectReport:
     """Moment defects of operator images of atoms, with the dual cross-check.
 
@@ -786,7 +785,7 @@ def vanishing_moment_defect(
         # the half-padding frame is a sub-window of the padded one
         ta_half = ta.reshape(big.cells)[_box(half.lattice_offset(big), half.cells)]
         a_l1 = float(np.abs(src_w).sum())
-        corr = b0 or CorrectionSpec(cube.center, cube.side, s)
+        corr = CorrectionSpec(cube.center, cube.side, s)
         glist = gammas if gammas is not None else multi_indices(window.n, s)
         for g in glist:
             g = tuple(int(v) for v in np.atleast_1d(g))

@@ -119,9 +119,10 @@ def _monomial_columns(window: Window, s: int) -> np.ndarray:
     return np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)])
 
 
-def _moment_defects(values: GridFunction, nz: np.ndarray, s: int, side: float, tol: float, failures: list):
+def _moment_defects(values: GridFunction, nz: np.ndarray, s: int, side: float, failures: list):
     """|moment| over the nonzero cells nz and its scale ||f||_1 side^|gamma|
-    per gamma with |gamma| <= s; a defect above tol * scale appends a failure."""
+    per gamma with |gamma| <= s; a defect above ATOM_MOMENT_RTOL * scale
+    appends a failure."""
     window = values.window
     found = moments(values.flat[nz], np.take(_monomial_columns(window, s), nz, axis=1).T, window.cell_measure)
     l1 = float(np.abs(values.flat).sum()) * window.cell_measure
@@ -129,7 +130,7 @@ def _moment_defects(values: GridFunction, nz: np.ndarray, s: int, side: float, t
     for g, m in zip(multi_indices(window.n, s), found):
         defects[g] = abs(m)
         scales[g] = l1 * side ** sum(g)
-        if defects[g] > tol * scales[g]:
+        if defects[g] > ATOM_MOMENT_RTOL * scales[g]:
             failures.append(f"moment {g}: defect {defects[g]:.3e} exceeds tolerance")
     return defects, scales
 
@@ -154,7 +155,7 @@ def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification
         failures.append("support: nonzero cells outside the cube")
     if norm_ratio > 1.0 + ATOM_NORM_RTOL:
         failures.append(f"size: L^q ratio {norm_ratio:.12g} exceeds 1")
-    defects, scales = _moment_defects(values, nz, params.s, cube.side, ATOM_MOMENT_RTOL, failures)
+    defects, scales = _moment_defects(values, nz, params.s, cube.side, failures)
     route = "support" if support_exact else "window"
     return AtomCertification(support_exact, norm_ratio, defects, scales, failures, route)
 
@@ -208,7 +209,6 @@ class MoleculeCertification:
     annulus_ratios: list
     moment_defects: dict
     moment_scales: dict
-    moment_tol: float
     failures: list = field(default_factory=list)
 
     @property
@@ -227,7 +227,7 @@ class MoleculeRecord:
     params: object
     epsilon: float
     values: GridFunction
-    certification: MoleculeCertification
+    certification: MoleculeCertification | None = None  # None until something certifies it
 
 
 def validate_molecule(
@@ -236,7 +236,6 @@ def validate_molecule(
     params,
     epsilon: float,
     j_max: int,
-    moment_tol: float = ATOM_MOMENT_RTOL,
 ) -> MoleculeCertification:
     """Per-annulus decay margins, core margin, and global moment defects."""
     j_max = whole_number(j_max, "j_max")
@@ -260,8 +259,8 @@ def validate_molecule(
         if ratio > 1.0 + ATOM_NORM_RTOL:
             failures.append(f"annulus j={j} decay ratio {ratio:.12g} exceeds 1")
     nz = np.flatnonzero(values.flat)
-    defects, scales = _moment_defects(values, nz, params.s, cube.side * 2**j_max, moment_tol, failures)
-    return MoleculeCertification(core_ratio, ratios, defects, scales, moment_tol, failures)
+    defects, scales = _moment_defects(values, nz, params.s, cube.side * 2**j_max, failures)
+    return MoleculeCertification(core_ratio, ratios, defects, scales, failures)
 
 
 def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
@@ -507,9 +506,7 @@ class DecompositionReport:
         }
 
 
-def decompose_molecule(
-    mol: MoleculeRecord, l_max: int, moment_tol: float = ATOM_MOMENT_RTOL
-) -> DecompositionReport:
+def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
     """Constructive decomposition of a molecule into certified atoms.
 
     Level-j residuals (M - P_j) 1_{L_j} give core atoms A_j with coefficients
@@ -518,6 +515,7 @@ def decompose_molecule(
     moments eta_nu^{(j)} turns the projections into correction atoms built
     from dual bases on adjacent annuli, leaving the explicit tail term at the
     top level.  The reconstruction residual is checked at every level.
+    The molecule is certified here whatever mol.certification holds.
     """
     l_max = whole_number(l_max, "l_max")
     params = mol.params
@@ -538,7 +536,7 @@ def decompose_molecule(
     if region_cells(window, cubes[l_max]).size != (side_cells * 2**l_max) ** n:
         raise CertificationError(f"window does not fully contain level {l_max}")
 
-    cert = validate_molecule(mol.values, cube, params, eps, l_max, moment_tol)
+    cert = validate_molecule(mol.values, cube, params, eps, l_max)
     if not cert.passed:
         raise CertificationError(f"molecule certification failed: {cert.failures}")
 

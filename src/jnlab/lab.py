@@ -623,9 +623,7 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
     for i in range(count):
         atom = make_atom(seed + i, cube, params, window)
         ta, _, c_needed, _ = _operator_molecule(kernel, atom, center_cube, params, eps, j_max, window)
-        image = ta * (1.0 / c_needed)
-        cert = validate_molecule(image, center_cube, params, eps, j_max)
-        rep = decompose_molecule(MoleculeRecord(center_cube, params, eps, image, cert), j_max)
+        rep = decompose_molecule(MoleculeRecord(center_cube, params, eps, ta * (1.0 / c_needed)), j_max)
         record("image", i, rep)
         if rep.coef_p_sum_core > rep.geometric_bound * (1 + 1e-9):
             violations.append(f"image {i}: coefficient sum exceeds the geometric bound")

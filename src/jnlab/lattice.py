@@ -50,7 +50,7 @@ __all__ = [
 
 
 _MEMO_BYTES = 64 << 20  # the bytes of arrays the geometry memos may hold (see _memo)
-_MEMO = OrderedDict()  # (fn, args) -> (result, bytes), least recently used first; .held sums the bytes
+_MEMO = OrderedDict()  # (fn, args) -> (result, bytes), oldest first; .held sums the bytes
 
 
 class LatticeError(ValueError):
@@ -415,9 +415,6 @@ class GridFunction:
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.window, np.asarray(values, dtype=float))
-
     def __add__(self, other):
         if isinstance(other, GridFunction):
             if not self.window.same_lattice(other.window):
@@ -499,8 +496,9 @@ def _frozen(tree) -> int:
 def _memo(fn):
     """Memoise fn, a function of hashable geometry that reads no values and has
     no defaulted arguments, in _MEMO under fn and its arguments in positional
-    order, however passed.  Results are read-only, as callers share them.  A miss
-    evicts least recently used entries until the arrays held fit in _MEMO_BYTES."""
+    order, however passed.  Results are read-only, as callers share them.  A hit
+    is one lookup and leaves the order alone; a miss evicts the oldest entries
+    until the arrays held fit in _MEMO_BYTES."""
     bind = inspect.signature(fn).bind
 
     @functools.wraps(fn)
@@ -510,7 +508,6 @@ def _memo(fn):
         key = (call, args)
         hit = _MEMO.get(key)
         if hit is not None:
-            _MEMO.move_to_end(key)
             return hit[0]
         result = fn(*args)
         size = _frozen(result)
@@ -525,10 +522,9 @@ def _memo(fn):
     return call
 
 
-@_memo
 def region_mask(window: Window, region: Region) -> np.ndarray:
-    """Boolean mask (flat, row-major) of window cells with midpoint in region;
-    read-only and memoised per (window, region)."""
+    """Boolean mask (flat, row-major) of window cells with midpoint in region,
+    built on each call and owned by the caller."""
     if region.n != window.n:
         raise LatticeError(f"a {region.n}-D region on a {window.n}-D window")
     axes = np.ix_(*(window.axis_midpoints(a) for a in range(window.n)))
@@ -538,8 +534,8 @@ def region_mask(window: Window, region: Region) -> np.ndarray:
 @_memo
 def region_cells(window: Window, region: Region) -> np.ndarray:
     """The flat indices of region_mask's cells, sorted, so a gather through
-    them reads the region's values in row-major order; read-only and
-    memoised per (window, region)."""
+    them reads the region's values in row-major order, as a mask does;
+    read-only and memoised per (window, region)."""
     return np.flatnonzero(region_mask(window, region))
 
 
@@ -581,11 +577,11 @@ def average(f: GridFunction, region: Region, policy: str = "restrict") -> float:
     Under ``zero-extend`` the denominator counts virtual midpoints beyond the
     window (where f is zero), so boundary regions keep their full size.
     """
-    mask = region_mask(f.window, region)
-    if not mask.any():
+    cells = region_cells(f.window, region)
+    if not cells.size:
         raise EmptyRegionError(f"region {region} contains no cell midpoint")
     if policy == "restrict":
-        return float(f.flat[mask].sum()) / int(np.count_nonzero(mask))
+        return float(f.flat[cells].sum()) / cells.size
     return integrate(f, region) / region_measure(f.window, region, policy)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import EmptyRegionError, GridFunction, Region, Window, monomials, region_mask
+from .lattice import EmptyRegionError, GridFunction, Region, Window, monomials, region_cells
 
 __all__ = [
     "MAX_DEGREE",
@@ -232,11 +232,12 @@ class Projector:
 
     @classmethod
     def on_region(cls, window: Window, region: Region, s: int):
-        """Projector over the window cells of a region, and their mask."""
-        mask = region_mask(window, region)
-        if not mask.any():
+        """Projector over the window cells of a region, and their sorted flat
+        indices (:func:`region_cells`)."""
+        cells = region_cells(window, region)
+        if not cells.size:
             raise EmptyRegionError(f"region {region} contains no cell midpoint")
-        return cls(window.cell_midpoints(np.flatnonzero(mask)), s, region.center, region.scale), mask
+        return cls(window.cell_midpoints(cells), s, region.center, region.scale), cells
 
     def coefficients(self, batch: np.ndarray) -> np.ndarray:
         """Coefficients (..., dim) of the projections of the rows (..., m)."""
@@ -263,8 +264,8 @@ def _window_of(window_or_f) -> Window:
 
 def moment_projection(f: GridFunction, region: Region, s: int) -> Polynomial:
     """Degree-s moment-matching projection of f over the region."""
-    proj, mask = Projector.on_region(f.window, region, s)
-    return proj.polynomial(proj.coefficients(f.flat[mask]))
+    proj, cells = Projector.on_region(f.window, region, s)
+    return proj.polynomial(proj.coefficients(f.flat[cells]))
 
 
 def sup_poly_norm(P: Polynomial, region: Region, pitch: float) -> float:

@@ -102,15 +102,6 @@ class NormParams:
             out.append(f"alpha must be < (s + delta)/n = {(self.s + delta) / n}")
         return out
 
-    def hk_admissibility(self, delta: float, n: int) -> list[str]:
-        out = self.admissibility(delta, n)
-        if not (1 < self.p < INF):
-            out.append("p must lie in (1, inf)")
-        gap = (1.0 / self.q if self.q != INF else 0.0) - (1.0 / self.p if self.p != INF else 0.0)
-        if not (self.alpha > gap):
-            out.append("alpha must exceed 1/q - 1/p")
-        return out
-
 
 @dataclass
 class SearchConfig:

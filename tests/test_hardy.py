@@ -498,10 +498,10 @@ def test_ladder_memo_is_read_only_and_cold_equals_warm():
     assert all(a is b for a, b in zip(_annulus_levels(w, cube, params.s, 1), warm))  # shared across j_max
     lattice._MEMO.clear()
     cold = _annulus_levels(w, cube, params.s, 3)
-    # after a clear a memo's entries are its misses: one mask, one cell list
-    # and one level per level
-    assert [_entries(fn) for fn in (region_mask, region_cells, _annulus_level)] == [3 + 1] * 3
-    assert len(lattice._MEMO) == 3 * (3 + 1)
+    # after a clear a memo's entries are its misses: one cell list and one
+    # level per level, and no mask
+    assert [_entries(fn) for fn in (region_cells, _annulus_level)] == [3 + 1] * 2
+    assert len(lattice._MEMO) == 2 * (3 + 1)
     for (cells, proj, duals, measure), (c0, p0, d0, meas0) in zip(cold, warm):
         assert proj is not p0 and measure == meas0
         assert np.array_equal(cells, c0) and np.array_equal(proj.gram, p0.gram)
@@ -639,7 +639,7 @@ def test_leaky_atom_takes_the_window_route_and_reports_its_defects():
 
 # Decompositions pinned bit for bit (numpy 2.4.6, x86-64): residuals,
 # constants, every lambda and the tail term's bytes.  The 264^2 window is
-# above the memo budget, so nothing of it is memoised.
+# above 2^16 cells, and its ladder is memoised like the others.
 PINNED_DECOMPOSITIONS = {
     "1d-s0": {
         "residuals": ["0x1.634cdc6033429p-57", "0x1.21d9a64e7aa8dp-55", "0x1.34291e936fd3dp-55",

@@ -296,71 +296,119 @@ def _held() -> int:
     return sum(size for _, size in lattice._MEMO.values())
 
 
-def test_region_mask_memo_is_read_only_and_cold_equals_warm():
-    warm = [region_mask(w, r) for w, r in _memo_regions()]
-    for mask in warm:
-        assert not mask.flags.writeable
+def test_region_cells_memo_is_read_only_and_cold_equals_warm():
+    warm = [region_cells(w, r) for w, r in _memo_regions()]
+    for cells in warm:
+        assert not cells.flags.writeable
         with pytest.raises(ValueError):
-            mask[0] = not mask[0]
+            cells[0] = cells[0]
     lattice._MEMO.clear()
-    assert _entries(region_mask) == 0
-    for (w, r), mask in zip(_memo_regions(), warm):
-        cold = region_mask(w, r)
-        assert cold is not mask and np.array_equal(cold, mask)
-        assert np.array_equal(cold, r.contains(w.midpoints()))
+    assert _entries(region_cells) == 0
+    for (w, r), cells in zip(_memo_regions(), warm):
+        cold = region_cells(w, r)
+        assert cold is not cells and np.array_equal(cold, cells)
+        assert np.array_equal(cold, np.flatnonzero(r.contains(w.midpoints())))
+        # the mask is built on each call and is the caller's to write
+        mask = region_mask(w, r)
+        mask[cold] = False
+        assert region_mask(w, r) is not mask and not mask.any()
+    assert _entries(region_cells) == len(lattice._MEMO) == len(warm)
 
 
-def test_region_mask_memo_keys_on_equal_geometry():
+def test_region_cells_memo_keys_on_equal_geometry():
     lattice._MEMO.clear()
-    first = region_mask(Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16)), Cube((0.0, 0.0), 0.5))
-    again = region_mask(Window(2, [-1, -1], [1, 1], [16, 16]), Cube([0, 0], 0.5))
+    first = region_cells(Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16)), Cube((0.0, 0.0), 0.5))
+    again = region_cells(Window(2, [-1, -1], [1, 1], [16, 16]), Cube([0, 0], 0.5))
     assert again is first
-    assert _entries(region_mask) == 1
+    assert _entries(region_cells) == 1
     # keyword and mixed calls share the positional key
-    assert region_mask(window=Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
-    assert region_mask(Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
-    assert _entries(region_mask) == 1
+    assert region_cells(window=Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
+    assert region_cells(Window(2, (-1, -1), (1, 1), (16, 16)), region=Cube((0, 0), 0.5)) is first
+    assert _entries(region_cells) == 1
     assert len(lattice._MEMO) == 1
 
 
-def test_region_mask_memo_is_bounded(monkeypatch):
-    # a mask on 64 cells holds 64 bytes and an 8-cell list 64: a budget of
-    # five such arrays evicts the least recently used, whichever memo holds it
+def _eight_cells(k: int) -> Cube:
+    """The k-th of distinct cubes (k < 8) that each hold the same 8 cells of
+    a 64-cell unit window: a 64-byte cell list."""
+    return Cube((0.5,), 0.125 + k / 1024)
+
+
+def test_region_cells_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(lattice, "_MEMO_BYTES", 5 * 64)
     lattice._MEMO.clear()
     w = Window(1, (0.0,), (1.0,), (64,))
-    cubes = [Cube((0.5,), 0.5 + k / 1024) for k in range(5)]
-    masks = [region_mask(w, c) for c in cubes]
+    lists = [region_cells(w, _eight_cells(k)) for k in range(5)]
     assert _held() == lattice._MEMO.held == 5 * 64
-    assert region_mask(w, cubes[0]) is masks[0]  # now the most recently used
-    small = Cube((0.5,), 0.125)
-    assert region_cells(w, small).size == 8  # a sixth mask, then its cell list
-    assert _held() == lattice._MEMO.held == 5 * 64
-    kept = [(region_mask, (w, c)) in lattice._MEMO for c in cubes]
-    assert kept == [True, False, False, True, True]
-    assert list(lattice._MEMO)[-2:] == [(region_mask, (w, small)), (region_cells, (w, small))]
-    for k in range(40):
-        region_cells(w, Cube((0.5,), 0.125 + k / 1024))
-        region_mask(w, cubes[k % 5])
+    assert all(region_cells(w, _eight_cells(k)) is lists[k] for k in range(5))
+    for k in range(40):  # lists of 8 to 18 cells
+        region_cells(w, Cube((0.5,), 0.125 + k / 256))
+        region_cells(w, _eight_cells(k % 8))
         assert _held() == lattice._MEMO.held <= lattice._MEMO_BYTES
+
+
+def test_memo_evicts_in_insertion_order_across_memos(monkeypatch):
+    @lattice._memo
+    def ramp(start: int) -> np.ndarray:
+        return np.arange(start, start + 8)  # 64 bytes, as an 8-cell list
+
+    monkeypatch.setattr(lattice, "_MEMO_BYTES", 4 * 64)
+    lattice._MEMO.clear()
+    w = Window(1, (0.0,), (1.0,), (64,))
+    cells = [(region_cells, (w, _eight_cells(k))) for k in range(3)]
+    ramps = [(ramp, (k,)) for k in range(3)]
+    for (_, cube_key), (_, ramp_key) in zip(cells[:2], ramps[:2]):
+        region_cells(*cube_key)
+        ramp(*ramp_key)
+    order = [cells[0], ramps[0], cells[1], ramps[1]]
+    assert list(lattice._MEMO) == order
+    # hits neither move an entry nor spare it: the oldest goes first
+    region_cells(w, _eight_cells(0))
+    ramp(0)
+    assert list(lattice._MEMO) == order
+    region_cells(w, _eight_cells(2))
+    assert list(lattice._MEMO) == order[1:] + [cells[2]]
+    ramp(2)
+    assert list(lattice._MEMO) == [cells[1], ramps[1], cells[2], ramps[2]]
+    # a 128-byte list evicts the two oldest entries
+    wide = Cube((0.5,), 0.25)
+    assert region_cells(w, wide).size == 16
+    assert list(lattice._MEMO) == [cells[2], ramps[2], (region_cells, (w, wide))]
+    assert _held() == lattice._MEMO.held == 4 * 64
+
+
+def test_a_scan_of_distinct_regions_holds_only_their_cell_lists():
+    # 2,000 one-off cubes on a 64^2 window: each keeps its cell list, not a
+    # window-sized array
+    lattice._MEMO.clear()
+    w = Window(2, (0.0, 0.0), (1.0, 1.0), (64, 64))
+    f = GridFunction(w, np.random.default_rng(0).normal(size=w.cells))
+    cubes = [Cube((0.3 + k / 4000, 0.5), 0.05 + (k % 7) / 50) for k in range(2000)]
+    for cube in cubes:
+        lq_norm(f, cube, 2.0)
+    assert len(lattice._MEMO) == _entries(region_cells) == len(cubes)
+    held = sum(region_cells(w, cube).nbytes for cube in cubes)
+    assert _held() == lattice._MEMO.held == held
+    assert held < len(cubes) * w.cell_count  # a mask per cube would hold more
 
 
 def test_memo_returns_but_does_not_keep_a_result_above_the_budget(monkeypatch):
     monkeypatch.setattr(lattice, "_MEMO_BYTES", 100)
     lattice._MEMO.clear()
     w = Window(1, (0.0,), (1.0,), (64,))
-    cube = Cube((0.5,), 0.75)  # 48 cells: a 64-byte mask and a 384-byte cell list
+    cube = Cube((0.5,), 0.75)  # 48 cells: a 384-byte cell list
     a, b = region_cells(w, cube), region_cells(w, cube)
     assert a is not b and np.array_equal(a, b) and not a.flags.writeable
-    assert list(lattice._MEMO) == [(region_mask, (w, cube))] and lattice._MEMO.held == 64
+    assert not lattice._MEMO
+    small = region_cells(w, _eight_cells(0))
+    assert list(lattice._MEMO) == [(region_cells, (w, _eight_cells(0)))] and lattice._MEMO.held == small.nbytes
 
 
 def test_memo_keeps_a_window_above_2_16_cells():
     big = Window(1, (0.0,), (1.0,), ((1 << 16) + 2,))
     cube = Cube((0.5,), 0.25)
-    a = region_mask(big, cube)
-    assert region_mask(big, cube) is a and not a.flags.writeable
-    assert region_cells(big, cube) is region_cells(big, cube)
+    a = region_cells(big, cube)
+    assert region_cells(big, cube) is a and not a.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jnlab.lattice import Ball, Cube, GridFunction, Window, annulus, lq_norm, region_mask
+from jnlab.czkernel import poly_distance
+from jnlab.lattice import Ball, Cube, GridFunction, Window, annulus, average, lq_norm, region_mask
 from jnlab.polyproj import (
     ConditioningError,
     Polynomial,
@@ -34,6 +35,26 @@ def test_projection_order_zero_is_average():
     P = moment_projection(f, cube, 0)
     mask = region_mask(w, cube)
     assert P.coeffs[(0,)] == pytest.approx(float(f.flat[mask].mean()), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_on_region_cells_gather_the_mask_values_bit_for_bit(n):
+    # a sorted cell list reads the mask's values in the mask's order, so the
+    # projection, the average and the polynomial distance keep every bit
+    w = Window(n, (-1.0,) * n, (1.3,) * n, (23,) * n)
+    f = GridFunction(w, np.random.default_rng(3).normal(size=w.cells))
+    c = (0.1,) * n
+    for region in (Cube(c, 0.7), Ball(c, 0.6), annulus(c, 0.4, 2)):
+        mask = region_mask(w, region)
+        proj, cells = Projector.on_region(w, region, 1)
+        assert np.array_equal(cells, np.flatnonzero(mask))
+        assert f.flat[cells].tobytes() == f.flat[mask].tobytes()
+        assert np.array_equal(proj.phi, Projector(w.midpoints()[mask], 1, c, region.scale).phi)
+        assert proj.coefficients(f.flat[cells]).tobytes() == proj.coefficients(f.flat[mask]).tobytes()
+        assert average(f, region) == float(f.flat[mask].sum()) / np.count_nonzero(mask)
+        resid = proj.residual(f.flat[mask])
+        slow = math.sqrt((resid**2).sum() * w.cell_measure) / math.sqrt((f.flat[mask] ** 2).sum() * w.cell_measure)
+        assert poly_distance(f, region, 1) == slow
 
 
 def test_projection_x_squared():
