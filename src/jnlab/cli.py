@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -51,12 +50,6 @@ def _parse_region(text: str):
         raise ConfigError(f"bad region spec {text!r}: {exc}") from exc
 
 
-def _params_from_args(args) -> NormParams:
-    p = math.inf if args.p in ("inf", "Infinity") else float(args.p)
-    q = math.inf if args.q in ("inf", "Infinity") else float(args.q)
-    return NormParams(p, q, args.s, args.alpha)
-
-
 def _write_csv(path: Path, rows: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -67,7 +60,7 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 def cmd_norm(args) -> int:
     f = GridFunction.load(args.function)
-    params = _params_from_args(args)
+    params = NormParams(args.p, args.q, args.s, args.alpha)
     search = SearchConfig(policy=args.policy)
     if args.kind == "jn":
         report = jn_con_norm(f, params, search)
@@ -119,7 +112,7 @@ def cmd_apply_op(args) -> int:
 
 
 def cmd_atom(args) -> int:
-    params = _params_from_args(args)
+    params = NormParams(args.p, args.q, args.s, args.alpha)
     if args.action == "make":
         window = Window(1, (args.lower,), (args.upper,), (args.cells,))
         span = args.upper - args.lower
@@ -139,7 +132,7 @@ def cmd_atom(args) -> int:
 
 
 def cmd_molecule(args) -> int:
-    params = _params_from_args(args)
+    params = NormParams(args.p, args.q, args.s, args.alpha)
     f = GridFunction.load(args.function)
     cube = _parse_region(args.region)
     j_max = whole_number(args.j_max, "j_max")

@@ -552,6 +552,8 @@ def apply_cz(
     eta_cells=(4, 2, 1),
 ) -> CZResult:
     """Principal-value operator via the {4h, 2h, h} exclusion ladder."""
+    if not len(eta_cells):
+        raise ValueError("eta_cells needs at least one exclusion radius")
     h = f.window.h
     window = eval_window or f.window
     ladder = [apply_truncated(kernel, f, m * h, eval_window=window).flat for m in eta_cells]
@@ -680,7 +682,7 @@ def modified_on_monomial(
     relative to the evaluation window); doubling the padding gives the
     reported truncation sensitivity, and truncation_warn flags one above 0.02.
     """
-    nu = tuple(int(g) for g in np.atleast_1d(nu))
+    nu = tuple(whole_number(g, "nu entry") for g in np.atleast_1d(nu))
     if sum(nu) > corr.order:
         raise ValueError("|nu| must not exceed the correction order")
     _check_order(kernel_tilde, corr.order)

@@ -24,6 +24,7 @@ from .lattice import (
     Window,
     _lq,
     _memo,
+    _real_number,
     annulus,
     check_packing,
     lq_norm,
@@ -649,6 +650,7 @@ def hk_upper_bound(groups, p: float) -> float:
 
     Each group must consist of atoms on congruent, pairwise-disjoint cubes.
     """
+    p = _real_number(p, "p", 1)
     total = 0.0
     for group in groups:
         if not group:

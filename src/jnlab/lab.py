@@ -113,12 +113,8 @@ class ExperimentConfig:
             raise ConfigError(f"kernel does not resolve: {exc}") from exc
 
     def build_params(self) -> NormParams:
-        d = dict(self.params)
-        for key in ("p", "q"):
-            if isinstance(d.get(key), str) and d[key] in ("inf", "Infinity"):
-                d[key] = INF
         try:
-            return NormParams(d["p"], d["q"], d["s"], d["alpha"])
+            return NormParams(*(self.params[key] for key in ("p", "q", "s", "alpha")))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad norm parameters: {exc}") from exc
 
@@ -570,14 +566,14 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
 
     def mismatches(win: Window):
         out = []
-        h = win.h
+        # each test function's corrected image depends on the window only
+        fs = [embed(f_small, win) for f_small in funcs]
+        tfs = [apply_modified(tilde, corr, f, eval_window=win, eta_cells=(1,)).result for f in fs]
         for i in range(n_atoms):
             atom = make_atom(seed + i, cube, params, win)
-            ta = apply_truncated(kernel, atom.values, h, eval_window=win)
-            for jf, f_small in enumerate(funcs):
-                f = embed(f_small, win)
+            ta = apply_truncated(kernel, atom.values, win.h, eval_window=win)
+            for jf, (f, tf) in enumerate(zip(fs, tfs)):
                 lhs = pairing(ta, f)
-                tf = apply_modified(tilde, corr, f, eval_window=win, eta_cells=(1,)).result
                 rhs = pairing(atom.values, tf)
                 scale = max(abs(lhs), abs(rhs), 1e-12)
                 out.append({"atom": i, "func": jf, "lhs": lhs, "rhs": rhs, "mismatch": abs(lhs - rhs) / scale})

@@ -83,6 +83,17 @@ def whole_number(value, what: str, least: int = 0) -> int:
     return int(v)
 
 
+def _real_number(value, what: str, least: float | None = None) -> float:
+    """float(value) ("inf" included), >= least if given; ValueError otherwise."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if least is not None and not v >= least:
+        raise ValueError(f"{what} must be >= {least:g}, got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned rectangular window with a uniform cell pitch.
@@ -587,8 +598,7 @@ def average(f: GridFunction, region: Region, policy: str = "restrict") -> float:
 
 def lq_norm(f: GridFunction, region: Region, q) -> float:
     """L^q norm over the region; q = inf gives the midpoint sup."""
-    if q != math.inf and q < 1:
-        raise ValueError("q must be >= 1 or inf")
+    q = _real_number(q, "q", 1)
     return _lq(f.flat[region_cells(f.window, region)], q, f.window.cell_measure)
 
 

@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    Ball, Cube, GridFunction, Window, _memo, check_packing, grid_points, region_mask, whole_number
+    Ball, Cube, GridFunction, Window, _memo, _real_number, check_packing, grid_points, region_mask,
+    whole_number,
 )
 from .polyproj import (
     ConditioningError,
@@ -65,7 +66,8 @@ def conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class NormParams:
-    """Exponents (p, q, s, alpha) of a cube norm."""
+    """Exponents (p, q, s, alpha) of a cube norm: 1 <= p, q <= inf, s a whole
+    number, alpha finite; p, q and alpha go through float(), "inf" included."""
 
     p: float
     q: float
@@ -73,12 +75,10 @@ class NormParams:
     alpha: float
 
     def __post_init__(self):
-        # written so that NaN fails every test
-        if not self.p >= 1:
-            raise ValueError("p must be >= 1 or inf")
-        if not self.q >= 1:
-            raise ValueError("q must be >= 1 or inf")
+        object.__setattr__(self, "p", _real_number(self.p, "p", 1))
+        object.__setattr__(self, "q", _real_number(self.q, "q", 1))
         object.__setattr__(self, "s", whole_number(self.s, "s"))
+        object.__setattr__(self, "alpha", _real_number(self.alpha, "alpha"))
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
@@ -238,7 +238,9 @@ def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:
     if q == INF:
         return np.abs(resid).max(axis=1)
     counts = resid.shape[1] if counts is None else counts
-    return ((np.abs(resid) ** q).sum(axis=1) / counts) ** (1.0 / q)
+    powers = np.abs(resid)
+    powers **= q  # in place: the same scalar-power path as np.abs(resid) ** q
+    return (powers.sum(axis=1) / counts) ** (1.0 / q)
 
 
 def _tiling_layout(cells: int, m: int, offset, policy: str):
@@ -344,7 +346,7 @@ def _best_tiling(table, m: int, plan: _SidePlan, p):
     return tuple(int(o) for o, _, _ in pick), val, [(f, k) for _, f, k in pick], terms
 
 
-def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str) -> NormReport:
+def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, name: str) -> NormReport:
     """Shared engine: s is None for the plain-L^q (Riesz-Morrey) variant.
 
     Per side, one table holds the term of the cube at every start cell in
@@ -358,8 +360,7 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
     if exhaustive and (n != 1 or search.policy != "restrict"):
         raise ValueError("exhaustive packings are available in 1-D under restrict only")
     sides = search.sides(window, 0 if s is None else s)
-    best_value = -1.0
-    best = None
+    found = []  # per evaluated side: value, side, offset, centers or layout, terms
     reasons: dict[int, str] = {}  # skipped side -> conditioning message
     offsets_evaluated = cubes_evaluated = 0
 
@@ -371,28 +372,26 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
             continue
         plan = _side_plan(window.cells, m, search.policy, search.offset_stride, search.packings, _TABLE_BATCH)
         measure = float(m**n) * window.cell_measure
-        weight = measure ** (-alpha)
+        weight = measure ** (-params.alpha)
         values = np.pad(f.values, plan.pad) if plan.pad else f.values
-        table = _qmean_table(values, projector, m, plan, q)
+        table = _qmean_table(values, projector, m, plan, params.q)
         cubes_evaluated += plan.cubes_evaluated
         offsets_evaluated += plan.offsets_evaluated
-        table = weight * table if p == INF else measure * (weight * table) ** p
+        table = weight * table if params.p == INF else measure * (weight * table) ** params.p
         if exhaustive:
             table = table[: window.cells[0] - m + 1]
-            val, at = _exhaustive_side(table, m, p)
-            found = (None, np.asarray([[x + m / 2.0] for x in at]), table[at])
+            val, at = _exhaustive_side(table, m, params.p)
+            found.append((val, m, None, np.asarray([[x + m / 2.0] for x in at]), table[at]))
         else:
-            offset, val, layout, terms = _best_tiling(table, m, plan, p)
-            found = (offset, layout, terms)
-        if val > best_value:
-            best_value, best = val, (m, *found)
+            offset, val, layout, terms = _best_tiling(table, m, plan, params.p)
+            found.append((val, m, offset, layout, terms))
 
-    if best is None:
+    if not found:
         raise ValueError("search produced no admissible cube")
-    side, offset, centers, terms = best
+    value, side, offset, centers, terms = max(found, key=lambda c: c[0])
     if offset is not None:  # a tiling: its layout; under p = inf, its first maximal cube
         centers = _tile_centers(centers, side)
-        if p == INF:
+        if params.p == INF:
             j = int(np.argmax(terms))
             centers, terms = centers[j : j + 1], terms[j : j + 1]
     cubes = [
@@ -401,11 +400,11 @@ def _cube_norm(f: GridFunction, p, q, s, alpha, search: SearchConfig, name: str)
     ]
     return NormReport(
         name=name,
-        value=best_value,
-        p=p,
-        q=q,
+        value=value,
+        p=params.p,
+        q=params.q,
         s=s,
-        alpha=alpha,
+        alpha=params.alpha,
         argmax_side=side * h,
         argmax_offset=offset,
         cubes=cubes,
@@ -446,16 +445,14 @@ def _exhaustive_side(c, m, p):
 
 def jn_con_norm(f: GridFunction, params: NormParams, search: SearchConfig | None = None) -> NormReport:
     """Congruent-cube mean-oscillation norm (Campanato branch at p = inf)."""
-    search = search or SearchConfig()
-    return _cube_norm(f, params.p, params.q, params.s, params.alpha, search, "jn_con")
+    return _cube_norm(f, params, params.s, search or SearchConfig(), "jn_con")
 
 
 def rm_con_norm(
     f: GridFunction, p: float, q: float, alpha: float, search: SearchConfig | None = None
 ) -> NormReport:
     """Congruent-cube L^q aggregate with weight |Q|^(-alpha - 1/q)."""
-    search = search or SearchConfig()
-    return _cube_norm(f, p, q, None, alpha, search, "rm_con")
+    return _cube_norm(f, NormParams(p, q, 0, alpha), None, search or SearchConfig(), "rm_con")
 
 
 def jn_partition_oracle(f: GridFunction, params: NormParams) -> float:
@@ -578,33 +575,32 @@ def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     return qmeans, plan.counts
 
 
-def _ball_aggregate(f: GridFunction, p, q, alpha, s, radii, name) -> NormReport:
+def _ball_aggregate(f: GridFunction, params: NormParams, s, radii, name) -> NormReport:
+    """Shared engine, as _cube_norm (s None: Riesz-Morrey); the first radius of largest value wins."""
     window = f.window
     hn = window.cell_measure
-    best_val = -1.0
-    best_r = None
     per_radius, offsets, clipped = {}, {}, {}
     for r in map(float, radii):
-        qmeans, counts = _ball_sweep(f, r, s, q)
+        qmeans, counts = _ball_sweep(f, r, s, params.q)
         meas = counts * hn
-        terms = meas ** (-alpha) * qmeans if alpha != 0 else qmeans
-        if p == INF:
+        terms = meas ** (-params.alpha) * qmeans if params.alpha != 0 else qmeans
+        if params.p == INF:
             val = float(terms.max())
         else:
-            val = float(((terms**p) * hn).sum() ** (1.0 / p))
+            val = float(((terms**params.p) * hn).sum() ** (1.0 / params.p))
         per_radius[r] = val
         offsets[r] = int(_ball_plan(window.cells, window.h, r, s).offsets.size)
         clipped[r] = int(np.count_nonzero(counts < offsets[r]))
-        if val > best_val:
-            best_val = val
-            best_r = r
+    if not per_radius:
+        raise ValueError("a ball seminorm needs at least one radius")
+    best_r = max(per_radius, key=per_radius.get)
     return NormReport(
         name=name,
-        value=best_val,
-        p=p,
-        q=q,
+        value=per_radius[best_r],
+        p=params.p,
+        q=params.q,
         s=s,
-        alpha=alpha,
+        alpha=params.alpha,
         argmax_side=best_r,
         argmax_offset=None,
         cubes=[],
@@ -619,11 +615,11 @@ def _ball_aggregate(f: GridFunction, p, q, alpha, s, radii, name) -> NormReport:
 
 def jn_ball_seminorm(f: GridFunction, params: NormParams, radii) -> NormReport:
     """Ball-based equivalent seminorm: centers integrate over the window."""
-    return _ball_aggregate(f, params.p, params.q, params.alpha, params.s, radii, "jn_ball")
+    return _ball_aggregate(f, params, params.s, radii, "jn_ball")
 
 
 def rm_ball_seminorm(f: GridFunction, p: float, q: float, alpha: float, radii) -> NormReport:
-    return _ball_aggregate(f, p, q, alpha, None, radii, "rm_ball")
+    return _ball_aggregate(f, NormParams(p, q, 0, alpha), None, radii, "rm_ball")
 
 
 def amalgam_norm(f: GridFunction, p: float, q: float, r: float) -> float:

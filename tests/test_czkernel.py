@@ -647,6 +647,21 @@ def test_defect_and_monomial_input_guards():
         KernelSpec("bad", 1, 0, 1.0, k=None, d1=None, d2=None, modulation=np.sin)
 
 
+def test_monomial_exponents_and_eta_ladder_are_checked():
+    Kt = kernel_transpose(hilbert_kernel())
+    ew = Window(1, (-1.0,), (1.0,), (16,))
+    corr = CorrectionSpec((0.0,), 0.5, 1)
+    # y^-1 and y^0.5 are no monomials
+    for nu in ((-1,), (0.5,), (math.nan,)):
+        with pytest.raises(ValueError, match="nu entry"):
+            modified_on_monomial(Kt, corr, nu, ew, padding=4, check_doubling=False)
+    f = GridFunction.from_callable(ew, lambda x: np.cos(3 * x))
+    with pytest.raises(ValueError, match="eta_cells"):
+        apply_cz(hilbert_kernel(), f, eta_cells=())
+    with pytest.raises(ValueError, match="eta_cells"):
+        apply_modified(Kt, corr, f, eta_cells=())
+
+
 # --- row-band streaming against one-shot references ------------------------
 
 

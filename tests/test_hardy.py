@@ -325,6 +325,11 @@ def test_hk_upper_bound():
     overlapping = make_atom(4, Cube((0.03125,), 0.125), PARAMS, w)
     with pytest.raises(ValueError):
         hk_upper_bound([[(1.0, a1), (1.0, overlapping)]], 2.0)
+    # the exponent rule of NormParams
+    for bad in (math.nan, 0.5, -math.inf):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            hk_upper_bound([[(1.0, a1)]], bad)
+    assert hk_upper_bound([[(1.0, a1), (1.0, a2)]], "inf") == pytest.approx(1.0)
 
 
 def test_dyadic_growth_bound():

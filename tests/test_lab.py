@@ -463,6 +463,43 @@ def test_cli_config_rejects_fractional_s(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["experiment", "jn-boundedness", "--config", str(path), "--out", str(tmp_path)]) == 0
 
+
+def test_cli_config_exponents_go_through_norm_params(tmp_path, capsys):
+    cfg = {
+        "experiment": "jn-boundedness",
+        "window": {"n": 1, "lower": [-1.0], "upper": [1.0], "cells": [32]},
+        "params": {"p": None, "q": 2.0, "s": 0, "alpha": 0.1},
+        "family": {"kind": "random-osc", "count": 1, "seed": 5},
+        "refine": False,
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "jn-boundedness", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "p must be a number" in capsys.readouterr().err
+    cfg["params"]["p"] = "Infinity"
+    assert ExperimentConfig(**cfg).build_params().p == float("inf")
+
+
+def test_cli_equivalence_without_radii_exits_config(tmp_path, capsys):
+    # at 4 cells no default radius fits the window: a configuration error,
+    # not a table of ratios
+    assert cli.main(["experiment", "equivalence", "--cells", "4", "--out", str(tmp_path)]) == 3
+    assert "radius" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_duality_computes_one_image_per_function_and_window(monkeypatch):
+    from jnlab import lab
+
+    calls = []
+    real = lab.apply_modified
+    monkeypatch.setattr(lab, "apply_modified", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfg = default_config("duality")
+    cfg.family = {"kind": "atom", "count": 3, "seed": 7, "functions": 2}
+    res = run_experiment("duality", cfg)
+    assert len(res.rows) == 6 and [(r["atom"], r["func"]) for r in res.rows][:3] == [(0, 0), (0, 1), (1, 0)]
+    assert len(calls) == 2 * 2  # the window and its padding doubling
+
 def test_atom_image_order_one():
     cfg = ExperimentConfig(
         experiment="atom-image",

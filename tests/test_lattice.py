@@ -103,6 +103,18 @@ def test_lq_norm():
         lq_norm(one, Cube((0.5,), 1.0), 0.5)
 
 
+def test_lq_norm_exponent_rule():
+    # the exponent rule of NormParams
+    w = Window(1, (0.0,), (1.0,), (64,))
+    ind = GridFunction.from_callable(w, lambda x: (x < 0.5).astype(float))
+    for bad in (math.nan, -math.inf, 0.5):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            lq_norm(ind, Cube((0.5,), 1.0), bad)
+    with pytest.raises(ValueError, match="q must be a number"):
+        lq_norm(ind, Cube((0.5,), 1.0), None)
+    assert lq_norm(ind, Cube((0.5,), 1.0), "inf") == 1.0
+
+
 def test_annulus_conventions():
     assert isinstance(annulus((0.0,), 1.0, 0), Cube)
     a = annulus((0.0,), 1.0, 1)

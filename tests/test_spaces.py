@@ -48,6 +48,81 @@ def test_norm_params_reject_nan_and_infinite_alpha():
 
 
 
+def test_norm_params_parse_exponents_with_float():
+    p = NormParams("inf", "Infinity", 0, "0.25")
+    assert (p.p, p.q, p.alpha) == (INF, INF, 0.25)
+    assert NormParams(2, 3, 0, 0).q == 3.0
+    for args in [(None, 2.0, 0, 0.0), (2.0, [2.0], 0, 0.0), ("two", 2.0, 0, 0.0), (2.0, 2.0, 0, None)]:
+        with pytest.raises(ValueError, match="must be a number"):
+            NormParams(*args)
+
+
+_BAD_EXPONENTS = [
+    ((math.nan, 2.0, 0.0), "p must be >= 1"), ((0.5, 2.0, 0.0), "p must be >= 1"),
+    ((2.0, math.nan, 0.0), "q must be >= 1"), ((2.0, 0.5, 0.0), "q must be >= 1"),
+    ((2.0, 2.0, math.nan), "alpha must be finite"), ((2.0, 2.0, math.inf), "alpha must be finite"),
+]
+
+
+@pytest.mark.parametrize("exponents, message", _BAD_EXPONENTS)
+def test_riesz_morrey_norms_check_exponents(exponents, message):
+    # the NormParams rule; the message is matched because a NaN p can also
+    # fail later, in the search, with an unrelated ValueError
+    w = Window(1, (0.0,), (1.0,), (32,))
+    f = GridFunction.from_callable(w, lambda x: np.sin(5 * x))
+    p, q, alpha = exponents
+    with pytest.raises(ValueError, match=message):
+        rm_con_norm(f, p, q, alpha)
+    with pytest.raises(ValueError, match=message):
+        rm_ball_seminorm(f, p, q, alpha, [4 * w.h])
+    if alpha == 0.0:
+        with pytest.raises(ValueError, match=message):
+            amalgam_norm(f, p, q, 4 * w.h)
+
+
+def test_ball_seminorms_need_a_radius():
+    w = Window(1, (0.0,), (1.0,), (32,))
+    f = GridFunction.from_callable(w, lambda x: np.sin(5 * x))
+    with pytest.raises(ValueError, match="radius"):
+        jn_ball_seminorm(f, NormParams(2.0, 2.0, 0, 0.0), [])
+    with pytest.raises(ValueError, match="radius"):
+        rm_ball_seminorm(f, 2.0, 2.0, 0.0, iter(()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 40), st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]),
+    st.booleans(), st.integers(0, 10_000),
+)
+def test_qmean_matches_the_two_temporary_formula(rows, cols, q, padded, seed):
+    from jnlab.spaces import _qmean
+
+    rng = np.random.default_rng(seed)
+    resid = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    counts = rng.integers(1, cols + 1, size=rows) if padded else None
+    if q == INF:
+        old = np.abs(resid).max(axis=1)
+    else:
+        old = ((np.abs(resid) ** q).sum(axis=1) / (cols if counts is None else counts)) ** (1.0 / q)
+    assert _qmean(resid, q, counts).tobytes() == old.tobytes()
+
+
+def test_qmean_allocates_one_batch_sized_temporary():
+    import tracemalloc
+
+    from jnlab.spaces import _qmean
+
+    resid = np.random.default_rng(3).normal(size=(256, 256))
+    for q in (1.0, 1.5, 2.0, 3.0, INF):
+        tracemalloc.start()
+        try:
+            _qmean(resid, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * resid.nbytes, q
+
+
 def test_norm_params_s_is_a_whole_number():
     # an integral float (a JSON config's 1.0) is coerced, as the correction order is
     p = NormParams(2.0, 2.0, 1.0, 0.1)
