@@ -89,19 +89,16 @@ def cmd_apply_op(args) -> int:
     kernel = kernel_by_name(args.kernel, **json.loads(args.kernel_params))
     if args.mode == "truncated":
         eta = f.window.h if args.eta is None else args.eta
-        out = apply_truncated(kernel, f, eta)
+        result = apply_truncated(kernel, f, eta)
         report = {"mode": "truncated", "eta": eta}
-        result = out
-    elif args.mode == "cz":
-        res = apply_cz(kernel, f)
-        report = {"mode": "cz", "etas": res.etas, "converged": res.converged,
-                  "max_increments": res.max_increments, "points": res.to_json()}
-        result = res.result
     else:
-        res = apply_modified(kernel_transpose(kernel), _central_correction(f.window, args.s), f)
-        report = {"mode": "modified", "etas": res.etas, "converged": res.converged,
+        if args.mode == "cz":
+            res = apply_cz(kernel, f)
+        else:
+            res = apply_modified(kernel_transpose(kernel), _central_correction(f.window, args.s), f)
+        report = {"mode": args.mode, "etas": res.etas, "converged": res.converged,
                   "max_increments": res.max_increments, "points": res.to_json()}
-        result = res.canonical
+        result = res.result if args.mode == "cz" else res.canonical
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

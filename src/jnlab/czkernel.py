@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Ball, Cube, GridFunction, Window, grid_points, moments, monomials, whole_number
+from .lattice import Cube, GridFunction, Window, grid_points, moments, monomials, whole_number
 from .polyproj import Projector, index_factorial, moment_projection, multi_indices
 
 __all__ = [
@@ -103,10 +103,6 @@ class CorrectionSpec:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("correction ball radius must be positive and finite")
         object.__setattr__(self, "order", whole_number(self.order, "correction order"))
-
-    @property
-    def ball(self) -> Ball:
-        return Ball(self.center, self.radius)
 
 
 def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
@@ -259,6 +255,7 @@ def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
 
 
 def kernel_by_name(name: str, **params) -> KernelSpec:
+    """Built-in kernel `name`; ValueError for parameters its builder does not take."""
     builders = {
         "hilbert": hilbert_kernel,
         "riesz": riesz_kernel,
@@ -269,7 +266,10 @@ def kernel_by_name(name: str, **params) -> KernelSpec:
     }
     if name not in builders:
         raise KeyError(f"unknown kernel {name!r}; have {sorted(builders)}")
-    return builders[name](**params)
+    try:
+        return builders[name](**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for kernel {name!r}: {exc}") from None
 
 
 def _validate_eta(eta: float, h: float) -> float:
@@ -505,7 +505,8 @@ def apply_truncated(
 
 @dataclass
 class CZResult:
-    """Three-rung truncation ladder with Cauchy increments."""
+    """Three-rung truncation ladder with Cauchy increments.  `tol` is the
+    increment tolerance of `converged`: 1e-3 * max|f|, or 1e-3 for f = 0."""
 
     result: GridFunction
     etas: list[float]
@@ -516,19 +517,14 @@ class CZResult:
     diverged: bool
     converged_fraction: float = 1.0
 
-    def to_json(self, limit: int | None = 16) -> list[dict]:
-        pts = self.result.window.midpoints()
-        count = pts.shape[0] if limit is None else min(limit, pts.shape[0])
-        rows = []
-        for i in range(count):
-            rows.append(
-                {
-                    "point": [float(v) for v in pts[i]],
-                    "eta_ladder_values": [float(l[i]) for l in self.ladder],
-                    "converged": bool(self.converged),
-                }
-            )
-        return rows
+    def to_json(self) -> list[dict]:
+        """The ladder at the first 16 cells."""
+        pts = self.result.window.midpoints()[:16]
+        return [
+            {"point": [float(v) for v in pt], "eta_ladder_values": [float(l[i]) for l in self.ladder],
+             "converged": bool(self.converged)}
+            for i, pt in enumerate(pts)
+        ]
 
 
 def _ladder_result(window, ladder, etas, tol) -> CZResult:
@@ -548,7 +544,6 @@ def apply_cz(
     kernel: KernelSpec,
     f: GridFunction,
     eval_window: Window | None = None,
-    tol: float | None = None,
     eta_cells=(4, 2, 1),
 ) -> CZResult:
     """Principal-value operator via the {4h, 2h, h} exclusion ladder."""
@@ -557,8 +552,7 @@ def apply_cz(
     h = f.window.h
     window = eval_window or f.window
     ladder = [apply_truncated(kernel, f, m * h, eval_window=window).flat for m in eta_cells]
-    if tol is None:
-        tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
+    tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
     return _ladder_result(window, ladder, [m * h for m in eta_cells], tol)
 
 
@@ -621,7 +615,6 @@ def apply_modified(
     corr: CorrectionSpec,
     f: GridFunction,
     eval_window: Window | None = None,
-    tol: float | None = None,
     eta_cells=(4, 2, 1),
 ) -> ModifiedResult:
     """Corrected operator: Taylor polynomial of the kernel's first slot at the
@@ -631,7 +624,7 @@ def apply_modified(
     on oscillation classes.
     """
     _check_order(kernel_tilde, corr.order)
-    cz = apply_cz(kernel_tilde, f, eval_window, tol, eta_cells)
+    cz = apply_cz(kernel_tilde, f, eval_window, eta_cells)
     window = cz.result.window
     # the Taylor correction does not depend on the exclusion radius: build
     # its polynomial once for the whole ladder

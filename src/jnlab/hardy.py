@@ -63,6 +63,9 @@ __all__ = [
 ATOM_NORM_RTOL = 1e-10
 ATOM_MOMENT_RTOL = 1e-8
 INF = math.inf
+# make_molecule's annulus pieces and dual-basis tail pairs, as fractions of their bounds
+_MARGIN = 0.8
+_TAIL_WEIGHT = 0.1
 
 
 class ParameterError(ValueError):
@@ -317,14 +320,7 @@ def _dual_step(levels, j: int, nu: int) -> tuple:
 
 
 def make_molecule(
-    seed: int,
-    cube: Cube,
-    params,
-    epsilon: float,
-    window: Window,
-    j_max: int,
-    margin: float = 0.8,
-    tail_weight: float = 0.1,
+    seed: int, cube: Cube, params, epsilon: float, window: Window, j_max: int
 ) -> MoleculeRecord:
     """Seeded molecule with nonzero tail moments and decay margins < 1.
 
@@ -334,10 +330,6 @@ def make_molecule(
     """
     if params.q == INF:
         raise ParameterError("q = inf molecules are excluded")
-    if not 0 < margin <= 1:
-        raise ParameterError(f"the margin must lie in (0, 1], got {margin!r}")
-    if not 0 <= tail_weight < INF:
-        raise ParameterError(f"the tail weight must be finite and >= 0, got {tail_weight!r}")
     j_max = whole_number(j_max, "j_max")
     rng = np.random.default_rng(seed)
     c = norm_exponent(params)
@@ -351,7 +343,7 @@ def make_molecule(
         norm = _lq(piece, params.q, cm)
         if norm <= 0:
             raise ZeroAtomError("degenerate annulus piece")
-        total[cells] += piece * (margin * bounds[j] / norm)
+        total[cells] += piece * (_MARGIN * bounds[j] / norm)
     gammas = multi_indices(window.n, params.s)
     for j in range(j_max):
         for gi in range(len(gammas)):
@@ -361,7 +353,7 @@ def make_molecule(
                 bounds[j] / norm_lo if norm_lo > 0 else INF,
                 bounds[j + 1] / norm_hi if norm_hi > 0 else INF,
             )
-            amp = tail_weight * cap * rng.uniform(0.5, 1.0) / len(gammas)
+            amp = _TAIL_WEIGHT * cap * rng.uniform(0.5, 1.0) / len(gammas)
             sign = 1 if rng.random() < 0.5 else -1
             total[levels[j][0]] += amp * lo * sign
             total[levels[j + 1][0]] += amp * hi * sign

@@ -31,6 +31,7 @@ from .spaces import (
 from .czkernel import (
     CorrectionSpec,
     KernelSpec,
+    _check_padding,
     apply_cz,
     apply_modified,
     apply_truncated,
@@ -57,6 +58,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ConfigError",
+    "TOLERANCES",
     "make_family",
     "run_experiment",
     "run_jn_boundedness",
@@ -71,6 +73,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 INF = math.inf
+
+# every experiment tolerance and its default, which a config's `tolerances` overrides by name
+TOLERANCES = {"bracket": 64.0, "refine_factor": 2.0, "rm_amalgam_factor": 4.0,
+              "pairing_mismatch": 1e-3, "residual": 1e-6, "bound_spread": 4.0}
 
 
 class ConfigError(ValueError):
@@ -118,8 +124,15 @@ class ExperimentConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad norm parameters: {exc}") from exc
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, name: str) -> float:
+        """The tolerance `name` of TOLERANCES, as `tolerances` overrides it;
+        ConfigError for an unknown name or a value not a finite number > 0."""
+        if name not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance {name!r}; have {sorted(TOLERANCES)}")
+        value = self.tolerances.get(name, TOLERANCES[name])
+        if not (isinstance(value, (int, float)) and 0 < value < INF):
+            raise ConfigError(f"tolerance {name} must be a finite number > 0, got {value!r}")
+        return float(value)
 
 
 @dataclass
@@ -268,9 +281,10 @@ def _family(config: ExperimentConfig, count: int, key: str = "count") -> tuple[s
     what = f"the test family needs at least one function: family {key}"
     try:
         size = whole_number(config.family.get(key, count), what, 1)
+        seed = whole_number(config.family.get("seed", 7), "family seed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config.family.get("kind", "random-osc"), size, int(config.family.get("seed", 7))
+    return config.family.get("kind", "random-osc"), size, seed
 
 
 def _family_ratios(config: ExperimentConfig, win: Window, params, pairs_of) -> list:
@@ -284,10 +298,10 @@ def _family_ratios(config: ExperimentConfig, win: Window, params, pairs_of) -> l
 
 def _refine_check(config: ExperimentConfig, coarse: float, fine: float, violations: list, message: str):
     """The factor hi/lo between a statistic on the window and on its
-    refinement; a zero statistic or a factor above tol("refine_factor", 2.0)
+    refinement; a zero statistic or a factor above tol("refine_factor")
     appends the violation."""
     lo, hi = sorted([coarse, fine])
-    if lo == 0 or hi / lo > config.tol("refine_factor", 2.0):
+    if lo == 0 or hi / lo > config.tol("refine_factor"):
         violations.append(message)
     return hi / lo if lo > 0 else INF
 
@@ -307,6 +321,7 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
     params = config.build_params()
     tilde = kernel_transpose(config.build_kernel())
     search = SearchConfig()
+    _check_padding(config.padding)
 
     def pairs(f):
         tf = apply_modified(tilde, _central_correction(f.window, params.s), f).result
@@ -329,7 +344,7 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
     corr = _central_correction(window, params.s)
     mono_rows = []
     for g in multi_indices(window.n, params.s):
-        img = modified_on_monomial(tilde, corr, g, window, padding=max(config.padding, 4.0), check_doubling=False)
+        img = modified_on_monomial(tilde, corr, g, window, padding=config.padding, check_doubling=False)
         dist = poly_distance(
             img.values, window.reference_cube(), params.s,
             floor=float(np.abs(GridFunction.monomial(window, g).flat).max()),
@@ -367,8 +382,8 @@ def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
     if rm_max > 0 and am_max > 0:
         agree = max(rm_max / am_max, am_max / rm_max)
         summary["rm_vs_amalgam_factor"] = agree
-        if agree > config.tol("rm_amalgam_factor", 4.0):
-            violations.append("amalgam and cube-aggregate ratios disagree beyond factor 4")
+        if agree > (factor := config.tol("rm_amalgam_factor")):
+            violations.append(f"amalgam and cube-aggregate ratios disagree beyond factor {factor:g}")
     if config.refine:
         ((_, fine),) = _family_ratios(
             config, window.refine(), params, lambda f: (rm_pair(f, apply_cz(kernel, f).result),)
@@ -386,7 +401,7 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
     window = config.build_window()
     params = config.build_params()
     search = SearchConfig()
-    bracket = config.tol("bracket", 64.0)
+    bracket = config.tol("bracket")
     p, q, alpha = params.p, params.q, params.alpha
 
     def pairs(f):
@@ -425,13 +440,14 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
                 violations.append(f"{name} ball/cube ratio spread {spread:.3g} exceeds bracket {bracket}")
     if config.refine:
         fine = _family_ratios(config, window.refine(), params, pairs)
+        factor = config.tol("refine_factor")
         for name, (_, coarse), (_, refined) in zip(("jn", "rm"), base, fine):
             if not coarse or not refined:
                 continue
             for stat in (min, max):
                 summary[f"{name}_{stat.__name__}_refine_factor"] = _refine_check(
                     config, stat(coarse), stat(refined), violations,
-                    f"{name} bracket {stat.__name__} moved beyond factor 2 under refinement",
+                    f"{name} bracket {stat.__name__} moved beyond factor {factor:g} under refinement",
                 )
     return _result("equivalence", rows, summary, violations, config)
 
@@ -445,7 +461,7 @@ def _atom_image_setup(config: ExperimentConfig, diagonal: bool):
     params = config.build_params()
     kernel = config.build_kernel()
     n = window.n
-    support_side = window.span / 2 ** max(config.levels, 2)
+    support_side = window.span / 2 ** whole_number(config.levels, "levels", 2)
     cube = Cube(tuple(window.center), support_side)
     eps = config.epsilon
     if eps is None:
@@ -544,7 +560,7 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     tilde = kernel_transpose(kernel)
     _, n_atoms, seed = _family(config, 10)
     n_funcs = _family(config, 5, "functions")[1]
-    tol = config.tol("pairing_mismatch", 1e-3)
+    tol = config.tol("pairing_mismatch")
     span = window.span
     cube = Cube(tuple(window.center), span / 8.0)
     corr = _central_correction(window, params.s)
@@ -599,7 +615,7 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
     coefficient sums against the geometric bound, and bound uniformity."""
     window, params, kernel, cube, eps, center_cube, j_max = _atom_image_setup(config, diagonal=False)
     _, count, seed = _family(config, 5)
-    res_tol = config.tol("residual", 1e-6)
+    res_tol = config.tol("residual")
     rows = []
     violations = []
 
@@ -630,8 +646,8 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentResult:
     summary = {"max_image_bound": max(bounds_images), "min_image_bound": min(bounds_images)}
     spread = summary["max_image_bound"] / summary["min_image_bound"] if summary["min_image_bound"] > 0 else INF
     summary["image_bound_spread"] = spread
-    if spread > config.tol("bound_spread", 4.0):
-        violations.append(f"operator-image bounds spread {spread:.3g} beyond factor 4")
+    if spread > (bound := config.tol("bound_spread")):
+        violations.append(f"operator-image bounds spread {spread:.3g} beyond factor {bound:g}")
     return _result("decomposition", rows, summary, violations, config)
 
 
@@ -670,4 +686,8 @@ def run_experiment(name: str, config: ExperimentConfig | None = None) -> Experim
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
     cfg = config or default_config(name)
+    if not isinstance(cfg.refine, bool):
+        raise ConfigError(f"refine must be true or false, got {cfg.refine!r}")
+    for key in cfg.tolerances:
+        cfg.tol(key)
     return EXPERIMENTS[name](cfg)

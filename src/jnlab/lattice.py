@@ -76,7 +76,7 @@ def whole_number(value, what: str, least: int = 0) -> int:
     as 2.0 from a JSON file included; ValueError otherwise."""
     try:
         v = float(value)
-    except TypeError:
+    except (TypeError, ValueError):
         v = math.nan
     if not (v.is_integer() and v >= least):
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
@@ -145,10 +145,6 @@ class Window:
         return self.h**self.n
 
     @property
-    def measure(self) -> float:
-        return self.cell_count * self.cell_measure
-
-    @property
     def center(self) -> np.ndarray:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
 
@@ -174,8 +170,9 @@ class Window:
         idx = np.unravel_index(np.asarray(flat_idx, dtype=int), self.cells)
         return np.stack([self.axis_midpoints(a)[i] for a, i in enumerate(idx)], axis=1)
 
-    def refine(self, factor: int = 2) -> "Window":
-        return Window(self.n, self.lower, self.upper, tuple(c * factor for c in self.cells))
+    def refine(self) -> "Window":
+        """The same window at half the pitch."""
+        return Window(self.n, self.lower, self.upper, tuple(c * 2 for c in self.cells))
 
     def padded(self, factor: float) -> "Window":
         """Extend (factor > 1) or shrink (factor < 1) the window symmetrically
@@ -410,8 +407,11 @@ class GridFunction:
 
     @classmethod
     def monomial(cls, window: Window, gamma) -> "GridFunction":
-        """y^gamma sampled on the window."""
+        """y^gamma sampled on the window; LatticeError unless gamma has one
+        entry per axis."""
         gamma = tuple(int(g) for g in np.atleast_1d(gamma))
+        if len(gamma) != window.n:
+            raise LatticeError(f"multi-index {gamma} needs {window.n} entries, one per window axis")
         # a product of per-axis powers, each factor evaluated by monomials on
         # its axis: the same products as on the midpoints() array, bit for bit
         factors = [

@@ -107,7 +107,7 @@ class NormParams:
 class SearchConfig:
     """Search space for the congruent-cube supremum.
 
-    side_cells: cube sides in cells per axis (None = dyadic default).
+    side_cells: cube sides in cells per axis (None = every power of two m with m**n >= max(4, dim)).
     offset_stride: stride through the cell offsets modulo the side.
     policy: 'restrict' drops partial cubes, 'zero-extend' keeps them padded.
     packings: 'tiling' uses one offset phase per collection; 'exhaustive'
@@ -118,7 +118,6 @@ class SearchConfig:
     offset_stride: int = 1
     policy: str = "restrict"
     packings: str = "tiling"
-    min_cells_per_cube: int = 4
 
     def __post_init__(self):
         if self.policy not in ("restrict", "zero-extend"):
@@ -139,7 +138,7 @@ class SearchConfig:
             sides = []
             m = 1
             while m <= max_m:
-                if m**n >= max(self.min_cells_per_cube, dim):
+                if m**n >= max(4, dim):
                     sides.append(m)
                 m *= 2
         if not sides:
@@ -154,7 +153,6 @@ class SearchConfig:
             offset_stride=1,
             policy="restrict",
             packings="exhaustive" if window.n == 1 else "tiling",
-            min_cells_per_cube=1,
         )
 
 

@@ -647,6 +647,20 @@ def test_defect_and_monomial_input_guards():
         KernelSpec("bad", 1, 0, 1.0, k=None, d1=None, d2=None, modulation=np.sin)
 
 
+def test_monomial_multi_index_must_match_the_window():
+    # one entry per window axis, as a ValueError, not an IndexError
+    with pytest.raises(ValueError, match="multi-index"):
+        modified_on_monomial(
+            kernel_transpose(hilbert_kernel()), CorrectionSpec((0.0,), 0.5, 1), (0, 0),
+            Window(1, (-1.0,), (1.0,), (16,)), padding=4,
+        )
+
+
+def test_kernel_by_name_rejects_unknown_parameters():
+    with pytest.raises(ValueError, match="bad parameters for kernel 'hilbert'"):
+        kernel_by_name("hilbert", j=1)
+
+
 def test_monomial_exponents_and_eta_ladder_are_checked():
     Kt = kernel_transpose(hilbert_kernel())
     ew = Window(1, (-1.0,), (1.0,), (16,))

@@ -547,27 +547,6 @@ def test_ladder_levels_partition_and_match_dual_basis():
         assert all(np.array_equal(a, b) for a, b in zip(duals, expect))
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"margin": math.nan},
-        {"margin": math.inf},
-        {"margin": -1.0},
-        {"margin": 0.0},
-        {"margin": 2.0},
-        {"tail_weight": math.nan},
-        {"tail_weight": math.inf},
-        {"tail_weight": -0.1},
-    ],
-)
-def test_make_molecule_rejects_bad_margin_and_tail_weight(monkeypatch, bad):
-    params, w, cube, eps = ladder_setup()
-    built = _counting_projectors(monkeypatch)
-    with pytest.raises(ParameterError, match="margin|tail weight"):
-        make_molecule(3, cube, params, eps, w, 3, **bad)
-    assert not built  # rejected before any work
-
-
 def test_molecule_level_counts_must_be_whole_numbers():
     params, w, cube, eps = ladder_setup()
     mol = make_molecule(3, cube, params, eps, w, 2)

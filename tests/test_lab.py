@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from jnlab.lattice import GridFunction, Window
 from jnlab.spaces import NormParams
 from jnlab.lab import (
+    TOLERANCES,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -555,3 +557,98 @@ def test_2d_default_scale_boundedness():
     res = run_experiment("jn-boundedness", cfg)
     assert res.passed
     assert 0 < res.summary["max_ratio"] < 100
+
+
+# --- experiment settings: one tolerance table, no clamps, typed errors ------
+
+
+def test_tolerance_table_defaults():
+    cfg = default_config("equivalence")
+    assert {name: cfg.tol(name) for name in TOLERANCES} == {
+        "bracket": 64.0, "refine_factor": 2.0, "rm_amalgam_factor": 4.0,
+        "pairing_mismatch": 1e-3, "residual": 1e-6, "bound_spread": 4.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"residual": float("nan")},
+        {"residual": float("inf")},
+        {"residual": 0.0},
+        {"bound_spread": -4.0},
+        {"residual": "1e-6"},
+        {"residul": 1e-6},
+    ],
+)
+def test_bad_tolerance_is_a_config_error_before_the_run(monkeypatch, tolerances):
+    from jnlab import lab
+
+    monkeypatch.setitem(lab.EXPERIMENTS, "decomposition", lambda cfg: pytest.fail("the experiment ran"))
+    cfg = default_config("decomposition")
+    cfg.tolerances = tolerances
+    with pytest.raises(ConfigError, match="tolerance"):
+        run_experiment("decomposition", cfg)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decomposition", "--tol-residual", "nan"],
+        ["equivalence", "--tol-refine", "nan"],
+        ["duality", "--tol-pairing", "-1"],
+    ],
+)
+def test_cli_bad_tolerance_exits_config(tmp_path, capsys, args):
+    assert cli.main(["experiment", *args, "--out", str(tmp_path)]) == 3
+    assert "tolerance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_violation_names_the_tolerance_in_force():
+    cfg = default_config("decomposition")
+    cfg.tolerances = {"bound_spread": 1.0}
+    res = run_experiment("decomposition", cfg)
+    assert res.summary["image_bound_spread"] > 1.0
+    assert res.violations[-1].endswith("beyond factor 1")
+    assert res.config["tolerances"] == {"bound_spread": 1.0}
+
+
+@pytest.mark.parametrize("padding", ["2", "nan"])
+def test_cli_padding_below_four_exits_config_before_any_operator(tmp_path, capsys, monkeypatch, padding):
+    from jnlab import lab
+
+    for name in ("apply_modified", "modified_on_monomial"):
+        monkeypatch.setattr(lab, name, lambda *a, **k: pytest.fail("an operator was applied"))
+    rc = cli.main(["experiment", "jn-boundedness", "--padding", padding, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "padding factor must be finite and at least 4" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("atom-image", {"levels": -3}, "levels must be an integer >= 2"),
+        ("atom-image", {"levels": 2.5}, "levels must be an integer >= 2"),
+        ("decomposition", {"levels": "x"}, "levels must be an integer >= 2"),
+        ("duality", {"family": {"kind": "atom", "count": 2, "seed": 7.9, "functions": 1}}, "family seed"),
+        ("jn-boundedness", {"refine": "false"}, "refine must be true or false"),
+        ("rm-boundedness", {"kernel": {"name": "hilbert", "j": 1}}, "bad parameters for kernel 'hilbert'"),
+    ],
+)
+def test_cli_bad_experiment_setting_exits_config(tmp_path, capsys, name, change, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**asdict(default_config(name)), **change}))
+    out = tmp_path / "out"
+    assert cli.main(["experiment", name, "--config", str(path), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_apply_op_unknown_kernel_parameter_exits_config(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    GridFunction.zeros(Window(1, (-1.0,), (1.0,), (16,))).save(path)
+    rc = cli.main(["apply-op", "--kernel", "hilbert", "--kernel-params", '{"j": 1}', "--function", str(path)])
+    assert rc == 3
+    assert "bad parameters for kernel 'hilbert'" in capsys.readouterr().err

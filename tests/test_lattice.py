@@ -435,3 +435,11 @@ def test_per_axis_midpoints_and_monomials_are_the_point_cloud_ones(n, cells, g0,
     got = GridFunction.monomial(w, gamma)
     assert got.values.shape == w.cells
     assert np.array_equal(got.flat, monomials(pts, [gamma])[:, 0])
+
+
+def test_monomial_needs_one_exponent_per_axis():
+    w2 = Window(2, (0.0, 0.0), (1.0, 1.0), (8, 8))
+    with pytest.raises(LatticeError, match="needs 2 entries, one per window axis"):
+        GridFunction.monomial(w2, (1,))
+    with pytest.raises(LatticeError, match="needs 1 entries, one per window axis"):
+        GridFunction.monomial(Window(1, (0.0,), (1.0,), (8,)), (0, 0))

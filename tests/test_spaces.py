@@ -191,7 +191,7 @@ def test_oracle_dominates_and_matches_full_search():
         oracle = jn_partition_oracle(f, params)
         full = jn_con_norm(f, params, SearchConfig.full(w)).value
         tiling = jn_con_norm(
-            f, params, SearchConfig(side_cells=list(range(1, N + 1)), min_cells_per_cube=1)
+            f, params, SearchConfig(side_cells=list(range(1, N + 1)))
         ).value
         assert tiling <= oracle + 1e-12
         assert full == pytest.approx(oracle, abs=1e-12)
@@ -202,9 +202,9 @@ def test_mixed_phase_packing_beats_tilings():
     w = Window(1, (0.0,), (5.0,), (5,))
     f = GridFunction(w, np.array([5.0, 1.0, 1.0, 1.0, 7.0]))
     params = NormParams(1.0, 1.0, 0, 0.0)
-    til = jn_con_norm(f, params, SearchConfig(side_cells=[2], min_cells_per_cube=1)).value
+    til = jn_con_norm(f, params, SearchConfig(side_cells=[2])).value
     exh = jn_con_norm(
-        f, params, SearchConfig(side_cells=[2], packings="exhaustive", min_cells_per_cube=1)
+        f, params, SearchConfig(side_cells=[2], packings="exhaustive")
     ).value
     assert exh > til
     assert exh == pytest.approx(10.0, abs=1e-12)
@@ -419,8 +419,8 @@ def test_zero_extend_policy():
     f = GridFunction(w, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
     params = NormParams(1.0, 1.0, 0, 0.0)
     # side of 6 cells at offset 4 would stick out; zero-extend keeps it
-    r_res = jn_con_norm(f, params, SearchConfig(side_cells=[6], policy="restrict", min_cells_per_cube=1))
-    r_ext = jn_con_norm(f, params, SearchConfig(side_cells=[6], policy="zero-extend", min_cells_per_cube=1))
+    r_res = jn_con_norm(f, params, SearchConfig(side_cells=[6], policy="restrict"))
+    r_ext = jn_con_norm(f, params, SearchConfig(side_cells=[6], policy="zero-extend"))
     assert r_ext.value >= r_res.value - 1e-14
     assert r_ext.policy == "zero-extend"
 
@@ -430,7 +430,7 @@ def test_2d_norms_smoke():
     rng = np.random.default_rng(12)
     f = GridFunction(w, rng.normal(size=(16, 16)))
     params = NormParams(2.0, 2.0, 1, 0.05)
-    rep = jn_con_norm(f, params, SearchConfig(side_cells=[4, 8], min_cells_per_cube=4))
+    rep = jn_con_norm(f, params, SearchConfig(side_cells=[4, 8]))
     assert rep.value > 0
     assert rep.recompute() == pytest.approx(rep.value, rel=1e-12)
     ball = jn_ball_seminorm(f, params, [4 * w.h])
@@ -578,7 +578,7 @@ def test_2d_tiling_against_slow_reference():
             float(rng.uniform(1, 3)), float(rng.uniform(1, 3)), s, float(rng.uniform(-0.3, 0.3))
         )
         m = int(rng.integers(2, min(Nx, Ny) // 2 + 1))
-        rep = jn_con_norm(f, params, SearchConfig(side_cells=[m], min_cells_per_cube=1))
+        rep = jn_con_norm(f, params, SearchConfig(side_cells=[m]))
         slow = {off: slow_tiling_value(f, m, off, params) for off in np.ndindex(m, m)}
         top = max(v for v in slow.values() if v is not None)
         worst = max(worst, abs(rep.value - top) / top)
@@ -712,10 +712,10 @@ def test_zero_extend_equals_padded_restrict():
     params = NormParams(2.0, 2.0, 0, 0.1)
     for m in (2, 4, 8):
         ze = jn_con_norm(
-            f_small, params, SearchConfig(side_cells=[m], policy="zero-extend", min_cells_per_cube=1)
+            f_small, params, SearchConfig(side_cells=[m], policy="zero-extend")
         ).value
         re = jn_con_norm(
-            f_big, params, SearchConfig(side_cells=[m], policy="restrict", min_cells_per_cube=1)
+            f_big, params, SearchConfig(side_cells=[m], policy="restrict")
         ).value
         assert ze == pytest.approx(re, abs=1e-13)
 
@@ -880,7 +880,7 @@ def test_engine_matches_per_offset_search(n, data, policy, stride, p, q, s, seed
     alpha = data.draw(st.sampled_from([0.0, 0.15, -0.2]))
     w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
     f = GridFunction(w, np.random.default_rng(seed).normal(size=cells))
-    search = SearchConfig(side_cells=sides, offset_stride=stride, policy=policy, min_cells_per_cube=1)
+    search = SearchConfig(side_cells=sides, offset_stride=stride, policy=policy)
     if not any(m**n >= (1 if s is None else s * n + 1) for m in sides):
         return  # no admissible side at all
     value, *_ = per_offset_search(f, p, q, s, alpha, search)
@@ -1063,7 +1063,7 @@ def test_first_maximal_offset_under_rounding_ties():
         f = GridFunction(w, np.concatenate([half, half[::-1][N % 2 :]]))
         m = int(rng.integers(2, N // 2 + 1))
         p = float(rng.choice([2.0, 3.0, 1.5]))
-        search = SearchConfig(side_cells=[m], min_cells_per_cube=1)
+        search = SearchConfig(side_cells=[m])
         value, _, offset, _, _ = per_offset_search(f, p, 2.0, None, 0.1, search)
         rep = rm_con_norm(f, p, 2.0, 0.1, search)
         assert (rep.value, rep.argmax_offset) == (value, offset)
