@@ -14,13 +14,14 @@ sensitivity diagnostics so the truncation error is visible, not hidden.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Cube, GridFunction, Window, grid_points, moments, monomials, whole_number
+from .lattice import Cube, GridFunction, Window, grid_points, monomial_factors, moments, monomials, whole_number
 from .polyproj import Projector, index_factorial, moment_projection, multi_indices
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
 
 _PAIR_BUDGET = 4_000_000  # max pairwise entries held at once
 _BAND_CELLS = 1 << 15  # cells per row band of a full-frame pass (fits in cache)
+_TILE = 64  # cells per side of a 2-D point-sum tile (see _conv_at_points)
 
 
 @dataclass(frozen=True)
@@ -329,13 +331,17 @@ def _bands(shape) -> list:
 
 
 def _frame_bands(window: Window):
-    """(flat cell slice, midpoints) of each row band of the window.  The
+    """(first row, end row, midpoints) of each row band of the window.  The
     midpoints are built per axis, so no (cells, n) array of the whole window
     is formed."""
     axes = [window.axis_midpoints(a) for a in range(window.n)]
-    row = window.cell_count // window.cells[0]
     for a, b in _bands(window.cells):
-        yield slice(a * row, b * row), grid_points([axes[0][a:b], *axes[1:]])
+        yield a, b, grid_points([axes[0][a:b], *axes[1:]])
+
+
+def _frame_rows(factors, a: int = 0, b: int | None = None) -> np.ndarray:
+    """The outer product of per-axis factors on rows a:b of the leading axis, flat."""
+    return functools.reduce(np.multiply.outer, (factors[0][a:b], *factors[1:])).reshape(-1)
 
 
 def _difference_table(kappa, h: float, eta: float, lo, hi) -> np.ndarray:
@@ -383,100 +389,130 @@ def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndar
     return out.reshape(-1)
 
 
-def _conv_at_points(table, origin, eval_idx, grid_lo, W: np.ndarray) -> np.ndarray:
-    """Point sums out[k] = sum over the cells y of the box grid_lo + [0,
-    W.shape) of table[x_k - y - origin] W[y - grid_lo].
+def _toeplitz(v, lags: int) -> np.ndarray:
+    """M of shape (len(v) + lags - 1, lags) with (A @ M)[t, j] = sum_c A[t, j + c] v[c]."""
+    z = np.concatenate([np.zeros(lags - 1), v, np.zeros(lags - 1)])
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(z, lags)[:, ::-1])
 
-    With W reversed, W[::-1][j] pairs with table[start_k + j].  In 2-D the
-    reversed W is made contiguous once and each point sum is contracted row
-    band by row band, with no temporary."""
-    last = np.asarray(grid_lo) + np.asarray(W.shape) - 1
-    starts = [x - last - origin for x in eval_idx]
-    if W.ndim == 1:
-        return np.array([np.dot(W, table[_box(lo, W.shape)][::-1]) for lo in starts])
-    flipped = np.ascontiguousarray(W[::-1, ::-1])
+
+def _conv_at_points(table, origin, eval_idx, grid_lo, W) -> np.ndarray:
+    """Point sums out[k] = sum over the cells y of the weight box grid_lo +
+    [0, shape) of table[x_k - y - origin] W[y - grid_lo], W the box or, in 2-D,
+    a list of rank-one terms (u, v), W = sum u (x) v.  With W reversed, W[::-1][j]
+    pairs with table[start_k + j].  1-D: one dot per point.  2-D, per term: a
+    GEMM with the Toeplitz matrix of the reversed v, then one with that of the
+    reversed u (a box array is one term per row; a unit u only scales).  BLAS
+    rounding depends on the operand shapes, so the GEMMs run over _TILE x _TILE
+    tiles of starts from the table's first entry: on a table covering whole
+    tiles of the box's grid (as _lattice_sums builds), a point's sum does not
+    depend on which other points are evaluated."""
+    if isinstance(W, np.ndarray) and W.ndim == 1:
+        last = np.asarray(grid_lo) + np.asarray(W.shape) - 1
+        return np.array([np.dot(W, table[_box(x - last - origin, W.shape)][::-1]) for x in eval_idx])
+    terms = W if isinstance(W, list) else [(np.eye(1, len(W), r)[0], row) for r, row in enumerate(W)]
+    shape = np.array([terms[0][0].size, terms[0][1].size])
+    starts = np.asarray(eval_idx) - grid_lo - (shape - 1) - origin
+    tiles = starts // _TILE
+    groups = [(np.flatnonzero((tiles == t).all(axis=1)), np.array(t) * _TILE) for t in set(map(tuple, tiles.tolist()))]
+    sums = [np.zeros(np.minimum(lo + _TILE, np.asarray(table.shape) - shape + 1) - lo) for _, lo in groups]  # by start
+    for u, v in terms:
+        ur = u[::-1]
+        a, b = np.flatnonzero(ur)[[0, -1]] + (0, 1)
+        for (_, lo), acc in zip(groups, sums):
+            block = table[lo[0] + a : lo[0] + acc.shape[0] + b - 1, lo[1] : lo[1] + acc.shape[1] + shape[1] - 1]
+            M = _toeplitz(v[::-1], acc.shape[1])
+            # BLAS reads positive strides: a reflected table goes as its positive view
+            P = block @ M if block.strides[1] > 0 else (block[::-1, ::-1] @ M[::-1].copy())[::-1]
+            acc += P * ur[a] if b - a == 1 else _toeplitz(ur[a:b], acc.shape[0]).T @ P
     out = np.zeros(len(starts))
-    for a, b in _bands(W.shape):
-        band = flipped[a:b]
-        for k, lo in enumerate(starts):
-            out[k] += np.einsum("ab,ab->", band, table[_box(lo + (a, 0), band.shape)])
+    for (at, lo), acc in zip(groups, sums):
+        out[at] = acc[tuple((starts[at] - lo).T)]
     return out
 
 
-def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None):
+def _modulation(kernel: KernelSpec, window: Window) -> np.ndarray:
+    """The modulation a at every cell of the window (flat), row band by row band."""
+    return np.concatenate([kernel.modulation(pts) for _, _, pts in _frame_bands(window)])
+
+
+def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None, a=None):
     """values * a when the kernel's modulation a multiplies `slot`: values
-    over every cell of the window (flat), scaled one row band at a time, or
-    at the cells with flat indices `cells`."""
+    over every cell of the window (flat), or at the cells with flat indices
+    `cells`; `a` is the modulation over the window, if the caller has it."""
     if kernel.modulation is None or kernel.modulation_slot != slot:
         return values
-    if cells is not None:
-        return values * kernel.modulation(window.cell_midpoints(cells))
-    out = np.empty(window.cell_count)
-    for band, pts in _frame_bands(window):
-        out[band] = values[band] * kernel.modulation(pts)
-    return out
+    a = _modulation(kernel, window) if a is None else a
+    return values * (a if cells is None else a[cells])
 
 
-def _frame_moment(values, column, window: Window) -> float:
-    """lattice.moments of one column over the window, summed row band by row
-    band (values and column may be views of the window's shape)."""
-    v, c = values.reshape(window.cells), column.reshape(window.cells)
+def _frame_moment(values, factors, window: Window) -> float:
+    """lattice.moments of values (flat, over the window) against the monomial
+    with these per-axis factors, summed row band by row band."""
+    v = values.reshape(window.cells)
     return sum(
-        moments(v[a:b].reshape(-1), c[a:b].reshape(-1, 1), window.cell_measure)[0]
+        moments(v[a:b].reshape(-1), _frame_rows(factors, a, b)[:, None], window.cell_measure)[0]
         for a, b in _bands(window.cells)
     )
 
 
-def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None):
+def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None, a=None):
     """Truncated sums: sum over the cells y of src_window with |x - y| >= eta
-    of K(x, y) w_y, with the flat weights w = src_weights.  They are taken at
-    every cell x of eval_window, at its cells with flat indices eval_cells, or
-    at the rows of an (m, n) point array passed as eval_window.  Returns the sums and
-    the difference table (table, origin) they used, or None for the pairwise
-    sum.
+    of K(x, y) w_y, with the flat weights w = src_weights or, for a tuple of
+    per-axis factors (a monomial's), their outer product times the cell
+    measure.  They are taken at every cell x of eval_window, at its cells with
+    flat indices eval_cells, or at the rows of an (m, n) point array passed as
+    eval_window; `a` is the modulation over the window it scales, if known.
+    Returns the sums and the difference table (table, origin) they used, or
+    None for the pairwise sum.
 
     This is the one place that picks the engine.  A kernel with a difference
     kernel kappa, evaluated at cells of the source lattice, runs through one
     difference table of kappa at the source pitch over the evaluation window
     minus the bounding box of the nonzero sources (or through `table`, which
     must cover the differences in use).  With no more evaluation cells than
-    nonzero sources, each evaluation cell takes one point sum over the dense
-    weight box of the sources, O(evaluations * box cells); otherwise each
-    nonzero source adds one shifted view over the evaluation window,
-    O(sources * evaluations).  The modulation scales the source weights
-    (slot 2) or the sums (slot 1).  Kernels without kappa, other lattices and
-    explicit points take the pairwise sum of k over the nonzero sources."""
+    nonzero sources, or factors, each evaluation cell takes one point sum over
+    the weight box (_conv_at_points); otherwise each nonzero source adds one
+    shifted view over the evaluation window.  The modulation scales the source
+    weights (slot 2) or the sums (slot 1).  Kernels without kappa, other
+    lattices and explicit points take the pairwise sum over nonzero sources."""
     on_cells = isinstance(eval_window, Window)
     if on_cells:
         cells = range(eval_window.cell_count) if eval_cells is None else eval_cells
     eval_lo = eval_window.lattice_offset(src_window) if on_cells and kernel.kappa is not None else None
+    frame = isinstance(src_weights, tuple)  # in 2-D one rank-one term of the point sums
+    if frame and (eval_lo is None or src_window.n == 1 or kernel.modulation is not None):
+        src_weights, frame = _frame_rows(src_weights) * src_window.cell_measure, False
     if eval_lo is None:
         pts = eval_window.cell_midpoints(cells) if on_cells else eval_window
         keep = np.flatnonzero(src_weights)
         return _truncated_raw(kernel, pts, src_window.cell_midpoints(keep), src_weights[keep], eta), None
-    count = np.count_nonzero(src_weights)
+    count = src_window.cell_count if frame else np.count_nonzero(src_weights)
     if count == 0:
-        return np.zeros(len(cells)), table
+        return np.zeros(len(cells)), table or (np.zeros((0,) * src_window.n), eval_lo)
     nz = None
-    if count == src_weights.size:  # a dense frame (a monomial's) is its own support box
+    if frame or count == src_weights.size:  # a dense frame is its own support box
         lo, hi = np.zeros(src_window.n, int), np.asarray(src_window.cells) - 1
     else:  # the box of the nonzero list
         nz = np.flatnonzero(src_weights)
         src_at = _cell_indices(src_window, nz)
         lo, hi = src_at.min(axis=0), src_at.max(axis=0)
+    points = frame or len(cells) <= count
     if table is None:
-        eval_hi = eval_lo + np.asarray(eval_window.cells) - 1
-        table = _box_table(kernel.kappa, src_window.h, eta, eval_lo, eval_hi, lo, hi)
-    if len(cells) <= count:
-        W = _modulated(kernel, 2, src_weights, src_window).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
+        box_lo, box_hi = eval_lo, eval_lo + np.asarray(eval_window.cells) - 1
+        if points and src_window.n == 2:  # whole tiles of the point sums
+            box_lo, box_hi = lo + (box_lo - lo) // _TILE * _TILE, lo + (box_hi - lo) // _TILE * _TILE + _TILE - 1
+        table = _box_table(kernel.kappa, src_window.h, eta, box_lo, box_hi, lo, hi)
+    if points:
+        W = [(src_weights[0] * src_window.cell_measure, src_weights[1])] if frame else _modulated(
+            kernel, 2, src_weights, src_window, a=a).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
         out = _conv_at_points(*table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
-        return _modulated(kernel, 1, out, eval_window, eval_cells), table
+        return _modulated(kernel, 1, out, eval_window, eval_cells, a), table
     if nz is None:
         nz = np.arange(count)
         src_at = _cell_indices(src_window, nz)
-    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz)
+    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, a)
     out = _conv_forward(*table, eval_lo, eval_window.cells, src_at, weights)
-    out = _modulated(kernel, 1, out, eval_window)
+    out = _modulated(kernel, 1, out, eval_window, a=a)
     return (out if eval_cells is None else out[eval_cells]), table
 
 
@@ -506,7 +542,8 @@ def apply_truncated(
 @dataclass
 class CZResult:
     """Three-rung truncation ladder with Cauchy increments.  `tol` is the
-    increment tolerance of `converged`: 1e-3 * max|f|, or 1e-3 for f = 0."""
+    increment tolerance of `converged`: 1e-3 * max|f|, or 1e-3 for f = 0.
+    `engine` ("table"/"pairwise") and `table_cells` as in DefectReport."""
 
     result: GridFunction
     etas: list[float]
@@ -515,7 +552,9 @@ class CZResult:
     tol: float
     converged: bool
     diverged: bool
-    converged_fraction: float = 1.0
+    converged_fraction: float
+    engine: str
+    table_cells: int
 
     def to_json(self) -> list[dict]:
         """The ladder at the first 16 cells."""
@@ -527,7 +566,7 @@ class CZResult:
         ]
 
 
-def _ladder_result(window, ladder, etas, tol) -> CZResult:
+def _ladder_result(window, ladder, etas, tol, engine, table_cells) -> CZResult:
     incs = [float(np.max(np.abs(ladder[i + 1] - ladder[i]))) for i in range(len(ladder) - 1)]
     converged = (not incs) or incs[-1] <= tol
     diverged = len(incs) >= 2 and incs[-1] > incs[0] and incs[-1] > tol
@@ -537,7 +576,7 @@ def _ladder_result(window, ladder, etas, tol) -> CZResult:
         fraction = float(np.count_nonzero(per_point <= tol)) / per_point.size
     else:
         fraction = 1.0
-    return CZResult(gf, etas, ladder, incs, tol, converged, diverged, fraction)
+    return CZResult(gf, etas, ladder, incs, tol, converged, diverged, fraction, engine, table_cells)
 
 
 def apply_cz(
@@ -551,9 +590,12 @@ def apply_cz(
         raise ValueError("eta_cells needs at least one exclusion radius")
     h = f.window.h
     window = eval_window or f.window
-    ladder = [apply_truncated(kernel, f, m * h, eval_window=window).flat for m in eta_cells]
+    weights = f.flat * f.window.cell_measure
+    sums = [_lattice_sums(kernel, _validate_eta(m * h, h), f.window, weights, window) for m in eta_cells]
+    tables = [table[0].size for _, table in sums if table is not None]
     tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
-    return _ladder_result(window, ladder, [m * h for m in eta_cells], tol)
+    engine = "table" if tables else "pairwise"
+    return _ladder_result(window, [out for out, _ in sums], [m * h for m in eta_cells], tol, engine, sum(tables))
 
 
 def _taylor_correction(kernel, corr: CorrectionSpec, sources, eval_pts) -> np.ndarray:
@@ -591,9 +633,10 @@ def _point_chunks(pts, w):
     return ((pts[a : a + _BAND_CELLS], w[a : a + _BAND_CELLS]) for a in range(0, len(w), _BAND_CELLS))
 
 
-def _frame_sources(window: Window, w):
-    """Every cell of the window with its weight (flat), as row-band chunks."""
-    return ((pts, w[cells]) for cells, pts in _frame_bands(window))
+def _frame_sources(window: Window, factors):
+    """Every cell of the window with its weight, the outer product of the
+    per-axis factors times the cell measure, as row-band chunks."""
+    return ((pts, _frame_rows(factors, a, b) * window.cell_measure) for a, b, pts in _frame_bands(window))
 
 
 @dataclass
@@ -629,7 +672,7 @@ def apply_modified(
     # the Taylor correction does not depend on the exclusion radius: build
     # its polynomial once for the whole ladder
     corr_eval = _taylor_correction(kernel_tilde, corr, _point_chunks(*_source_arrays(f)), window.midpoints())
-    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol)
+    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol, cz.engine, cz.table_cells)
     ref = window.reference_cube()
     canonical = base.result - moment_projection(base.result, ref, corr.order).on_grid(window)
     return ModifiedResult(**vars(base), canonical=canonical, reference_cube=ref, correction=corr)
@@ -685,10 +728,10 @@ def modified_on_monomial(
 
     def run(factor):
         big = eval_window.padded(factor)
-        # one weight frame serves the lattice sums and the Taylor correction
-        grid_w = GridFunction.monomial(big, nu).flat * big.cell_measure
-        main, table = _lattice_sums(kernel_tilde, h, big, grid_w, eval_window)
-        correction = _taylor_correction(kernel_tilde, corr, _frame_sources(big, grid_w), eval_pts)
+        # y^nu as per-axis factors serves both sums; no frame-sized array of it is formed
+        frame = monomial_factors(big, nu)
+        main, table = _lattice_sums(kernel_tilde, h, big, frame, eval_window)
+        correction = _taylor_correction(kernel_tilde, corr, _frame_sources(big, frame), eval_pts)
         return big, 0 if table is None else table[0].size, main - correction
 
     big, cells, base = run(padding)
@@ -772,7 +815,9 @@ def vanishing_moment_defect(
         if not nz.size:
             raise ValueError(f"atom {idx} vanishes identically")
         src_w = weights[nz]
-        ta, table = _lattice_sums(kernel, h, window, weights, big)
+        # the modulation, if any, scales the same window in both routes
+        a = None if kernel.modulation is None else _modulation(kernel, big if kernel.modulation_slot == 1 else window)
+        ta, table = _lattice_sums(kernel, h, window, weights, big, a=a)
         if table is not None:
             # the forward table, reflected, serves the transpose's point sums
             table_cells += table[0].size
@@ -784,16 +829,15 @@ def vanishing_moment_defect(
         glist = gammas if gammas is not None else multi_indices(window.n, s)
         for g in glist:
             g = tuple(int(v) for v in np.atleast_1d(g))
-            xg = GridFunction.monomial(big, g).flat
+            xg = monomial_factors(big, g)
             lhs = _frame_moment(ta, xg, big)
-            lhs_half = _frame_moment(ta_half, GridFunction.monomial(half, g).values, half)
+            lhs_half = _frame_moment(ta_half, monomial_factors(half, g), half)
             scale = a_l1 * cube.side ** sum(g)
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same
             # padded lattice, so the two sides share every quadrature node)
-            mono_w = xg * big.cell_measure
-            tmain, _ = _lattice_sums(tilde, h, big, mono_w, window, nz, table)
-            tmono = tmain - _taylor_correction(tilde, corr, _frame_sources(big, mono_w), window.cell_midpoints(nz))
+            tmain, _ = _lattice_sums(tilde, h, big, xg, window, nz, table, a)
+            tmono = tmain - _taylor_correction(tilde, corr, _frame_sources(big, xg), window.cell_midpoints(nz))
             rhs = float((tmono * src_w).sum())
             defect = abs(lhs) / scale
             mismatch = abs(lhs - rhs) / scale

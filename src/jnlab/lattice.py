@@ -40,6 +40,7 @@ __all__ = [
     "grid_points",
     "whole_number",
     "monomials",
+    "monomial_factors",
     "moments",
     "integrate",
     "average",
@@ -409,18 +410,7 @@ class GridFunction:
     def monomial(cls, window: Window, gamma) -> "GridFunction":
         """y^gamma sampled on the window; LatticeError unless gamma has one
         entry per axis."""
-        gamma = tuple(int(g) for g in np.atleast_1d(gamma))
-        if len(gamma) != window.n:
-            raise LatticeError(f"multi-index {gamma} needs {window.n} entries, one per window axis")
-        # a product of per-axis powers, each factor evaluated by monomials on
-        # its axis: the same products as on the midpoints() array, bit for bit
-        factors = [
-            monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] for a, g in enumerate(gamma)
-        ]
-        values = factors[0]
-        for f in factors[1:]:
-            values = np.multiply.outer(values, f)
-        return cls(window, values)
+        return cls(window, functools.reduce(np.multiply.outer, monomial_factors(window, gamma)))
 
     @property
     def flat(self) -> np.ndarray:
@@ -455,6 +445,15 @@ class GridFunction:
         d = json.loads(Path(path).read_text())
         window = Window(d["n"], tuple(d["lower"]), tuple(d["upper"]), tuple(d["cells"]))
         return cls(window, np.asarray(d["values"], dtype=float))
+
+
+def monomial_factors(window: Window, gamma) -> tuple:
+    """y^gamma on the window as per-axis factors, whose outer product is it at the
+    midpoints() rows, bit for bit; LatticeError unless gamma has one entry per axis."""
+    gamma = tuple(int(g) for g in np.atleast_1d(gamma))
+    if len(gamma) != window.n:
+        raise LatticeError(f"multi-index {gamma} needs {window.n} entries, one per window axis")
+    return tuple(monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] for a, g in enumerate(gamma))
 
 
 def monomials(pts: np.ndarray, gammas, anchor=None, scale: float = 1.0) -> np.ndarray:

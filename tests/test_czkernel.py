@@ -1,11 +1,13 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnlab import czkernel
-from jnlab.lattice import Cube, GridFunction, Window, monomials
+from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, monomials
 from jnlab.polyproj import index_factorial, multi_indices
 from jnlab.spaces import NormParams
 from jnlab.czkernel import (
@@ -528,7 +530,9 @@ def test_lattice_sums_on_eval_cells_match_pairwise(K, m):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("K", [hilbert_kernel(), perturbed_kernel(), riesz_kernel(0, 2)], ids=lambda K: K.name)
+@pytest.mark.parametrize(
+    "K", [hilbert_kernel(), perturbed_kernel(), riesz_kernel(0, 2), riesz_kernel(1, 2)], ids=lambda K: K.name
+)
 def test_reflected_forward_table_serves_the_transpose(K):
     n, Kt = K.n, kernel_transpose(K)
     small = Window(n, (-0.5,) * n, (0.5,) * n, (12,) * n)
@@ -613,6 +617,17 @@ def test_engine_observability():
     assert img.table_cells == img.integration_cells[0] + 16 - 1
     img_p = modified_on_monomial(_sum_kernel(), corr, (0,), ew, padding=4, check_doubling=False)
     assert (img_p.engine, img_p.table_cells) == ("pairwise", 0)
+    # the ladder: one table per rung over the window minus the dense source box
+    f = GridFunction.from_callable(ew, lambda x: np.cos(3 * x))
+    cz = apply_cz(hilbert_kernel(), f)
+    assert (cz.engine, cz.table_cells) == ("table", 3 * (2 * 16 - 1))
+    mod = apply_modified(kernel_transpose(hilbert_kernel()), corr, f)
+    assert (mod.engine, mod.table_cells) == ("table", 3 * (2 * 16 - 1))
+    cz_p = apply_cz(_sum_kernel(), f)
+    assert (cz_p.engine, cz_p.table_cells) == ("pairwise", 0)
+    assert apply_cz(hilbert_kernel(), GridFunction.zeros(ew)).engine == "table"
+    # neither field reaches the JSON of the ladder
+    assert set(cz.to_json()[0]) == {"point", "eta_ladder_values", "converged"}
 
 
 def test_correction_spec_rejects_bad_input():
@@ -770,17 +785,18 @@ def test_banded_taylor_coefficients_match_gathered(K, order, monkeypatch):
     n = K.n
     w = Window(n, (-1.0,) * n, (1.0,) * n, (20,) * n if n == 2 else (137,))
     pts = w.midpoints()
-    weights = np.random.default_rng(order).normal(size=w.cell_count)
+    factors = tuple(np.random.default_rng(order).normal(size=c) for c in w.cells)
+    weights = GridFunction(w, functools.reduce(np.multiply.outer, factors)).flat * w.cell_measure
     # the center sits on a midpoint, so the kernel is singular at one source
     corr = CorrectionSpec(tuple(pts[w.cell_count // 3]), 0.35, order)
     gammas, coefs = _gathered_taylor_coefs(K, corr, pts, weights)
-    assert len(list(_frame_sources(w, weights))) == (4 if n == 2 else 1)
+    assert len(list(_frame_sources(w, factors))) == (4 if n == 2 else 1)
     assert len(list(_point_chunks(pts, weights))) == (4 if n == 2 else 2)
     # the correction is sum_gamma c_gamma (x - x0)^gamma: read each c_gamma
     # back by least squares on enough evaluation points
     probe = np.random.default_rng(9).uniform(-0.5, 0.5, size=(3 * len(gammas), n)) + corr.center
     basis = monomials(probe, gammas, np.asarray(corr.center))
-    for sources in (_frame_sources(w, weights), _point_chunks(pts, weights)):
+    for sources in (_frame_sources(w, factors), _point_chunks(pts, weights)):
         with np.errstate(all="raise"):
             got = _taylor_correction(K, corr, sources, probe)
         fitted = np.linalg.lstsq(basis, got, rcond=None)[0]
@@ -838,3 +854,155 @@ def test_half_window_image_is_slice_of_full(K, cells):
     for f in (atom.values, dense):
         full = apply_truncated(K, f, w.h, eval_window=w)
         assert np.array_equal(apply_truncated(K, f, w.h, eval_window=half).values, full.values[part])
+
+
+# --- factored 2-D point sums: the adjoint oracle, references and pins -------
+
+
+_ADJOINT_KERNELS = [
+    hilbert_kernel(),
+    perturbed_kernel(),
+    smooth_bump_kernel(),
+    riesz_kernel(0, 2),
+    riesz_kernel(1, 2),
+    smooth_bump_kernel(2, order=2),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(0, len(_ADJOINT_KERNELS) - 1),
+    m=st.sampled_from([1, 2, 4]),
+    monomial=st.booleans(),
+    pairwise=st.booleans(),
+    gamma=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed):
+    # <T_eta f, g> = <f, T~_eta g> with T~ = kernel_transpose(T).  T f takes
+    # the shifted sums of a sparse f over g's window; T~ g takes the point
+    # sums at f's support cells, of a monomial frame (one rank-one term) or of
+    # a random g (one term per row); a kappa-less kernel takes the pairwise
+    # sum on both sides
+    K = _pairwise(_ADJOINT_KERNELS[k]) if pairwise else _ADJOINT_KERNELS[k]
+    n = K.n
+    rng = np.random.default_rng(seed)
+    gw = Window(n, (-1.0,) * n, (1.0,) * n, (48,) if n == 1 else (16, 16))
+    fw = Window(n, (-0.25,) * n, (0.5,) * n, (18,) if n == 1 else (6, 6))  # on g's lattice
+    f = np.where(rng.uniform(size=fw.cell_count) < 0.3, rng.normal(size=fw.cell_count), 0.0)
+    f[rng.integers(fw.cell_count)] = 1.0
+    nz = np.flatnonzero(f)
+    hn = gw.cell_measure
+    if monomial:
+        g_index = multi_indices(n, 2)[gamma % len(multi_indices(n, 2))]
+        g = GridFunction.monomial(gw, g_index).flat
+        g_weights = monomial_factors(gw, g_index)
+    else:
+        g = rng.normal(size=gw.cell_count)
+        g_weights = g * hn
+    eta = m * gw.h
+    Tf, _ = _lattice_sums(K, eta, fw, f * hn, gw)
+    Ttg, _ = _lattice_sums(kernel_transpose(K), eta, gw, g_weights, fw, nz)
+    lhs, rhs = float(Tf @ g) * hn, float(f[nz] @ Ttg) * hn
+    abs_k = KernelSpec("abs", n, 0, 1.0, k=lambda x, y: np.abs(K.k(x, y)), d1=None, d2=None)
+    scale = float(_truncated_raw(abs_k, gw.midpoints(), fw.cell_midpoints(nz), np.abs(f[nz]) * hn, eta) @ np.abs(g))
+    assert abs(lhs - rhs) <= 64 * np.finfo(float).eps * scale * hn
+
+
+@pytest.mark.parametrize(
+    "K", [kernel_transpose(riesz_kernel(0, 2)), riesz_kernel(1, 2), smooth_bump_kernel(2, order=2)],
+    ids=lambda K: K.name,
+)
+def test_factored_point_sums_match_pairwise(K):
+    # a monomial frame is one rank-one term; the second frame has a midpoint
+    # at 0, so its x^gamma vanishes on a row and a column
+    rng = np.random.default_rng(11)
+    for big in (Window(2, (-1.0, -1.0), (1.0, 1.0), (24, 24)), Window(2, (-1.0, -1.0), (1.0, 1.0), (15, 15))):
+        ew = big.padded(0.4)
+        scattered = np.sort(rng.choice(ew.cell_count, 9, replace=False))
+        for g in multi_indices(2, 2):
+            frame = monomial_factors(big, g)
+            weights = GridFunction.monomial(big, g).flat * big.cell_measure
+            full, _ = _lattice_sums(K, big.h, big, frame, ew)
+            ref = _truncated_raw(K, ew.midpoints(), big.midpoints(), weights, big.h)
+            scale = np.max(np.abs(ref))  # some sums cancel to roundoff: bound against the largest
+            for cells in (None, scattered, np.array([ew.cell_count // 2 + 1])):
+                got, table = _lattice_sums(K, big.h, big, frame, ew, cells)
+                idx = np.arange(ew.cell_count) if cells is None else cells
+                assert table is not None
+                assert np.max(np.abs(got - ref[idx])) <= 1e-12 * scale
+                # a point's sum does not depend on which other points are evaluated
+                assert np.array_equal(got, full[idx])
+
+
+def test_unchanged_reports_pinned():
+    # float.hex values recorded before the 2-D point sums were factored: the
+    # forward sums, the frame moments and every 1-D sum keep their bits
+    w2 = Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
+    atom = make_atom(90, Cube((0.0, 0.0), 0.5), NormParams(2.0, 2.0, 0, 0.25), w2)
+    rep = vanishing_moment_defect(riesz_kernel(0, 2), 0, [atom], padding=16)
+    assert [(r["lhs"].hex(), r["half_padding_lhs"].hex()) for r in rep.rows] == [
+        ("0x1.1b2cbc996b6d0p-8", "0x1.1a0f6a7c93be0p-7")
+    ]
+    assert rep.max_mismatch <= 1e-12
+    w1 = Window(1, (-2.0,), (2.0,), (128,))
+    atoms = [make_atom(400, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 1, 0.3), w1)]
+    keys = ("defect", "mismatch", "lhs", "rhs", "half_padding_lhs")
+    pinned = {
+        "hilbert": [
+            ("0x1.53c8a4fa12ed9p-27", "0x1.4842e1e58e21ap-53", "-0x1.198c328000000p-27",
+             "-0x1.198c32c400000p-27", "-0x1.19e6e46200000p-24", True),
+            ("0x1.0cc47c3f8ea3ep-9", "0x1.0e553280cf670p-53", "-0x1.bd67eefca5340p-10",
+             "-0x1.bd67eefca5500p-10", "-0x1.bd7dacae40ae6p-9", True),
+        ],
+        "perturbed": [
+            ("0x1.9b34af9d3b267p-5", "0x1.34f3a76ea3e37p-53", "-0x1.54ba817092c58p-5",
+             "-0x1.54ba817092c68p-5", "-0x1.549cbf7e05920p-5", False),
+            ("0x1.3b3511284ffecp-8", "0x1.4aacc9346b697p-48", "-0x1.052ef1aee0620p-8",
+             "-0x1.052ef1aedf500p-8", "-0x1.e3f5175320458p-8", True),
+        ],
+    }
+    for K in (hilbert_kernel(), perturbed_kernel()):
+        rep = vanishing_moment_defect(K, 1, atoms, padding=64)
+        assert [tuple(r[k].hex() for k in keys) + (r["decaying"],) for r in rep.rows] == pinned[K.name]
+    img = modified_on_monomial(
+        kernel_transpose(perturbed_kernel()), CorrectionSpec((0.1,), 0.5, 1), (1,), Window(1, (-1.0,), (1.0,), (16,)),
+        padding=8,
+    )
+    assert [float(v).hex() for v in img.values.flat] == [
+        "0x1.33c63ebb98338p+1", "0x1.14d9b2dbcd090p+1", "0x1.ffa0c8e5aeb00p+0", "0x1.e6de1c7ad7770p+0",
+        "0x1.dc6170a106110p+0", "0x1.dca3683839b10p+0", "0x1.e3b7ed7ec80b0p+0", "0x1.ed6916a3d1ae0p+0",
+        "0x1.f553a23cfa7b0p+0", "0x1.f7046b5c03be0p+0", "0x1.ee162ffe69cf0p+0", "0x1.d64f02e10de30p+0",
+        "0x1.abbcc36c637f0p+0", "0x1.6acffb6a51080p+0", "0x1.10748a6d78380p+0", "0x1.344f24334d1c0p-1",
+    ]
+    assert img.sensitivity.hex() == "0x1.26df2bbb46511p-2"
+
+
+def test_modulation_evaluated_once_per_atom():
+    # the slot-1 scaling of the forward sums and the slot-2 weights of the
+    # dual route share one evaluation of a = 2 + sin x over the padded frame
+    K = perturbed_kernel()
+    sizes = []
+
+    def counted(z):
+        sizes.append(len(z))
+        return K.modulation(z)
+
+    w = Window(1, (-2.0,), (2.0,), (64,))
+    atoms = [make_atom(60 + i, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 1, 0.3), w) for i in range(2)]
+    rep = vanishing_moment_defect(replace(K, modulation=counted), 1, atoms, padding=16)
+    assert sizes == [256, 256]  # one per atom, over the 256-cell padded frame
+    assert rep.rows == vanishing_moment_defect(K, 1, atoms, padding=16).rows
+
+
+def test_point_sums_on_a_sub_window_are_a_slice():
+    # a dense source takes the point sums on every evaluation window below;
+    # each sub-window's sums are the full window's there, bit for bit
+    K = riesz_kernel(0, 2)
+    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (40, 40))
+    f = GridFunction(w, np.random.default_rng(13).normal(size=(40, 40)))
+    full = apply_truncated(K, f, w.h).values
+    for lo, cells in (((0, 0), (2, 2)), ((17, 5), (3, 7)), ((1, 30), (33, 3)), ((20, 20), (20, 20))):
+        sub = Window(2, tuple(-1.0 + np.array(lo) * w.h), tuple(-1.0 + (np.array(lo) + cells) * w.h), cells)
+        got = apply_truncated(K, f, w.h, eval_window=sub).values
+        assert np.array_equal(got, full[lo[0] : lo[0] + cells[0], lo[1] : lo[1] + cells[1]])
