@@ -152,14 +152,12 @@ def cmd_molecule(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = default_config(args.name)
+    config = ExperimentConfig.from_json(args.config) if args.config else default_config(args.name)
+    config.check()  # the flags below write into the config's objects
     if args.seed is not None:
         config.family["seed"] = args.seed
     if args.cells is not None:
-        config.window["cells"] = [args.cells] * config.window["n"]
+        config.window["cells"] = [args.cells] * len(config.window["cells"])
     if args.padding is not None:
         config.padding = args.padding
     for key, flag in (("residual", args.tol_residual), ("pairing_mismatch", args.tol_pairing),

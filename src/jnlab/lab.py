@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 INF = math.inf
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", dict: "object", type(None): "null"}
 
 # every experiment tolerance and its default, which a config's `tolerances` overrides by name
 TOLERANCES = {"bracket": 64.0, "refine_factor": 2.0, "rm_amalgam_factor": 4.0,
@@ -96,7 +97,6 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     epsilon: float | None = None
     levels: int = 4
-    out_dir: str | None = None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -125,14 +125,22 @@ class ExperimentConfig:
             raise ConfigError(f"bad norm parameters: {exc}") from exc
 
     def tol(self, name: str) -> float:
-        """The tolerance `name` of TOLERANCES, as `tolerances` overrides it;
-        ConfigError for an unknown name or a value not a finite number > 0."""
-        if name not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance {name!r}; have {sorted(TOLERANCES)}")
-        value = self.tolerances.get(name, TOLERANCES[name])
-        if not (isinstance(value, (int, float)) and 0 < value < INF):
-            raise ConfigError(f"tolerance {name} must be a finite number > 0, got {value!r}")
-        return float(value)
+        """The tolerance `name` of TOLERANCES, as `tolerances` overrides it."""
+        return float(self.tolerances.get(name, TOLERANCES[name]))
+
+    def check(self) -> None:
+        """ConfigError unless each field has the JSON type and keys of CONFIG_SCHEMA and meets its rule."""
+        for name, (kind, keys, rule, meets) in CONFIG_SCHEMA.items():
+            value = getattr(self, name)
+            for key, item in value.items() if keys and isinstance(value, dict) else ():
+                if not _json_type(want := keys.get(key, keys.get("*", "known key")), item):
+                    raise ConfigError(f"{name} {key} must be a {want}, got {item!r}")
+            try:
+                if _json_type(kind, value) and meets(self) is not False:
+                    continue
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -276,14 +284,11 @@ def _ratio_rows(values):
 
 def _family(config: ExperimentConfig, count: int, key: str = "count") -> tuple[str, int, int]:
     """Kind, size and seed of the experiment's function family.  The size is
-    family[key], `count` if the config names none; ConfigError unless it is a
+    family[key], `count` if the config names none; ValueError unless it is a
     whole number >= 1."""
     what = f"the test family needs at least one function: family {key}"
-    try:
-        size = whole_number(config.family.get(key, count), what, 1)
-        seed = whole_number(config.family.get("seed", 7), "family seed")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    size = whole_number(config.family.get(key, count), what, 1)
+    seed = whole_number(config.family.get("seed", 7), "family seed")
     return config.family.get("kind", "random-osc"), size, seed
 
 
@@ -321,7 +326,6 @@ def run_jn_boundedness(config: ExperimentConfig) -> ExperimentResult:
     params = config.build_params()
     tilde = kernel_transpose(config.build_kernel())
     search = SearchConfig()
-    _check_padding(config.padding)
 
     def pairs(f):
         tf = apply_modified(tilde, _central_correction(f.window, params.s), f).result
@@ -461,7 +465,7 @@ def _atom_image_setup(config: ExperimentConfig, diagonal: bool):
     params = config.build_params()
     kernel = config.build_kernel()
     n = window.n
-    support_side = window.span / 2 ** whole_number(config.levels, "levels", 2)
+    support_side = window.span / 2 ** config.levels
     cube = Cube(tuple(window.center), support_side)
     eps = config.epsilon
     if eps is None:
@@ -661,6 +665,34 @@ EXPERIMENTS = {
 }
 
 
+def _json_type(kind: str, value) -> bool:
+    """Whether value, as json.loads gives it, has the JSON type `kind` ("a or b": either one)."""
+    if isinstance(value, (list, tuple)):
+        return kind == "list of numbers" and all(_JSON_TYPES.get(type(v)) == "number" for v in value)
+    return _JSON_TYPES.get(type(value)) in kind.split(" or ")
+
+
+# field: JSON type, keys an object may hold with their types ("*": any other), rule, check (False or ValueError: broken)
+CONFIG_SCHEMA = {
+    "experiment": ("string", None, "one of " + ", ".join(EXPERIMENTS), lambda c: c.experiment in EXPERIMENTS),
+    "window": ("object", {"n": "number", "lower": "list of numbers", "upper": "list of numbers",
+                          "cells": "list of numbers"}, "an object that makes a Window", lambda c: c.build_window()),
+    "kernel": ("object", {"name": "string", "*": "number"}, "an object naming a kernel of the window's dimension",
+               lambda c: c.build_kernel().n == c.window["n"]),
+    "params": ("object", {"p": "number or string", "q": "number or string", "s": "number", "alpha": "number"},
+               "an object that makes NormParams", lambda c: c.build_params()),
+    "family": ("object", {"kind": "string", "count": "number", "seed": "number", "functions": "number"},
+               "an object of family settings", lambda c: (_family(c, 1), _family(c, 1, "functions"))),
+    "padding": ("number", None, "a finite number >= 4", lambda c: _check_padding(c.padding)),
+    "radii": ("list of numbers", None, "a list of finite numbers > 0", lambda c: all(0 < r < INF for r in c.radii)),
+    "refine": ("boolean", None, "true or false", lambda c: True),
+    "tolerances": ("object", dict.fromkeys(TOLERANCES, "number"), "an object of finite numbers > 0 by tolerance name",
+                   lambda c: all(0 < v < INF for v in c.tolerances.values())),
+    "epsilon": ("number or null", None, "null or a number in (0, 1)", lambda c: c.epsilon is None or 0 < c.epsilon < 1),
+    "levels": ("number", None, "an integer >= 2", lambda c: whole_number(c.levels, "levels", 2)),
+}
+
+
 def default_config(name: str) -> ExperimentConfig:
     base = ExperimentConfig(experiment=name)
     if name in ("atom-image", "decomposition"):
@@ -683,11 +715,6 @@ def default_config(name: str) -> ExperimentConfig:
 
 
 def run_experiment(name: str, config: ExperimentConfig | None = None) -> ExperimentResult:
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
-    cfg = config or default_config(name)
-    if not isinstance(cfg.refine, bool):
-        raise ConfigError(f"refine must be true or false, got {cfg.refine!r}")
-    for key in cfg.tolerances:
-        cfg.tol(key)
+    cfg = replace(config or default_config(name), experiment=name)  # the echo names the experiment that ran
+    cfg.check()
     return EXPERIMENTS[name](cfg)

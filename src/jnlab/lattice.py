@@ -111,6 +111,7 @@ class Window:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise LatticeError("only dimensions 1 and 2 are supported")
+        object.__setattr__(self, "n", int(self.n))  # 2.0 from a JSON file counts as 2
         lower = tuple(float(v) for v in np.atleast_1d(self.lower))
         upper = tuple(float(v) for v in np.atleast_1d(self.upper))
         try:

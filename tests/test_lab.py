@@ -1,12 +1,16 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnlab.lattice import GridFunction, Window
 from jnlab.spaces import NormParams
 from jnlab.lab import (
+    CONFIG_SCHEMA,
+    EXPERIMENTS,
     TOLERANCES,
     ConfigError,
     ExperimentConfig,
@@ -652,3 +656,78 @@ def test_cli_apply_op_unknown_kernel_parameter_exits_config(tmp_path, capsys):
     rc = cli.main(["apply-op", "--kernel", "hilbert", "--kernel-params", '{"j": 1}', "--function", str(path)])
     assert rc == 3
     assert "bad parameters for kernel 'hilbert'" in capsys.readouterr().err
+
+
+# --- one typed schema: every config field checked before the run -------------
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(-100, 10_000), st.floats(), st.just(math.nan), st.text(max_size=3)
+    )
+    return st.one_of(scalars, st.lists(scalars, max_size=2), st.dictionaries(st.text(max_size=2), scalars, max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(EXPERIMENTS)), st.data())
+def test_check_raises_only_config_errors(name, data):
+    # one field, or one key of an object field, replaced by a value of any
+    # JSON type, NaN or a boolean: check() passes it or raises ConfigError
+    cfg = default_config(name)
+    field_name = data.draw(st.sampled_from(sorted(CONFIG_SCHEMA)))
+    keys = CONFIG_SCHEMA[field_name][1]
+    value = data.draw(_json_values())
+    if keys and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(set(getattr(cfg, field_name)) | set(keys) - {"*"})))
+        value = {**getattr(cfg, field_name), key: value}
+    setattr(cfg, field_name, value)
+    try:
+        cfg.check()
+    except ConfigError:
+        pass
+
+
+def _with(name, **change):
+    return {**asdict(default_config(name)), **change}
+
+
+@pytest.mark.parametrize(
+    "name, config, flags",
+    [
+        ("jn-boundedness", _with("jn-boundedness", padding="8"), []),
+        ("decomposition", _with("decomposition", tolerances=5), []),
+        ("equivalence", _with("equivalence", family=[]), []),
+        ("equivalence", _with("equivalence", family=[]), ["--seed", "3"]),
+        ("duality", _with("duality", window=[]), []),
+        ("rm-boundedness", _with("rm-boundedness", params=[2, 2, 0, 0]), []),
+        ("equivalence", _with("equivalence", tolerances=[]), []),
+        ("equivalence", _with("equivalence", tolerances=[]), ["--tol-refine", "2"]),
+        ("duality", _with("duality", window={"n": "1", "lower": [-2.0], "upper": [2.0], "cells": [256]}), []),
+        ("duality", _with("duality", window={"n": "1", "lower": [-2.0], "upper": [2.0], "cells": [256]}),
+         ["--cells", "64"]),
+        ("atom-image", _with("atom-image", epsilon="0.3"), []),
+        ("atom-image", _with("atom-image", levels="5"), []),
+        ("decomposition", _with("decomposition", tolerances={"residual": True}), []),
+        ("jn-boundedness", _with("jn-boundedness", family={"kind": "random-osc", "count": True, "seed": False}), []),
+        ("jn-boundedness", _with("jn-boundedness", family={"kind": "random-osc", "cuont": 3, "seed": 7}), []),
+        ("jn-boundedness", _with("jn-boundedness", params={"p": 2.0, "q": 2.0, "s": 0, "alpha": 0.1, "beta": 0.5}), []),
+        ("jn-boundedness", _with("jn-boundedness", out_dir="elsewhere"), []),
+        ("equivalence", _with("equivalence", kernel={"name": "nope"}), []),
+        ("jn-boundedness", _with("jn-boundedness", kernel={"name": "riesz", "j": 0, "n": 2}), []),
+        ("equivalence", _with("equivalence", padding=2), []),
+    ],
+)
+def test_cli_mistyped_or_unknown_setting_exits_config(tmp_path, capsys, name, config, flags):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["experiment", name, "--config", str(path), "--out", str(out), *flags]) == 3
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_echo_names_the_experiment_that_ran():
+    cfg = small_jn_config(experiment="duality")
+    res = run_experiment("jn-boundedness", cfg)
+    assert res.config["experiment"] == "jn-boundedness"
+    assert cfg.experiment == "duality"  # the caller's config is left as it was

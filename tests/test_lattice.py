@@ -205,6 +205,12 @@ def test_average_zero_extend_policy():
     assert average(one, cube, "zero-extend") == pytest.approx(0.5)
 
 
+def test_window_dimension_from_json_is_an_int():
+    # a JSON config's "n": 2.0 makes the same window as 2
+    w = Window(2.0, (0.0, 0.0), (1.0, 1.0), (4, 4))
+    assert type(w.n) is int and w == Window(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
+
+
 def test_window_rejects_non_finite_bounds():
     for lower, upper in [((-math.inf,), (1.0,)), ((0.0,), (math.inf,)), ((math.nan,), (1.0,))]:
         with pytest.raises(LatticeError):
