@@ -7,7 +7,6 @@ Exit codes: 0 all declared properties hold, 2 a property was violated,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ from .hardy import (
     validate_atom,
     validate_molecule,
 )
-from .lab import ConfigError, ExperimentConfig, _central_correction, default_config, run_experiment
+from .lab import ConfigError, ExperimentConfig, _central_correction, default_config, run_experiment, write_csv
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
@@ -50,14 +49,6 @@ def _parse_region(text: str):
         raise ConfigError(f"bad region spec {text!r}: {exc}") from exc
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def cmd_norm(args) -> int:
     f = GridFunction.load(args.function)
     params = NormParams(args.p, args.q, args.s, args.alpha)
@@ -68,7 +59,7 @@ def cmd_norm(args) -> int:
         report = rm_con_norm(f, params.p, params.q, params.alpha, search)
     print(json.dumps(report.csv_row()))
     if args.out:
-        _write_csv(Path(args.out) / f"{report.name}.csv", [report.csv_row()])
+        write_csv(Path(args.out) / f"{report.name}.csv", [report.csv_row()])
     return EXIT_OK
 
 

@@ -82,6 +82,7 @@ class KernelSpec:
     modulation_slot: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "order", whole_number(self.order, "kernel order"))
         if self.modulation_slot not in (1, 2):
             raise ValueError("modulation_slot must be 1 or 2")
         if self.modulation is not None and self.kappa is None:
@@ -190,7 +191,9 @@ def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec
         raise ValueError("riesz kernel built for n in {1, 2}")
     if j not in (0, 1):
         raise ValueError("component j must be 0 or 1")
-    order = 2 if order is None else min(order, 2)
+    order = 2 if order is None else order
+    if order > 2:
+        raise ValueError(f"riesz derivatives implemented up to order 2, got {order!r}")
 
     def dkappa(gamma, u):
         # the two squares summed in np.sum's order, without its slow reduction
@@ -791,7 +794,8 @@ def vanishing_moment_defect(
     corrected transpose image of y^gamma computed on the same lattice, which
     must agree with the direct integral up to the atom's moment tolerance.
     The defect itself is truncation-limited (~ 1/padding), so the padding
-    here defaults far above the minimum of 4.
+    here defaults far above the minimum of 4.  Each atom has ``values`` (a
+    GridFunction) and ``cube``, as :class:`jnlab.hardy.Atom` does.
     """
     _check_padding(padding)
     atoms = list(atoms)
@@ -802,15 +806,13 @@ def vanishing_moment_defect(
     table_cells = 0
     tilde = kernel_transpose(kernel)
     for idx, atom in enumerate(atoms):
-        gf = atom.values if hasattr(atom, "values") else atom[0]
-        cube = atom.cube if hasattr(atom, "cube") else atom[1]
-        window = gf.window
+        window, cube = atom.values.window, atom.cube
         h = window.h
         side_cells = max(1, round(cube.side / h))
         factor = max(padding * side_cells / min(window.cells), 1.0)
         big = window.padded(factor)
         half = window.padded(max(factor / 2.0, 1.0))
-        weights = gf.flat * window.cell_measure
+        weights = atom.values.flat * window.cell_measure
         nz = np.flatnonzero(weights)
         if not nz.size:
             raise ValueError(f"atom {idx} vanishes identically")

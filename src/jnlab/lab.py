@@ -69,6 +69,7 @@ __all__ = [
     "run_decomposition",
     "EXPERIMENTS",
     "default_config",
+    "write_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -78,6 +79,7 @@ _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", d
 # every experiment tolerance and its default, which a config's `tolerances` overrides by name
 TOLERANCES = {"bracket": 64.0, "refine_factor": 2.0, "rm_amalgam_factor": 4.0,
               "pairing_mismatch": 1e-3, "residual": 1e-6, "bound_spread": 4.0}
+_ATOM_FAMILIES = ("atom-image", "decomposition", "duality")  # the experiments whose family draws atoms
 
 
 class ConfigError(ValueError):
@@ -155,18 +157,9 @@ class ExperimentResult:
 
     def write(self, out_dir) -> tuple[Path, Path]:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{self.name}.csv"
         json_path = out / f"{self.name}.json"
-        if self.rows:
-            cols = list(self.rows[0].keys())
-            with csv_path.open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=cols)
-                writer.writeheader()
-                for row in self.rows:
-                    writer.writerow({k: _fmt(v) for k, v in row.items()})
-        else:
-            csv_path.write_text("")
+        write_csv(csv_path, self.rows)  # makes out_dir
         payload = {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.name,
@@ -178,6 +171,17 @@ class ExperimentResult:
         }
         json_path.write_text(json.dumps(payload, sort_keys=True, default=_fmt))
         return csv_path, json_path
+
+
+def write_csv(path: Path, rows: list[dict]) -> None:
+    """Write rows, with the first row's keys as the header, each value through
+    _fmt; no rows give an empty file.  Makes the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)
 
 
 def _fmt(v):
@@ -285,11 +289,14 @@ def _ratio_rows(values):
 def _family(config: ExperimentConfig, count: int, key: str = "count") -> tuple[str, int, int]:
     """Kind, size and seed of the experiment's function family.  The size is
     family[key], `count` if the config names none; ValueError unless it is a
-    whole number >= 1."""
+    whole number >= 1, or if an experiment that draws atoms names another kind."""
     what = f"the test family needs at least one function: family {key}"
     size = whole_number(config.family.get(key, count), what, 1)
     seed = whole_number(config.family.get("seed", 7), "family seed")
-    return config.family.get("kind", "random-osc"), size, seed
+    kind = config.family.get("kind", "atom" if config.experiment in _ATOM_FAMILIES else "random-osc")
+    if config.experiment in _ATOM_FAMILIES and kind != "atom":
+        raise ValueError(f"{config.experiment} draws atoms, so family kind must be 'atom', got {kind!r}")
+    return kind, size, seed
 
 
 def _family_ratios(config: ExperimentConfig, win: Window, params, pairs_of) -> list:
@@ -373,8 +380,7 @@ def run_rm_boundedness(config: ExperimentConfig) -> ExperimentResult:
 
     def pairs(f):
         tf = apply_cz(kernel, f).result
-        r = max(radius, 3 * f.window.h)
-        return rm_pair(f, tf), (amalgam_norm(tf, p, q, r), amalgam_norm(f, p, q, r))
+        return rm_pair(f, tf), (amalgam_norm(tf, p, q, radius), amalgam_norm(f, p, q, radius))
 
     (rm_rows, rm_ratios), (am_rows, am_ratios) = _family_ratios(config, window, params, pairs)
     rm_max, am_max = max(rm_ratios, default=0.0), max(am_ratios, default=0.0)
@@ -684,7 +690,8 @@ CONFIG_SCHEMA = {
     "family": ("object", {"kind": "string", "count": "number", "seed": "number", "functions": "number"},
                "an object of family settings", lambda c: (_family(c, 1), _family(c, 1, "functions"))),
     "padding": ("number", None, "a finite number >= 4", lambda c: _check_padding(c.padding)),
-    "radii": ("list of numbers", None, "a list of finite numbers > 0", lambda c: all(0 < r < INF for r in c.radii)),
+    "radii": ("list of numbers", None, "a list of finite numbers > 0, at most one for rm-boundedness",
+              lambda c: all(0 < r < INF for r in c.radii) and (c.experiment != "rm-boundedness" or len(c.radii) < 2)),
     "refine": ("boolean", None, "true or false", lambda c: True),
     "tolerances": ("object", dict.fromkeys(TOLERANCES, "number"), "an object of finite numbers > 0 by tolerance name",
                    lambda c: all(0 < v < INF for v in c.tolerances.values())),

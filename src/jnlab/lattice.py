@@ -550,31 +550,9 @@ def region_cells(window: Window, region: Region) -> np.ndarray:
     return np.flatnonzero(region_mask(window, region))
 
 
-def _virtual_axis_indices(lower: float, h: float, lo: float, hi: float) -> np.ndarray:
-    # indices k with lower + (k + 1/2) h inside [lo, hi]; k may be negative
-    k_min = math.floor((lo - lower) / h - 0.5) - 1
-    k_max = math.ceil((hi - lower) / h - 0.5) + 1
-    return np.arange(k_min, k_max + 1)
-
-
-def region_measure(window: Window, region: Region, policy: str = "restrict") -> float:
-    """Cell-counted measure of a region.
-
-    ``restrict`` counts window cells only; ``zero-extend`` counts midpoints of
-    the window's lattice extended beyond the window (the function is zero
-    there, but the region keeps its full size).
-    """
-    if policy == "restrict":
-        return float(region_cells(window, region).size) * window.cell_measure
-    if policy != "zero-extend":
-        raise ValueError(f"unknown policy {policy!r}")
-    lo, hi = region.bounding_box()
-    h = window.h
-    axes = [
-        window.lower[a] + (_virtual_axis_indices(window.lower[a], h, lo[a], hi[a]) + 0.5) * h
-        for a in range(window.n)
-    ]
-    return float(np.count_nonzero(region.grid_contains(np.ix_(*axes)))) * window.cell_measure
+def region_measure(window: Window, region: Region) -> float:
+    """Cell-counted measure of a region: its window cells times h^n."""
+    return float(region_cells(window, region).size) * window.cell_measure
 
 
 def integrate(f: GridFunction, region: Region) -> float:
@@ -582,18 +560,12 @@ def integrate(f: GridFunction, region: Region) -> float:
     return float(f.flat[region_cells(f.window, region)].sum()) * f.window.cell_measure
 
 
-def average(f: GridFunction, region: Region, policy: str = "restrict") -> float:
-    """Mean of f over the region in the cell-counted measure.
-
-    Under ``zero-extend`` the denominator counts virtual midpoints beyond the
-    window (where f is zero), so boundary regions keep their full size.
-    """
+def average(f: GridFunction, region: Region) -> float:
+    """Mean of f over the region's window cells (the cell-counted measure)."""
     cells = region_cells(f.window, region)
     if not cells.size:
         raise EmptyRegionError(f"region {region} contains no cell midpoint")
-    if policy == "restrict":
-        return float(f.flat[cells].sum()) / cells.size
-    return integrate(f, region) / region_measure(f.window, region, policy)
+    return float(f.flat[cells].sum()) / cells.size
 
 
 def lq_norm(f: GridFunction, region: Region, q) -> float:

@@ -258,10 +258,6 @@ class Projector:
         return Polynomial(self.n, self.s, self.anchor, self.scale, dict(zip(self.gammas, coef)))
 
 
-def _window_of(window_or_f) -> Window:
-    return window_or_f.window if isinstance(window_or_f, GridFunction) else window_or_f
-
-
 def moment_projection(f: GridFunction, region: Region, s: int) -> Polynomial:
     """Degree-s moment-matching projection of f over the region."""
     proj, cells = Projector.on_region(f.window, region, s)
@@ -282,15 +278,15 @@ def sup_poly_norm(P: Polynomial, region: Region, pitch: float) -> float:
     return float(np.abs(P(pts)).max())
 
 
-def orthonormal_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
+def orthonormal_basis(window: Window, region: Region, s: int) -> list[Polynomial]:
     """Gram-Schmidt orthonormal polynomials on E with weight 1/|E|.
 
     Ordered like :func:`multi_indices`; span equals the degree-s space on E.
     """
-    return Projector.on_region(_window_of(window_or_f), region, s)[0].bases()[0]
+    return Projector.on_region(window, region, s)[0].bases()[0]
 
 
-def dual_basis(window_or_f, region: Region, s: int) -> list[Polynomial]:
+def dual_basis(window: Window, region: Region, s: int) -> list[Polynomial]:
     """Polynomials psi_nu with (1/|E|) int_E psi_nu1 x^nu2 = delta_{nu1,nu2},
     from :meth:`Projector.bases` on the cells of E."""
-    return Projector.on_region(_window_of(window_or_f), region, s)[0].bases()[1]
+    return Projector.on_region(window, region, s)[0].bases()[1]

@@ -676,6 +676,16 @@ def test_kernel_by_name_rejects_unknown_parameters():
         kernel_by_name("hilbert", j=1)
 
 
+def test_kernel_order_is_a_whole_number_the_builder_has():
+    assert hilbert_kernel(order=2.0).order == 2 and type(hilbert_kernel(order=2.0).order) is int
+    assert riesz_kernel(0, 2, order=2).order == 2
+    for bad in (-1, 2.5, math.nan):
+        with pytest.raises(ValueError, match="kernel order must be an integer >= 0"):
+            hilbert_kernel(order=bad)
+    with pytest.raises(ValueError, match="up to order 2"):
+        riesz_kernel(0, 2, order=3)  # its closed forms stop at 2
+
+
 def test_monomial_exponents_and_eta_ladder_are_checked():
     Kt = kernel_transpose(hilbert_kernel())
     ew = Window(1, (-1.0,), (1.0,), (16,))

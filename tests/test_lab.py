@@ -639,6 +639,11 @@ def test_cli_padding_below_four_exits_config_before_any_operator(tmp_path, capsy
         ("duality", {"family": {"kind": "atom", "count": 2, "seed": 7.9, "functions": 1}}, "family seed"),
         ("jn-boundedness", {"refine": "false"}, "refine must be true or false"),
         ("rm-boundedness", {"kernel": {"name": "hilbert", "j": 1}}, "bad parameters for kernel 'hilbert'"),
+        ("equivalence", {"kernel": {"name": "hilbert", "order": -1}}, "kernel order must be an integer >= 0"),
+        ("jn-boundedness", {"kernel": {"name": "hilbert", "order": 2.5}}, "kernel order must be an integer >= 0"),
+        ("atom-image", {"family": {"kind": "mystery", "count": 10, "seed": 7}}, "family kind must be 'atom'"),
+        ("duality", {"family": {"kind": "random-osc", "count": 10, "seed": 7}}, "family kind must be 'atom'"),
+        ("rm-boundedness", {"radii": [0.05, 0.5]}, "at most one for rm-boundedness"),
     ],
 )
 def test_cli_bad_experiment_setting_exits_config(tmp_path, capsys, name, change, message):
@@ -731,3 +736,44 @@ def test_echo_names_the_experiment_that_ran():
     res = run_experiment("jn-boundedness", cfg)
     assert res.config["experiment"] == "jn-boundedness"
     assert cfg.experiment == "duality"  # the caller's config is left as it was
+
+
+@pytest.mark.parametrize("name", ["atom-image", "decomposition", "duality"])
+def test_atom_experiments_need_no_family_kind(name):
+    cfg = default_config(name)
+    del cfg.family["kind"]
+    cfg.check()
+
+
+def test_rm_boundedness_runs_the_radius_it_echoes(tmp_path, monkeypatch):
+    import jnlab.lab as lab
+
+    cfg = default_config("rm-boundedness")
+    cfg.window["cells"] = [64]
+    cfg.family["count"] = 1
+    cfg.refine = False
+    h = 2.0 / 64
+    cfg.radii = [2 * h]  # the ball engine takes radii above 2h only
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps(asdict(cfg)))
+    assert cli.main(["experiment", "rm-boundedness", "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    seen = []
+    amalgam = lab.amalgam_norm
+    monkeypatch.setattr(lab, "amalgam_norm", lambda f, p, q, r: seen.append(r) or amalgam(f, p, q, r))
+    cfg.radii = [2.5 * h]
+    res = run_experiment("rm-boundedness", cfg)
+    assert set(seen) == {2.5 * h} and res.config["radii"] == [2.5 * h]
+
+
+@pytest.mark.parametrize("kind", ["jn", "rm"])
+@pytest.mark.parametrize("policy", ["restrict", "zero-extend"])
+def test_cli_norm_out_writes_the_printed_row(tmp_path, capsys, kind, policy):
+    w = Window(1, (-1.0,), (1.0,), (32,))
+    GridFunction.from_callable(w, lambda x: np.sin(3 * x) + (x > 0.2)).save(tmp_path / "f.json")
+    args = ["norm", "--kind", kind, "--function", str(tmp_path / "f.json"), "--policy", policy,
+            "--s", "0", "--alpha", "-0.25" if kind == "rm" else "0.0", "--out", str(tmp_path / "norms")]
+    assert cli.main(args) == 0
+    row = json.loads(capsys.readouterr().out)
+    text = (tmp_path / "norms" / f"{row['norm_name']}.csv").read_bytes().decode()
+    assert text == ",".join(row) + "\r\n" + ",".join(str(v) for v in row.values()) + "\r\n"

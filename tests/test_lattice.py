@@ -170,13 +170,10 @@ def test_refinement_convergence_lipschitz():
     assert slope >= 0.9
 
 
-def test_region_measure_policies():
+def test_region_measure_counts_window_cells():
     w = Window(1, (0.0,), (1.0,), (8,))
     cube = Cube((0.0,), 0.5)  # half sticks out of the window
-    assert region_measure(w, cube, "restrict") == pytest.approx(0.25, abs=1e-12)
-    assert region_measure(w, cube, "zero-extend") == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        region_measure(w, cube, "clamp")
+    assert region_measure(w, cube) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_gridfunction_json_roundtrip(tmp_path):
@@ -197,12 +194,11 @@ def test_gridfunction_rejects_nonfinite():
         GridFunction(w, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
-def test_average_zero_extend_policy():
+def test_average_counts_window_cells():
     w = Window(1, (0.0,), (1.0,), (8,))
     one = GridFunction.from_callable(w, lambda x: np.ones_like(x))
     cube = Cube((0.0,), 0.5)  # half outside the window
-    assert average(one, cube, "restrict") == pytest.approx(1.0)
-    assert average(one, cube, "zero-extend") == pytest.approx(0.5)
+    assert average(one, cube) == pytest.approx(1.0)
 
 
 def test_window_dimension_from_json_is_an_int():
@@ -285,13 +281,6 @@ def test_region_mask_equals_pointwise_membership(n, cells, spec):
     }[spec[0]]()
     mask = region_mask(w, region)
     assert np.array_equal(mask, region.contains(w.midpoints()))
-    # the zero-extended measure counts the same rule on the virtual lattice
-    lo, hi = region.bounding_box()
-    k = [np.arange(math.floor((l + 1) / w.h) - 2, math.ceil((u + 1) / w.h) + 2) for l, u in zip(lo, hi)]
-    axes = [-1.0 + (ka + 0.5) * w.h for ka in k]
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    expected = np.count_nonzero(region.contains(pts)) * w.cell_measure
-    assert region_measure(w, region, "zero-extend") == pytest.approx(expected, abs=1e-12)
 
 
 def _memo_regions():
