@@ -49,6 +49,13 @@ def _parse_region(text: str):
         raise ConfigError(f"bad region spec {text!r}: {exc}") from exc
 
 
+def _parse_cube(text: str) -> Cube:
+    region = _parse_region(text)
+    if not isinstance(region, Cube):
+        raise ConfigError(f"this command takes a cube region (cube:C:SIDE), got {text!r}")
+    return region
+
+
 def cmd_norm(args) -> int:
     f = GridFunction.load(args.function)
     params = NormParams(args.p, args.q, args.s, args.alpha)
@@ -65,19 +72,20 @@ def cmd_norm(args) -> int:
 
 def cmd_project(args) -> int:
     f = GridFunction.load(args.function)
-    region = _parse_region(args.region)
-    P = moment_projection(f, region, args.s)
-    text = json.dumps(P.to_dict())
+    P = moment_projection(f, _parse_region(args.region), args.s)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    print(text)
+        P.save(args.out)
+    print(json.dumps(P.to_dict()))
     return EXIT_OK
 
 
 def cmd_apply_op(args) -> int:
     f = GridFunction.load(args.function)
-    kernel = kernel_by_name(args.kernel, **json.loads(args.kernel_params))
+    kernel_params = json.loads(args.kernel_params)
+    if not isinstance(kernel_params, dict):
+        raise ConfigError(f"kernel parameters must be a JSON object, got {args.kernel_params!r}")
+    kernel = kernel_by_name(args.kernel, **kernel_params)
     if args.mode == "truncated":
         eta = f.window.h if args.eta is None else args.eta
         result = apply_truncated(kernel, f, eta)
@@ -112,7 +120,7 @@ def cmd_atom(args) -> int:
                           "passed": record.certification.passed}))
         return EXIT_OK
     f = GridFunction.load(args.function)
-    cube = _parse_region(args.region)
+    cube = _parse_cube(args.region)
     cert = validate_atom(f, cube, params)
     print(json.dumps({"passed": cert.passed, "norm_ratio": cert.norm_ratio,
                       "failures": cert.failures}))
@@ -122,7 +130,7 @@ def cmd_atom(args) -> int:
 def cmd_molecule(args) -> int:
     params = NormParams(args.p, args.q, args.s, args.alpha)
     f = GridFunction.load(args.function)
-    cube = _parse_region(args.region)
+    cube = _parse_cube(args.region)
     j_max = whole_number(args.j_max, "j_max")
     if args.action == "check":
         cert = validate_molecule(f, cube, params, args.epsilon, j_max)

@@ -478,6 +478,8 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
     shifted view over the evaluation window.  The modulation scales the source
     weights (slot 2) or the sums (slot 1).  Kernels without kappa, other
     lattices and explicit points take the pairwise sum over nonzero sources."""
+    if kernel.n != src_window.n:
+        raise ValueError(f"kernel {kernel.name!r} is {kernel.n}-D but the source window is {src_window.n}-D")
     on_cells = isinstance(eval_window, Window)
     if on_cells:
         cells = range(eval_window.cell_count) if eval_cells is None else eval_cells

@@ -300,9 +300,6 @@ class Ball:
     def dilate(self, lam: float) -> "Ball":
         return Ball(self.center, lam * self.radius)
 
-    def to_dict(self) -> dict:
-        return {"kind": "ball", "center": list(self.center), "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -343,14 +340,6 @@ class Annulus:
 
     def bounding_box(self):
         return self.outer.bounding_box()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "annulus",
-            "center": list(self.center),
-            "base_side": self.base_side,
-            "level": self.level,
-        }
 
 
 # Every region has contains(pts), the pointwise membership of points of shape

@@ -63,19 +63,6 @@ def space_dimension(n: int, s: int) -> int:
     return len(multi_indices(n, s))
 
 
-def _binomial_expand(coeffs: dict, weights) -> dict:
-    """Collect sum_gamma c_gamma prod_i (sum_j w_ij t_i^j) by the exponent
-    tuple of t, where weights(i, gamma_i) lists w_ij for j = 0..gamma_i: each
-    axis factor expanded binomially."""
-    out: dict[tuple, float] = {}
-    for g, c in coeffs.items():
-        axis_terms = [list(enumerate(weights(axis, gi))) for axis, gi in enumerate(g)]
-        for combo in itertools.product(*axis_terms):
-            mono = tuple(j for j, _ in combo)
-            out[mono] = out.get(mono, 0.0) + c * float(math.prod(w for _, w in combo))
-    return out
-
-
 @dataclass
 class Polynomial:
     """Polynomial of degree <= s in the basis ((x - anchor)/scale)^gamma."""
@@ -93,10 +80,6 @@ class Polynomial:
         self.scale = float(self.scale)
         self.coeffs = {tuple(int(i) for i in g): float(c) for g, c in self.coeffs.items()}
 
-    @classmethod
-    def constant(cls, n: int, value: float) -> "Polynomial":
-        return cls(n, 0, (0.0,) * n, 1.0, {(0,) * n: float(value)})
-
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cols = monomials(pts, list(self.coeffs), self.anchor, self.scale)
@@ -108,50 +91,21 @@ class Polynomial:
     def on_grid(self, window: Window) -> GridFunction:
         return GridFunction(window, self(window.midpoints()).reshape(window.cells))
 
-    def degree(self, tol: float = 0.0) -> int:
-        degs = [sum(g) for g, c in self.coeffs.items() if abs(c) > tol]
-        return max(degs) if degs else 0
-
     def raw_coeffs(self) -> dict:
-        """Coefficients over plain monomials x^gamma (binomial expansion)."""
+        """Coefficients over plain monomials x^gamma: each axis factor
+        (x_i - a_i)^gamma_i expanded binomially, terms collected by exponent."""
         a = np.asarray(self.anchor)
-        # expand prod_i (x_i - a_i)^{g_i}
-        scaled = {g: c / self.scale ** sum(g) for g, c in self.coeffs.items()}
-        return _binomial_expand(
-            scaled, lambda axis, gi: [math.comb(gi, j) * (-a[axis]) ** (gi - j) for j in range(gi + 1)]
-        )
-
-    @classmethod
-    def from_raw_coeffs(cls, n: int, s: int, raw: dict, anchor=None, scale: float = 1.0) -> "Polynomial":
-        anchor = (0.0,) * n if anchor is None else tuple(float(a) for a in np.atleast_1d(anchor))
-        a = np.asarray(anchor)
-        # x^gamma = (scale z + a)^gamma with z = (x - a)/scale
-        coeffs = _binomial_expand(
-            raw, lambda axis, gi: [math.comb(gi, j) * scale**j * a[axis] ** (gi - j) for j in range(gi + 1)]
-        )
-        return cls(n, s, anchor, scale, coeffs)
-
-    def rebase(self, anchor, scale: float) -> "Polynomial":
-        return Polynomial.from_raw_coeffs(self.n, self.s, self.raw_coeffs(), anchor, scale)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        raw = self.raw_coeffs()
-        for g, c in other.raw_coeffs().items():
-            raw[g] = raw.get(g, 0.0) + c
-        return Polynomial.from_raw_coeffs(
-            self.n, max(self.s, other.s), raw, self.anchor, self.scale
-        )
-
-    def __mul__(self, scalar: float) -> "Polynomial":
-        return Polynomial(
-            self.n, self.s, self.anchor, self.scale,
-            {g: c * float(scalar) for g, c in self.coeffs.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (other * -1.0)
+        out: dict[tuple, float] = {}
+        for g, c in self.coeffs.items():
+            c = c / self.scale ** sum(g)
+            axis_terms = [
+                list(enumerate([math.comb(gi, j) * (-a[axis]) ** (gi - j) for j in range(gi + 1)]))
+                for axis, gi in enumerate(g)
+            ]
+            for combo in itertools.product(*axis_terms):
+                mono = tuple(j for j, _ in combo)
+                out[mono] = out.get(mono, 0.0) + c * float(math.prod(w for _, w in combo))
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -163,13 +117,6 @@ class Polynomial:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path) -> "Polynomial":
-        d = json.loads(Path(path).read_text())
-        coeffs = {tuple(e["gamma"]): e["a"] for e in d["coeffs"]}
-        n = len(d["anchor"])
-        return cls(n, d["s"], tuple(d["anchor"]), d["scale"], coeffs)
 
 
 class Projector:

@@ -29,6 +29,7 @@ from .lattice import (
     whole_number,
 )
 from .polyproj import (
+    MAX_DEGREE,
     ConditioningError,
     Projector,
     moment_projection,
@@ -67,7 +68,8 @@ def conjugate(p: float) -> float:
 @dataclass(frozen=True)
 class NormParams:
     """Exponents (p, q, s, alpha) of a cube norm: 1 <= p, q <= inf, s a whole
-    number, alpha finite; p, q and alpha go through float(), "inf" included."""
+    number at most MAX_DEGREE, alpha finite; p, q and alpha go through
+    float(), "inf" included."""
 
     p: float
     q: float
@@ -78,6 +80,8 @@ class NormParams:
         object.__setattr__(self, "p", _real_number(self.p, "p", 1))
         object.__setattr__(self, "q", _real_number(self.q, "q", 1))
         object.__setattr__(self, "s", whole_number(self.s, "s"))
+        if self.s > MAX_DEGREE:
+            raise ValueError(f"s must be at most {MAX_DEGREE}, the degree cap")
         object.__setattr__(self, "alpha", _real_number(self.alpha, "alpha"))
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")

@@ -1,6 +1,7 @@
 import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1016,3 +1017,22 @@ def test_point_sums_on_a_sub_window_are_a_slice():
         sub = Window(2, tuple(-1.0 + np.array(lo) * w.h), tuple(-1.0 + (np.array(lo) + cells) * w.h), cells)
         got = apply_truncated(K, f, w.h, eval_window=sub).values
         assert np.array_equal(got, full[lo[0] : lo[0] + cells[0], lo[1] : lo[1] + cells[1]])
+
+
+@pytest.mark.parametrize("kernel, n", [(hilbert_kernel(), 2), (riesz_kernel(0, 2), 1)])
+def test_kernel_of_another_dimension_is_a_value_error(kernel, n):
+    # every operator entry reaches _lattice_sums first, which names both dimensions
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (16,) * n)
+    f = GridFunction(w, np.ones(w.cells))
+    corr = CorrectionSpec((0.0,) * n, 0.5, 0)
+    atom = SimpleNamespace(values=f, cube=Cube((0.0,) * n, 0.5))
+    calls = [
+        lambda: apply_truncated(kernel, f, w.h),
+        lambda: apply_cz(kernel, f),
+        lambda: apply_modified(kernel_transpose(kernel), corr, f),
+        lambda: modified_on_monomial(kernel_transpose(kernel), corr, (0,) * n, w, padding=4),
+        lambda: vanishing_moment_defect(kernel, 0, [atom], padding=4),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"is {kernel.n}-D but the source window is {n}-D"):
+            call()

@@ -644,6 +644,7 @@ def test_cli_padding_below_four_exits_config_before_any_operator(tmp_path, capsy
         ("atom-image", {"family": {"kind": "mystery", "count": 10, "seed": 7}}, "family kind must be 'atom'"),
         ("duality", {"family": {"kind": "random-osc", "count": 10, "seed": 7}}, "family kind must be 'atom'"),
         ("rm-boundedness", {"radii": [0.05, 0.5]}, "at most one for rm-boundedness"),
+        ("jn-boundedness", {"params": {"p": 2.0, "q": 2.0, "s": 5, "alpha": 0.1}}, "s must be at most 4"),
     ],
 )
 def test_cli_bad_experiment_setting_exits_config(tmp_path, capsys, name, change, message):
@@ -777,3 +778,41 @@ def test_cli_norm_out_writes_the_printed_row(tmp_path, capsys, kind, policy):
     row = json.loads(capsys.readouterr().out)
     text = (tmp_path / "norms" / f"{row['norm_name']}.csv").read_bytes().decode()
     assert text == ",".join(row) + "\r\n" + ",".join(str(v) for v in row.values()) + "\r\n"
+
+
+@pytest.mark.parametrize("region", ["ball:0.0:0.5", "annulus:0.0:0.25:1"])
+@pytest.mark.parametrize("command", [["atom", "check"], ["molecule", "check"], ["molecule", "decompose"]])
+def test_cli_atom_and_molecule_commands_take_a_cube(tmp_path, capsys, command, region):
+    path = tmp_path / "f.json"
+    GridFunction.zeros(Window(1, (-2.0,), (2.0,), (64,))).save(path)
+    args = [*command, "--function", str(path), "--region", region, "--alpha", "0.25"]
+    if command[0] == "molecule":
+        args += ["--epsilon", "0.3"]
+    assert cli.main(args) == 3
+    assert "takes a cube region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, params, n", [("riesz", '{"n": 2}', 1), ("hilbert", "{}", 2)])
+def test_cli_apply_op_kernel_of_another_dimension_exits_config(tmp_path, capsys, kernel, params, n):
+    path = tmp_path / "f.json"
+    GridFunction.zeros(Window(n, (-1.0,) * n, (1.0,) * n, (16,) * n)).save(path)
+    rc = cli.main(["apply-op", "--kernel", kernel, "--kernel-params", params, "--function", str(path)])
+    assert rc == 3
+    assert f"is {3 - n}-D but the source window is {n}-D" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["[]", "3", '"n"'])
+def test_cli_apply_op_kernel_params_must_be_an_object(tmp_path, capsys, params):
+    path = tmp_path / "f.json"
+    GridFunction.zeros(Window(1, (-1.0,), (1.0,), (16,))).save(path)
+    rc = cli.main(["apply-op", "--kernel", "hilbert", "--kernel-params", params, "--function", str(path)])
+    assert rc == 3
+    assert "kernel parameters must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_norm_degree_above_the_cap_exits_config(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    GridFunction.from_callable(Window(1, (-1.0,), (1.0,), (32,)), np.sin).save(path)
+    assert cli.main(["norm", "--function", str(path), "--s", "4"]) == 0
+    assert cli.main(["norm", "--function", str(path), "--s", "5"]) == 3
+    assert "s must be at most 4" in capsys.readouterr().err

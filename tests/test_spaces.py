@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from jnlab import lattice
 from jnlab.lattice import Ball, Cube, GridFunction, Window, region_mask
-from jnlab.polyproj import ConditioningError, Polynomial, Projector
+from jnlab.polyproj import MAX_DEGREE, ConditioningError, Polynomial, Projector
 from jnlab.spaces import (
     NormParams,
     SearchConfig,
@@ -38,6 +38,13 @@ def test_norm_params():
     assert len(notes) == 2  # q at the endpoint and alpha too large
     with pytest.raises(ValueError):
         NormParams(0.5, 2.0, 0, 0.0)
+
+
+def test_norm_params_s_at_most_the_degree_cap():
+    # the same cap as Polynomial and moment_projection
+    assert NormParams(2.0, 2.0, MAX_DEGREE, 0.0).s == MAX_DEGREE
+    with pytest.raises(ValueError, match=f"s must be at most {MAX_DEGREE}"):
+        NormParams(2.0, 2.0, MAX_DEGREE + 1, 0.0)
 
 
 def test_norm_params_reject_nan_and_infinite_alpha():
