@@ -119,6 +119,8 @@ def cmd_atom(args) -> int:
         print(json.dumps({"norm_ratio": record.certification.norm_ratio,
                           "passed": record.certification.passed}))
         return EXIT_OK
+    if args.function is None or args.region is None:
+        raise ValueError(f"atom check needs {'--region' if args.function else '--function'}")
     f = GridFunction.load(args.function)
     cube = _parse_cube(args.region)
     cert = validate_atom(f, cube, params)

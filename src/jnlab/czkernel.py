@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Cube, GridFunction, Window, grid_points, monomial_factors, moments, monomials, whole_number
+from .lattice import Cube, GridFunction, Window, _memo, grid_points, monomial_factors, moments, monomials, whole_number
 from .polyproj import Projector, index_factorial, moment_projection, multi_indices
 
 __all__ = [
@@ -367,11 +367,18 @@ def _difference_table(kappa, h: float, eta: float, lo, hi) -> np.ndarray:
     return table
 
 
+@_memo
+def _shared_table(kappa, h: float, eta: float, lo: tuple, hi: tuple) -> np.ndarray:
+    return _difference_table(kappa, h, eta, lo, hi)
+
+
 def _box_table(kappa, h, eta, eval_lo, eval_hi, src_lo, src_hi):
     """Difference table over {x - y : eval_lo <= x <= eval_hi, src_lo <= y
-    <= src_hi} (index boxes, inclusive), and the index of its first entry."""
+    <= src_hi} (index boxes, inclusive), and the index of its first entry;
+    the table is read-only and built once per (kappa, h, eta, box) while kappa lives."""
     origin = np.asarray(eval_lo) - np.asarray(src_hi)
-    return _difference_table(kappa, h, eta, origin, np.asarray(eval_hi) - np.asarray(src_lo)), origin
+    hi = tuple(map(int, np.asarray(eval_hi) - np.asarray(src_lo)))
+    return _shared_table(kappa, h, eta, tuple(map(int, origin)), hi), origin
 
 
 def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndarray:
@@ -615,6 +622,11 @@ def _taylor_correction(kernel, corr: CorrectionSpec, sources, eval_pts) -> np.nd
     eta exclusion -- this realizes the eta -> 0 limit of the correction
     exactly and keeps the polynomial-difference identities exact off the
     base ball."""
+    return _taylor_polynomial(_taylor_coefficients(kernel.d1, corr, sources), corr, eval_pts)
+
+
+def _taylor_coefficients(d1, corr: CorrectionSpec, sources) -> tuple:
+    """The integrals of _taylor_correction, d1 the derivatives in the first slot."""
     x0 = np.asarray(corr.center)
     gammas = multi_indices(len(corr.center), corr.order)
     coefs = [0.0] * len(gammas)
@@ -624,13 +636,25 @@ def _taylor_correction(kernel, corr: CorrectionSpec, sources, eval_pts) -> np.nd
         x0b = np.broadcast_to(x0, pts.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             for k, g in enumerate(gammas):
-                terms = kernel.d1(g, x0b, pts) / index_factorial(g) * w
+                terms = d1(g, x0b, pts) / index_factorial(g) * w
                 coefs[k] += float(np.where(outside, terms, 0.0).sum())
+    return tuple(coefs)
+
+
+def _taylor_polynomial(coefs, corr: CorrectionSpec, eval_pts) -> np.ndarray:
     out = np.zeros(eval_pts.shape[0])
-    for coef, pow_g in zip(coefs, monomials(eval_pts, gammas, x0).T):
+    for coef, pow_g in zip(coefs, monomials(eval_pts, multi_indices(len(corr.center), corr.order), corr.center).T):
         if coef != 0.0:
             out += coef * pow_g
     return out
+
+
+@_memo
+def _frame_coefficients(kernel, slot: int, corr: CorrectionSpec, window: Window, gamma: tuple) -> tuple:
+    """_taylor_coefficients of K in `slot` (in slot 2, the transpose's) over the
+    window's cells weighted by y^gamma, built once while the kernel lives."""
+    d1 = kernel.d1 if slot == 1 else (lambda g, x, y: kernel.d2(g, y, x))
+    return _taylor_coefficients(d1, corr, _frame_sources(window, monomial_factors(window, gamma)))
 
 
 def _point_chunks(pts, w):
@@ -733,10 +757,8 @@ def modified_on_monomial(
 
     def run(factor):
         big = eval_window.padded(factor)
-        # y^nu as per-axis factors serves both sums; no frame-sized array of it is formed
-        frame = monomial_factors(big, nu)
-        main, table = _lattice_sums(kernel_tilde, h, big, frame, eval_window)
-        correction = _taylor_correction(kernel_tilde, corr, _frame_sources(big, frame), eval_pts)
+        main, table = _lattice_sums(kernel_tilde, h, big, monomial_factors(big, nu), eval_window)
+        correction = _taylor_polynomial(_frame_coefficients(kernel_tilde, 1, corr, big, nu), corr, eval_pts)
         return big, 0 if table is None else table[0].size, main - correction
 
     big, cells, base = run(padding)
@@ -770,8 +792,8 @@ def poly_distance(g: GridFunction, region, s: int, floor: float = 0.0) -> float:
 @dataclass
 class DefectReport:
     """Moment defects per atom and gamma.  `engine` is "table" or "pairwise";
-    `table_cells` is the number of difference-table entries built over all
-    atoms (0 on the pairwise path)."""
+    `table_cells` is the number of difference-table entries each atom reads,
+    summed over the atoms, memoised or not (0 on the pairwise path)."""
 
     rows: list
     max_defect: float
@@ -839,9 +861,11 @@ def vanishing_moment_defect(
             scale = a_l1 * cube.side ** sum(g)
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same
-            # padded lattice, so the two sides share every quadrature node)
+            # padded lattice, so the two sides share every quadrature node); its
+            # Taylor coefficients are keyed on the kernel, shared by every atom on the cube
+            coefs = _frame_coefficients(kernel, 2, corr, big, g)
             tmain, _ = _lattice_sums(tilde, h, big, xg, window, nz, table, a)
-            tmono = tmain - _taylor_correction(tilde, corr, _frame_sources(big, xg), window.cell_midpoints(nz))
+            tmono = tmain - _taylor_polynomial(coefs, corr, window.cell_midpoints(nz))
             rhs = float((tmono * src_w).sum())
             defect = abs(lhs) / scale
             mismatch = abs(lhs - rhs) / scale

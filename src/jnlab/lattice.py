@@ -18,6 +18,7 @@ import functools
 import inspect
 import json
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 
-_MEMO_BYTES = 64 << 20  # the bytes of arrays the geometry memos may hold (see _memo)
+_MEMO_BYTES = 64 << 20  # the bytes of arrays the memos may hold (see _memo)
 _MEMO = OrderedDict()  # (fn, args) -> (result, bytes), oldest first; .held sums the bytes
 
 
@@ -494,32 +495,45 @@ def _frozen(tree) -> int:
 
 
 def _memo(fn):
-    """Memoise fn, a function of hashable geometry that reads no values and has
-    no defaulted arguments, in _MEMO under fn and its arguments in positional
-    order, however passed.  Results are read-only, as callers share them.  A hit
-    is one lookup and leaves the order alone; a miss evicts the oldest entries
-    until the arrays held fit in _MEMO_BYTES."""
-    bind = inspect.signature(fn).bind
+    """Memoise fn, a function of hashable geometry and kernels that reads no
+    values and has no defaulted arguments, in _MEMO under fn and its arguments
+    in positional order, however passed.  Results are read-only, as callers
+    share them.  A hit is one lookup and leaves the order alone; a miss evicts
+    the oldest entries until the arrays held fit in _MEMO_BYTES.  Arguments
+    named `kernel` or `kappa` are held weakly, and their entries leave the
+    store when they are collected; a call with one that has no weak
+    reference is not memoised."""
+    sig = inspect.signature(fn)
+    weak = [i for i, name in enumerate(sig.parameters) if name in ("kernel", "kappa")]
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
         if kwargs:
-            args = bind(*args, **kwargs).args
-        key = (call, args)
+            args = sig.bind(*args, **kwargs).args
+        try:
+            key = (call, tuple(weakref.ref(a) if i in weak else a for i, a in enumerate(args)) if weak else args)
+        except TypeError:  # not weakly referable, as a numpy ufunc: not memoised
+            return fn(*args)
         hit = _MEMO.get(key)
         if hit is not None:
             return hit[0]
         result = fn(*args)
         size = _frozen(result)
         if size <= _MEMO_BYTES:
-            held = size + (_MEMO.held if _MEMO else 0)  # an empty store, as after _MEMO.clear(), holds 0
             _MEMO[key] = result, size
-            while held > _MEMO_BYTES:
-                held -= _MEMO.popitem(last=False)[1][1]
-            _MEMO.held = held
+            _MEMO.held = size + (_MEMO.held if len(_MEMO) > 1 else 0)  # a lone entry: as after _MEMO.clear()
+            while _MEMO.held > _MEMO_BYTES:
+                _MEMO.held -= _MEMO.popitem(last=False)[1][1]
+            for i in weak:
+                weakref.finalize(args[i], _forget, key)
         return result
 
     return call
+
+
+def _forget(key) -> None:
+    if key in _MEMO:  # not yet evicted
+        _MEMO.held -= _MEMO.pop(key)[1]
 
 
 def region_mask(window: Window, region: Region) -> np.ndarray:

@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jnlab import czkernel
-from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, monomials
+from jnlab import czkernel, lattice
+from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, monomials, region_cells
 from jnlab.polyproj import index_factorial, multi_indices
 from jnlab.spaces import NormParams
 from jnlab.czkernel import (
@@ -1036,3 +1038,75 @@ def test_kernel_of_another_dimension_is_a_value_error(kernel, n):
     for call in calls:
         with pytest.raises(ValueError, match=f"is {kernel.n}-D but the source window is {n}-D"):
             call()
+
+
+def _atoms_on_one_cube(n: int) -> list:
+    """Two s = 1 atoms on one cube: 1-D at 64 cells, 2-D at 12^2."""
+    if n == 1:
+        window, cube = Window(1, (-2.0,), (2.0,), (64,)), Cube((0.0,), 1.0)
+    else:
+        window, cube = Window(2, (-1.0, -1.0), (1.0, 1.0), (12, 12)), Cube((0.0, 0.0), 0.5)
+    return [make_atom(seed, cube, NormParams(2.0, 2.0, 1, 0.25), window) for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("name", ["hilbert", "perturbed", "riesz0"])
+def test_warm_defect_reports_equal_cold(monkeypatch, name):
+    # the second atom on a cube reads the first one's difference table and
+    # frame Taylor coefficients, and gets the bits of a cold call
+    K = kernel_by_name(name)
+    atoms = _atoms_on_one_cube(K.n)
+
+    def rows(atom):
+        rep = vanishing_moment_defect(K, 1, [atom], padding=16)
+        return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()} for r in rep.rows]
+
+    cold = []
+    for atom in atoms:
+        lattice._MEMO.clear()
+        cold.append(rows(atom))
+    builds = {czkernel._difference_table: 0, czkernel._taylor_coefficients: 0}
+
+    def counted(fn):
+        def call(*args):
+            builds[fn] += 1
+            return fn(*args)
+        return call
+
+    for fn in list(builds):
+        monkeypatch.setattr(czkernel, fn.__name__, counted(fn))
+    lattice._MEMO.clear()
+    assert [rows(atom) for atom in atoms] == cold
+    assert list(builds.values()) == [1, len(multi_indices(K.n, 1))]
+
+
+def test_memo_entries_leave_with_their_kernel():
+    atom = _atoms_on_one_cube(1)[0]
+    ew = Window(1, (-1.0,), (1.0,), (16,))
+    lattice._MEMO.clear()
+    region_cells(ew, Cube((0.0,), 0.5))  # geometry stays
+    held = lattice._MEMO.held
+    K = perturbed_kernel()
+    Kt = kernel_transpose(K)
+    vanishing_moment_defect(K, 1, [atom], padding=16)
+    modified_on_monomial(Kt, CorrectionSpec((0.1,), 0.5, 1), (1,), ew, padding=8, check_doubling=False)
+    # tables under kappa, frame coefficients under the kernel, each held weakly
+    named = {id(a()) for key in lattice._MEMO for a in key[1] if isinstance(a, weakref.ref)}
+    assert named == {id(K), id(K.kappa), id(Kt), id(Kt.kappa)}
+    assert lattice._MEMO.held > held
+    for result, _ in lattice._MEMO.values():
+        if isinstance(result, np.ndarray):
+            with pytest.raises(ValueError):
+                result.flat[0] = 0
+    del K, Kt
+    gc.collect()
+    assert not any(isinstance(a, weakref.ref) for key in lattice._MEMO for a in key[1])
+    assert len(lattice._MEMO) == 1 and lattice._MEMO.held == held
+
+
+def test_a_kappa_without_weak_references_is_not_memoised():
+    f = GridFunction.from_callable(Window(1, (-1.0,), (1.0,), (32,)), np.cos)
+    H = hilbert_kernel()
+    K = replace(H, kappa=np.reciprocal)  # a ufunc takes no weak reference
+    lattice._MEMO.clear()
+    assert np.array_equal(apply_truncated(K, f, 1 / 16).values, apply_truncated(H, f, 1 / 16).values)
+    assert sum(key[0] is czkernel._shared_table for key in lattice._MEMO) == 1  # H's table only

@@ -18,7 +18,7 @@ from jnlab.lab import (
     make_family,
     run_experiment,
 )
-from jnlab import cli
+from jnlab import cli, lattice
 
 
 def test_family_determinism_and_kinds():
@@ -792,6 +792,18 @@ def test_cli_atom_and_molecule_commands_take_a_cube(tmp_path, capsys, command, r
     assert "takes a cube region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["--function", "--region"])
+def test_cli_atom_check_without_its_inputs_exits_config(tmp_path, capsys, missing):
+    path = tmp_path / "f.json"
+    GridFunction.zeros(Window(1, (-1.0,), (1.0,), (64,))).save(path)
+    given = {"--function": str(path), "--region": "cube:0.0:0.5"}
+    given.pop(missing)
+    assert cli.main(["atom", "check", *(v for pair in given.items() for v in pair)]) == 3
+    assert f"atom check needs {missing}" in capsys.readouterr().err
+    # atom make needs neither
+    assert cli.main(["atom", "make", "--cells", "64", "--alpha", "0.25"]) == 0
+
+
 @pytest.mark.parametrize("kernel, params, n", [("riesz", '{"n": 2}', 1), ("hilbert", "{}", 2)])
 def test_cli_apply_op_kernel_of_another_dimension_exits_config(tmp_path, capsys, kernel, params, n):
     path = tmp_path / "f.json"
@@ -816,3 +828,24 @@ def test_cli_norm_degree_above_the_cap_exits_config(tmp_path, capsys):
     assert cli.main(["norm", "--function", str(path), "--s", "4"]) == 0
     assert cli.main(["norm", "--function", str(path), "--s", "5"]) == 3
     assert "s must be at most 4" in capsys.readouterr().err
+
+
+def test_atom_image_runs_leave_the_memo_bounded():
+    # each run builds its own kernel; the tables memoised under it leave the
+    # store with it, so twenty runs hold what one run holds
+    def run(seed):
+        config = ExperimentConfig(
+            experiment="atom-image",
+            window={"n": 2, "lower": [-2.0, -2.0], "upper": [2.0, 2.0], "cells": [128, 128]},
+            kernel={"name": "riesz", "j": 0, "n": 2},
+            params={"p": 2.0, "q": 2.0, "s": 1, "alpha": 0.25},
+            family={"kind": "atom", "count": 1, "seed": seed},
+            epsilon=5.0 / 24.0,
+            levels=5,
+        )
+        assert run_experiment("atom-image", config).passed
+        return lattice._MEMO.held
+
+    lattice._MEMO.clear()
+    held = [run(seed) for seed in range(20)]
+    assert max(held) == held[0]
