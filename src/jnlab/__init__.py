@@ -38,7 +38,6 @@ from .spaces import (
     jn_partition_oracle,
     rm_ball_seminorm,
     rm_con_norm,
-    tail_integral_check,
 )
 from .czkernel import (
     CorrectionSpec,
@@ -54,7 +53,6 @@ from .czkernel import (
     poly_distance,
     riesz_kernel,
     smooth_bump_kernel,
-    standard_kernel_check,
     vanishing_moment_defect,
 )
 from .hardy import (

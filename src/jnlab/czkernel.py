@@ -39,7 +39,6 @@ __all__ = [
     "modified_on_monomial",
     "poly_distance",
     "vanishing_moment_defect",
-    "standard_kernel_check",
     "CZResult",
     "ModifiedResult",
     "MonomialImage",
@@ -892,56 +891,3 @@ def vanishing_moment_defect(
         engine="table" if table_cells else "pairwise",
         table_cells=table_cells,
     )
-
-
-@dataclass
-class StandardKernelReport:
-    size: dict
-    regularity: dict
-    delta: float
-    samples: int
-
-    @property
-    def max_size(self) -> float:
-        return max(max(v.values()) for v in self.size.values())
-
-    @property
-    def max_regularity(self) -> float:
-        return max(max(v.values()) for v in self.regularity.values())
-
-
-def standard_kernel_check(
-    kernel: KernelSpec, samples: int = 200, seed: int = 0, box: float = 2.0
-) -> StandardKernelReport:
-    """Empirical size and Holder-regularity constants on sampled pairs.
-
-    size[gamma][slot]   = max |d_slot K| |x-y|^(n+|gamma|)
-    reg[gamma][slot]    = max |d K(.,y) - d K(.,z)| |x-y|^(n+|gamma|+delta) / |y-z|^delta
-    over pairs separated by at least h-scale and admissible triples.
-    """
-    rng = np.random.default_rng(seed)
-    n = kernel.n
-    x = rng.uniform(-box, box, size=(samples, n))
-    y = rng.uniform(-box, box, size=(samples, n))
-    d = np.linalg.norm(x - y, axis=1)
-    keep = d >= 0.05
-    x, y, d = x[keep], y[keep], d[keep]
-    # perturb the second argument by at most |x-y|/2
-    t = rng.uniform(0.05, 0.5, size=x.shape[0])
-    direction = rng.normal(size=x.shape)
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    z = y + direction * (t * d / 2.0)[:, None]
-    w = x + direction * (t * d / 2.0)[:, None]
-    dz = np.linalg.norm(y - z, axis=1)
-    dw = np.linalg.norm(x - w, axis=1)
-    size: dict = {}
-    reg: dict = {}
-    dlt = kernel.delta
-    for g in multi_indices(n, kernel.order):
-        size[g], reg[g] = {}, {}
-        # slot 1 moves x to w, slot 2 moves y to z
-        for slot, dk, moved, gap in (("slot1", kernel.d1, (w, y), dw), ("slot2", kernel.d2, (x, z), dz)):
-            base = dk(g, x, y)
-            size[g][slot] = float(np.max(np.abs(base) * d ** (n + sum(g))))
-            reg[g][slot] = float(np.max(np.abs(base - dk(g, *moved)) * d ** (n + sum(g) + dlt) / gap**dlt))
-    return StandardKernelReport(size, reg, dlt, int(x.shape[0]))

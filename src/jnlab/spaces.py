@@ -25,16 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    Ball, Cube, GridFunction, Window, _memo, _real_number, check_packing, grid_points, region_mask,
-    whole_number,
+    Cube, GridFunction, Window, _memo, _real_number, check_packing, grid_points, whole_number,
 )
-from .polyproj import (
-    MAX_DEGREE,
-    ConditioningError,
-    Projector,
-    moment_projection,
-    space_dimension,
-)
+from .polyproj import MAX_DEGREE, ConditioningError, Projector, space_dimension
 
 __all__ = [
     "NormParams",
@@ -48,13 +41,13 @@ __all__ = [
     "jn_ball_seminorm",
     "rm_ball_seminorm",
     "amalgam_norm",
-    "tail_integral_check",
-    "TailDiagnostic",
 ]
 
 INF = math.inf
 _BALL_BATCH = 1 << 18  # ball entries (centers x offsets) per row band
 _TABLE_BATCH = 1 << 14  # cube entries (cubes x cells per cube) per projection batch
+_TIE_RTOL = 1e-12  # candidates this close to the largest value tie (see _first_near_max)
+_FALLBACK_RATIO = 1e-6  # residual energy / energy at or below which box sums are not trusted
 
 
 def conjugate(p: float) -> float:
@@ -96,15 +89,6 @@ class NormParams:
 
     def dual(self) -> "NormParams":
         return NormParams(self.p_conj, self.q_conj, self.s, self.alpha)
-
-    def admissibility(self, delta: float, n: int) -> list[str]:
-        """Violated hypotheses of the operator-boundedness statements."""
-        out = []
-        if not (1 < self.q < INF):
-            out.append("q must lie in (1, inf)")
-        if not (self.alpha < (self.s + delta) / n):
-            out.append(f"alpha must be < (s + delta)/n = {(self.s + delta) / n}")
-        return out
 
 
 @dataclass
@@ -245,6 +229,71 @@ def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:
     return (powers.sum(axis=1) / counts) ** (1.0 / q)
 
 
+def _first_near_max(values) -> int:
+    """The tie rule of every argmax: the first index whose value is at least
+    max * (1 - 1e-12).  Values that differ in their last bits only by
+    summation order so pick the same candidate on every route."""
+    values = np.asarray(values)
+    return int(np.argmax(values >= values.max() * (1 - _TIE_RTOL)))
+
+
+def _moments(values: np.ndarray, s, q):
+    """The arrays whose box sums give every cube or ball q-mean at (s, q),
+    stacked on a new first axis, or None where the projector route runs:
+    |f|^q for s = None at finite q, f and f^2 for s = 0 at q = 2."""
+    if s is None and q != INF:
+        return np.abs(values)[None] ** q
+    if s == 0 and q == 2:
+        return np.stack([values, values * values])
+    return None
+
+
+def _moment_qmeans(sums, counts, q):
+    """q-means from the box sums of _moments over boxes of `counts` cells,
+    and the mask of those to recompute directly.  Sums of |f|^q cancel
+    nothing.  From the sums S1 of f and S2 of f^2 the residual energy
+    E = S2 - S1^2/k keeps few digits where E <= 1e-6 S2; where S2 = 0 every
+    cell squares to 0 and so does its residual."""
+    if len(sums) == 1:
+        return (sums[0] / counts) ** (1.0 / q), np.zeros(sums[0].shape, dtype=bool)
+    s1, s2 = sums
+    energy = s2 - s1 * s1 / counts
+    redo = (energy <= _FALLBACK_RATIO * s2) & (s2 > 0)
+    return (np.maximum(energy, 0.0) / counts) ** 0.5, redo
+
+
+def _padded(a: np.ndarray, pad: int) -> np.ndarray:
+    """a with `pad` zeros on each side of every axis."""
+    if not pad:
+        return a
+    out = np.zeros([N + 2 * pad for N in a.shape])
+    out[(slice(pad, -pad),) * a.ndim] = a
+    return out
+
+
+def _runs(tables: list, m: int) -> np.ndarray:
+    """Sums of every run of m consecutive cells along the last axis of
+    tables[0], indexed by the run's first cell (length L - m + 1).
+
+    tables[j] holds the runs of 2^j cells, each the sum of two runs of
+    2^(j-1); the list is extended here as far as m needs, so callers that
+    share it share those tables.  A run of m cells adds the runs of m's
+    binary digits, longest first.  Every sum so adds its own cells and
+    subtracts nothing: its error scales with those cells alone, never with
+    a prefix sum of the whole axis."""
+    while 1 << len(tables) <= m:
+        t, w = tables[-1], 1 << (len(tables) - 1)
+        tables.append(t[..., :-w] + t[..., w:])
+    L = tables[0].shape[-1] - m + 1
+    out, at = None, 0
+    for j in reversed(range(m.bit_length())):
+        if m >> j & 1:
+            piece = tables[j][..., at : at + L]
+            out = piece if out is None else out + piece
+            at += 1 << j
+    return out
+
+
 def _tiling_layout(cells: int, m: int, offset, policy: str):
     """Along one axis of `cells` cells, the maximal side-m tiling at each
     offset in [0, m): its first cube's start cell and its cube count."""
@@ -272,18 +321,29 @@ class _SidePlan(NamedTuple):
 
     pad: int
     axes: list  # per axis: offsets that hold a cube, first start cells, cube counts
-    chunks: list  # the used start cells in the padded values, per-axis indices, in chunks
+    starts: list  # per axis: the used start cells in the padded values
+    step: int  # cubes per chunk of the projector route
     groups: list  # per offset group: agg index, table index, count cut, row shape
     offsets_evaluated: int
     cubes_evaluated: int
+
+    @property
+    def chunks(self) -> list:
+        """Every used start cell, as per-axis indices, in chunks of `step`."""
+        return _chunks([g.ravel() for g in np.meshgrid(*self.starts, indexing="ij")], self.step)
+
+
+def _chunks(at, step: int) -> list:
+    """Per-axis index arrays cut into chunks of `step` positions."""
+    return [tuple(a[i : i + step] for a in at) for i in range(0, at[0].size, step)]
 
 
 @_memo
 def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, batch: int) -> _SidePlan:
     """The search geometry of side m on a window of `cells`, which holds no
-    values: tiling layouts, the start cells in those tilings' phases cut
-    into chunks of about `batch` entries, and the offset groups of
-    _best_tiling.  zero-extend pads the values by m - 1 zeros per side."""
+    values: tiling layouts, the start cells in those tilings' phases, the
+    chunk length of about `batch` entries, and the offset groups of
+    _tiling_sums.  zero-extend pads the values by m - 1 zeros per side."""
     n = len(cells)
     exhaustive = packings == "exhaustive"
     pad = m - 1 if policy == "zero-extend" else 0
@@ -294,9 +354,6 @@ def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, ba
         axes.append((offsets[k > 0], first[k > 0], k[k > 0]))
         used = np.bincount(first[k > 0] + pad, minlength=m) > 0
         starts.append(np.flatnonzero(used[np.arange(N + 2 * pad - m + 1) % m]))
-    grid = [g.ravel() for g in np.meshgrid(*starts, indexing="ij")]
-    step = max(1, batch // m**n)
-    chunks = [tuple(g[i : i + step] for g in grid) for i in range(0, grid[0].size, step)]
     groups = []
     # offsets with the same cube counts reduce together, each tiling as one
     # contiguous row, as a lone tiling would
@@ -307,45 +364,65 @@ def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, ba
         cut = (Ellipsis, *(slice(c) for c in counts))
         groups.append((np.ix_(*idx), phase, cut, (*map(len, idx), -1)))
     return _SidePlan(
-        pad, axes, chunks, groups,
+        pad, axes, starts, max(1, batch // m**n), groups,
         0 if exhaustive else math.prod(len(o) for o, _, _ in axes),
         math.prod(len(x) for x in starts),
     )
 
 
-def _qmean_table(values, projector, m: int, plan: _SidePlan, q):
-    """Table of the q-means of the side-m cubes starting at the plan's start
-    cells in the (padded) values (entry x: cube at cell x; others stay 0),
-    gathered from a sliding-window view chunk by chunk."""
+def _qmean_table(values, projector, m: int, plan: _SidePlan, q, sums=None):
+    """Table of the q-means of the side-m cubes in the (padded) values
+    (entry x: the cube at cell x; 0 where no cube is computed), and the
+    counts of positions taken from box sums and recomputed.
+
+    With `sums` (the box sums of _moments at every start cell) every
+    position's q-mean comes from them, and the positions _moment_qmeans
+    marks are recomputed.  Otherwise the plan's start cells are computed.
+    Cubes recomputed or computed are gathered from a sliding-window view
+    chunk by chunk and go through the projector."""
+    n = values.ndim
     table = np.zeros([N // m * m for N in values.shape])
-    windows = np.lib.stride_tricks.sliding_window_view(values, (m,) * values.ndim)
-    for at in plan.chunks:
+    if sums is None:
+        chunks, positions, redone = plan.chunks, 0, 0
+    else:
+        qmeans, redo = _moment_qmeans(sums, m**n, q)
+        table[tuple(slice(k) for k in qmeans.shape)] = qmeans
+        redo = np.nonzero(redo)
+        chunks, positions, redone = _chunks(redo, plan.step), qmeans.size, redo[0].size
+    if chunks:
+        windows = np.lib.stride_tricks.sliding_window_view(values, (m,) * n)
+    for at in chunks:
         batch = windows[at].reshape(len(at[0]), -1)
-        table[at] = _qmean(batch if projector is None else projector.residual(batch), q)
-    return table
+        if projector is not None:
+            # a recomputed cube is shifted by its first cell: the same
+            # residual in exact arithmetic, and exactly 0 for a constant cube
+            batch = projector.residual(batch if sums is None else batch - batch[:, :1])
+        table[at] = _qmean(batch, q)
+    return table, positions, redone
 
 
-def _best_tiling(table, m: int, plan: _SidePlan, p):
-    """Offset, value, layout and terms of the first maximal tiling in
-    itertools.product order."""
+def _box_sums(tables: list, m: int, lo: int, shape) -> np.ndarray:
+    """Sums of tables[0] (see _runs) over every box of m cells on each of
+    its last len(shape) axes whose start cell lies in [lo, lo + N - m] on
+    each axis of `shape`."""
+    out = _runs(tables, m)[..., lo : lo + shape[-1] - m + 1]
+    for axis in range(-2, -len(shape) - 1, -1):
+        out = _runs([out.swapaxes(axis, -1)[..., lo : lo + shape[axis]]], m).swapaxes(axis, -1)
+    return out
+
+
+def _tiling_sums(table, m: int, plan: _SidePlan, p):
+    """Per offset tiling, in itertools.product order, the sum (p finite) or
+    maximum of its terms, and the table viewed as R[phase..., cube...]."""
     n = table.ndim
     # R[phase..., cube...]: (k0, m, k1, m) -> (m, m, k0, k1); phase = first + pad
     R = table.reshape([d for N in table.shape for d in (N // m, m)])
     R = R.transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)])
-    agg = np.empty([len(o) for o, _, _ in plan.axes])  # per tiling: sum (p finite) or max of terms
+    agg = np.empty([len(o) for o, _, _ in plan.axes])
     for agg_at, at, cut, shape in plan.groups:
         rows = R[at][cut].reshape(shape)
         agg[agg_at] = rows.max(axis=-1) if p == INF else rows.sum(axis=-1)
-    # the value sum^(1/p) can round sums that differ in the last bits to one
-    # value, so the first maximal value is sought among the near-maximal sums
-    flat = agg.ravel()
-    near = np.flatnonzero(flat >= flat.max() * (1 - 1e-12))
-    vals = [float(flat[i] ** (1.0 if p == INF else 1.0 / p)) for i in near]
-    i, val = int(near[int(np.argmax(vals))]), max(vals)
-    at = np.unravel_index(i, agg.shape)
-    pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(plan.axes, at)]
-    terms = R[tuple(f + plan.pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
-    return tuple(int(o) for o, _, _ in pick), val, [(f, k) for _, f, k in pick], terms
+    return agg.ravel(), R
 
 
 def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, name: str) -> NormReport:
@@ -353,18 +430,28 @@ def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, nam
 
     Per side, one table holds the term of the cube at every start cell in
     use, and every offset tiling (or 1-D packing) is read from it; the
-    geometry comes from the memoised side plan.
+    geometry comes from the memoised side plan.  The reported tiling is the
+    first candidate (sides in search order, offsets in itertools.product
+    order) that _first_near_max picks.
     """
     window = f.window
     n = window.n
     h = window.h
+    p = params.p
     exhaustive = search.packings == "exhaustive"
     if exhaustive and (n != 1 or search.policy != "restrict"):
         raise ValueError("exhaustive packings are available in 1-D under restrict only")
     sides = search.sides(window, 0 if s is None else s)
-    found = []  # per evaluated side: value, side, offset, centers or layout, terms
+    # the values and moments padded once for the largest side; each side
+    # reads its own padding from them, and every side shares the moments'
+    # runs along the last axis
+    P = max(sides) - 1 if search.policy == "zero-extend" else 0
+    padded = _padded(f.values, P)
+    moments = _moments(padded, s, params.q)
+    tables = None if moments is None else [moments]
+    found = []  # per evaluated side: m, candidate values, what the argmax is read from
     reasons: dict[int, str] = {}  # skipped side -> conditioning message
-    offsets_evaluated = cubes_evaluated = 0
+    offsets_evaluated = cubes_evaluated = table_positions = fallback_positions = 0
 
     for m in sides:
         try:
@@ -375,26 +462,43 @@ def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, nam
         plan = _side_plan(window.cells, m, search.policy, search.offset_stride, search.packings, _TABLE_BATCH)
         measure = float(m**n) * window.cell_measure
         weight = measure ** (-params.alpha)
-        values = np.pad(f.values, plan.pad) if plan.pad else f.values
-        table = _qmean_table(values, projector, m, plan, params.q)
+        lo = P - plan.pad
+        shape = [N + 2 * plan.pad for N in window.cells]
+        values = padded[tuple(slice(lo, lo + N) for N in shape)]
+        box = None if tables is None else _box_sums(tables, m, lo, shape)
+        table, positions, redone = _qmean_table(values, projector, m, plan, params.q, box)
+        table_positions += positions
+        fallback_positions += redone
         cubes_evaluated += plan.cubes_evaluated
         offsets_evaluated += plan.offsets_evaluated
-        table = weight * table if params.p == INF else measure * (weight * table) ** params.p
+        table = weight * table if p == INF else measure * (weight * table) ** p
         if exhaustive:
             table = table[: window.cells[0] - m + 1]
-            val, at = _exhaustive_side(table, m, params.p)
-            found.append((val, m, None, np.asarray([[x + m / 2.0] for x in at]), table[at]))
+            val, at = _exhaustive_side(table, m, p)
+            found.append((m, np.array([val]), (np.asarray([[x + m / 2.0] for x in at]), table[at])))
         else:
-            offset, val, layout, terms = _best_tiling(table, m, plan, params.p)
-            found.append((val, m, offset, layout, terms))
+            sums, R = _tiling_sums(table, m, plan, p)
+            found.append((m, sums if p == INF else sums ** (1.0 / p), (sums, R, plan)))
 
     if not found:
         raise ValueError("search produced no admissible cube")
-    value, side, offset, centers, terms = max(found, key=lambda c: c[0])
-    if offset is not None:  # a tiling: its layout; under p = inf, its first maximal cube
-        centers = _tile_centers(centers, side)
-        if params.p == INF:
-            j = int(np.argmax(terms))
+    i = _first_near_max(np.concatenate([vals for _, vals, _ in found]))
+    for side, vals, picked in found:
+        if i < vals.size:
+            break
+        i -= vals.size
+    if exhaustive:
+        value, offset, (centers, terms) = float(vals[0]), None, picked
+    else:  # a tiling: its layout; under p = inf, its first maximal cube
+        sums, R, plan = picked
+        value = float(sums[i] ** (1.0 if p == INF else 1.0 / p))
+        at = np.unravel_index(i, [len(o) for o, _, _ in plan.axes])
+        pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(plan.axes, at)]
+        terms = R[tuple(f + plan.pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
+        offset = tuple(int(o) for o, _, _ in pick)
+        centers = _tile_centers([(f, k) for _, f, k in pick], side)
+        if p == INF:
+            j = _first_near_max(terms)
             centers, terms = centers[j : j + 1], terms[j : j + 1]
     cubes = [
         {"center": tuple(c), "side": side * h, "term": float(t)}
@@ -403,7 +507,7 @@ def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, nam
     return NormReport(
         name=name,
         value=value,
-        p=params.p,
+        p=p,
         q=params.q,
         s=s,
         alpha=params.alpha,
@@ -413,8 +517,10 @@ def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, nam
         policy=search.policy,
         grid_cells=window.cells,
         diagnostics={
-            "engine": "per-side cube table", "packings": search.packings, "sides": sides,
+            "engine": "per-side " + ("projector" if moments is None else "moment") + " table",
+            "packings": search.packings, "sides": sides,
             "offsets_evaluated": offsets_evaluated, "cubes_evaluated": cubes_evaluated,
+            "table_positions": table_positions, "fallback_positions": fallback_positions,
             "skipped_sides": list(reasons), "skip_reasons": reasons,
         },
     )
@@ -424,7 +530,7 @@ def _exhaustive_side(c, m, p):
     """The best packing of side-m cubes at any cell positions (1-D DP over
     c, the term of the cube at each start cell): its value and start cells."""
     if p == INF:
-        idx = int(np.argmax(c))
+        idx = _first_near_max(c)
         return float(c[idx]), [idx]
     N = len(c) + m - 1
     dp = np.zeros(N + 1)
@@ -512,78 +618,124 @@ def jn_partition_oracle(f: GridFunction, params: NormParams) -> float:
 class _BallPlan(NamedTuple):
     """Geometry of the balls B(y, radius) on one window shape (see _ball_plan)."""
 
+    pad: int  # K: zeros per side of the padded frame
+    runs: tuple  # the ball as runs along the last axis: (leading offsets, half-width) per run
     offsets: np.ndarray  # padded flat offsets of a ball's cells from its (2K+1)^n box corner
     corners: np.ndarray  # per center: padded flat index of its box corner
     inside: np.ndarray  # the padded frame's indicator of window cells, flat
     counts: np.ndarray  # per center: cells of its ball inside the window
-    projector: Projector | None  # on the unclipped ball, relative to its center
-    gram: np.ndarray | None  # per center: Gram matrix on its clipped ball
+    projector: Projector | None  # s >= 1: on the unclipped ball, relative to its center
+    gram: np.ndarray | None  # s >= 1: per center, the Gram matrix on its clipped ball
 
-    def bands(self):
-        """Row bands of at most _BALL_BATCH entries (one center at least): the
-        centers' rows and, per center, the padded flat indices of its ball."""
+    def bands(self, centers=None):
+        """Row bands of at most _BALL_BATCH entries (one center at least) over
+        the given center indices (all by default): the centers' rows and, per
+        center, the padded flat indices of its ball."""
+        corners = self.corners if centers is None else self.corners[centers]
         step = max(1, _BALL_BATCH // self.offsets.size)
-        for lo in range(0, self.corners.size, step):
-            yield slice(lo, lo + step), self.corners[lo : lo + step, None] + self.offsets
+        for lo in range(0, corners.size, step):
+            rows = slice(lo, lo + step) if centers is None else centers[lo : lo + step]
+            yield rows, corners[lo : lo + step, None] + self.offsets
+
+    def sums(self, padded: np.ndarray) -> np.ndarray:
+        """Per stacked array of the padded values (first axis) and center
+        (flat), the sum over the center's ball: the sum of its runs, each
+        read from the sums of every 2w + 1 cells along the last axis at the
+        run's leading offsets."""
+        K, cells = self.pad, tuple(N - 2 * self.pad for N in padded.shape[1:])
+        out = np.zeros(padded.shape[:1] + cells)
+        tables = [padded]
+        for lead, w in self.runs:
+            at = (slice(K + d, K + d + N) for d, N in zip(lead, cells))
+            out += _runs(tables, 2 * w + 1)[(..., *at, slice(K - w, K - w + cells[-1]))]
+        return out.reshape(len(out), -1)
 
 
 @_memo
 def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPlan:
     """The balls of every center on a window of `cells`, which hold no
     values: lattice offsets k with |k| h < radius into the frame padded by
-    K = ceil(radius/h) - 1 zeros per side, the clipped cell counts, and for
-    s not None the clipped Gram stack, checked once here."""
+    K = ceil(radius/h) - 1 zeros per side, the same ball as runs along the
+    last axis, the clipped cell counts, and for s >= 1 the clipped Gram
+    stack, checked once here."""
     n = len(cells)
     K = math.ceil(radius / h) - 1
     grid = grid_points([np.arange(-K, K + 1)] * n)
     offs = grid[(grid**2).sum(axis=1) * h**2 < radius**2]
+    runs: dict[tuple, int] = {}  # leading offsets -> half-width of the ball's run there
+    for *lead, last in offs.tolist():
+        runs[tuple(lead)] = max(runs.get(tuple(lead), 0), last)
     padded = tuple(N + 2 * K for N in cells)
+    inside = _padded(np.ones(cells), K)
     plan = _BallPlan(
+        K,
+        tuple(runs.items()),
         np.ravel_multi_index(tuple((offs + K).T), padded),
         np.ravel_multi_index(tuple(np.indices(cells).reshape(n, -1)), padded),
-        np.pad(np.ones(cells, dtype=bool), K).ravel(),
-        np.empty(math.prod(cells), dtype=int),
-        None if s is None else Projector(offs * h, s, None, radius),
+        inside.ravel() > 0,
+        None,
+        None if not s else Projector(offs * h, s, None, radius),
         None,
     )
-    grams = []
-    for rows, at in plan.bands():
-        keep = plan.inside[at]
-        plan.counts[rows] = keep.sum(axis=1)
-        if s is not None:
-            grams.append(Projector(offs * h, s, None, radius, keep).gram)
-    return plan._replace(gram=np.concatenate(grams) if grams else None)
+    plan = plan._replace(counts=plan.sums(inside[None])[0].astype(int))
+    if not s:
+        return plan
+    grams = [Projector(offs * h, s, None, radius, plan.inside[at]).gram for _, at in plan.bands()]
+    return plan._replace(gram=np.concatenate(grams))
 
 
 def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
     """Per-center q-means over balls B(y, radius), y over all midpoints.
 
-    Returns (qmeans, counts).  Every center reads its ball from the values
-    zero-padded by the plan's K cells, in row bands; a ball clipped by the
-    window edge is projected on the cells it keeps.
+    Returns (qmeans, counts, recomputed), recomputed the number of centers
+    recomputed, or None off the moment route.  Where _moments applies,
+    each ball's sums come from plan.sums of the values zero-padded by the
+    plan's K cells, and the centers _moment_qmeans marks are recomputed.
+    Those, and every center elsewhere, read their balls from the padded
+    values in row bands; a ball clipped by the window edge keeps the cells
+    inside it, and its residual is taken on those cells: for s = 0 by the
+    mean, for s >= 1 through its own Gram matrix.
     """
     window = f.window
     if not (math.isfinite(radius) and radius > 2 * window.h):
         raise ValueError("radius must be finite and exceed 2h")
     plan = _ball_plan(window.cells, window.h, radius, s)
+    moments = _moments(_padded(f.values, plan.pad), s, q)
+    qmeans = np.empty(window.cell_count)
+    redo = None  # centers to read from the padded values: all of them off the moment route
+    if moments is not None:
+        qmeans[:], redo = _moment_qmeans(plan.sums(moments), plan.counts, q)
+        redo = np.flatnonzero(redo)
+        if not redo.size:
+            return qmeans, plan.counts, 0
     vals = np.zeros(plan.inside.size)
     vals[plan.inside] = f.flat
-    qmeans = np.empty(window.cell_count)
-    for rows, at in plan.bands():
-        batch = vals[at]
-        if plan.projector is not None:
-            batch = plan.projector.clipped(plan.inside[at], plan.gram[rows]).residual(batch)
-        qmeans[rows] = _qmean(batch, q, plan.counts[rows])
-    return qmeans, plan.counts
+    center = plan.offsets.size // 2  # the ball's offsets are symmetric: 0 is the middle one
+    for rows, at in plan.bands(redo):
+        batch, keep, counts = vals[at], plan.inside[at], plan.counts[rows]
+        if s == 0:
+            # shifted by the center's value first: the same residual in exact
+            # arithmetic, and exactly 0 for a constant ball
+            batch = (batch - batch[:, center, None]) * keep
+            batch = (batch - (batch.sum(axis=1) / counts)[:, None]) * keep
+        elif s is not None:
+            batch = plan.projector.clipped(keep, plan.gram[rows]).residual(batch)
+        qmeans[rows] = _qmean(batch, q, counts)
+    return qmeans, plan.counts, None if redo is None else redo.size
 
 
 def _ball_aggregate(f: GridFunction, params: NormParams, s, radii, name) -> NormReport:
-    """Shared engine, as _cube_norm (s None: Riesz-Morrey); the first radius of largest value wins."""
+    """Shared engine, as _cube_norm (s None: Riesz-Morrey); the radius, in
+    the given order, is the one _first_near_max picks."""
     window = f.window
     hn = window.cell_measure
     per_radius, offsets, clipped = {}, {}, {}
+    table_positions = fallback_positions = 0
     for r in map(float, radii):
-        qmeans, counts = _ball_sweep(f, r, s, params.q)
+        qmeans, counts, redone = _ball_sweep(f, r, s, params.q)
+        if redone is not None:
+            table_positions += qmeans.size
+            fallback_positions += redone
         meas = counts * hn
         terms = meas ** (-params.alpha) * qmeans if params.alpha != 0 else qmeans
         if params.p == INF:
@@ -595,7 +747,7 @@ def _ball_aggregate(f: GridFunction, params: NormParams, s, radii, name) -> Norm
         clipped[r] = int(np.count_nonzero(counts < offsets[r]))
     if not per_radius:
         raise ValueError("a ball seminorm needs at least one radius")
-    best_r = max(per_radius, key=per_radius.get)
+    best_r = list(per_radius)[_first_near_max(list(per_radius.values()))]
     return NormReport(
         name=name,
         value=per_radius[best_r],
@@ -609,8 +761,9 @@ def _ball_aggregate(f: GridFunction, params: NormParams, s, radii, name) -> Norm
         policy="restrict",
         grid_cells=window.cells,
         diagnostics={
-            "engine": "zero-padded ball sweep", "per_radius": per_radius,
+            "engine": ("projector" if redone is None else "moment") + " ball sweep", "per_radius": per_radius,
             "centers": "all cell midpoints", "offsets": offsets, "clipped_centers": clipped,
+            "table_positions": table_positions, "fallback_positions": fallback_positions,
         },
     )
 
@@ -628,52 +781,3 @@ def amalgam_norm(f: GridFunction, p: float, q: float, r: float) -> float:
     """Wiener-amalgam style norm: l^p over centers of ball L^q means, which
     is the Riesz-Morrey ball seminorm at alpha = 0 and the one radius r."""
     return rm_ball_seminorm(f, p, q, 0.0, [r]).value
-
-
-@dataclass
-class TailDiagnostic:
-    lhs: float
-    rhs: float
-    ratio: float
-    jn_value: float
-    hypothesis_violations: list
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return not self.hypothesis_violations
-
-
-def tail_integral_check(
-    f: GridFunction,
-    ball: Ball,
-    s: int,
-    beta: float,
-    params: NormParams,
-    search: SearchConfig | None = None,
-) -> TailDiagnostic:
-    """Decay of the projected tail integral against the cube-norm bound.
-
-    lhs = sum over window cells outside the ball of
-    |f - P_B f| / |x - y|^(n + beta) h^n; rhs is
-    r^(-n/p - beta + alpha n) times the cube norm.
-    """
-    window = f.window
-    n = window.n
-    violations = []
-    if not beta > s:
-        violations.append("beta must exceed s")
-    inv_p = 0.0 if params.p == INF else 1.0 / params.p
-    if not params.alpha < inv_p + beta / n:
-        violations.append("alpha must be < 1/p + beta/n")
-    P = moment_projection(f, ball, s)
-    pts = window.midpoints()
-    resid = np.abs(f.flat - P(pts))
-    outside = ~region_mask(window, ball)
-    d = np.linalg.norm(pts - np.asarray(ball.center), axis=1)
-    lhs = float(
-        (resid[outside] / d[outside] ** (n + beta)).sum() * window.cell_measure
-    )
-    jn = jn_con_norm(f, params, search).value
-    rhs = ball.radius ** (-n * inv_p - beta + params.alpha * n) * jn
-    ratio = lhs / rhs if rhs > 0 else INF
-    return TailDiagnostic(lhs, rhs, ratio, jn, violations)
