@@ -10,7 +10,6 @@ from .lattice import (
     Window,
     annulus,
     average,
-    double_shell,
     integrate,
     lq_norm,
     moments,
@@ -21,17 +20,12 @@ from .polyproj import (
     ConditioningError,
     Polynomial,
     Projector,
-    dual_basis,
     moment_projection,
     multi_indices,
-    orthonormal_basis,
-    sup_poly_norm,
 )
 from .spaces import (
     NormParams,
-    PartitionSpec,
     SearchConfig,
-    partition,
     amalgam_norm,
     jn_ball_seminorm,
     jn_con_norm,
@@ -61,7 +55,6 @@ from .hardy import (
     MoleculeRecord,
     ParameterError,
     ZeroAtomError,
-    abel_transform,
     decompose_molecule,
     epsilon_window,
     hk_upper_bound,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all declared properties hold, 2 a property was violated,
-3 configuration error.
+3 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -174,8 +174,17 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if result.passed else EXIT_PROPERTY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a bad value, a missing option, an unknown command) exit
+    EXIT_CONFIG, not argparse's 2, which here means a violated property."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="jnlab", description=__doc__)
+    parser = _Parser(prog="jnlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p):

@@ -52,7 +52,6 @@ __all__ = [
     "repair_moments",
     "epsilon_window",
     "EpsilonWindow",
-    "abel_transform",
     "decompose_molecule",
     "DecompositionReport",
     "DecompositionAtom",
@@ -414,8 +413,8 @@ def epsilon_window(p, q, s, alpha, delta, n) -> EpsilonWindow:
     intersect with (0, 1).
     """
     p, q, alpha, delta = (_as_fraction(v) for v in (p, q, alpha, delta))
-    s = int(s)
-    n = int(n)
+    s = whole_number(s, "s")
+    n = whole_number(n, "n", 1)
     if q <= 1 or p <= 1:
         raise ParameterError("p and q must exceed 1")
     c = 1 / q - 1 / p - alpha
@@ -431,17 +430,6 @@ def epsilon_window(p, q, s, alpha, delta, n) -> EpsilonWindow:
     if lo <= 0:
         lo = Fraction(0)
     return EpsilonWindow(lo, hi, violations)
-
-
-def abel_transform(a, b, k: int):
-    """Summation by parts: both sides of
-    sum_{j=1..k} a_j b_j = a_k sum b_j - sum_{j<k} (prefix b)(a_{j+1}-a_j)."""
-    if len(a) < k or len(b) < k:
-        raise ValueError("need at least k terms in both sequences")
-    lhs = sum(a[j] * b[j] for j in range(k))
-    prefix = list(np.cumsum(b[:k]))
-    rhs = a[k - 1] * prefix[k - 1] - sum(prefix[j] * (a[j + 1] - a[j]) for j in range(k - 1))
-    return lhs, rhs
 
 
 def pairing(g: GridFunction, f: GridFunction) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "Annulus",
     "Region",
     "annulus",
-    "double_shell",
     "check_packing",
     "region_mask",
     "region_cells",
@@ -255,10 +254,6 @@ class Cube:
             inside = inside & (x >= c - self.side / 2.0) & (x < c + self.side / 2.0)
         return inside
 
-    def bounding_box(self):
-        c = np.asarray(self.center)
-        return c - self.side / 2.0, c + self.side / 2.0
-
     def dilate(self, lam: float) -> "Cube":
         return Cube(self.center, lam * self.side)
 
@@ -293,13 +288,6 @@ class Ball:
 
     def grid_contains(self, axes) -> np.ndarray:
         return sum((x - c) * (x - c) for x, c in zip(axes, self.center)) < self.radius**2
-
-    def bounding_box(self):
-        c = np.asarray(self.center)
-        return c - self.radius, c + self.radius
-
-    def dilate(self, lam: float) -> "Ball":
-        return Ball(self.center, lam * self.radius)
 
 
 @dataclass(frozen=True)
@@ -339,9 +327,6 @@ class Annulus:
     def grid_contains(self, axes) -> np.ndarray:
         return self.outer.grid_contains(axes) & ~self.inner.grid_contains(axes)
 
-    def bounding_box(self):
-        return self.outer.bounding_box()
-
 
 # Every region has contains(pts), the pointwise membership of points of shape
 # (..., n), and grid_contains(axes), the same rule on the product grid of
@@ -355,11 +340,6 @@ def annulus(z, r: float, j: int) -> Region:
     if j == 0:
         return Cube(tuple(np.atleast_1d(z)), r)
     return Annulus(tuple(np.atleast_1d(z)), r, j)
-
-
-def double_shell(cube: Cube) -> Annulus:
-    """The shell 2Q minus Q of a cube, as the level-1 annulus."""
-    return Annulus(cube.center, cube.side, 1)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import EmptyRegionError, GridFunction, Region, Window, monomials, region_cells
+from .lattice import EmptyRegionError, GridFunction, Region, Window, monomials, region_cells, whole_number
 
 __all__ = [
     "MAX_DEGREE",
@@ -32,9 +32,6 @@ __all__ = [
     "Polynomial",
     "Projector",
     "moment_projection",
-    "sup_poly_norm",
-    "orthonormal_basis",
-    "dual_basis",
     "space_dimension",
 ]
 
@@ -136,6 +133,9 @@ class Projector:
     """
 
     def __init__(self, pts: np.ndarray, s: int, anchor=None, scale: float = 1.0, keep=None):
+        s = whole_number(s, "degree s")
+        if s > MAX_DEGREE:
+            raise ValueError(f"degree s must be at most {MAX_DEGREE}, the degree cap, got {s}")
         pts = np.asarray(pts, dtype=float)
         self.n, self.s = pts.shape[1], s
         self.anchor = (0.0,) * self.n if anchor is None else tuple(anchor)
@@ -210,30 +210,3 @@ def moment_projection(f: GridFunction, region: Region, s: int) -> Polynomial:
     proj, cells = Projector.on_region(f.window, region, s)
     return proj.polynomial(proj.coefficients(f.flat[cells]))
 
-
-def sup_poly_norm(P: Polynomial, region: Region, pitch: float) -> float:
-    """Max |P| over midpoints of a pitch-h lattice covering the region."""
-    lo, hi = (np.atleast_1d(b) for b in region.bounding_box())
-    axes = [
-        lo[a] + (np.arange(max(int(math.ceil((hi[a] - lo[a]) / pitch)), 1)) + 0.5) * pitch
-        for a in range(P.n)
-    ]
-    inside = region.grid_contains(np.ix_(*axes))
-    if not inside.any():
-        raise EmptyRegionError("no lattice midpoint falls in the region")
-    pts = np.stack([x[i] for x, i in zip(axes, np.nonzero(inside))], axis=1)
-    return float(np.abs(P(pts)).max())
-
-
-def orthonormal_basis(window: Window, region: Region, s: int) -> list[Polynomial]:
-    """Gram-Schmidt orthonormal polynomials on E with weight 1/|E|.
-
-    Ordered like :func:`multi_indices`; span equals the degree-s space on E.
-    """
-    return Projector.on_region(window, region, s)[0].bases()[0]
-
-
-def dual_basis(window: Window, region: Region, s: int) -> list[Polynomial]:
-    """Polynomials psi_nu with (1/|E|) int_E psi_nu1 x^nu2 = delta_{nu1,nu2},
-    from :meth:`Projector.bases` on the cells of E."""
-    return Projector.on_region(window, region, s)[0].bases()[1]

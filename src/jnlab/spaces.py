@@ -24,17 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import (
-    Cube, GridFunction, Window, _memo, _real_number, check_packing, grid_points, whole_number,
-)
+from .lattice import GridFunction, Window, _memo, _real_number, grid_points, whole_number
 from .polyproj import MAX_DEGREE, ConditioningError, Projector, space_dimension
 
 __all__ = [
     "NormParams",
     "SearchConfig",
     "NormReport",
-    "PartitionSpec",
-    "partition",
     "jn_con_norm",
     "rm_con_norm",
     "jn_partition_oracle",
@@ -156,18 +152,19 @@ class NormReport:
     alpha: float
     argmax_side: float | None
     argmax_offset: tuple | None
-    cubes: list = field(default_factory=list)  # dicts: center, side, term
+    # the reported tiling's k cubes of side argmax_side: centers (k, n), terms (k,)
+    centers: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    terms: np.ndarray = field(default_factory=lambda: np.empty(0))
     policy: str = "restrict"
     grid_cells: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
     def recompute(self) -> float:
-        terms = np.asarray([c["term"] for c in self.cubes], dtype=float)
-        if terms.size == 0:
+        if self.terms.size == 0:
             return 0.0
         if self.p == INF:
-            return float(terms.max())
-        return float(terms.sum() ** (1.0 / self.p))
+            return float(self.terms.max())
+        return float(self.terms.sum() ** (1.0 / self.p))
 
     def csv_row(self) -> dict:
         off = self.argmax_offset
@@ -183,40 +180,6 @@ class NormReport:
             "grid_cells": "x".join(str(c) for c in self.grid_cells),
             "policy": self.policy,
         }
-
-
-@dataclass
-class PartitionSpec:
-    """One congruent tiling of the window: side, offset phase, cube list.
-
-    Cubes are congruent and interior pairwise disjoint; under ``restrict``
-    every cube lies fully inside the window, under ``zero-extend`` partial
-    boundary cubes are kept.
-    """
-
-    side: float
-    offset: tuple
-    cubes: list
-    policy: str
-
-    def __post_init__(self):
-        if not self.cubes:
-            raise ValueError("a partition needs at least one cube")
-        check_packing(self.cubes, self.side, "partition")
-
-
-def partition(window: Window, side_cells: int, offset, policy: str = "restrict") -> PartitionSpec:
-    """The maximal congruent tiling of the window at one (side, offset)."""
-    offset = tuple(int(o) for o in np.atleast_1d(offset))
-    if len(offset) != window.n or any(not 0 <= o < side_cells for o in offset):
-        raise ValueError("offset must have one entry per axis in [0, side_cells)")
-    layout = [_tiling_layout(N, side_cells, o, policy) for N, o in zip(window.cells, offset)]
-    if min(k for _, k in layout) <= 0:
-        raise ValueError("no cube of this side fits the window at this offset")
-    h = window.h
-    lower = np.asarray(window.lower)
-    cubes = [Cube(tuple(lower + c * h), side_cells * h) for c in _tile_centers(layout, side_cells)]
-    return PartitionSpec(side_cells * h, offset, cubes, policy)
 
 
 def _qmean(resid: np.ndarray, q: float, counts=None) -> np.ndarray:
@@ -500,10 +463,6 @@ def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, nam
         if p == INF:
             j = _first_near_max(terms)
             centers, terms = centers[j : j + 1], terms[j : j + 1]
-    cubes = [
-        {"center": tuple(c), "side": side * h, "term": float(t)}
-        for c, t in zip(np.asarray(window.lower) + centers * h, terms)
-    ]
     return NormReport(
         name=name,
         value=value,
@@ -513,7 +472,8 @@ def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, nam
         alpha=params.alpha,
         argmax_side=side * h,
         argmax_offset=offset,
-        cubes=cubes,
+        centers=np.asarray(window.lower) + centers * h,
+        terms=np.array(terms, dtype=float),
         policy=search.policy,
         grid_cells=window.cells,
         diagnostics={
@@ -757,7 +717,6 @@ def _ball_aggregate(f: GridFunction, params: NormParams, s, radii, name) -> Norm
         alpha=params.alpha,
         argmax_side=best_r,
         argmax_offset=None,
-        cubes=[],
         policy="restrict",
         grid_cells=window.cells,
         diagnostics={

@@ -19,7 +19,7 @@ from jnlab.lattice import (
     region_mask,
     region_measure,
 )
-from jnlab.polyproj import Projector, dual_basis, multi_indices
+from jnlab.polyproj import Projector, multi_indices
 from jnlab.spaces import NormParams, jn_con_norm
 from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose
 from jnlab.hardy import (
@@ -30,7 +30,6 @@ from jnlab.hardy import (
     ZeroAtomError,
     _annulus_level,
     _annulus_levels,
-    abel_transform,
     decompose_molecule,
     epsilon_window,
     hk_upper_bound,
@@ -117,6 +116,11 @@ def test_epsilon_window_errors_and_violations():
         epsilon_window(2, 2, 0, Fraction(-1, 4), 1, 1)
     win = epsilon_window(2, 2, 0, 3, 1, 1)  # alpha >= (s + delta)/n
     assert win.violations
+    # s and n are whole numbers (whole_number), never truncated
+    assert epsilon_window(2, 2, 1.0, Fraction(1, 4), 1, 2.0) == epsilon_window(2, 2, 1, Fraction(1, 4), 1, 2)
+    for s, n in ((1.5, 1), (-1, 1), (0, 0), (0, 1.5)):
+        with pytest.raises(ValueError, match="integer"):
+            epsilon_window(2, 2, s, Fraction(1, 4), 1, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,22 +145,6 @@ def test_epsilon_window_random_draws(seed):
     assert (1 / eps) * c + inv_q_conj + Fraction(s, n) < 0
     assert -inv_q_conj - (s + delta) / Fraction(n) <= (1 / eps) * c
     assert 0 < eps < 1
-
-
-def test_abel_transform():
-    lhs, rhs = abel_transform([1, 2, 3], [1, 1, 1], 3)
-    assert lhs == 6 and rhs == 6
-    lhs, rhs = abel_transform([5, -2, 7], [0, 0, 0], 3)
-    assert lhs == 0 and rhs == 0
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        k = int(rng.integers(1, 9))
-        a = [int(v) for v in rng.integers(-9, 10, size=k)]
-        b = [int(v) for v in rng.integers(-9, 10, size=k)]
-        lhs, rhs = abel_transform(a, b, k)
-        assert lhs == rhs
-    with pytest.raises(ValueError):
-        abel_transform([1], [1, 2], 2)
 
 
 def test_atom_is_molecule_for_every_epsilon():
@@ -401,17 +389,6 @@ def test_molecule_parameter_guards():
         validate_molecule(a.values, cube, PARAMS, 1.5, 2)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
-    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
-)
-def test_abel_transform_property(a, b):
-    k = min(len(a), len(b))
-    lhs, rhs = abel_transform(a, b, k)
-    assert lhs == rhs
-
-
 def test_epsilon_window_empty_midpoint():
     # alpha large enough that the window collides with (0, 1) and empties
     win = epsilon_window(2, 2, 0, 10, 1, 1)
@@ -542,7 +519,8 @@ def test_ladder_levels_partition_and_match_dual_basis():
         region = annulus(cube.center, cube.side, j)
         assert np.array_equal(cells, np.flatnonzero(region_mask(w, region)))  # sorted: row-major order
         assert measure == region_measure(w, region)
-        expect = [psi(pts[region_mask(w, region)]) for psi in dual_basis(w, region, params.s)]
+        psis = Projector.on_region(w, region, params.s)[0].bases()[1]
+        expect = [psi(pts[region_mask(w, region)]) for psi in psis]
         assert len(duals) == len(expect) == 3
         assert all(np.array_equal(a, b) for a, b in zip(duals, expect))
 

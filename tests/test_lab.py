@@ -182,6 +182,29 @@ def test_cli_library_errors_exit_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_usage_errors_exit_config(tmp_path, capsys):
+    # argparse's own code is 2, which here means a violated property
+    path = tmp_path / "f.json"
+    GridFunction.zeros(Window(1, (0.0,), (1.0,), (16,))).save(path)
+    for argv, named in (
+        (["norm", "--function", str(path), "--s", "1.5"], "argument --s"),
+        (["bogus"], "'bogus'"),
+        (["norm"], "--function"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3, argv
+        err = capsys.readouterr().err
+        assert "usage: jnlab" in err and named in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "--help"])
+    assert exc.value.code == 0
+    # a degree outside [0, 4] is named before any projection runs
+    for s in ("-1", "5"):
+        assert cli.main(["project", "--function", str(path), "--region", "cube:0.5:0.5", "--s", s]) == 3
+        assert "degree s" in capsys.readouterr().err
+
+
 def test_cli_atom_roundtrip(tmp_path):
     out = tmp_path / "atom.json"
     rc = cli.main([

@@ -16,7 +16,6 @@ from jnlab.lattice import (
     Window,
     annulus,
     average,
-    double_shell,
     integrate,
     lq_norm,
     whole_number,
@@ -123,8 +122,7 @@ def test_annulus_conventions():
     assert a.contains(np.array([[0.75]]))[0]
     assert not a.contains(np.array([[0.25]]))[0]
     assert not a.contains(np.array([[1.25]]))[0]
-    shell = double_shell(Cube((0.0,), 1.0))
-    assert shell.level == 1 and shell.base_side == 1.0
+    assert a.level == 1 and a.base_side == 1.0
 
 
 def test_annuli_disjoint_and_telescoping():

@@ -11,13 +11,10 @@ from jnlab.polyproj import (
     ConditioningError,
     Polynomial,
     Projector,
-    dual_basis,
     index_factorial,
     moment_projection,
     multi_indices,
-    orthonormal_basis,
     space_dimension,
-    sup_poly_norm,
 )
 
 
@@ -132,11 +129,15 @@ def test_projection_errors():
     f = GridFunction.from_callable(w, lambda x: x)
     with pytest.raises(ConditioningError):
         moment_projection(f, Cube((0.5,), w.h * 1.5), 2)  # 1 cell, dim 3
+    # the degree is a whole number in [0, MAX_DEGREE], checked before any work
+    for s in (-1, 5, 1.5):
+        with pytest.raises(ValueError, match="degree s"):
+            Projector(np.zeros((0, 1)), s)
 
 
 def test_orthonormal_basis_legendre():
     w = Window(1, (-1.0,), (1.0,), (4096,))
-    basis = orthonormal_basis(w, Cube((0.0,), 2.0), 1)
+    basis = Projector.on_region(w, Cube((0.0,), 2.0), 1)[0].bases()[0]
     raw0 = basis[0].raw_coeffs()
     raw1 = basis[1].raw_coeffs()
     assert raw0.get((0,), 0.0) == pytest.approx(1.0, abs=1e-10)
@@ -147,7 +148,7 @@ def test_orthonormal_basis_legendre():
 def test_orthonormal_basis_gram_identity():
     w = Window(2, (0.0, 0.0), (1.0, 1.0), (24, 24))
     region = Ball((0.5, 0.5), 0.45)
-    basis = orthonormal_basis(w, region, 2)
+    basis = Projector.on_region(w, region, 2)[0].bases()[0]
     mask = region_mask(w, region)
     pts = w.midpoints()[mask]
     count = pts.shape[0]
@@ -157,14 +158,14 @@ def test_orthonormal_basis_gram_identity():
 
 def test_orthonormal_basis_order_zero():
     w = Window(1, (0.0,), (1.0,), (16,))
-    basis = orthonormal_basis(w, Cube((0.5,), 1.0), 0)
+    basis = Projector.on_region(w, Cube((0.5,), 1.0), 0)[0].bases()[0]
     assert len(basis) == 1
     assert basis[0].raw_coeffs()[(0,)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dual_basis_line():
     w = Window(1, (-1.0,), (1.0,), (4096,))
-    duals = dual_basis(w, Cube((0.0,), 2.0), 1)
+    duals = Projector.on_region(w, Cube((0.0,), 2.0), 1)[0].bases()[1]
     assert duals[0].raw_coeffs().get((0,), 0.0) == pytest.approx(1.0, abs=1e-8)
     assert duals[1].raw_coeffs().get((1,), 0.0) == pytest.approx(3.0, abs=1e-6)
 
@@ -172,7 +173,7 @@ def test_dual_basis_line():
 def test_dual_basis_pairing_delta():
     w = Window(2, (-1.0, -1.0), (1.0, 1.0), (20, 20))
     region = Cube((0.0, 0.0), 1.6)
-    duals = dual_basis(w, region, 1)
+    duals = Projector.on_region(w, region, 1)[0].bases()[1]
     gammas = multi_indices(2, 1)
     mask = region_mask(w, region)
     pts = w.midpoints()[mask]
@@ -191,24 +192,13 @@ def test_dual_basis_matches_orthonormal_expansion():
     # psi_nu = sum_gamma m[gamma, nu] phi_gamma where phi_nu = sum m[nu, gamma] x^gamma
     w = Window(1, (0.0,), (4.0,), (64,))
     region = Cube((2.0,), 3.0)
-    phis = orthonormal_basis(w, region, 2)
-    duals = dual_basis(w, region, 2)
+    phis, duals = Projector.on_region(w, region, 2)[0].bases()
     gammas = multi_indices(1, 2)
     m = np.array([[p.raw_coeffs().get(g, 0.0) for g in gammas] for p in phis])
     pts = w.midpoints()
     for nu_idx in range(len(gammas)):
         recon = sum(m[g_idx, nu_idx] * phis[g_idx](pts) for g_idx in range(len(gammas)))
         assert np.max(np.abs(recon - duals[nu_idx](pts))) <= 1e-8 * max(1.0, np.max(np.abs(recon)))
-
-
-def test_projector_bases_are_the_module_bases():
-    # orthonormal_basis and dual_basis read the bases of the projector on E
-    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (24, 24))
-    for region, s in ((annulus((0.1, -0.05), 0.4, 2), 2), (Ball((0.2, 0.1), 0.6), 1), (Cube((0.0, 0.0), 1.0), 0)):
-        phis, psis = Projector.on_region(w, region, s)[0].bases()
-        assert phis == orthonormal_basis(w, region, s)
-        assert psis == dual_basis(w, region, s)
-        assert len(phis) == len(psis) == len(multi_indices(2, s))
 
 
 def test_dual_basis_annulus_decay():
@@ -218,48 +208,13 @@ def test_dual_basis_annulus_decay():
     c0 = 0.0
     for j in range(1, 5):
         region = annulus((0.0,), r, j)
-        duals = dual_basis(w, region, 1)
+        duals = Projector.on_region(w, region, 1)[0].bases()[1]
         mask = region_mask(w, region)
         pts = w.midpoints()[mask]
         for nu_idx, nu in enumerate(multi_indices(1, 1)):
             sup = float(np.max(np.abs(duals[nu_idx](pts))))
             c0 = max(c0, sup * (2.0 ** (j - 1) * r) ** sum(nu))
     assert np.isfinite(c0) and c0 <= 100.0
-
-
-def test_sup_poly_norm_basics():
-    P3 = Polynomial(1, 0, (0.0,), 1.0, {(0,): 3.0})
-    assert sup_poly_norm(P3, Cube((0.0,), 2.0), 0.01) == pytest.approx(3.0)
-    Px = Polynomial(1, 1, (0.0,), 1.0, {(0,): 0.0, (1,): 1.0})
-    h = 2.0 / 64
-    val = sup_poly_norm(Px, Cube((0.0,), 2.0), h)
-    assert abs(val - 1.0) <= h / 2 + 1e-12
-
-
-def test_sup_poly_norm_dilation_scaling():
-    # one global measured constant C covers sup(lambda B) <= C lambda^deg sup(B)
-    # for every generated polynomial and lambda in {2, 4}
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(20):
-        deg = int(rng.integers(0, 3))
-        coeffs = {g: rng.uniform(-1, 1) for g in multi_indices(1, deg)}
-        P = Polynomial(1, deg, (0.3,), 1.0, coeffs)
-        ball = Ball((0.3,), 1.0)
-        base = sup_poly_norm(P, ball, 0.01)
-        d = max(sum(g) for g, c in P.coeffs.items() if abs(c) > 1e-14)
-        for lam in (2.0, 4.0):
-            big = sup_poly_norm(P, ball.dilate(lam), 0.01)
-            worst = max(worst, big / (lam**d * base))
-    # the constant is measured, not pinned; degree <= 2 stays well under 8
-    assert np.isfinite(worst) and worst <= 8.0
-
-
-def test_sup_poly_norm_specific_linear_dilation():
-    Px = Polynomial(1, 1, (0.0,), 1.0, {(1,): 1.0})
-    ball = Ball((0.0,), 1.0)
-    c = sup_poly_norm(Px, ball.dilate(2.0), 0.01) / (2.0 * sup_poly_norm(Px, ball, 0.01))
-    assert c <= 1.1
 
 
 def test_projection_stability_constant():

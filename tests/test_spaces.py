@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jnlab import lattice
-from jnlab.lattice import Ball, Cube, GridFunction, Window, region_mask
+from jnlab.lattice import Ball, Cube, GridFunction, Window, check_packing, region_mask
 from jnlab.polyproj import MAX_DEGREE, ConditioningError, Polynomial, Projector
 from jnlab.spaces import (
     NormParams,
@@ -406,26 +406,6 @@ def test_2d_norms_smoke():
     assert ball.value > 0
 
 
-def test_partition_spec():
-    from jnlab.spaces import PartitionSpec, partition
-
-    w = Window(1, (0.0,), (1.0,), (8,))
-    p = partition(w, 2, (1,))
-    assert len(p.cubes) == 3  # cells [1,3), [3,5), [5,7)
-    assert all(abs(c.side - 2 * w.h) < 1e-15 for c in p.cubes)
-    # zero-extend keeps the partial boundary cubes and covers every cell
-    p2 = partition(w, 3, (2,), policy="zero-extend")
-    assert len(p2.cubes) == 3
-    covered = np.zeros(8, dtype=bool)
-    for c in p2.cubes:
-        covered |= region_mask(w, c)
-    assert covered.all()
-    with pytest.raises(ValueError):
-        partition(w, 2, (5,))
-    with pytest.raises(ValueError):
-        PartitionSpec(0.25, (0,), [Cube((0.125,), 0.25), Cube((0.2,), 0.25)], "restrict")
-
-
 def test_jn_norm_q_infinity_branch():
     # q = inf uses the per-cube sup of the projected residual
     w = Window(1, (0.0,), (1.0,), (16,))
@@ -733,7 +713,7 @@ def test_constant_gives_zero_through_the_fallback(n):
     f = GridFunction(w, np.full(cells, 0.1))  # no power of two: the sums round
     params = NormParams(2.0, 2.0, 0, 0.1)
     rep = jn_con_norm(f, params)
-    assert rep.value == 0.0 and all(c["term"] == 0.0 for c in rep.cubes)
+    assert rep.value == 0.0 and not rep.terms.any()
     d = rep.diagnostics
     assert d["engine"] == "per-side moment table"
     assert d["fallback_positions"] == d["table_positions"] > 0
@@ -991,8 +971,8 @@ def test_engine_reports_the_reference_tiling_on_dyadic_defaults(n, policy, p, q,
     assert rep.argmax_side == side * w.h
     assert rep.argmax_offset == offset
     lower = np.asarray(w.lower)
-    assert [c["center"] for c in rep.cubes] == [tuple(lower + c * w.h) for c in centers]
-    got = np.asarray([c["term"] for c in rep.cubes])
+    assert np.array_equal(rep.centers, lower + centers * w.h)
+    got = rep.terms
     # the projection's matrix product sees other batch shapes than the
     # per-offset loop, and box sums add in another order than a cube's
     # own sum, so terms move at roundoff on both routes; only s = None at
@@ -1092,7 +1072,7 @@ def test_search_config_rejects_fractional_sides():
 
 
 def _pairwise_overlap(centers, side):
-    """The double loop the partition check replaced."""
+    """The double loop the packing check replaced."""
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if np.all(np.abs(np.asarray(centers[i]) - np.asarray(centers[j])) < side * (1 - 1e-12)):
@@ -1103,33 +1083,29 @@ def _pairwise_overlap(centers, side):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 2), st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=24))
 def test_partition_overlap_rule_matches_pairwise_loop(n, starts):
-    from jnlab.spaces import PartitionSpec
-
     side = 0.25
     centers = sorted({tuple(0.125 * np.asarray(st_[:n]) + side / 2) for st_ in starts})
     cubes = [Cube(c, side) for c in centers]
     if _pairwise_overlap(centers, side):
         with pytest.raises(ValueError, match="disjoint"):
-            PartitionSpec(side, (0,) * n, cubes, "restrict")
+            check_packing(cubes, side, "tiling")
     else:
-        PartitionSpec(side, (0,) * n, cubes, "restrict")
+        check_packing(cubes, side, "tiling")
 
 
 def test_partition_of_many_cubes_is_fast():
     import time
 
-    from jnlab.spaces import PartitionSpec, partition
-
-    w = Window(2, (0.0, 0.0), (1.0, 1.0), (64, 64))
+    # the 1,024 side-2 cubes that tile a 64 x 64 window at offset 0
+    side = 2 / 64
+    cubes = [Cube(tuple(side * (np.asarray(ij) + 0.5)), side) for ij in np.ndindex(32, 32)]
     start = time.perf_counter()
-    spec = partition(w, 2, (0, 0))
+    check_packing(cubes, side, "tiling")
     assert time.perf_counter() - start < 0.5
-    assert len(spec.cubes) == 1024
-    overlapping = spec.cubes + [Cube((0.5, 0.5), 2 * w.h)]
     with pytest.raises(ValueError, match="disjoint"):
-        PartitionSpec(spec.side, (0, 0), overlapping, "restrict")
+        check_packing(cubes + [Cube((0.5, 0.5), side)], side, "tiling")
     with pytest.raises(ValueError, match="congruent"):
-        PartitionSpec(spec.side, (0, 0), spec.cubes[:-1] + [Cube((0.99, 0.99), w.h)], "restrict")
+        check_packing(cubes[:-1] + [Cube((0.99, 0.99), side / 2)], side, "tiling")
 
 
 def test_first_maximal_offset_under_rounding_ties():
@@ -1182,4 +1158,4 @@ def test_first_maximal_cube_under_exact_ties(policy):
         value, _, offset, centers, _ = per_offset_search(f, INF, 2.0, s, 0.0, search)
         rep = _engine_search(f, INF, 2.0, s, 0.0, search)
         assert rep.argmax_offset == offset
-        assert rep.cubes[0]["center"] == tuple(np.asarray(w.lower) + centers[0] * w.h)
+        assert np.array_equal(rep.centers[0], np.asarray(w.lower) + centers[0] * w.h)
