@@ -30,6 +30,7 @@ from .spaces import (
     jn_ball_seminorm,
     jn_con_norm,
     jn_partition_oracle,
+    norm_pair,
     rm_ball_seminorm,
     rm_con_norm,
 )

@@ -23,9 +23,8 @@ from .spaces import (
     NormParams,
     SearchConfig,
     amalgam_norm,
-    jn_ball_seminorm,
     jn_con_norm,
-    rm_ball_seminorm,
+    norm_pair,
     rm_con_norm,
 )
 from .czkernel import (
@@ -410,17 +409,13 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
     """Ball-seminorm/cube-norm ratio bracket for both norm flavors."""
     window = config.build_window()
     params = config.build_params()
-    search = SearchConfig()
     bracket = config.tol("bracket")
-    p, q, alpha = params.p, params.q, params.alpha
 
     def pairs(f):
         h, span = f.window.h, f.window.span
         radii = config.radii or [h * 2**k for k in range(2, 7) if h * 2**k < span]
-        jn_den = jn_con_norm(f, params, search).value
-        jn = (jn_ball_seminorm(f, params, radii).value, jn_den)
-        rm_den = rm_con_norm(f, p, q, alpha, search).value
-        return jn, (rm_ball_seminorm(f, p, q, alpha, radii).value, rm_den)
+        norms = norm_pair(f, params, radii=radii)
+        return tuple((norms[f"{name}_ball"].value, norms[f"{name}_con"].value) for name in ("jn", "rm"))
 
     base = _family_ratios(config, window, params, pairs)
     rows = [

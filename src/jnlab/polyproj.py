@@ -120,7 +120,8 @@ class Projector:
     """Degree-s moment projection on one fixed set of points.
 
     The design matrix ``phi`` holds the monomials ((x - anchor)/scale)^gamma
-    at the points.  Its Gram matrix is checked once against COND_LIMIT and
+    at the points.  Its Gram matrix is checked once against COND_LIMIT (the
+    largest condition number stays as ``condition``) and
     solved once against phi^T; every projection after that is a product with
     the stored solution.  Rows of a batch are functions sampled at the
     points, so congruent cubes share one projector.
@@ -154,6 +155,7 @@ class Projector:
             raise ConditioningError(
                 f"monomial Gram condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}"
             )
+        self.condition = float(np.max(cond))
         # coefficients of a row b are gram^-1 phi^T b, solved here once or per masked row
         self._solved = np.linalg.solve(self.gram, self.phi.T) if keep is None else self.phi.T
 

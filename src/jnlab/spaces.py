@@ -37,6 +37,7 @@ __all__ = [
     "jn_ball_seminorm",
     "rm_ball_seminorm",
     "amalgam_norm",
+    "norm_pair",
 ]
 
 INF = math.inf
@@ -44,6 +45,7 @@ _BALL_BATCH = 1 << 18  # ball entries (centers x offsets) per row band
 _TABLE_BATCH = 1 << 14  # cube entries (cubes x cells per cube) per projection batch
 _TIE_RTOL = 1e-12  # candidates this close to the largest value tie (see _first_near_max)
 _FALLBACK_RATIO = 1e-6  # residual energy / energy at or below which box sums are not trusted
+_CUBE_COUNTS = ("offsets_evaluated", "cubes_evaluated", "table_positions", "fallback_positions")
 
 
 def conjugate(p: float) -> float:
@@ -200,15 +202,30 @@ def _first_near_max(values) -> int:
     return int(np.argmax(values >= values.max() * (1 - _TIE_RTOL)))
 
 
-def _moments(values: np.ndarray, s, q):
-    """The arrays whose box sums give every cube or ball q-mean at (s, q),
-    stacked on a new first axis, or None where the projector route runs:
-    |f|^q for s = None at finite q, f and f^2 for s = 0 at q = 2."""
-    if s is None and q != INF:
-        return np.abs(values)[None] ** q
-    if s == 0 and q == 2:
-        return np.stack([values, values * values])
-    return None
+def _moments(values: np.ndarray, flavours, q):
+    """The stacked arrays whose box sums give the cube and ball q-means of
+    the flavours (s, or None for Riesz-Morrey) at q, and per flavour the
+    slice of its rows, None on the projector route: f and f^2 for s = 0 at
+    q = 2, |f|^q (the last row) for s = None at finite q.  numpy takes
+    |f| ** 2 as np.square, the floats of f * f: at q = 2 both read that row."""
+    jn, rm = q == 2 and 0 in flavours, q != INF and None in flavours
+    rows = {s: slice(0, 2) if jn and s == 0 else slice(-1, None) if rm and s is None else None for s in flavours}
+    if not (jn or rm):
+        return None, rows
+    return np.stack([values, values * values] if jn else [np.abs(values) ** q]), rows
+
+
+class _Frame:
+    """One function's values zero-padded by `pad` cells per side, once for
+    every cube side and ball radius read from them; the doubling run tables
+    (see _runs) of their moments at q, None if no flavour reads one; and per
+    flavour the rows of those that it reads (see _moments)."""
+
+    def __init__(self, f: GridFunction, q: float, flavours, pad: int):
+        self.window, self.q, self.pad = f.window, q, pad
+        self.values = _padded(f.values, pad)
+        stack, self.rows = _moments(self.values, flavours, q)
+        self.tables = None if stack is None else [stack]
 
 
 def _moment_qmeans(sums, counts, q):
@@ -234,9 +251,10 @@ def _padded(a: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _runs(tables: list, m: int) -> np.ndarray:
-    """Sums of every run of m consecutive cells along the last axis of
-    tables[0], indexed by the run's first cell (length L - m + 1).
+def _runs(tables: list, m: int, at=(), lo: int = 0, size: int | None = None) -> np.ndarray:
+    """Sums of the runs of m consecutive cells along the last axis of
+    tables[0] that start at cells lo, ..., lo + size - 1 (every run from lo
+    on by default), at the index `at` of the axes before it.
 
     tables[j] holds the runs of 2^j cells, each the sum of two runs of
     2^(j-1); the list is extended here as far as m needs, so callers that
@@ -247,13 +265,13 @@ def _runs(tables: list, m: int) -> np.ndarray:
     while 1 << len(tables) <= m:
         t, w = tables[-1], 1 << (len(tables) - 1)
         tables.append(t[..., :-w] + t[..., w:])
-    L = tables[0].shape[-1] - m + 1
-    out, at = None, 0
+    size = tables[0].shape[-1] - m + 1 - lo if size is None else size
+    out = None
     for j in reversed(range(m.bit_length())):
         if m >> j & 1:
-            piece = tables[j][..., at : at + L]
+            piece = tables[j][(..., *at, slice(lo, lo + size))]
             out = piece if out is None else out + piece
-            at += 1 << j
+            lo += 1 << j
     return out
 
 
@@ -368,9 +386,9 @@ def _box_sums(tables: list, m: int, lo: int, shape) -> np.ndarray:
     """Sums of tables[0] (see _runs) over every box of m cells on each of
     its last len(shape) axes whose start cell lies in [lo, lo + N - m] on
     each axis of `shape`."""
-    out = _runs(tables, m)[..., lo : lo + shape[-1] - m + 1]
+    out = _runs(tables, m, [slice(lo, lo + N) for N in shape[:-1]], lo, shape[-1] - m + 1)
     for axis in range(-2, -len(shape) - 1, -1):
-        out = _runs([out.swapaxes(axis, -1)[..., lo : lo + shape[axis]]], m).swapaxes(axis, -1)
+        out = _runs([out.swapaxes(axis, -1)], m).swapaxes(axis, -1)
     return out
 
 
@@ -388,118 +406,135 @@ def _tiling_sums(table, m: int, plan: _SidePlan, p):
     return agg.ravel(), R
 
 
-def _cube_norm(f: GridFunction, params: NormParams, s, search: SearchConfig, name: str) -> NormReport:
-    """Shared engine: s is None for the plain-L^q (Riesz-Morrey) variant.
+def _norms(f: GridFunction, params: NormParams, search, radii, cubes=(), balls=()) -> list[NormReport]:
+    """The cube norms of the flavours `cubes`, then the ball seminorms of the
+    flavours `balls` (s, or None for Riesz-Morrey at params' p, q, alpha),
+    all read from one frame of f: each side's box sums and each radius's
+    ball sums of its moments are taken once, and every flavour reads them."""
+    window, h = f.window, f.window.h
+    search, own, pad = search or SearchConfig(), [], 0
+    if cubes:
+        if search.packings == "exhaustive" and (window.n != 1 or search.policy != "restrict"):
+            raise ValueError("exhaustive packings are available in 1-D under restrict only")
+        own = [search.sides(window, s or 0) for s in cubes]
+        if search.policy == "zero-extend":  # side m reads m - 1 zeros per side
+            pad = max(map(max, own)) - 1
+    radii = [float(r) for r in radii] if balls else []
+    if balls:
+        if not radii:
+            raise ValueError("a ball seminorm needs at least one radius")
+        if not all(math.isfinite(r) and r > 2 * h for r in radii):
+            raise ValueError("radius must be finite and exceed 2h")
+        pad = max(pad, *(math.ceil(r / h) - 1 for r in radii))  # each radius's K (see _ball_plan)
+    frame = _Frame(f, params.q, [*cubes, *balls], pad)
+    return _cube_norms(frame, params, search, cubes, own) + _ball_norms(frame, params, radii, balls)
 
-    Per side, one table holds the term of the cube at every start cell in
-    use, and every offset tiling (or 1-D packing) is read from it; the
-    geometry comes from the memoised side plan.  The reported tiling is the
-    first candidate (sides in search order, offsets in itertools.product
-    order) that _first_near_max picks.
+
+def _cube_norms(frame: _Frame, params: NormParams, search: SearchConfig, flavours, own) -> list[NormReport]:
+    """The cube norms of the flavours, own[i] the sides of the i-th, in one
+    pass over the sides.
+
+    Per side, one table per flavour holds the term of the cube at every
+    start cell in use, and every offset tiling (or 1-D packing) is read
+    from it; the geometry comes from the memoised side plan, and flavours
+    on the moment route read the side's one set of box sums.  The reported
+    tiling is the first candidate (sides in search order, offsets in
+    itertools.product order) that _first_near_max picks.
     """
-    window = f.window
-    n = window.n
-    h = window.h
-    p = params.p
+    window = frame.window
+    n, h, p = window.n, window.h, params.p
     exhaustive = search.packings == "exhaustive"
-    if exhaustive and (n != 1 or search.policy != "restrict"):
-        raise ValueError("exhaustive packings are available in 1-D under restrict only")
-    sides = search.sides(window, 0 if s is None else s)
-    # the values and moments padded once for the largest side; each side
-    # reads its own padding from them, and every side shares the moments'
-    # runs along the last axis
-    P = max(sides) - 1 if search.policy == "zero-extend" else 0
-    padded = _padded(f.values, P)
-    moments = _moments(padded, s, params.q)
-    tables = None if moments is None else [moments]
-    found = []  # per evaluated side: m, candidate values, what the argmax is read from
-    reasons: dict[int, str] = {}  # skipped side -> conditioning message
-    offsets_evaluated = cubes_evaluated = table_positions = fallback_positions = 0
-
-    for m in sides:
-        try:
-            projector = None if s is None else _cube_projector(n, m, s)
-        except ConditioningError as err:
-            reasons[m] = str(err)
-            continue
+    # per flavour: per evaluated side (m, candidate values, what the argmax is read from),
+    # skipped side -> conditioning message, and per evaluated side its Gram condition and _CUBE_COUNTS
+    state = [([], {}, [], []) for _ in flavours]
+    for m in max(own, key=len, default=()):  # every flavour's sides, in search order
         plan = _side_plan(window.cells, m, search.policy, search.offset_stride, search.packings, _TABLE_BATCH)
         measure = float(m**n) * window.cell_measure
         weight = measure ** (-params.alpha)
-        lo = P - plan.pad
+        lo = frame.pad - plan.pad
         shape = [N + 2 * plan.pad for N in window.cells]
-        values = padded[tuple(slice(lo, lo + N) for N in shape)]
-        box = None if tables is None else _box_sums(tables, m, lo, shape)
-        table, positions, redone = _qmean_table(values, projector, m, plan, params.q, box)
-        table_positions += positions
-        fallback_positions += redone
-        cubes_evaluated += plan.cubes_evaluated
-        offsets_evaluated += plan.offsets_evaluated
-        table = weight * table if p == INF else measure * (weight * table) ** p
-        if exhaustive:
-            table = table[: window.cells[0] - m + 1]
-            val, at = _exhaustive_side(table, m, p)
-            found.append((m, np.array([val]), (np.asarray([[x + m / 2.0] for x in at]), table[at])))
-        else:
-            sums, R = _tiling_sums(table, m, plan, p)
-            found.append((m, sums if p == INF else sums ** (1.0 / p), (sums, R, plan)))
+        values = frame.values[tuple(slice(lo, lo + N) for N in shape)]
+        box = None
+        for s, sides, (found, reasons, conditions, counts) in zip(flavours, own, state):
+            if m not in sides:
+                continue
+            try:
+                projector = None if s is None else _cube_projector(n, m, s)
+            except ConditioningError as err:
+                reasons[m] = str(err)
+                continue
+            rows = frame.rows[s]
+            if rows is not None and box is None:
+                box = _box_sums(frame.tables, m, lo, shape)
+            table, positions, redone = _qmean_table(
+                values, projector, m, plan, params.q, None if rows is None else box[rows]
+            )
+            counts.append((plan.offsets_evaluated, plan.cubes_evaluated, positions, redone))
+            if projector is not None:
+                conditions.append(projector.condition)
+            table = weight * table if p == INF else measure * (weight * table) ** p
+            if exhaustive:
+                table = table[: window.cells[0] - m + 1]
+                val, at = _exhaustive_side(table, m, p)
+                found.append((m, np.array([val]), (np.asarray([[x + m / 2.0] for x in at]), table[at])))
+            else:
+                sums, R = _tiling_sums(table, m, plan, p)
+                found.append((m, sums if p == INF else sums ** (1.0 / p), (sums, R, plan)))
 
-    if not found:
-        raise ValueError("search produced no admissible cube")
-    i = _first_near_max(np.concatenate([vals for _, vals, _ in found]))
-    for side, vals, picked in found:
-        if i < vals.size:
-            break
-        i -= vals.size
-    if exhaustive:
-        value, offset, (centers, terms) = float(vals[0]), None, picked
-    else:  # a tiling: its layout; under p = inf, its first maximal cube
-        sums, R, plan = picked
-        value = float(sums[i] ** (1.0 if p == INF else 1.0 / p))
-        at = np.unravel_index(i, [len(o) for o, _, _ in plan.axes])
-        pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(plan.axes, at)]
-        terms = R[tuple(f + plan.pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
-        offset = tuple(int(o) for o, _, _ in pick)
-        centers = _tile_centers([(f, k) for _, f, k in pick], side)
-        if p == INF:
-            j = _first_near_max(terms)
-            centers, terms = centers[j : j + 1], terms[j : j + 1]
-    return NormReport(
-        name=name,
-        value=value,
-        p=p,
-        q=params.q,
-        s=s,
-        alpha=params.alpha,
-        argmax_side=side * h,
-        argmax_offset=offset,
-        centers=np.asarray(window.lower) + centers * h,
-        terms=np.array(terms, dtype=float),
-        policy=search.policy,
-        grid_cells=window.cells,
-        diagnostics={
-            "engine": "per-side " + ("projector" if moments is None else "moment") + " table",
-            "packings": search.packings, "sides": sides,
-            "offsets_evaluated": offsets_evaluated, "cubes_evaluated": cubes_evaluated,
-            "table_positions": table_positions, "fallback_positions": fallback_positions,
-            "skipped_sides": list(reasons), "skip_reasons": reasons,
-        },
-    )
+    reports = []
+    for s, sides, (found, reasons, conditions, counts) in zip(flavours, own, state):
+        if not found:
+            raise ValueError("search produced no admissible cube")
+        i = _first_near_max(np.concatenate([vals for _, vals, _ in found]))
+        for side, vals, picked in found:
+            if i < vals.size:
+                break
+            i -= vals.size
+        if exhaustive:
+            value, offset, (centers, terms) = float(vals[0]), None, picked
+        else:  # a tiling: its layout; under p = inf, its first maximal cube
+            sums, R, plan = picked
+            value = float(sums[i] ** (1.0 if p == INF else 1.0 / p))
+            at = np.unravel_index(i, [len(o) for o, _, _ in plan.axes])
+            pick = [(o[j], first[j], k[j]) for (o, first, k), j in zip(plan.axes, at)]
+            terms = R[tuple(f + plan.pad for _, f, _ in pick)][tuple(slice(k) for _, _, k in pick)].reshape(-1)
+            offset = tuple(int(o) for o, _, _ in pick)
+            centers = _tile_centers([(f, k) for _, f, k in pick], side)
+            if p == INF:
+                j = _first_near_max(terms)
+                centers, terms = centers[j : j + 1], terms[j : j + 1]
+        diagnostics = {
+            "engine": "per-side " + ("projector" if frame.rows[s] is None else "moment") + " table",
+            "packings": search.packings, "sides": sides, "skipped_sides": list(reasons), "skip_reasons": reasons,
+            **dict(zip(_CUBE_COUNTS, map(sum, zip(*counts)))),
+            "gram_condition_max": max(conditions, default=None),
+        }
+        reports.append(NormReport(
+            ("rm" if s is None else "jn") + "_con", value, p, params.q, s, params.alpha, side * h, offset,
+            np.asarray(window.lower) + centers * h, np.array(terms, dtype=float), search.policy, window.cells,
+            diagnostics,
+        ))
+    return reports
 
 
 def _exhaustive_side(c, m, p):
     """The best packing of side-m cubes at any cell positions (1-D DP over
-    c, the term of the cube at each start cell): its value and start cells."""
+    c, the term of the cube at each start cell): its value and start cells.
+
+    dp[i], the best packing of the first i cells, is the larger of dp[i - 1]
+    and dp[i - m] + c[i - m]; on [km, km + m) the latter reads the block
+    before, so a block is one running maximum from dp[km - 1]."""
     if p == INF:
         idx = _first_near_max(c)
         return float(c[idx]), [idx]
     N = len(c) + m - 1
     dp = np.zeros(N + 1)
     take = np.zeros(N + 1, dtype=bool)
-    for i in range(1, N + 1):
-        dp[i] = dp[i - 1]
-        if i >= m and dp[i - m] + c[i - m] > dp[i]:
-            dp[i] = dp[i - m] + c[i - m]
-            take[i] = True
+    for lo in range(m, N + 1, m):
+        hi = min(lo + m, N + 1)
+        cand = dp[lo - m : hi - m] + c[lo - m : hi - m]
+        dp[lo:hi] = np.maximum(np.maximum.accumulate(cand), dp[lo - 1])
+        take[lo:hi] = cand > dp[lo - 1 : hi - 1]
     positions = []
     i = N
     while i > 0:
@@ -513,14 +548,21 @@ def _exhaustive_side(c, m, p):
 
 def jn_con_norm(f: GridFunction, params: NormParams, search: SearchConfig | None = None) -> NormReport:
     """Congruent-cube mean-oscillation norm (Campanato branch at p = inf)."""
-    return _cube_norm(f, params, params.s, search or SearchConfig(), "jn_con")
+    return _norms(f, params, search, (), cubes=[params.s])[0]
 
 
 def rm_con_norm(
     f: GridFunction, p: float, q: float, alpha: float, search: SearchConfig | None = None
 ) -> NormReport:
     """Congruent-cube L^q aggregate with weight |Q|^(-alpha - 1/q)."""
-    return _cube_norm(f, NormParams(p, q, 0, alpha), None, search or SearchConfig(), "rm_con")
+    return _norms(f, NormParams(p, q, 0, alpha), search, (), cubes=[None])[0]
+
+
+def norm_pair(f: GridFunction, params: NormParams, search: SearchConfig | None = None, radii=()) -> dict:
+    """The reports of jn_con_norm, rm_con_norm (at params' p, q, alpha),
+    jn_ball_seminorm and rm_ball_seminorm, keyed by name, from one frame."""
+    names = ("jn_con", "rm_con", "jn_ball", "rm_ball")
+    return dict(zip(names, _norms(f, params, search, radii, [params.s, None], [params.s, None])))
 
 
 def jn_partition_oracle(f: GridFunction, params: NormParams) -> float:
@@ -597,17 +639,16 @@ class _BallPlan(NamedTuple):
             rows = slice(lo, lo + step) if centers is None else centers[lo : lo + step]
             yield rows, corners[lo : lo + step, None] + self.offsets
 
-    def sums(self, padded: np.ndarray) -> np.ndarray:
-        """Per stacked array of the padded values (first axis) and center
-        (flat), the sum over the center's ball: the sum of its runs, each
-        read from the sums of every 2w + 1 cells along the last axis at the
-        run's leading offsets."""
-        K, cells = self.pad, tuple(N - 2 * self.pad for N in padded.shape[1:])
-        out = np.zeros(padded.shape[:1] + cells)
-        tables = [padded]
+    def sums(self, tables: list, pad: int) -> np.ndarray:
+        """Per stacked array of tables[0] (see _runs), values padded by
+        pad >= K zeros per side, and per center (flat), the sum over the
+        center's ball: the sum of its runs, each read from the runs of
+        2w + 1 cells along the last axis at the run's leading offsets."""
+        cells = tuple(N - 2 * pad for N in tables[0].shape[1:])
+        out = np.zeros(tables[0].shape[:1] + cells)
         for lead, w in self.runs:
-            at = (slice(K + d, K + d + N) for d, N in zip(lead, cells))
-            out += _runs(tables, 2 * w + 1)[(..., *at, slice(K - w, K - w + cells[-1]))]
+            at = [slice(pad + d, pad + d + N) for d, N in zip(lead, cells)]
+            out += _runs(tables, 2 * w + 1, at, pad - w, cells[-1])
         return out.reshape(len(out), -1)
 
 
@@ -617,7 +658,8 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
     values: lattice offsets k with |k| h < radius into the frame padded by
     K = ceil(radius/h) - 1 zeros per side, the same ball as runs along the
     last axis, the clipped cell counts, and for s >= 1 the clipped Gram
-    stack, checked once here."""
+    stack, checked once here.  s = 0 and s = None need no projector and
+    share the plan of s = None."""
     n = len(cells)
     K = math.ceil(radius / h) - 1
     grid = grid_points([np.arange(-K, K + 1)] * n)
@@ -637,103 +679,93 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
         None if not s else Projector(offs * h, s, None, radius),
         None,
     )
-    plan = plan._replace(counts=plan.sums(inside[None])[0].astype(int))
+    plan = plan._replace(counts=plan.sums([inside[None]], K)[0].astype(int))
     if not s:
         return plan
     grams = [Projector(offs * h, s, None, radius, plan.inside[at]).gram for _, at in plan.bands()]
     return plan._replace(gram=np.concatenate(grams))
 
 
-def _ball_sweep(f: GridFunction, radius: float, s: int | None, q: float):
-    """Per-center q-means over balls B(y, radius), y over all midpoints.
+def _ball_sweep(frame: _Frame, radius: float, flavours):
+    """The plan of the balls B(y, radius), y over all midpoints, and per
+    flavour s (None: Riesz-Morrey) the q-means over them and the number of
+    centers recomputed, None off the moment route.
 
-    Returns (qmeans, counts, recomputed), recomputed the number of centers
-    recomputed, or None off the moment route.  Where _moments applies,
-    each ball's sums come from plan.sums of the values zero-padded by the
-    plan's K cells, and the centers _moment_qmeans marks are recomputed.
-    Those, and every center elsewhere, read their balls from the padded
-    values in row bands; a ball clipped by the window edge keeps the cells
-    inside it, and its residual is taken on those cells: for s = 0 by the
-    mean, for s >= 1 through its own Gram matrix.
+    On the moment route every flavour reads one set of ball sums of the
+    frame's moments (plan.sums), and the centers _moment_qmeans marks are
+    recomputed.  Those, and every center elsewhere, read their balls from
+    the frame's values in row bands; a ball clipped by the window edge
+    keeps the cells inside it, and its residual is taken on those cells:
+    for s = 0 by the mean, for s >= 1 through its own Gram matrix.
     """
-    window = f.window
-    if not (math.isfinite(radius) and radius > 2 * window.h):
-        raise ValueError("radius must be finite and exceed 2h")
-    plan = _ball_plan(window.cells, window.h, radius, s)
-    moments = _moments(_padded(f.values, plan.pad), s, q)
-    qmeans = np.empty(window.cell_count)
-    redo = None  # centers to read from the padded values: all of them off the moment route
-    if moments is not None:
-        qmeans[:], redo = _moment_qmeans(plan.sums(moments), plan.counts, q)
-        redo = np.flatnonzero(redo)
-        if not redo.size:
-            return qmeans, plan.counts, 0
-    vals = np.zeros(plan.inside.size)
-    vals[plan.inside] = f.flat
-    center = plan.offsets.size // 2  # the ball's offsets are symmetric: 0 is the middle one
-    for rows, at in plan.bands(redo):
-        batch, keep, counts = vals[at], plan.inside[at], plan.counts[rows]
-        if s == 0:
-            # shifted by the center's value first: the same residual in exact
-            # arithmetic, and exactly 0 for a constant ball
-            batch = (batch - batch[:, center, None]) * keep
-            batch = (batch - (batch.sum(axis=1) / counts)[:, None]) * keep
-        elif s is not None:
-            batch = plan.projector.clipped(keep, plan.gram[rows]).residual(batch)
-        qmeans[rows] = _qmean(batch, q, counts)
-    return qmeans, plan.counts, None if redo is None else redo.size
+    window = frame.window
+    sums = vals = None
+    out = []
+    for s in flavours:
+        plan = _ball_plan(window.cells, window.h, radius, s or None)
+        qmeans, redo, rows = np.empty(window.cell_count), None, frame.rows[s]
+        if rows is not None:
+            if sums is None:
+                sums = plan.sums(frame.tables, frame.pad)
+            qmeans, redo = _moment_qmeans(sums[rows], plan.counts, frame.q)
+            redo = np.flatnonzero(redo)
+        if redo is None or redo.size:
+            if vals is None:  # the values padded by K, flat, as the bands index them
+                at = tuple(slice(frame.pad - plan.pad, frame.pad + N + plan.pad) for N in window.cells)
+                vals = frame.values[at].reshape(-1)
+            center = plan.offsets.size // 2  # the ball's offsets are symmetric: 0 is the middle one
+            for band, at in plan.bands(redo):
+                batch, keep, counts = vals[at], plan.inside[at], plan.counts[band]
+                if s == 0:
+                    # shifted by the center's value first: the same residual in
+                    # exact arithmetic, and exactly 0 for a constant ball
+                    batch = (batch - batch[:, center, None]) * keep
+                    batch = (batch - (batch.sum(axis=1) / counts)[:, None]) * keep
+                elif s is not None:
+                    batch = plan.projector.clipped(keep, plan.gram[band]).residual(batch)
+                qmeans[band] = _qmean(batch, frame.q, counts)
+        out.append((qmeans, None if redo is None else redo.size))
+    return plan, out
 
 
-def _ball_aggregate(f: GridFunction, params: NormParams, s, radii, name) -> NormReport:
-    """Shared engine, as _cube_norm (s None: Riesz-Morrey); the radius, in
-    the given order, is the one _first_near_max picks."""
-    window = f.window
-    hn = window.cell_measure
-    per_radius, offsets, clipped = {}, {}, {}
-    table_positions = fallback_positions = 0
-    for r in map(float, radii):
-        qmeans, counts, redone = _ball_sweep(f, r, s, params.q)
-        if redone is not None:
-            table_positions += qmeans.size
-            fallback_positions += redone
-        meas = counts * hn
-        terms = meas ** (-params.alpha) * qmeans if params.alpha != 0 else qmeans
-        if params.p == INF:
-            val = float(terms.max())
-        else:
-            val = float(((terms**params.p) * hn).sum() ** (1.0 / params.p))
-        per_radius[r] = val
-        offsets[r] = int(_ball_plan(window.cells, window.h, r, s).offsets.size)
-        clipped[r] = int(np.count_nonzero(counts < offsets[r]))
-    if not per_radius:
-        raise ValueError("a ball seminorm needs at least one radius")
-    best_r = list(per_radius)[_first_near_max(list(per_radius.values()))]
-    return NormReport(
-        name=name,
-        value=per_radius[best_r],
-        p=params.p,
-        q=params.q,
-        s=s,
-        alpha=params.alpha,
-        argmax_side=best_r,
-        argmax_offset=None,
-        policy="restrict",
-        grid_cells=window.cells,
-        diagnostics={
-            "engine": ("projector" if redone is None else "moment") + " ball sweep", "per_radius": per_radius,
-            "centers": "all cell midpoints", "offsets": offsets, "clipped_centers": clipped,
+def _ball_norms(frame: _Frame, params: NormParams, radii, flavours) -> list[NormReport]:
+    """The ball seminorms of the flavours, as _cube_norms, one sweep per
+    radius; the radius, in the given order, is the one _first_near_max picks."""
+    hn, p = frame.window.cell_measure, params.p
+    per_radius, offsets, clipped = [{} for _ in flavours], {}, {}
+    positions = [[0, 0] for _ in flavours]  # table and fallback positions
+    for r in radii:
+        plan, sweeps = _ball_sweep(frame, r, flavours)
+        offsets[r] = int(plan.offsets.size)
+        clipped[r] = int(np.count_nonzero(plan.counts < offsets[r]))
+        weight = (plan.counts * hn) ** (-params.alpha)
+        for values, counts, (qmeans, redone) in zip(per_radius, positions, sweeps):
+            terms = weight * qmeans if params.alpha != 0 else qmeans
+            values[r] = float(terms.max()) if p == INF else float(((terms**p) * hn).sum() ** (1.0 / p))
+            if redone is not None:
+                counts[:] = counts[0] + qmeans.size, counts[1] + redone
+    reports = []
+    for s, values, (table_positions, fallback_positions) in zip(flavours, per_radius, positions):
+        best_r = list(values)[_first_near_max(list(values.values()))]
+        diagnostics = {
+            "engine": ("projector" if frame.rows[s] is None else "moment") + " ball sweep", "per_radius": values,
+            "centers": "all cell midpoints", "offsets": dict(offsets), "clipped_centers": dict(clipped),
             "table_positions": table_positions, "fallback_positions": fallback_positions,
-        },
-    )
+        }
+        reports.append(NormReport(
+            ("rm" if s is None else "jn") + "_ball", values[best_r], p, params.q, s, params.alpha, best_r, None,
+            policy="restrict", grid_cells=frame.window.cells, diagnostics=diagnostics,
+        ))
+    return reports
 
 
 def jn_ball_seminorm(f: GridFunction, params: NormParams, radii) -> NormReport:
     """Ball-based equivalent seminorm: centers integrate over the window."""
-    return _ball_aggregate(f, params, params.s, radii, "jn_ball")
+    return _norms(f, params, None, radii, balls=[params.s])[0]
 
 
 def rm_ball_seminorm(f: GridFunction, p: float, q: float, alpha: float, radii) -> NormReport:
-    return _ball_aggregate(f, NormParams(p, q, 0, alpha), None, radii, "rm_ball")
+    return _norms(f, NormParams(p, q, 0, alpha), None, radii, balls=[None])[0]
 
 
 def amalgam_norm(f: GridFunction, p: float, q: float, r: float) -> float:

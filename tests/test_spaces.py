@@ -524,15 +524,23 @@ def test_2d_tiling_against_slow_reference():
     assert worst <= 1e-12
 
 
-def test_ball_sweep_against_slow_reference():
-    from jnlab.spaces import _ball_sweep
+def ball_sweep(f, radius, s, q, extra=0):
+    """One flavour's ball sweep: q-means, counts and recomputed centers, from
+    f's frame padded by the radius's K cells and `extra` more."""
+    from jnlab import spaces
 
+    frame = spaces._Frame(f, q, [s], math.ceil(radius / f.window.h) - 1 + extra)
+    plan, [(qmeans, redone)] = spaces._ball_sweep(frame, radius, [s])
+    return qmeans, plan.counts, redone
+
+
+def test_ball_sweep_against_slow_reference():
     rng = np.random.default_rng(42)
     w = Window(2, (0.0, 0.0), (1.0, 1.0), (16, 16))
     f = GridFunction(w, rng.normal(size=(16, 16)))
     pts = w.midpoints()
     for s, q in [(None, 2.0), (0, 1.5), (1, 2.0)]:
-        fast_q = _ball_sweep(f, 0.22, s, q)[0]
+        fast_q = ball_sweep(f, 0.22, s, q)[0]
         for i in rng.choice(w.cell_count, size=24, replace=False):
             c = pts[i]
             mask = np.linalg.norm(pts - c, axis=1) < 0.22
@@ -593,7 +601,7 @@ def test_ball_engine_matches_lstsq_reference(n, data, s, q, batch, seed):
     f = GridFunction(w, np.random.default_rng(seed).normal(size=cells))
     lattice._MEMO.clear()  # bands of the tiny batch build the plan too
     with mock.patch.object(spaces, "_BALL_BATCH", batch):
-        fast, counts, _ = spaces._ball_sweep(f, radius, s, q)
+        fast, counts, _ = ball_sweep(f, radius, s, q, extra=data.draw(st.integers(0, 3)))
     slow, slow_counts = lstsq_ball_sweep(f, radius, s, q)
     np.testing.assert_array_equal(counts, slow_counts)
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
@@ -601,7 +609,7 @@ def test_ball_engine_matches_lstsq_reference(n, data, s, q, batch, seed):
 
 def test_clipped_ball_raises_conditioning_error_on_every_call(monkeypatch):
     from jnlab import polyproj
-    from jnlab.spaces import _ball_plan, _ball_sweep
+    from jnlab.spaces import _ball_plan
 
     w = Window(1, (0.0,), (1.0,), (16,))
     f = GridFunction(w, np.random.default_rng(6).normal(size=16))
@@ -613,10 +621,10 @@ def test_clipped_ball_raises_conditioning_error_on_every_call(monkeypatch):
     try:
         for _ in range(2):
             with pytest.raises(ConditioningError):
-                _ball_sweep(f, radius, 1, 2.0)
+                ball_sweep(f, radius, 1, 2.0)
         assert not any(key[0] is _ball_plan for key in lattice._MEMO)
-        _ball_sweep(f, radius, 0, 2.0)  # a constant fits every clipped ball
-        assert [key[1] for key in lattice._MEMO if key[0] is _ball_plan] == [(w.cells, w.h, radius, 0)]
+        ball_sweep(f, radius, 0, 2.0)  # a constant fits every clipped ball: s = 0 takes the plan of s = None
+        assert [key[1] for key in lattice._MEMO if key[0] is _ball_plan] == [(w.cells, w.h, radius, None)]
     finally:
         lattice._MEMO.clear()
 
@@ -681,7 +689,7 @@ def test_moment_route_matches_projector_route(n, data, policy, s, q, kind, seed)
     for m in data.draw(st.lists(st.integers(1, min(cells)), min_size=1, max_size=3, unique=True)):
         plan = spaces._side_plan(cells, m, policy, 1, "tiling", spaces._TABLE_BATCH)
         values = spaces._padded(f.values, plan.pad)
-        moments = spaces._moments(values, s, q)
+        moments, _ = spaces._moments(values, [s], q)
         if moments is None:  # s = 0 at q = 1.5 keeps the projector route
             continue
         sums = spaces._box_sums([moments], m, 0, values.shape)
@@ -695,12 +703,12 @@ def test_moment_route_matches_projector_route(n, data, policy, s, q, kind, seed)
         check(fast[at], slow[at], [a[at] for a in sums], m**n, stable)
 
     radius = data.draw(st.floats(2.001, 1.5 * max(cells))) / 16
-    fast, counts, redone = spaces._ball_sweep(f, radius, s, q)
-    with mock.patch.object(spaces, "_moments", lambda *args: None):
-        slow, _, none = spaces._ball_sweep(f, radius, s, q)
+    fast, counts, redone = ball_sweep(f, radius, s, q)
+    with mock.patch.object(spaces, "_moments", lambda values, flavours, q: (None, dict.fromkeys(flavours))):
+        slow, _, none = ball_sweep(f, radius, s, q)
     assert none is None and (redone is None) == (s == 0 and q != 2)
     plan = spaces._ball_plan(cells, w.h, radius, s)
-    sums = plan.sums(np.stack([spaces._padded(np.abs(f.values) ** (2 if s == 0 else q), plan.pad)]))
+    sums = plan.sums([spaces._padded(np.abs(f.values) ** (2 if s == 0 else q), plan.pad)[None]], plan.pad)
     idx = np.stack(np.unravel_index(np.arange(w.cell_count), cells), axis=1)
     balls = [f.flat[((idx - c) ** 2).sum(axis=1) * w.h**2 < radius**2] for c in idx]
     check(fast, slow, sums, counts, np.array([_stable_qmean(x, s, q) for x in balls]))
@@ -1036,13 +1044,13 @@ def _plan_arrays(plan):
 
 
 def test_memoised_projectors_are_read_only_and_shared():
-    from jnlab.spaces import _ball_plan, _ball_sweep, _cube_projector, _side_plan
+    from jnlab.spaces import _ball_plan, _cube_projector, _side_plan
 
     w = Window(1, (0.0,), (1.0,), (64,))
     f = GridFunction(w, np.random.default_rng(0).normal(size=64))
     proj = _cube_projector(2, 4, 1)
     assert proj.residual(np.ones((2, proj.phi.shape[0]))).flags.writeable
-    assert _ball_sweep(f, 8 * w.h, 1, 2.0)[0].flags.writeable
+    assert ball_sweep(f, 8 * w.h, 1, 2.0)[0].flags.writeable
     memos = [
         (_cube_projector, (2, 4, 1)),
         (_ball_plan, (w.cells, w.h, 8 * w.h, 1)),
@@ -1159,3 +1167,163 @@ def test_first_maximal_cube_under_exact_ties(policy):
         rep = _engine_search(f, INF, 2.0, s, 0.0, search)
         assert rep.argmax_offset == offset
         assert np.array_equal(rep.centers[0], np.asarray(w.lower) + centers[0] * w.h)
+
+
+# --- one frame per function: the jn/rm pair ----------------------------------
+
+
+def _assert_same_report(a, b):
+    """Two reports with the same bits: value, argmax, tiling and diagnostics."""
+    assert (a.name, a.value.hex(), a.p, a.q, a.s, a.alpha) == (b.name, b.value.hex(), b.p, b.q, b.s, b.alpha)
+    assert (a.argmax_side, a.argmax_offset, a.policy) == (b.argmax_side, b.argmax_offset, b.policy)
+    assert a.grid_cells == b.grid_cells
+    assert a.centers.tobytes() == b.centers.tobytes() and a.centers.shape == b.centers.shape
+    assert a.terms.tobytes() == b.terms.tobytes() and a.terms.shape == b.terms.shape
+    assert a.diagnostics == b.diagnostics
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.data(),
+    st.sampled_from(["restrict", "zero-extend"]),
+    st.sampled_from([2.0, 3.0, INF]),
+    st.sampled_from([2.0, 3.0, INF]),
+    st.integers(0, 1),
+    st.sampled_from(["random", "scales", "plateaus", "constant", "offset"]),
+    st.integers(0, 10_000),
+)
+def test_norm_pair_equals_the_four_single_calls(n, data, policy, p, q, s, kind, seed):
+    from jnlab.spaces import norm_pair
+
+    cells = tuple(data.draw(st.integers(4, 40 if n == 1 else 14)) for _ in range(n))
+    w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
+    f = GridFunction(w, _route_values(kind, cells, np.random.default_rng(seed)))
+    # radii from just above 2h to past the window, so the frame's padding
+    # comes from the balls or from the zero-extended cubes
+    radii = [r / 16 for r in data.draw(st.lists(st.floats(2.001, 1.5 * max(cells)), min_size=1, max_size=3))]
+    params = NormParams(p, q, s, 0.1)
+    exhaustive = n == 1 and policy == "restrict" and data.draw(st.booleans())
+    search = SearchConfig(policy=policy, packings="exhaustive" if exhaustive else "tiling")
+    pair = norm_pair(f, params, search, radii)
+    assert list(pair) == ["jn_con", "rm_con", "jn_ball", "rm_ball"]
+    _assert_same_report(pair["jn_con"], jn_con_norm(f, params, search))
+    _assert_same_report(pair["rm_con"], rm_con_norm(f, p, q, 0.1, search))
+    _assert_same_report(pair["jn_ball"], jn_ball_seminorm(f, params, radii))
+    _assert_same_report(pair["rm_ball"], rm_ball_seminorm(f, p, q, 0.1, radii))
+
+
+def test_norm_pair_builds_one_moment_stack(monkeypatch):
+    from jnlab import spaces
+
+    w = Window(1, (0.0,), (1.0,), (64,))
+    f = GridFunction(w, np.random.default_rng(8).normal(size=64))
+    radii = [3.5 * w.h, 9 * w.h, 20 * w.h]
+    built = []
+    real = spaces._moments
+    monkeypatch.setattr(spaces, "_moments", lambda *args: built.append(real(*args)) or built[-1])
+    spaces.norm_pair(f, NormParams(2.0, 2.0, 0, 0.1), SearchConfig(policy="zero-extend"), radii)
+    # one stack, f and f^2 (rm at q = 2 reads the f^2 row), padded once by
+    # the larger of 63 zeros for the zero-extended side 64 and K = 19 for
+    # the largest radius
+    [(stack, rows)] = built
+    assert stack.shape == (2, 64 + 2 * 63)
+    assert rows == {0: slice(0, 2), None: slice(-1, None)}
+    built.clear()
+    spaces.norm_pair(f, NormParams(2.0, 3.0, 0, 0.1), None, radii)
+    [(stack, rows)] = built
+    # |f|^3 alone, as jn at q = 3 takes the projector route; restrict pads
+    # nothing, so the balls' K = 19 sets the padding
+    assert stack.shape == (1, 64 + 2 * 19)
+    assert rows == {0: None, None: slice(-1, None)}
+
+
+def test_square_row_is_shared_bit_for_bit():
+    # rm at q = 2 reads the f^2 row of jn's moments: |f| ** 2 must be f * f
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=4096) * 10.0 ** rng.integers(-200, 200, size=4096)
+    x = np.concatenate([x, [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1.3e154, -1.3e154, np.finfo(float).max]])
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.abs(x).__pow__(2.0).tobytes() == (x * x).tobytes()
+        assert (np.abs(x) ** 2.0).tobytes() == np.square(x).tobytes()
+
+
+def test_pair_keeps_one_ball_plan_per_radius():
+    from jnlab.spaces import _ball_plan, norm_pair
+
+    w = Window(1, (0.0,), (1.0,), (64,))
+    f = GridFunction(w, np.random.default_rng(9).normal(size=64))
+    radii = [3.5 * w.h, 9 * w.h, 20 * w.h]
+    lattice._MEMO.clear()
+    try:
+        norm_pair(f, NormParams(2.0, 2.0, 0, 0.1), None, radii)
+        keys = [key[1] for key in lattice._MEMO if key[0] is _ball_plan]
+        assert keys == [(w.cells, w.h, r, None) for r in radii]
+        norm_pair(f, NormParams(2.0, 2.0, 1, 0.1), None, radii)  # s = 1 adds its own projector plans
+        keys = [key[1] for key in lattice._MEMO if key[0] is _ball_plan]
+        assert keys == [(w.cells, w.h, r, None) for r in radii] + [(w.cells, w.h, r, 1) for r in radii]
+    finally:
+        lattice._MEMO.clear()
+
+
+def test_cube_diagnostics_report_the_largest_gram_condition():
+    from jnlab.spaces import _cube_projector
+
+    w = Window(2, (0.0, 0.0), (1.0, 1.0), (16, 16))
+    f = GridFunction(w, np.random.default_rng(10).normal(size=(16, 16)))
+    for s in (0, 1, 2):
+        rep = jn_con_norm(f, NormParams(2.0, 2.0, s, 0.1))
+        want = max(np.linalg.cond(_cube_projector(2, m, s).gram) for m in rep.diagnostics["sides"])
+        assert rep.diagnostics["gram_condition_max"] == want
+        assert (want == 1.0) == (s == 0)
+        assert "gram_condition_max" not in rep.csv_row()
+    rep = rm_con_norm(f, 2.0, 2.0, 0.1)
+    assert rep.diagnostics["gram_condition_max"] is None
+    assert list(rep.csv_row()) == [
+        "norm_name", "p", "q", "s", "alpha", "value", "argmax_side", "argmax_offset", "grid_cells", "policy",
+    ]
+
+
+def _exhaustive_loop(c, m, p):
+    """The cell-by-cell packing DP that the block form replaced."""
+    N = len(c) + m - 1
+    dp = np.zeros(N + 1)
+    take = np.zeros(N + 1, dtype=bool)
+    for i in range(1, N + 1):
+        dp[i] = dp[i - 1]
+        if i >= m and dp[i - m] + c[i - m] > dp[i]:
+            dp[i] = dp[i - m] + c[i - m]
+            take[i] = True
+    positions = []
+    i = N
+    while i > 0:
+        if take[i]:
+            positions.append(i - m)
+            i -= m
+        else:
+            i -= 1
+    return float(dp[N] ** (1.0 / p)), positions[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.integers(1, 12),
+    st.sampled_from([1.0, 2.0, 3.0]),
+    st.sampled_from(["random", "ties", "sparse"]),
+    st.integers(0, 10_000),
+)
+def test_exhaustive_blocks_match_the_cell_loop(data, m, p, kind, seed):
+    from jnlab.spaces import _exhaustive_side
+
+    rng = np.random.default_rng(seed)
+    size = data.draw(st.integers(1, 60))
+    if kind == "random":
+        c = rng.random(size)
+    elif kind == "ties":  # few distinct values, so candidates tie with the running best
+        c = rng.integers(0, 3, size) * 0.5
+    else:
+        c = np.where(rng.random(size) < 0.2, rng.random(size), 0.0)
+    value, positions = _exhaustive_side(c, m, p)
+    ref_value, ref_positions = _exhaustive_loop(c, m, p)
+    assert value.hex() == ref_value.hex() and positions == ref_positions
