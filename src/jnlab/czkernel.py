@@ -99,6 +99,8 @@ class CorrectionSpec:
     def __post_init__(self):
         center = tuple(float(c) for c in np.atleast_1d(self.center))
         object.__setattr__(self, "center", center)
+        if not center:
+            raise ValueError("correction ball center needs a coordinate per axis")
         object.__setattr__(self, "radius", float(self.radius))
         if not all(math.isfinite(c) for c in center):
             raise ValueError("correction ball center must be finite")
@@ -694,7 +696,7 @@ def apply_modified(
     Pass the transposed kernel to realize the adjoint-style operator acting
     on oscillation classes.
     """
-    _check_order(kernel_tilde, corr.order)
+    _check_correction(kernel_tilde, corr, f.window)
     cz = apply_cz(kernel_tilde, f, eval_window, eta_cells)
     window = cz.result.window
     # the Taylor correction does not depend on the exclusion radius: build
@@ -706,9 +708,11 @@ def apply_modified(
     return ModifiedResult(**vars(base), canonical=canonical, reference_cube=ref, correction=corr)
 
 
-def _check_order(kernel: KernelSpec, order: int) -> None:
-    if order > kernel.order:
-        raise ValueError(f"kernel {kernel.name!r} lacks derivative evaluators up to order {order}")
+def _check_correction(kernel: KernelSpec, corr: CorrectionSpec, window: Window) -> None:
+    if len(corr.center) != window.n:
+        raise ValueError(f"correction ball center is {len(corr.center)}-D but the window is {window.n}-D")
+    if corr.order > kernel.order:
+        raise ValueError(f"kernel {kernel.name!r} lacks derivative evaluators up to order {corr.order}")
 
 
 def _check_padding(padding: float) -> None:
@@ -746,10 +750,10 @@ def modified_on_monomial(
     relative to the evaluation window); doubling the padding gives the
     reported truncation sensitivity, and truncation_warn flags one above 0.02.
     """
+    _check_correction(kernel_tilde, corr, eval_window)
     nu = tuple(whole_number(g, "nu entry") for g in np.atleast_1d(nu))
     if sum(nu) > corr.order:
         raise ValueError("|nu| must not exceed the correction order")
-    _check_order(kernel_tilde, corr.order)
     _check_padding(padding)
     h = eval_window.h
     eval_pts = eval_window.midpoints()

@@ -456,6 +456,8 @@ def check_packing(cubes, side: float, what: str) -> None:
     if any(abs(c.side - side) > 1e-12 * side for c in cubes):
         raise ValueError(f"{what} cubes must be congruent")
     ctr = np.asarray([c.center for c in cubes], dtype=float)
+    if not len(ctr):  # no cubes: an empty packing
+        return
     chunk = max(1, (1 << 18) // len(ctr))
     for i in range(0, len(ctr), chunk):
         near = np.all(np.abs(ctr[i : i + chunk, None] - ctr) < side * (1 - 1e-12), axis=2)

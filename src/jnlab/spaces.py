@@ -302,39 +302,19 @@ class _SidePlan(NamedTuple):
 
     pad: int
     axes: list  # per axis: offsets that hold a cube, first start cells, cube counts
-    starts: list  # per axis: the used start cells in the padded values
-    step: int  # cubes per chunk of the projector route
     groups: list  # per offset group: agg index, table index, count cut, row shape
-    offsets_evaluated: int
-    cubes_evaluated: int
-
-    @property
-    def chunks(self) -> list:
-        """Every used start cell, as per-axis indices, in chunks of `step`."""
-        return _chunks([g.ravel() for g in np.meshgrid(*self.starts, indexing="ij")], self.step)
-
-
-def _chunks(at, step: int) -> list:
-    """Per-axis index arrays cut into chunks of `step` positions."""
-    return [tuple(a[i : i + step] for a in at) for i in range(0, at[0].size, step)]
 
 
 @_memo
-def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, batch: int) -> _SidePlan:
+def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str) -> _SidePlan:
     """The search geometry of side m on a window of `cells`, which holds no
-    values: tiling layouts, the start cells in those tilings' phases, the
-    chunk length of about `batch` entries, and the offset groups of
-    _tiling_sums.  zero-extend pads the values by m - 1 zeros per side."""
-    n = len(cells)
+    values: tiling layouts and the offset groups of _tiling_sums.
+    zero-extend pads the values by m - 1 zeros per side."""
     exhaustive = packings == "exhaustive"
     pad = m - 1 if policy == "zero-extend" else 0
     offsets = np.arange(0, m, 1 if exhaustive else stride)
-    axes, starts = [], []
-    for N in cells:
-        first, k = _tiling_layout(N, m, offsets, policy)
-        axes.append((offsets[k > 0], first[k > 0], k[k > 0]))
-        used = np.bincount(first[k > 0] + pad, minlength=m) > 0
-        starts.append(np.flatnonzero(used[np.arange(N + 2 * pad - m + 1) % m]))
+    layouts = [_tiling_layout(N, m, offsets, policy) for N in cells]
+    axes = [(offsets[k > 0], first[k > 0], k[k > 0]) for first, k in layouts]
     groups = []
     # offsets with the same cube counts reduce together, each tiling as one
     # contiguous row, as a lone tiling would
@@ -344,41 +324,39 @@ def _side_plan(cells: tuple, m: int, policy: str, stride: int, packings: str, ba
         phase = np.ix_(*(first[i] + pad for (_, first, _), i in zip(axes, idx)))
         cut = (Ellipsis, *(slice(c) for c in counts))
         groups.append((np.ix_(*idx), phase, cut, (*map(len, idx), -1)))
-    return _SidePlan(
-        pad, axes, starts, max(1, batch // m**n), groups,
-        0 if exhaustive else math.prod(len(o) for o, _, _ in axes),
-        math.prod(len(x) for x in starts),
-    )
+    return _SidePlan(pad, axes, groups)
 
 
-def _qmean_table(values, projector, m: int, plan: _SidePlan, q, sums=None):
+def _qmean_table(values, projector, m: int, q, sums=None):
     """Table of the q-means of the side-m cubes in the (padded) values
-    (entry x: the cube at cell x; 0 where no cube is computed), and the
+    (entry x: the cube at cell x; 0 past the last start cell), and the
     counts of positions taken from box sums and recomputed.
 
     With `sums` (the box sums of _moments at every start cell) every
     position's q-mean comes from them, and the positions _moment_qmeans
-    marks are recomputed.  Otherwise the plan's start cells are computed.
-    Cubes recomputed or computed are gathered from a sliding-window view
-    chunk by chunk and go through the projector."""
+    marks are recomputed.  Otherwise every start cell is computed.  Cubes
+    recomputed or computed are gathered from a sliding-window view in
+    chunks of about _TABLE_BATCH entries and go through the projector."""
     n = values.ndim
     table = np.zeros([N // m * m for N in values.shape])
     if sums is None:
-        chunks, positions, redone = plan.chunks, 0, 0
+        at, positions, redone = np.indices([N - m + 1 for N in values.shape]).reshape(n, -1), 0, 0
     else:
         qmeans, redo = _moment_qmeans(sums, m**n, q)
         table[tuple(slice(k) for k in qmeans.shape)] = qmeans
-        redo = np.nonzero(redo)
-        chunks, positions, redone = _chunks(redo, plan.step), qmeans.size, redo[0].size
-    if chunks:
+        at = np.nonzero(redo)
+        positions, redone = qmeans.size, at[0].size
+    if at[0].size:
         windows = np.lib.stride_tricks.sliding_window_view(values, (m,) * n)
-    for at in chunks:
-        batch = windows[at].reshape(len(at[0]), -1)
+    step = max(1, _TABLE_BATCH // m**n)
+    for lo in range(0, at[0].size, step):
+        chunk = tuple(a[lo : lo + step] for a in at)
+        batch = windows[chunk].reshape(len(chunk[0]), -1)
         if projector is not None:
             # a recomputed cube is shifted by its first cell: the same
             # residual in exact arithmetic, and exactly 0 for a constant cube
             batch = projector.residual(batch if sums is None else batch - batch[:, :1])
-        table[at] = _qmean(batch, q)
+        table[chunk] = _qmean(batch, q)
     return table, positions, redone
 
 
@@ -448,12 +426,15 @@ def _cube_norms(frame: _Frame, params: NormParams, search: SearchConfig, flavour
     # skipped side -> conditioning message, and per evaluated side its Gram condition and _CUBE_COUNTS
     state = [([], {}, [], []) for _ in flavours]
     for m in max(own, key=len, default=()):  # every flavour's sides, in search order
-        plan = _side_plan(window.cells, m, search.policy, search.offset_stride, search.packings, _TABLE_BATCH)
+        plan = _side_plan(window.cells, m, search.policy, search.offset_stride, search.packings)
         measure = float(m**n) * window.cell_measure
         weight = measure ** (-params.alpha)
         lo = frame.pad - plan.pad
         shape = [N + 2 * plan.pad for N in window.cells]
         values = frame.values[tuple(slice(lo, lo + N) for N in shape)]
+        # offset tilings searched, and cubes evaluated: every start cell
+        tilings = 0 if exhaustive else math.prod(len(o) for o, _, _ in plan.axes)
+        tried = tilings, math.prod(N - m + 1 for N in shape)
         box = None
         for s, sides, (found, reasons, conditions, counts) in zip(flavours, own, state):
             if m not in sides:
@@ -467,9 +448,9 @@ def _cube_norms(frame: _Frame, params: NormParams, search: SearchConfig, flavour
             if rows is not None and box is None:
                 box = _box_sums(frame.tables, m, lo, shape)
             table, positions, redone = _qmean_table(
-                values, projector, m, plan, params.q, None if rows is None else box[rows]
+                values, projector, m, params.q, None if rows is None else box[rows]
             )
-            counts.append((plan.offsets_evaluated, plan.cubes_evaluated, positions, redone))
+            counts.append((*tried, positions, redone))
             if projector is not None:
                 conditions.append(projector.condition)
             table = weight * table if p == INF else measure * (weight * table) ** p
@@ -623,17 +604,18 @@ class _BallPlan(NamedTuple):
     pad: int  # K: zeros per side of the padded frame
     runs: tuple  # the ball as runs along the last axis: (leading offsets, half-width) per run
     offsets: np.ndarray  # padded flat offsets of a ball's cells from its (2K+1)^n box corner
-    corners: np.ndarray  # per center: padded flat index of its box corner
     inside: np.ndarray  # the padded frame's indicator of window cells, flat
     counts: np.ndarray  # per center: cells of its ball inside the window
     projector: Projector | None  # s >= 1: on the unclipped ball, relative to its center
     gram: np.ndarray | None  # s >= 1: per center, the Gram matrix on its clipped ball
 
-    def bands(self, centers=None):
+    def bands(self, cells: tuple, centers=None):
         """Row bands of at most _BALL_BATCH entries (one center at least) over
-        the given center indices (all by default): the centers' rows and, per
-        center, the padded flat indices of its ball."""
-        corners = self.corners if centers is None else self.corners[centers]
+        the given center indices (all by default) of the window of `cells`:
+        the centers' rows and, per center, the padded flat indices of its
+        ball.  The center at cell i has its box corner at cell i of the frame."""
+        every = np.arange(math.prod(cells)) if centers is None else centers
+        corners = np.ravel_multi_index(np.unravel_index(every, cells), [N + 2 * self.pad for N in cells])
         step = max(1, _BALL_BATCH // self.offsets.size)
         for lo in range(0, corners.size, step):
             rows = slice(lo, lo + step) if centers is None else centers[lo : lo + step]
@@ -673,7 +655,6 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
         K,
         tuple(runs.items()),
         np.ravel_multi_index(tuple((offs + K).T), padded),
-        np.ravel_multi_index(tuple(np.indices(cells).reshape(n, -1)), padded),
         inside.ravel() > 0,
         None,
         None if not s else Projector(offs * h, s, None, radius),
@@ -682,7 +663,7 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
     plan = plan._replace(counts=plan.sums([inside[None]], K)[0].astype(int))
     if not s:
         return plan
-    grams = [Projector(offs * h, s, None, radius, plan.inside[at]).gram for _, at in plan.bands()]
+    grams = [Projector(offs * h, s, None, radius, plan.inside[at]).gram for _, at in plan.bands(cells)]
     return plan._replace(gram=np.concatenate(grams))
 
 
@@ -714,7 +695,7 @@ def _ball_sweep(frame: _Frame, radius: float, flavours):
                 at = tuple(slice(frame.pad - plan.pad, frame.pad + N + plan.pad) for N in window.cells)
                 vals = frame.values[at].reshape(-1)
             center = plan.offsets.size // 2  # the ball's offsets are symmetric: 0 is the middle one
-            for band, at in plan.bands(redo):
+            for band, at in plan.bands(window.cells, redo):
                 batch, keep, counts = vals[at], plan.inside[at], plan.counts[band]
                 if s == 0:
                     # shifted by the center's value first: the same residual in

@@ -627,6 +627,8 @@ def test_correction_spec_rejects_bad_input():
     ):
         with pytest.raises(ValueError):
             CorrectionSpec(center, radius, order)
+    with pytest.raises(ValueError, match="coordinate per axis"):
+        CorrectionSpec((), 0.5, 1)
     assert CorrectionSpec((0.0,), 0.5, 2.0).order == 2
 
 
@@ -654,6 +656,22 @@ def test_monomial_multi_index_must_match_the_window():
             kernel_transpose(hilbert_kernel()), CorrectionSpec((0.0,), 0.5, 1), (0, 0),
             Window(1, (-1.0,), (1.0,), (16,)), padding=4,
         )
+
+
+def test_correction_ball_must_match_the_window_dimension():
+    # a ValueError naming both dimensions before any sum, not an IndexError
+    # from inside the Taylor coefficients
+    w1, w2 = Window(1, (-1.0,), (1.0,), (16,)), Window(2, (-1.0, -1.0), (1.0, 1.0), (8, 8))
+    cases = [
+        (kernel_transpose(hilbert_kernel()), CorrectionSpec((0.0, 0.0), 0.5, 1), w1, "2-D but the window is 1-D"),
+        (kernel_transpose(riesz_kernel(0, 2)), CorrectionSpec((0.0,), 0.5, 1), w2, "1-D but the window is 2-D"),
+    ]
+    for kernel, corr, w, message in cases:
+        f = GridFunction(w, np.random.default_rng(1).normal(size=w.cells))
+        with pytest.raises(ValueError, match=message):
+            apply_modified(kernel, corr, f)
+        with pytest.raises(ValueError, match=message):
+            modified_on_monomial(kernel, corr, (0,) * w.n, w, padding=4, check_doubling=False)
 
 
 def test_kernel_by_name_rejects_unknown_parameters():

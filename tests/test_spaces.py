@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from jnlab.spaces import (
     jn_ball_seminorm,
     jn_con_norm,
     jn_partition_oracle,
+    norm_pair,
     rm_ball_seminorm,
     rm_con_norm,
 )
@@ -687,16 +689,15 @@ def test_moment_route_matches_projector_route(n, data, policy, s, q, kind, seed)
         assert np.all(np.abs(fast - stable) <= 1e-8 * stable)
 
     for m in data.draw(st.lists(st.integers(1, min(cells)), min_size=1, max_size=3, unique=True)):
-        plan = spaces._side_plan(cells, m, policy, 1, "tiling", spaces._TABLE_BATCH)
-        values = spaces._padded(f.values, plan.pad)
+        values = spaces._padded(f.values, spaces._side_plan(cells, m, policy, 1, "tiling").pad)
         moments, _ = spaces._moments(values, [s], q)
         if moments is None:  # s = 0 at q = 1.5 keeps the projector route
             continue
         sums = spaces._box_sums([moments], m, 0, values.shape)
         proj = None if s is None else spaces._cube_projector(n, m, s)
-        fast = spaces._qmean_table(values, proj, m, plan, q, sums)[0]
-        slow = spaces._qmean_table(values, proj, m, plan, q)[0]
-        at = np.ix_(*plan.starts)
+        fast = spaces._qmean_table(values, proj, m, q, sums)[0]
+        slow = spaces._qmean_table(values, proj, m, q)[0]
+        at = np.ix_(*(np.arange(N - m + 1) for N in values.shape))  # every start cell
         stable = np.vectorize(
             lambda *x: _stable_qmean(values[tuple(slice(c, c + m) for c in x)].ravel(), s, q)
         )(*at)
@@ -940,19 +941,22 @@ def test_engine_matches_per_offset_search(n, data, policy, stride, p, q, s, seed
     if not any(m**n >= (1 if s is None else s * n + 1) for m in sides):
         return  # no admissible side at all
     value, *_ = per_offset_search(f, p, q, s, alpha, search)
-    chunk_sizes = []  # per side: largest chunk, and the most the batch allows
+    chunk_sizes = []  # per chunk of cubes computed: its cubes, and the most the batch allows
 
-    def side_plan(cells, m, *rest):
-        plan = real_side_plan(cells, m, *rest)
-        chunk_sizes.append((max(len(at[0]) for at in plan.chunks), max(1, batch // m**n)))
-        return plan
+    def qmean(batch_rows, *rest):
+        chunk_sizes.append((batch_rows.shape[0], max(1, batch // batch_rows.shape[1])))
+        return real_qmean(batch_rows, *rest)
 
-    real_side_plan = spaces._side_plan
+    real_qmean = spaces._qmean
     with mock.patch.object(spaces, "_TABLE_BATCH", batch):  # chunks of one cube and more
-        with mock.patch.object(spaces, "_side_plan", side_plan):
+        with mock.patch.object(spaces, "_qmean", qmean):
             rep = _engine_search(f, p, q, s, alpha, search)
-    # the memoised side plans are keyed on the batch, so they were cut for it
-    assert chunk_sizes and all(size <= most for size, most in chunk_sizes)
+    # the chunks are cut for the batch, and they compute every start cell on
+    # the projector route and every marked one on the moment route
+    d = rep.diagnostics
+    computed = d["fallback_positions"] if d["engine"] == "per-side moment table" else d["cubes_evaluated"]
+    assert sum(size for size, _ in chunk_sizes) == computed
+    assert all(size <= most for size, most in chunk_sizes)
     assert abs(rep.value - value) <= 1e-12 * value
     assert rep.recompute() == pytest.approx(rep.value, rel=1e-12)
 
@@ -999,8 +1003,8 @@ def test_engine_diagnostics():
     # every start cell of each side: 13 and 9
     assert d["table_positions"] == 13 + 9 and d["fallback_positions"] == 0
     assert d["offsets_evaluated"] == 2 + 4  # offsets 0, 2 and 0, 2, 4, 6
-    # start cells whose phase a searched offset uses: 0,2,4,...,12 and 0,2,4,...,8
-    assert d["cubes_evaluated"] == 7 + 5
+    # every start cell is evaluated, whether or not a searched offset reads it
+    assert d["cubes_evaluated"] == 13 + 9
     assert d["skipped_sides"] == [] and d["skip_reasons"] == {}
     full = jn_con_norm(f, NormParams(2.0, 2.0, 0, 0.0), SearchConfig.full(w))
     assert full.diagnostics["cubes_evaluated"] == sum(16 - m + 1 for m in range(1, 17))
@@ -1010,6 +1014,129 @@ def test_engine_diagnostics():
         assert d["engine"] == "per-side projector table" and d["table_positions"] == 0
     assert rm_con_norm(f, 2.0, 1.5, 0.0).diagnostics["engine"] == "per-side moment table"
     assert rm_con_norm(f, 2.0, INF, 0.0).diagnostics["engine"] == "per-side projector table"
+
+
+# Per (n, s, q, policy, offset_stride), recorded bit for bit: the jn_con and
+# rm_con values of norm_pair as float.hex with a digest of their terms, then
+# per radius the jn_ball and rm_ball values as float.hex and digests of the
+# two ball sweeps' per-center q-means.  s = 1, q = inf and jn at s = 0,
+# q = 1.5 take the routes that gather cubes and balls cell by cell.  The
+# engine tests compare at rtol 1e-12 and a report value is a sum over many
+# centers, so a change in the order a gathered row is summed shows here first.
+_PINNED_ROUTES = {
+    (1, 0, 1.5, "restrict", 1): (
+        "0x1.2f65bf3b8cda8p+1", "2e3b848bc1bd9263", "0x1.60a528c939879p+1", "79e899dedf69c6af",
+        "0x1.2ae3ae6984a0bp+1", "0x1.4b207b1652f52p+1", "53f64feaaeb67f73", "bea0dd30d278cd74",
+        "0x1.23d743a47621ap+1", "0x1.3a76d94880e4cp+1", "eb4109ed18f2be02", "78801ef19ca376fe",
+    ),
+    (1, 0, 1.5, "zero-extend", 1): (
+        "0x1.31d0d06d7f601p+1", "25f6d95f2dafa58d", "0x1.6358bf10570bdp+1", "80e13fb3c2c72f33",
+        "0x1.2ae3ae6984a0bp+1", "0x1.4b207b1652f52p+1", "53f64feaaeb67f73", "bea0dd30d278cd74",
+        "0x1.23d743a47621ap+1", "0x1.3a76d94880e4cp+1", "eb4109ed18f2be02", "78801ef19ca376fe",
+    ),
+    (1, 0, INF, "restrict", 1): (
+        "0x1.7ff05c8298cc4p+2", "58afd8f0da8d8d56", "0x1.658bbe4631b81p+2", "007015d27c4dd89c",
+        "0x1.175167cec691bp+2", "0x1.3807a6fde3feep+2", "f1df98fa8c9f1092", "6593030522e76983",
+        "0x1.2f9f9f01103a5p+2", "0x1.4ab1e5646ac2fp+2", "a23601c8ab3ccbcd", "fc7111798ce51f6b",
+    ),
+    (1, 0, INF, "zero-extend", 1): (
+        "0x1.db25ba2ffc057p+2", "00f78fe0f889d725", "0x1.cebcb2778bfaep+2", "3a0c1b5949627e20",
+        "0x1.175167cec691bp+2", "0x1.3807a6fde3feep+2", "f1df98fa8c9f1092", "6593030522e76983",
+        "0x1.2f9f9f01103a5p+2", "0x1.4ab1e5646ac2fp+2", "a23601c8ab3ccbcd", "fc7111798ce51f6b",
+    ),
+    (1, 1, 1.5, "restrict", 1): (
+        "0x1.16546cb04e356p+1", "9a371274c99c77a3", "0x1.60a528c939879p+1", "79e899dedf69c6af",
+        "0x1.11f6e40f96ed2p+1", "0x1.4b207b1652f52p+1", "bc99c7ba413ec43e", "bea0dd30d278cd74",
+        "0x1.1516e01db5df1p+1", "0x1.3a76d94880e4cp+1", "568b28be2faeff85", "78801ef19ca376fe",
+    ),
+    (1, 1, 1.5, "zero-extend", 1): (
+        "0x1.1baaf0645a3e9p+1", "c1c63fe37c6c5e75", "0x1.6358bf10570bdp+1", "80e13fb3c2c72f33",
+        "0x1.11f6e40f96ed2p+1", "0x1.4b207b1652f52p+1", "bc99c7ba413ec43e", "bea0dd30d278cd74",
+        "0x1.1516e01db5df1p+1", "0x1.3a76d94880e4cp+1", "568b28be2faeff85", "78801ef19ca376fe",
+    ),
+    (1, 1, INF, "restrict", 1): (
+        "0x1.80ea4d635f58ap+2", "fa25184cde2eae6a", "0x1.658bbe4631b81p+2", "007015d27c4dd89c",
+        "0x1.0052a6d873a8ap+2", "0x1.3807a6fde3feep+2", "a6394c622b830e6d", "6593030522e76983",
+        "0x1.1f8ec139eea88p+2", "0x1.4ab1e5646ac2fp+2", "8e148b3736f6625a", "fc7111798ce51f6b",
+    ),
+    (1, 1, INF, "zero-extend", 1): (
+        "0x1.ecb6ee1841bedp+2", "c5a18129baa360f4", "0x1.cebcb2778bfaep+2", "3a0c1b5949627e20",
+        "0x1.0052a6d873a8ap+2", "0x1.3807a6fde3feep+2", "a6394c622b830e6d", "6593030522e76983",
+        "0x1.1f8ec139eea88p+2", "0x1.4ab1e5646ac2fp+2", "8e148b3736f6625a", "fc7111798ce51f6b",
+    ),
+    (2, 0, 1.5, "restrict", 1): (
+        "0x1.9bae3ebb561fbp+0", "9c96e4ebcfe7b7a4", "0x1.db4f8500497e9p+0", "c444a13c15bae90b",
+        "0x1.70762e8eb5112p+0", "0x1.7893ecc1f634dp+0", "274372251945389b", "06129e365c930d2a",
+        "0x1.52b3cf97c3be1p+0", "0x1.55beb5f11158cp+0", "830e189cabe18f6f", "a2e1b3e51b9a9959",
+    ),
+    (2, 0, 1.5, "zero-extend", 1): (
+        "0x1.a5ae9ece6fc4dp+0", "1da9b8e4852b7313", "0x1.db4f8500497e9p+0", "c444a13c15bae90b",
+        "0x1.70762e8eb5112p+0", "0x1.7893ecc1f634dp+0", "274372251945389b", "06129e365c930d2a",
+        "0x1.52b3cf97c3be1p+0", "0x1.55beb5f11158cp+0", "830e189cabe18f6f", "a2e1b3e51b9a9959",
+    ),
+    (2, 0, INF, "restrict", 1): (
+        "0x1.d86500f0cabc4p+1", "3f6486e66576986e", "0x1.d52d3136198bdp+1", "4cc626f66f32bd41",
+        "0x1.dd4decf5c5f21p+1", "0x1.e1f97cd4351c8p+1", "12fe94e61f34c4a9", "cf04ae3d23fe4810",
+        "0x1.eaef46562ecf7p+1", "0x1.ec0c862de3946p+1", "aaae2b324e5ae801", "471748b51c335a98",
+    ),
+    (2, 0, INF, "zero-extend", 1): (
+        "0x1.a334a55f9ce44p+2", "500e68206bc3f5d4", "0x1.a594a7d24cb16p+2", "0e04f1161da45673",
+        "0x1.dd4decf5c5f21p+1", "0x1.e1f97cd4351c8p+1", "12fe94e61f34c4a9", "cf04ae3d23fe4810",
+        "0x1.eaef46562ecf7p+1", "0x1.ec0c862de3946p+1", "aaae2b324e5ae801", "471748b51c335a98",
+    ),
+    (2, 1, 1.5, "restrict", 1): (
+        "0x1.6cf33465219a4p+0", "9a52e2fb81c6fa7c", "0x1.db4f8500497e9p+0", "c444a13c15bae90b",
+        "0x1.651ad57fe4efcp+0", "0x1.7893ecc1f634dp+0", "171540d8af8b1848", "06129e365c930d2a",
+        "0x1.4d04efae82c8fp+0", "0x1.55beb5f11158cp+0", "af5b41d07c5c4489", "a2e1b3e51b9a9959",
+    ),
+    (2, 1, 1.5, "zero-extend", 1): (
+        "0x1.6fe0410c6545cp+0", "5be080ff325d9e32", "0x1.db4f8500497e9p+0", "c444a13c15bae90b",
+        "0x1.651ad57fe4efcp+0", "0x1.7893ecc1f634dp+0", "171540d8af8b1848", "06129e365c930d2a",
+        "0x1.4d04efae82c8fp+0", "0x1.55beb5f11158cp+0", "af5b41d07c5c4489", "a2e1b3e51b9a9959",
+    ),
+    (2, 1, INF, "restrict", 1): (
+        "0x1.b6c7d8d8b3ffep+1", "1c28dfbf40246151", "0x1.d52d3136198bdp+1", "4cc626f66f32bd41",
+        "0x1.d703264e589cbp+1", "0x1.e1f97cd4351c8p+1", "c768f89d654ed066", "cf04ae3d23fe4810",
+        "0x1.e260aa7daf826p+1", "0x1.ec0c862de3946p+1", "67fd275255ead19f", "471748b51c335a98",
+    ),
+    (2, 1, INF, "zero-extend", 1): (
+        "0x1.9a1a3cec0a3f4p+2", "72be84fd2132a5bd", "0x1.a594a7d24cb16p+2", "0e04f1161da45673",
+        "0x1.d703264e589cbp+1", "0x1.e1f97cd4351c8p+1", "c768f89d654ed066", "cf04ae3d23fe4810",
+        "0x1.e260aa7daf826p+1", "0x1.ec0c862de3946p+1", "67fd275255ead19f", "471748b51c335a98",
+    ),
+    (1, 1, 1.5, "restrict", 2): (
+        "0x1.16546cb04e356p+1", "9a371274c99c77a3", "0x1.60a528c939879p+1", "79e899dedf69c6af",
+        "0x1.11f6e40f96ed2p+1", "0x1.4b207b1652f52p+1", "bc99c7ba413ec43e", "bea0dd30d278cd74",
+        "0x1.1516e01db5df1p+1", "0x1.3a76d94880e4cp+1", "568b28be2faeff85", "78801ef19ca376fe",
+    ),
+    (2, 0, INF, "zero-extend", 2): (
+        "0x1.a296d3ce4b404p+2", "24d1a759bdd7e102", "0x1.a594a7d24cb16p+2", "0e04f1161da45673",
+        "0x1.dd4decf5c5f21p+1", "0x1.e1f97cd4351c8p+1", "12fe94e61f34c4a9", "cf04ae3d23fe4810",
+        "0x1.eaef46562ecf7p+1", "0x1.ec0c862de3946p+1", "aaae2b324e5ae801", "471748b51c335a98",
+    ),
+}
+
+
+def _digest(a) -> str:
+    return hashlib.blake2b(np.asarray(a).tobytes(), digest_size=8).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(_PINNED_ROUTES), ids=lambda c: "-".join(map(str, c)))
+def test_projector_routes_are_pinned_bit_for_bit(case):
+    from jnlab import spaces
+
+    n, s, q, policy, stride = case
+    cells = (128,) if n == 1 else (24, 20)
+    w = Window(n, (0.0,) * n, tuple(c / 16 for c in cells), cells)
+    f = GridFunction(w, np.random.default_rng(5).normal(size=cells))
+    radii = [3.5 * w.h, 6 * w.h]
+    reps = norm_pair(f, NormParams(2.0, q, s, 0.1), SearchConfig(offset_stride=stride, policy=policy), radii)
+    got = [x for name in ("jn_con", "rm_con") for x in (reps[name].value.hex(), _digest(reps[name].terms))]
+    frame = spaces._Frame(f, q, [s, None], math.ceil(radii[-1] / w.h) - 1)
+    for r in radii:
+        got += [reps[name].diagnostics["per_radius"][r].hex() for name in ("jn_ball", "rm_ball")]
+        got += [_digest(qmeans) for qmeans, _ in spaces._ball_sweep(frame, r, [s, None])[1]]
+    assert tuple(got) == _PINNED_ROUTES[case]
 
 
 def test_skipped_sides_carry_their_reason(monkeypatch):
@@ -1055,8 +1182,8 @@ def test_memoised_projectors_are_read_only_and_shared():
         (_cube_projector, (2, 4, 1)),
         (_ball_plan, (w.cells, w.h, 8 * w.h, 1)),
         (_ball_plan, ((12, 10), 0.1, 0.35, None)),
-        (_side_plan, ((16, 12), 4, "zero-extend", 1, "tiling", 1 << 14)),
-        (_side_plan, ((40,), 8, "restrict", 1, "exhaustive", 7)),
+        (_side_plan, ((16, 12), 4, "zero-extend", 1, "tiling")),
+        (_side_plan, ((40,), 8, "restrict", 1, "exhaustive")),
     ]
     for memo, key in memos:
         arrays = _plan_arrays(memo(*key))
@@ -1089,7 +1216,8 @@ def _pairwise_overlap(centers, side):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=24))
+@given(st.integers(1, 2), st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=24))
+@example(n=2, starts=[])  # an empty collection is a packing
 def test_partition_overlap_rule_matches_pairwise_loop(n, starts):
     side = 0.25
     centers = sorted({tuple(0.125 * np.asarray(st_[:n]) + side / 2) for st_ in starts})
