@@ -434,7 +434,7 @@ def epsilon_window(p, q, s, alpha, delta, n) -> EpsilonWindow:
 
 def pairing(g: GridFunction, f: GridFunction) -> float:
     """Discrete integral of g * f; both functions must share one lattice."""
-    if not g.window.same_lattice(f.window):
+    if g.window != f.window:
         raise WindowMismatchError("pairing requires identical windows; resample first")
     return float((g.flat * f.flat).sum()) * g.window.cell_measure
 

@@ -414,7 +414,7 @@ def run_equivalence(config: ExperimentConfig) -> ExperimentResult:
     def pairs(f):
         h, span = f.window.h, f.window.span
         radii = config.radii or [h * 2**k for k in range(2, 7) if h * 2**k < span]
-        norms = norm_pair(f, params, radii=radii)
+        norms = norm_pair(f, params, None, radii)
         return tuple((norms[f"{name}_ball"].value, norms[f"{name}_con"].value) for name in ("jn", "rm"))
 
     base = _family_ratios(config, window, params, pairs)

@@ -188,14 +188,6 @@ class Window:
             tuple(c + 2 * e for c, e in zip(self.cells, extra)),
         )
 
-    def same_lattice(self, other: "Window") -> bool:
-        return (
-            self.n == other.n
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.cells == other.cells
-        )
-
     def lattice_offset(self, other: "Window") -> np.ndarray | None:
         """Index of this window's first cell in the other window's lattice
         (negative below it), or None if the two lattices differ in dimension,
@@ -389,14 +381,14 @@ class GridFunction:
 
     def __add__(self, other):
         if isinstance(other, GridFunction):
-            if not self.window.same_lattice(other.window):
+            if self.window != other.window:
                 raise LatticeError("window mismatch in grid-function arithmetic")
             return GridFunction(self.window, self.values + other.values)
         return GridFunction(self.window, self.values + other)
 
     def __sub__(self, other):
         if isinstance(other, GridFunction):
-            if not self.window.same_lattice(other.window):
+            if self.window != other.window:
                 raise LatticeError("window mismatch in grid-function arithmetic")
             return GridFunction(self.window, self.values - other.values)
         return GridFunction(self.window, self.values - other)

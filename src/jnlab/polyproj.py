@@ -7,13 +7,12 @@ L^2(E) inner product.  Monomials are anchored at the region center and scaled
 by the region half-size before the Gram matrix is formed; an explicit
 condition-number gate rejects degenerate instances instead of regularizing.
 :class:`Projector` holds that computation for one point set; moment
-projections, orthonormal bases, the cube-tiling batches and the ball sweep
-all go through it.
+projections, orthonormal bases and the cube-tiling batches go through it,
+and the clipped balls of the ball sweep share its gate, gram_condition.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -41,6 +40,15 @@ COND_LIMIT = 1e10
 
 class ConditioningError(ValueError):
     """Gram matrix of the monomial basis is numerically singular on E."""
+
+
+def gram_condition(gram: np.ndarray) -> float:
+    """The largest condition number of a Gram matrix or a stack of them;
+    ConditioningError unless each is finite and at most COND_LIMIT."""
+    cond = np.linalg.cond(gram)
+    if not np.all(np.isfinite(cond) & (cond <= COND_LIMIT)):
+        raise ConditioningError(f"monomial Gram condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
+    return float(np.max(cond))
 
 
 def multi_indices(n: int, s: int) -> list[tuple]:
@@ -125,15 +133,9 @@ class Projector:
     solved once against phi^T; every projection after that is a product with
     the stored solution.  Rows of a batch are functions sampled at the
     points, so congruent cubes share one projector.
-
-    With ``keep`` (rows, m) boolean, row r is its own problem on the points
-    it keeps (balls clipped by the window edge): the Gram matrices form a
-    stack, each row's system is solved against that row's moment vector,
-    and residuals are zero off a row's points.  A masked batch row must be
-    zero off the points it keeps.
     """
 
-    def __init__(self, pts: np.ndarray, s: int, anchor=None, scale: float = 1.0, keep=None):
+    def __init__(self, pts: np.ndarray, s: int, anchor=None, scale: float = 1.0):
         s = whole_number(s, "degree s")
         if s > MAX_DEGREE:
             raise ValueError(f"degree s must be at most {MAX_DEGREE}, the degree cap, got {s}")
@@ -147,24 +149,10 @@ class Projector:
                 f"{pts.shape[0]} cells cannot carry the degree-{s} space of dimension {len(self.gammas)}"
             )
         self.phi = monomials(pts, self.gammas, anchor, scale)
-        self.keep = keep
-        design = self.phi if keep is None else self.phi * keep[..., None]
-        self.gram = np.swapaxes(design, -1, -2) @ design
-        cond = np.linalg.cond(self.gram)
-        if not np.all(np.isfinite(cond) & (cond <= COND_LIMIT)):
-            raise ConditioningError(
-                f"monomial Gram condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}"
-            )
-        self.condition = float(np.max(cond))
-        # coefficients of a row b are gram^-1 phi^T b, solved here once or per masked row
-        self._solved = np.linalg.solve(self.gram, self.phi.T) if keep is None else self.phi.T
-
-    def clipped(self, keep, gram) -> "Projector":
-        """This projector in masked mode on the points ``keep`` marks, where
-        ``gram`` is the Gram stack of a projector built with that mask."""
-        out = copy.copy(self)
-        out.keep, out.gram = keep, gram
-        return out
+        self.gram = self.phi.T @ self.phi
+        self.condition = gram_condition(self.gram)
+        # coefficients of a row b are gram^-1 phi^T b, solved here once
+        self._solved = np.linalg.solve(self.gram, self.phi.T)
 
     def bases(self) -> tuple[list[Polynomial], list[Polynomial]]:
         """The Gram-Schmidt orthonormal polynomials phi_nu on the points with
@@ -190,14 +178,11 @@ class Projector:
 
     def coefficients(self, batch: np.ndarray) -> np.ndarray:
         """Coefficients (..., dim) of the projections of the rows (..., m)."""
-        if self.keep is None:
-            return batch @ self._solved.T
-        return np.linalg.solve(self.gram, (batch @ self.phi)[..., None])[..., 0]
+        return batch @ self._solved.T
 
     def fit(self, batch: np.ndarray) -> np.ndarray:
         """The projection of each row, sampled at the points."""
-        fit = self.coefficients(batch) @ self.phi.T
-        return fit if self.keep is None else fit * self.keep
+        return self.coefficients(batch) @ self.phi.T
 
     def residual(self, batch: np.ndarray) -> np.ndarray:
         """Each row minus its projection."""

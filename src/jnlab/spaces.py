@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import GridFunction, Window, _memo, _real_number, grid_points, whole_number
-from .polyproj import MAX_DEGREE, ConditioningError, Projector, space_dimension
+from .lattice import GridFunction, Window, _memo, _real_number, grid_points, monomials, whole_number
+from .polyproj import MAX_DEGREE, ConditioningError, Projector, gram_condition, multi_indices, space_dimension
 
 __all__ = [
     "NormParams",
@@ -539,7 +539,7 @@ def rm_con_norm(
     return _norms(f, NormParams(p, q, 0, alpha), search, (), cubes=[None])[0]
 
 
-def norm_pair(f: GridFunction, params: NormParams, search: SearchConfig | None = None, radii=()) -> dict:
+def norm_pair(f: GridFunction, params: NormParams, search: SearchConfig | None, radii) -> dict:
     """The reports of jn_con_norm, rm_con_norm (at params' p, q, alpha),
     jn_ball_seminorm and rm_ball_seminorm, keyed by name, from one frame."""
     names = ("jn_con", "rm_con", "jn_ball", "rm_ball")
@@ -606,7 +606,7 @@ class _BallPlan(NamedTuple):
     offsets: np.ndarray  # padded flat offsets of a ball's cells from its (2K+1)^n box corner
     inside: np.ndarray  # the padded frame's indicator of window cells, flat
     counts: np.ndarray  # per center: cells of its ball inside the window
-    projector: Projector | None  # s >= 1: on the unclipped ball, relative to its center
+    phi: np.ndarray | None  # s >= 1: the monomials at the ball's offsets, relative to its center
     gram: np.ndarray | None  # s >= 1: per center, the Gram matrix on its clipped ball
 
     def bands(self, cells: tuple, centers=None):
@@ -639,9 +639,9 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
     """The balls of every center on a window of `cells`, which hold no
     values: lattice offsets k with |k| h < radius into the frame padded by
     K = ceil(radius/h) - 1 zeros per side, the same ball as runs along the
-    last axis, the clipped cell counts, and for s >= 1 the clipped Gram
-    stack, checked once here.  s = 0 and s = None need no projector and
-    share the plan of s = None."""
+    last axis, the clipped cell counts, and for s >= 1 the monomials at the
+    offsets and the clipped Gram stack, checked once here.  s = 0 and
+    s = None need neither and share the plan of s = None."""
     n = len(cells)
     K = math.ceil(radius / h) - 1
     grid = grid_points([np.arange(-K, K + 1)] * n)
@@ -657,14 +657,30 @@ def _ball_plan(cells: tuple, h: float, radius: float, s: int | None) -> _BallPla
         np.ravel_multi_index(tuple((offs + K).T), padded),
         inside.ravel() > 0,
         None,
-        None if not s else Projector(offs * h, s, None, radius),
+        None if not s else monomials(offs * h, multi_indices(n, s), None, radius),
         None,
     )
     plan = plan._replace(counts=plan.sums([inside[None]], K)[0].astype(int))
     if not s:
         return plan
-    grams = [Projector(offs * h, s, None, radius, plan.inside[at]).gram for _, at in plan.bands(cells)]
-    return plan._replace(gram=np.concatenate(grams))
+    gram = np.concatenate([_clipped_gram(plan.phi, plan.inside[at]) for _, at in plan.bands(cells)])
+    gram_condition(gram)
+    return plan._replace(gram=gram)
+
+
+def _clipped_gram(phi: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row of keep (rows, m), the Gram matrix of the design matrix phi
+    (m, dim) on the points the row keeps."""
+    design = phi * keep[..., None]
+    return np.swapaxes(design, -1, -2) @ design
+
+
+def _clipped_residual(batch: np.ndarray, phi: np.ndarray, keep: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Each row of batch (rows, m), zero off the points its row of keep
+    marks, minus its projection on those points: the row's own system, gram
+    its _clipped_gram, solved against its moment vector."""
+    coef = np.linalg.solve(gram, (batch @ phi)[..., None])[..., 0]
+    return batch - (coef @ phi.T) * keep
 
 
 def _ball_sweep(frame: _Frame, radius: float, flavours):
@@ -703,7 +719,7 @@ def _ball_sweep(frame: _Frame, radius: float, flavours):
                     batch = (batch - batch[:, center, None]) * keep
                     batch = (batch - (batch.sum(axis=1) / counts)[:, None]) * keep
                 elif s is not None:
-                    batch = plan.projector.clipped(keep, plan.gram[band]).residual(batch)
+                    batch = _clipped_residual(batch, plan.phi, keep, plan.gram[band])
                 qmeans[band] = _qmean(batch, frame.q, counts)
         out.append((qmeans, None if redo is None else redo.size))
     return plan, out

@@ -16,7 +16,7 @@ def test_public_surface_roundtrip():
     assert jnlab.jn_con_norm(f, params).value > 0
     K = jnlab.kernel_by_name("hilbert")
     out = jnlab.apply_cz(K, f)
-    assert out.result.window.same_lattice(w)
+    assert out.result.window == w
     atom = jnlab.make_atom(1, jnlab.Cube((0.5,), 0.25), jnlab.NormParams(2, 2, 0, 0.25), w)
     assert atom.certification.passed
     win = jnlab.epsilon_window(2, 2, 0, "0.25", 1, 1)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,19 @@ def test_cli_usage_errors_exit_config(tmp_path, capsys):
     for s in ("-1", "5"):
         assert cli.main(["project", "--function", str(path), "--region", "cube:0.5:0.5", "--s", s]) == 3
         assert "degree s" in capsys.readouterr().err
+
+
+def test_cli_process_exit_codes(tmp_path):
+    # the process exits with main's code (sys.exit(main())): 3 for a
+    # configuration error and for a usage error argparse would exit 2 on
+    import jnlab
+
+    env = {**os.environ, "PYTHONPATH": str(Path(jnlab.__file__).parents[1])}
+    out = tmp_path / "out"
+    for argv in (["experiment", "equivalence", "--cells", "4", "--out", str(out)], ["bogus"]):
+        run = subprocess.run([sys.executable, "-m", "jnlab.cli", *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 3, (argv, run.stderr)
+    assert not out.exists()
 
 
 def test_cli_atom_roundtrip(tmp_path):

@@ -180,8 +180,12 @@ def test_gridfunction_json_roundtrip(tmp_path):
     path = tmp_path / "f.json"
     f.save(path)
     g = GridFunction.load(path)
-    assert g.window.same_lattice(w)
+    assert g.window == w
     assert np.array_equal(g.values, f.values)
+    # a window equal by value adds and subtracts; another lattice does not
+    assert np.array_equal((g + f - f).values, g.values)
+    with pytest.raises(LatticeError, match="window mismatch"):
+        g - GridFunction.zeros(w.refine())
     payload = json.loads(path.read_text())
     assert set(payload) == {"n", "lower", "upper", "cells", "values"}
 

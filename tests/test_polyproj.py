@@ -11,6 +11,7 @@ from jnlab.polyproj import (
     ConditioningError,
     Polynomial,
     Projector,
+    gram_condition,
     index_factorial,
     moment_projection,
     multi_indices,
@@ -317,31 +318,16 @@ def test_projector_batch_matches_moment_projection(n, s, seed):
     assert np.max(np.abs(proj.residual(resid) - resid)) <= 1e-12 * np.max(np.abs(batch))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 1), st.integers(0, 10_000))
-def test_masked_projector_matches_per_row(n, s, seed):
-    # a masked stack (balls clipped by the window edge) solves each row on the
-    # points it keeps, exactly as a projector built on those points alone
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(20, n))
-    keep = rng.random((5, 20)) < 0.6
-    keep[:, : 2 * n + 2] = True
-    batch = np.where(keep, rng.normal(size=(5, 20)), 0.0)
-    proj = Projector(pts, s, None, 0.7, keep)
-    resid = proj.residual(batch)
-    assert np.all(resid[~keep] == 0.0)
-    for r in range(5):
-        alone = Projector(pts[keep[r]], s, None, 0.7).residual(batch[r, keep[r]])
-        assert np.max(np.abs(resid[r, keep[r]] - alone)) <= 1e-12
-    assert np.max(np.abs(proj.residual(resid) - resid)) <= 1e-12
-
-
 def test_projector_gate_is_shared():
-    # one COND_LIMIT gate: too few cells, and a degenerate row in a masked stack
+    # one COND_LIMIT gate: too few cells for a projector, and a degenerate
+    # row in the Gram stack of the clipped balls
+    from jnlab.spaces import _clipped_gram
+
     with pytest.raises(ConditioningError):
         Projector(np.zeros((2, 1)), 2)
-    pts = np.linspace(-1, 1, 6)[:, None]
+    line = Projector(np.linspace(-1, 1, 6)[:, None], 1)
     keep = np.ones((2, 6), dtype=bool)
+    assert gram_condition(_clipped_gram(line.phi, keep)) == pytest.approx(line.condition)
     keep[1, 1:] = False  # one point cannot carry a line
     with pytest.raises(ConditioningError):
-        Projector(pts, 1, keep=keep)
+        gram_condition(_clipped_gram(line.phi, keep))

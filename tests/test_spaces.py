@@ -609,6 +609,30 @@ def test_ball_engine_matches_lstsq_reference(n, data, s, q, batch, seed):
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 1), st.integers(0, 10_000))
+def test_clipped_residual_matches_a_projector_per_row(n, s, seed):
+    # a stack of clipped balls solves each row on the points it keeps,
+    # exactly as a projector built on those points alone
+    from jnlab.lattice import monomials
+    from jnlab.polyproj import multi_indices
+    from jnlab.spaces import _clipped_gram, _clipped_residual
+
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(20, n))
+    keep = rng.random((5, 20)) < 0.6
+    keep[:, : 2 * n + 2] = True
+    batch = np.where(keep, rng.normal(size=(5, 20)), 0.0)
+    phi = monomials(pts, multi_indices(n, s), None, 0.7)
+    gram = _clipped_gram(phi, keep)
+    resid = _clipped_residual(batch, phi, keep, gram)
+    assert np.all(resid[~keep] == 0.0)
+    for r in range(5):
+        alone = Projector(pts[keep[r]], s, None, 0.7).residual(batch[r, keep[r]])
+        assert np.max(np.abs(resid[r, keep[r]] - alone)) <= 1e-12
+    assert np.max(np.abs(_clipped_residual(resid, phi, keep, gram) - resid)) <= 1e-12
+
+
 def test_clipped_ball_raises_conditioning_error_on_every_call(monkeypatch):
     from jnlab import polyproj
     from jnlab.spaces import _ball_plan
@@ -1364,6 +1388,11 @@ def test_norm_pair_builds_one_moment_stack(monkeypatch):
     # nothing, so the balls' K = 19 sets the padding
     assert stack.shape == (1, 64 + 2 * 19)
     assert rows == {0: None, None: slice(-1, None)}
+    # the ball seminorms need a radius: none given, or an empty list
+    with pytest.raises(TypeError, match="radii"):
+        spaces.norm_pair(f, NormParams(2.0, 2.0, 0, 0.1), None)
+    with pytest.raises(ValueError, match="at least one radius"):
+        spaces.norm_pair(f, NormParams(2.0, 2.0, 0, 0.1), None, [])
 
 
 def test_square_row_is_shared_bit_for_bit():
