@@ -3,9 +3,11 @@
     PYTHONPATH=<src> python reference_runs.py OUT [WARM]
 
 writes each run's files under OUT/<tag>/, one `python -m jnlab.cli` process
-per run, so every memo starts cold.  With WARM, this process then runs the
-table twice through `jnlab.cli.main` and writes the second pass, which reads
-the memos the first one filled, under WARM/.  The jnlab that runs is the one
+per run, so every memo starts cold, and the criterion-5 defect rows under
+OUT/defects/, each atom on a cleared memo.  With WARM, this process then runs
+the table and the defect rows twice through `jnlab.cli.main` and
+`vanishing_moment_defect` and writes the second pass, which reads the memos
+the first one filled, under WARM/.  The jnlab that runs is the one
 PYTHONPATH picks, and it writes its own seeded input files, so two trees are
 compared with `diff -r` on their OUT directories.  A run that exits
 non-zero or writes fewer files than it should stops the script with an
@@ -22,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from jnlab import lattice
 from jnlab.cli import main
-from jnlab.hardy import make_molecule
+from jnlab.czkernel import hilbert_kernel, perturbed_kernel, riesz_kernel, vanishing_moment_defect
+from jnlab.hardy import make_atom, make_molecule
 from jnlab.lattice import Cube, GridFunction, Window
 from jnlab.spaces import NormParams
 
@@ -63,6 +67,31 @@ CLI = {
     "atom.json": "atom make --seed 5 --cells 128 --alpha 0.25",
     "molecule": "molecule decompose --function {inputs}/mol.json --region cube:0.0:0.25 --epsilon 0.3 --alpha 0.25",
 }
+
+
+def defect_cases() -> list:
+    """(kernel, atoms, padding) of criterion 5: 8 line atoms through hilbert
+    and perturbed at padding 512, and 2 plane atoms through riesz0 at 256."""
+    params = NormParams(2.0, 2.0, 0, 0.25)
+    line = [make_atom(100 + i, Cube((0.0,), 1.0), params, Window(1, (-2.0,), (2.0,), (512,))) for i in range(8)]
+    plane = [make_atom(200 + i, Cube((0.0, 0.0), 0.25), params, Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48))) for i in range(2)]
+    return [(hilbert_kernel(), line, 512), (perturbed_kernel(), line, 512), (riesz_kernel(0, 2), plane, 256)]
+
+
+def write_defects(cases: list, root: Path, clear: bool) -> None:
+    """The defect rows of each atom of the cases, one row a line with its
+    floats as float.hex, in root/defects/<kernel>.txt.  With clear, each atom
+    starts on an empty memo; without, it reads the difference table and the
+    frame Taylor coefficients that earlier calls with its kernel left."""
+    (root / "defects").mkdir()
+    for kernel, atoms, padding in cases:
+        lines = []
+        for atom in atoms:
+            if clear:
+                lattice._MEMO.clear()
+            rows = vanishing_moment_defect(kernel, 0, [atom], padding=padding).rows
+            lines += ["\t".join(v.hex() if isinstance(v, float) else str(v) for v in row.values()) for row in rows]
+        (root / "defects" / f"{kernel.name}.txt").write_text("\n".join(lines) + "\n")
 
 
 def write_inputs(inputs: Path) -> None:
@@ -113,8 +142,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         inputs = Path(scratch)
         write_inputs(inputs)
-        table = runs(inputs)
+        table, cases = runs(inputs), defect_cases()
         run_all(table, Path(sys.argv[1]), cold)
+        write_defects(cases, Path(sys.argv[1]), clear=True)
         if len(sys.argv) == 3:
-            run_all(table, inputs / "first", warm)
-            run_all(table, Path(sys.argv[2]), warm)
+            for root in (inputs / "first", Path(sys.argv[2])):
+                run_all(table, root, warm)
+                write_defects(cases, root, clear=False)

@@ -326,7 +326,8 @@ def _box(lo, shape) -> tuple:
 def _bands(shape) -> list:
     """Row ranges (start, stop) over the leading axis of an array of this
     shape, each of about _BAND_CELLS cells.  A 1-D frame is a single row and
-    so a single band: cutting it would only multiply the numpy calls."""
+    so a single band: cutting it would only multiply the numpy calls of a pass
+    that reads each cell once (_conv_forward cuts it into flat bands)."""
     rows = int(shape[0])
     if len(shape) == 1:
         return [(0, rows)]
@@ -384,20 +385,34 @@ def _box_table(kappa, h, eta, eval_lo, eval_hi, src_lo, src_hi):
 
 def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndarray:
     """Box sums out[x] = sum_s table[x - s - origin] w_s over the cells x of
-    the box eval_lo + [0, eval_shape), one shifted view per source and row
-    band.  Each cell adds its sources in the same order whatever the bands,
-    so the sums are those of a one-shot accumulation, bit for bit."""
-    out = np.zeros(tuple(eval_shape))
-    base = np.asarray(eval_lo) - np.asarray(origin)
-    for a, b in _bands(out.shape):
-        acc = out[a:b]
-        scratch = np.empty_like(acc)
-        lo = base.copy()
-        lo[0] += a
-        for s, w in zip(src_idx, src_w):
-            np.multiply(w, table[_box(lo - s, acc.shape)], out=scratch)
-            acc += scratch
-    return out.reshape(-1)
+    the box eval_lo + [0, eval_shape), flat.  They run over rows of the
+    table's own pitch, where each source's shifted view is one contiguous run
+    of the flat table, in flat bands of _BAND_CELLS (a 1-D frame too); then
+    the valid columns move, row band by row band, to the front of the same
+    buffer.  Each cell adds its sources in the same order whatever the bands,
+    so the sums are those of a one-shot accumulation, bit for bit.  The table
+    must be C-contiguous (the memoised one, not the reflected view)."""
+    if not table.flags.c_contiguous:
+        raise ValueError("the forward sums need a C-contiguous difference table, not a strided or reflected view")
+    flat, shape = table.reshape(-1), np.asarray(eval_shape)
+    starts = np.ravel_multi_index(tuple((np.asarray(eval_lo) - origin - np.asarray(src_idx)).T), table.shape).tolist()
+    size = int(np.ravel_multi_index(tuple(shape - 1), table.shape)) + 1  # through the last cell of the box
+    per = int(np.prod(shape[1:]))  # cells per row of the box
+    # the scratch holds a flat band of the sums and a row band of the box
+    buf, scratch = np.zeros(shape[0] * (table.size // table.shape[0])), np.empty(min(size, max(_BAND_CELLS, per)))
+    for a in range(0, size, _BAND_CELLS):
+        b = min(a + _BAND_CELLS, size)
+        acc, tmp = buf[a:b], scratch[: b - a]
+        for s, w in zip(starts, src_w):
+            np.multiply(w, flat[s + a : s + b], out=tmp)
+            acc += tmp
+    rows = buf.reshape(shape[0], *table.shape[1:])[(slice(None), *map(slice, shape[1:]))]
+    if rows.shape[1:] != table.shape[1:]:
+        for a, b in _bands(rows.shape):  # a band's cells end before the next band's rows begin
+            tmp = scratch[: (b - a) * per]
+            tmp.reshape(b - a, *shape[1:])[...] = rows[a:b]
+            buf[a * per : b * per] = tmp
+    return buf[: shape[0] * per]
 
 
 def _toeplitz(v, lags: int) -> np.ndarray:

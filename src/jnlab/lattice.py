@@ -447,9 +447,9 @@ def check_packing(cubes, side: float, what: str) -> None:
     than a side on every axis; a chunk of rows i meets every j > i at once."""
     if any(abs(c.side - side) > 1e-12 * side for c in cubes):
         raise ValueError(f"{what} cubes must be congruent")
-    ctr = np.asarray([c.center for c in cubes], dtype=float)
-    if not len(ctr):  # no cubes: an empty packing
+    if len(cubes) < 2:  # nothing to overlap
         return
+    ctr = np.asarray([c.center for c in cubes], dtype=float)
     chunk = max(1, (1 << 18) // len(ctr))
     for i in range(0, len(ctr), chunk):
         near = np.all(np.abs(ctr[i : i + chunk, None] - ctr) < side * (1 - 1e-12), axis=2)

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -754,8 +755,8 @@ _BANDED_KERNELS = [
 
 @pytest.mark.parametrize("K", _BANDED_KERNELS, ids=lambda K: K.name)
 def test_banded_table_and_forward_equal_one_shot(K, monkeypatch):
-    # a 29 x 9 table in bands of 3 rows, 23 x 3 sums in bands of 9 rows:
-    # neither divides its row count
+    # a 29 x 9 table in bands of 3 rows, 23 x 3 sums in flat bands of 29
+    # cells of pitch 9, compacted in bands of 9 rows: none divides its length
     monkeypatch.setattr(czkernel, "_BAND_CELLS", 3 * 9 + 2)
     rng = np.random.default_rng(5)
     h, n = 0.05, K.n
@@ -771,6 +772,53 @@ def test_banded_table_and_forward_equal_one_shot(K, monkeypatch):
         assert np.array_equal(table, ref)
         got = _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w)
         assert np.array_equal(got, _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w))
+
+
+@pytest.mark.parametrize("K", [hilbert_kernel(), perturbed_kernel(), riesz_kernel(1, 2), smooth_bump_kernel(3)], ids=lambda K: f"{K.name}-{K.n}d")
+def test_flat_forward_runs_equal_one_shot(K, monkeypatch):
+    # flat bands of 37 cells: a 1-D frame of 83 cells takes three, and every
+    # table pitch below (9, or 36 and 4) has bands that end mid-row
+    monkeypatch.setattr(czkernel, "_BAND_CELLS", 37)
+    rng = np.random.default_rng(8)
+    n, h = K.n, 0.1
+    eval_lo, eval_shape = np.array([-5, 3, -2][:n]), np.array([83, 4, 3][:n])
+    dense = np.argwhere(np.ones((5, 6, 2)[:n], bool)) - 2  # a dense box wider than the eval box off axis 0
+    sparse_w = rng.normal(size=len(dense[::3]))
+    sparse_w[1] = 0.0
+    for src_idx, src_w in [(dense, rng.normal(size=len(dense))), (dense[4:5], np.array([0.7])), (dense[::3], sparse_w)]:
+        lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
+        table, origin = _box_table(K.kappa, h, h, eval_lo, eval_lo + eval_shape - 1, lo, hi)
+        assert table.shape[1:] == tuple(eval_shape[1:] + hi[1:] - lo[1:])
+        got = _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w)
+        assert np.array_equal(got, _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w))
+
+
+def test_forward_sums_compact_in_place():
+    # the valid columns move to the front of the sums' own buffer through the
+    # band scratch: one 2-D call peaks at its output plus a band or two, not
+    # at a second frame-sized array
+    K, shape = riesz_kernel(0, 2), np.array([512, 512])
+    src_idx = np.argwhere(np.ones((3, 3), bool)) + 200
+    src_w = np.random.default_rng(1).normal(size=9)
+    table, origin = _box_table(K.kappa, 1 / 128, 1 / 128, (0, 0), shape - 1, src_idx.min(axis=0), src_idx.max(axis=0))
+    tracemalloc.start()
+    try:
+        out = _conv_forward(table, origin, (0, 0), shape, src_idx, src_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 512 * 512 * 8
+    assert peak <= out.nbytes + 2 * czkernel._BAND_CELLS * 8
+
+
+def test_forward_sums_reject_a_reflected_table():
+    # only the memoised C-contiguous table reaches the forward sums; the
+    # reflected view of the defect report's dual route is for point sums
+    src_idx, src_w = np.array([[0, 0], [1, 2]]), np.array([1.0, -0.5])
+    table, origin = _box_table(riesz_kernel(0, 2).kappa, 0.1, 0.1, (-4, -4), (4, 4), (0, 0), (1, 2))
+    flipped = table[::-1, ::-1], -(origin + np.asarray(table.shape) - 1)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _conv_forward(*flipped, (-4, -4), (9, 9), -src_idx, src_w)
 
 
 @pytest.mark.parametrize("K", _BANDED_KERNELS, ids=lambda K: K.name)

@@ -1253,6 +1253,14 @@ def test_partition_overlap_rule_matches_pairwise_loop(n, starts):
         check_packing(cubes, side, "tiling")
 
 
+def test_packing_of_fewer_than_two_cubes_checks_the_side_only():
+    side = 0.25
+    check_packing([], side, "tiling")
+    check_packing([Cube((0.0, 0.0), side)], side, "tiling")
+    with pytest.raises(ValueError, match="congruent"):
+        check_packing([Cube((0.0, 0.0), 2 * side)], side, "tiling")
+
+
 def test_partition_of_many_cubes_is_fast():
     import time
 
