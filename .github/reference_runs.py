@@ -44,6 +44,9 @@ CONFIGS = {
     "jn2d": (["jn-boundedness"], {"experiment": "jn-boundedness", "window": {**WIN2, "cells": [32, 32]}, "kernel": RIESZ0, "params": {"p": 2.0, "q": 2.0, "s": 0, "alpha": 0.1}, "family": {"kind": "random-osc", "count": 4, "seed": 7}, "refine": True}),
     # the defaults are 1-D with s = 0, where every dual basis is a constant: the 2-D degree-1 molecule path
     "mol2d": (["atom-image", "decomposition"], {"experiment": "atom-image", "window": {"n": 2, "lower": [-2.0, -2.0], "upper": [2.0, 2.0], "cells": [64, 64]}, "kernel": RIESZ0, "params": P2S1, "family": {"kind": "atom", "count": 2, "seed": 7}, "epsilon": 0.20833333333333334, "levels": 4}),
+    # the molecule-2d benchmark's ladder at 128^2: with 5 levels the decomposition runs j_max 4 and four
+    # levels of correction atoms, which neither mol2d (64^2, 4 levels) nor mol264 (3 levels) reaches
+    "mol128": (["atom-image", "decomposition"], {"experiment": "atom-image", "window": {"n": 2, "lower": [-2.0, -2.0], "upper": [2.0, 2.0], "cells": [128, 128]}, "kernel": RIESZ0, "params": P2S1, "family": {"kind": "atom", "count": 2, "seed": 7}, "epsilon": 0.20833333333333334, "levels": 5}),
     # the 1-D degree-1 ladder
     "dec1d": (["decomposition"], {"experiment": "decomposition", "window": {"n": 1, "lower": [-2.0], "upper": [2.0], "cells": [512]}, "kernel": {"name": "hilbert"}, "params": P2S1, "family": {"kind": "atom", "count": 4, "seed": 7}, "levels": 5}),
     # a window of more than 2^16 cells, memoised

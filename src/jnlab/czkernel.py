@@ -387,32 +387,33 @@ def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndar
     """Box sums out[x] = sum_s table[x - s - origin] w_s over the cells x of
     the box eval_lo + [0, eval_shape), flat.  They run over rows of the
     table's own pitch, where each source's shifted view is one contiguous run
-    of the flat table, in flat bands of _BAND_CELLS (a 1-D frame too); then
-    the valid columns move, row band by row band, to the front of the same
-    buffer.  Each cell adds its sources in the same order whatever the bands,
-    so the sums are those of a one-shot accumulation, bit for bit.  The table
-    must be C-contiguous (the memoised one, not the reflected view)."""
+    of the flat table, in bands of whole rows of at most _BAND_CELLS cells (or
+    one row; a 1-D frame is rows of one cell).  Each band's valid columns go to
+    their rows of the output, which holds the box's cells and nothing more.
+    Each cell adds its sources in the same order whatever the bands, so the
+    sums are those of a one-shot accumulation, bit for bit.  The table must be
+    C-contiguous (the memoised one, not the reflected view)."""
     if not table.flags.c_contiguous:
         raise ValueError("the forward sums need a C-contiguous difference table, not a strided or reflected view")
     flat, shape = table.reshape(-1), np.asarray(eval_shape)
     starts = np.ravel_multi_index(tuple((np.asarray(eval_lo) - origin - np.asarray(src_idx)).T), table.shape).tolist()
     size = int(np.ravel_multi_index(tuple(shape - 1), table.shape)) + 1  # through the last cell of the box
-    per = int(np.prod(shape[1:]))  # cells per row of the box
-    # the scratch holds a flat band of the sums and a row band of the box
-    buf, scratch = np.zeros(shape[0] * (table.size // table.shape[0])), np.empty(min(size, max(_BAND_CELLS, per)))
-    for a in range(0, size, _BAND_CELLS):
-        b = min(a + _BAND_CELLS, size)
-        acc, tmp = buf[a:b], scratch[: b - a]
+    pitch, per = table.size // table.shape[0], int(np.prod(shape[1:]))  # cells per row of the table and of the box
+    rows = max(1, _BAND_CELLS // pitch)
+    out, tmp = np.empty(shape[0] * per), np.empty(min(size, rows * pitch))
+    acc = np.empty(rows * pitch) if per < pitch else None  # a band of sums, when rows carry columns beyond the box
+    for r in range(0, shape[0], rows):
+        k = min(rows, shape[0] - r)
+        a, b = r * pitch, min((r + k) * pitch, size)
+        sums = out[r * per : (r + k) * per] if acc is None else acc[: b - a]
+        sums[...] = 0.0
         for s, w in zip(starts, src_w):
-            np.multiply(w, flat[s + a : s + b], out=tmp)
-            acc += tmp
-    rows = buf.reshape(shape[0], *table.shape[1:])[(slice(None), *map(slice, shape[1:]))]
-    if rows.shape[1:] != table.shape[1:]:
-        for a, b in _bands(rows.shape):  # a band's cells end before the next band's rows begin
-            tmp = scratch[: (b - a) * per]
-            tmp.reshape(b - a, *shape[1:])[...] = rows[a:b]
-            buf[a * per : b * per] = tmp
-    return buf[: shape[0] * per]
+            np.multiply(w, flat[s + a : s + b], out=tmp[: b - a])
+            sums += tmp[: b - a]
+        if acc is not None:  # the last row of the last band ends at the box's last cell
+            band = acc[: k * pitch].reshape(k, *table.shape[1:])[(slice(None), *map(slice, shape[1:]))]
+            out[r * per : (r + k) * per].reshape(k, *shape[1:])[...] = band
+    return out
 
 
 def _toeplitz(v, lags: int) -> np.ndarray:
@@ -837,7 +838,7 @@ def vanishing_moment_defect(
     must agree with the direct integral up to the atom's moment tolerance.
     The defect itself is truncation-limited (~ 1/padding), so the padding
     here defaults far above the minimum of 4.  Each atom has ``values`` (a
-    GridFunction) and ``cube``, as :class:`jnlab.hardy.Atom` does.
+    GridFunction) and ``cube``, as :class:`jnlab.hardy.AtomRecord` does.
     """
     _check_padding(padding)
     atoms = list(atoms)

@@ -12,6 +12,7 @@ explicit tail term at the outermost level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,7 +100,8 @@ class AtomCertification:
     moment_defects: dict
     moment_scales: dict
     failures: list = field(default_factory=list)
-    route: str = "support"  # "support": read on the cube's cells; "window": the full-window fallback
+    route: str = "support"  # "support": every cell read lies in the cube; "window": some lie beyond it
+    cells_read: int = 0  # cells whose values the check read; in no output file
 
     @property
     def passed(self) -> bool:
@@ -108,11 +110,22 @@ class AtomCertification:
 
 @dataclass
 class AtomRecord:
+    """An atom as built: cell_values on the flat cells of the window, zero elsewhere."""
+
     cube: Cube
     params: object
-    values: GridFunction
+    window: Window
+    cells: np.ndarray
+    cell_values: np.ndarray
     seed: int | None
     certification: AtomCertification
+
+    @functools.cached_property
+    def values(self) -> GridFunction:
+        """The atom on the whole window, built on the first read."""
+        flat = np.zeros(self.window.cell_count)
+        flat[self.cells] = self.cell_values
+        return GridFunction(self.window, flat.reshape(self.window.cells))
 
 
 @_memo
@@ -122,13 +135,19 @@ def _monomial_columns(window: Window, s: int) -> np.ndarray:
     return np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)])
 
 
-def _moment_defects(values: GridFunction, nz: np.ndarray, s: int, side: float, failures: list):
-    """|moment| over the nonzero cells nz and its scale ||f||_1 side^|gamma|
-    per gamma with |gamma| <= s; a defect above ATOM_MOMENT_RTOL * scale
-    appends a failure."""
-    window = values.window
-    found = moments(values.flat[nz], np.take(_monomial_columns(window, s), nz, axis=1).T, window.cell_measure)
-    l1 = float(np.abs(values.flat).sum()) * window.cell_measure
+@_memo
+def _cube_axes(window: Window, cube: Cube) -> tuple:
+    """Per axis, which indices the cube's cells take.  They form a box, so a
+    cell lies in the cube iff each of its indices is taken: a lookup per axis
+    and nothing window-sized kept per cube."""
+    mask = region_mask(window, cube).reshape(window.cells)
+    return tuple(mask.any(axis=tuple(b for b in range(window.n) if b != a)) for a in range(window.n))
+
+
+def _moment_defects(window: Window, vals, nz, s: int, side: float, l1: float, failures: list):
+    """|moment| of vals on the flat cells nz and its scale l1 side^|gamma|, l1 the L^1
+    mass, per |gamma| <= s; a defect above ATOM_MOMENT_RTOL * scale appends a failure."""
+    found = moments(vals, np.take(_monomial_columns(window, s), nz, axis=1).T, window.cell_measure)
     defects, scales = {}, {}
     for g, m in zip(multi_indices(window.n, s), found):
         defects[g] = abs(m)
@@ -138,42 +157,58 @@ def _moment_defects(values: GridFunction, nz: np.ndarray, s: int, side: float, f
     return defects, scales
 
 
+def _certify(window: Window, cells: np.ndarray, vals: np.ndarray, cube: Cube, params, l1: float,
+             inside=None) -> AtomCertification:
+    """Certify vals on the flat cells (zero elsewhere) as an atom on the cube,
+    reading those cells alone; l1 is its L^1 mass, and inside says which cells
+    lie in the cube when the caller holds it (else they are looked up per
+    axis).  Support: every nonzero cell lies in the cube.  Size: the L^q norm
+    over the cells in the cube, and moments: the sums over the nonzero cells,
+    each in the order given."""
+    if inside is None:
+        marks = _cube_axes(window, cube)
+        if window.n == 1:
+            inside = marks[0][cells]
+        else:  # a floor division by a scalar is fast, np.divmod and % are not
+            rows = cells // window.cells[1]
+            inside = marks[0][rows] & marks[1][cells - rows * window.cells[1]]
+    whole = inside.all()  # as for every constructed atom: no cell to sort out
+    inner, count = vals if whole else vals[inside], np.count_nonzero(vals)
+    support_exact = whole or np.count_nonzero(inner) == count
+    bound = region_measure(window, cube) ** norm_exponent(params)
+    norm_ratio = _lq(inner, params.q, window.cell_measure) / bound if bound > 0 else INF
+    failures = [] if support_exact else ["support: nonzero cells outside the cube"]
+    if norm_ratio > 1.0 + ATOM_NORM_RTOL:
+        failures.append(f"size: L^q ratio {norm_ratio:.12g} exceeds 1")
+    nz = slice(None) if count == vals.size else np.flatnonzero(vals)
+    defects, scales = _moment_defects(window, vals[nz], cells[nz], params.s, cube.side, l1, failures)
+    route = "support" if whole else "window"
+    return AtomCertification(bool(support_exact), norm_ratio, defects, scales, failures, route, cells.size)
+
+
 def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification:
     """Check support, L^q size, and vanishing moments; failures are data.
 
-    The support is exact iff the cube holds every nonzero cell.  Then the
-    moments are read on the cube's cells alone (route "support"); otherwise
-    on the window's nonzero cells (route "window").  Either way they sum the
-    nonzero cells in row-major order, as the size sums the cube's cells."""
-    window = values.window
+    _certify reads the cube's cells (route "support") if they hold every
+    nonzero cell, else every window cell (route "window"), in row-major
+    order either way, with the window's L^1 mass as the moment scale."""
+    window, flat = values.window, values.flat
     cells = region_cells(window, cube)
-    inner = values.flat[cells]
-    support_exact = bool(np.count_nonzero(values.flat != 0.0) == np.count_nonzero(inner))  # bool counts are fast
-    nz = cells[np.flatnonzero(inner)] if support_exact else np.flatnonzero(values.flat)
-    bound = region_measure(window, cube) ** norm_exponent(params)
-    norm = _lq(inner, params.q, window.cell_measure)
-    norm_ratio = norm / bound if bound > 0 else INF
-    failures = []
-    if not support_exact:
-        failures.append("support: nonzero cells outside the cube")
-    if norm_ratio > 1.0 + ATOM_NORM_RTOL:
-        failures.append(f"size: L^q ratio {norm_ratio:.12g} exceeds 1")
-    defects, scales = _moment_defects(values, nz, params.s, cube.side, failures)
-    route = "support" if support_exact else "window"
-    return AtomCertification(support_exact, norm_ratio, defects, scales, failures, route)
+    vals, inside = flat[cells], np.ones(cells.size, bool)  # region_cells lists the cube's cells
+    if np.count_nonzero(flat != 0.0) != np.count_nonzero(vals):  # bool counts are fast
+        cells, vals, inside = np.arange(window.cell_count), flat, region_mask(window, cube)
+    cert = _certify(window, cells, vals, cube, params, float(np.abs(flat).sum()) * window.cell_measure, inside)
+    cert.cells_read = window.cell_count  # the nonzero count and the L^1 mass read the window
+    return cert
 
 
 def _certified_atom(window: Window, cells, vals, cube: Cube, params, what: str, seed=None) -> AtomRecord:
-    """The record of the atom with these values on these flat cells (zero
-    elsewhere) on the cube; raises CertificationError naming `what` if
-    validate_atom fails it."""
-    flat = np.zeros(window.cell_count)
-    flat[cells] = vals
-    values = GridFunction(window, flat.reshape(window.cells))
-    cert = validate_atom(values, cube, params)
+    """The record of the atom vals on the flat cells (zero elsewhere) on the cube, certified
+    on those cells alone; raises CertificationError naming `what` if it fails."""
+    cert = _certify(window, cells, vals, cube, params, float(np.abs(vals).sum()) * window.cell_measure)
     if not cert.passed:
         raise CertificationError(f"{what} failed: {cert.failures}")
-    return AtomRecord(cube, params, values, seed, cert)
+    return AtomRecord(cube, params, window, cells, vals, seed, cert)
 
 
 def make_atom(
@@ -262,7 +297,8 @@ def validate_molecule(
         if ratio > 1.0 + ATOM_NORM_RTOL:
             failures.append(f"annulus j={j} decay ratio {ratio:.12g} exceeds 1")
     nz = np.flatnonzero(values.flat)
-    defects, scales = _moment_defects(values, nz, params.s, cube.side * 2**j_max, failures)
+    l1 = float(np.abs(values.flat).sum()) * window.cell_measure
+    defects, scales = _moment_defects(window, values.flat[nz], nz, params.s, cube.side * 2**j_max, l1, failures)
     return MoleculeCertification(core_ratio, ratios, defects, scales, failures)
 
 
@@ -528,7 +564,7 @@ def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
     gammas = multi_indices(n, s)
 
     # each per-level array holds the values on the cells of one L_j, in the
-    # ladder's order; only the atoms' records and the tail term fill a window
+    # ladder's order, as each atom's record does; only the tail term fills a window
     levels = _annulus_levels(window, cube, s, l_max)
     on = [vals[cells] for cells, *_ in levels]
     core, c_proj = [], 0.0

@@ -755,8 +755,8 @@ _BANDED_KERNELS = [
 
 @pytest.mark.parametrize("K", _BANDED_KERNELS, ids=lambda K: K.name)
 def test_banded_table_and_forward_equal_one_shot(K, monkeypatch):
-    # a 29 x 9 table in bands of 3 rows, 23 x 3 sums in flat bands of 29
-    # cells of pitch 9, compacted in bands of 9 rows: none divides its length
+    # a 29 x 9 table in bands of 3 rows, and 23 x 3 sums in bands of 3 rows
+    # of pitch 9 (27 of the 29 band cells): none divides its length
     monkeypatch.setattr(czkernel, "_BAND_CELLS", 3 * 9 + 2)
     rng = np.random.default_rng(5)
     h, n = 0.05, K.n
@@ -776,8 +776,8 @@ def test_banded_table_and_forward_equal_one_shot(K, monkeypatch):
 
 @pytest.mark.parametrize("K", [hilbert_kernel(), perturbed_kernel(), riesz_kernel(1, 2), smooth_bump_kernel(3)], ids=lambda K: f"{K.name}-{K.n}d")
 def test_flat_forward_runs_equal_one_shot(K, monkeypatch):
-    # flat bands of 37 cells: a 1-D frame of 83 cells takes three, and every
-    # table pitch below (9, or 36 and 4) has bands that end mid-row
+    # bands of 37 cells: a 1-D frame of 83 cells takes three, and the table
+    # pitches below (9, or 36 and 4) take 4, 1 and 9 whole rows a band
     monkeypatch.setattr(czkernel, "_BAND_CELLS", 37)
     rng = np.random.default_rng(8)
     n, h = K.n, 0.1
@@ -794,9 +794,8 @@ def test_flat_forward_runs_equal_one_shot(K, monkeypatch):
 
 
 def test_forward_sums_compact_in_place():
-    # the valid columns move to the front of the sums' own buffer through the
-    # band scratch: one 2-D call peaks at its output plus a band or two, not
-    # at a second frame-sized array
+    # each band's valid columns go straight to the output: one 2-D call
+    # peaks at its output plus two bands, not at a table-pitch frame
     K, shape = riesz_kernel(0, 2), np.array([512, 512])
     src_idx = np.argwhere(np.ones((3, 3), bool)) + 200
     src_w = np.random.default_rng(1).normal(size=9)
@@ -809,6 +808,17 @@ def test_forward_sums_compact_in_place():
         tracemalloc.stop()
     assert out.nbytes == 512 * 512 * 8
     assert peak <= out.nbytes + 2 * czkernel._BAND_CELLS * 8
+
+
+def test_forward_image_holds_exactly_its_cells():
+    # the sums run over rows of the table's pitch (255 cells for a source box
+    # spanning 128 columns), and only each row's 128 box cells reach the
+    # output, so the image holds no buffer of the table's pitch
+    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (128, 128))
+    rng = np.random.default_rng(3)
+    f = GridFunction(w, np.where(rng.random(w.cells) < 0.2, rng.normal(size=w.cells), 0.0))
+    g = apply_truncated(riesz_kernel(0, 2), f, w.h)
+    assert g.values.base.nbytes == g.values.nbytes == 128 * 128 * 8
 
 
 def test_forward_sums_reject_a_reflected_table():

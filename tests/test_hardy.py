@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jnlab import lattice
 from jnlab.lattice import (
@@ -23,6 +23,8 @@ from jnlab.polyproj import Projector, multi_indices
 from jnlab.spaces import NormParams, jn_con_norm
 from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose
 from jnlab.hardy import (
+    ATOM_MOMENT_RTOL,
+    ATOM_NORM_RTOL,
     CertificationError,
     MoleculeRecord,
     ParameterError,
@@ -30,6 +32,7 @@ from jnlab.hardy import (
     ZeroAtomError,
     _annulus_level,
     _annulus_levels,
+    _certify,
     decompose_molecule,
     epsilon_window,
     hk_upper_bound,
@@ -597,6 +600,149 @@ def test_leaky_atom_takes_the_window_route_and_reports_its_defects():
     assert "support: nonzero cells outside the cube" in cert.failures
     assert any(m.startswith("moment") for m in cert.failures)  # the leak's moments count
     assert _hexed(cert) == _window_route(f, cube, params)
+
+
+def _kinds(cert) -> list:
+    """A certification's failures without their figures: "support", "size"
+    and "moment (g)" per failed gamma, in the order the checks run."""
+    return [f.split(":")[0] for f in cert.failures]
+
+
+def _cell_local(w: Window, cells, vals, cube: Cube, params):
+    """The certification that make_atom and decompose_molecule run on an
+    atom's own cells, with its L^1 mass summed over them."""
+    return _certify(w, cells, vals, cube, params, float(np.abs(vals).sum()) * w.cell_measure)
+
+
+def _materialised(w: Window, cells, vals) -> GridFunction:
+    flat = np.zeros(w.cell_count)
+    flat[cells] = vals
+    return GridFunction(w, flat.reshape(w.cells))
+
+
+def _within_ulps(a: float, b: float, ulps: int = 8) -> bool:
+    return abs(a - b) <= ulps * np.finfo(float).eps * abs(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    s=st.integers(0, 2),
+    q=st.sampled_from([1.5, 2.0, 3.0]),
+    cells=st.integers(12, 40),
+    wide=st.integers(0, 6),
+    side_cells=st.integers(3, 12),
+    offset=st.floats(-0.6, 0.6),
+    keep=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    extra=st.integers(0, 30),
+    size=st.sampled_from([0.999, 1.001]),
+    leak=st.booleans(),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_cell_local_certification_equals_validate_atom(n, s, q, cells, wide, side_cells, offset, keep, extra, size, leak, shuffle, seed):
+    # an atom's values on its own cell list: the cube's cells (moment-free
+    # and at `size` times the size bound, unless keep < 1 zeroes some of
+    # them), then cells beyond the cube that are zero unless one leaks, in
+    # row-major or shuffled order.  Read on those cells alone, the
+    # certification fails the checks that the window route's figures fail,
+    # as validate_atom does on the function filled into the window (which
+    # has `wide` more columns than rows in 2-D)
+    w = Window(n, (-1.0,) * n, (1.0, 1.0 + wide * 2.0 / cells)[:n], (cells, cells + wide)[:n])
+    cube = Cube((offset,) * n, side_cells * w.h)
+    params = NormParams(2.0, q, s, 0.25)
+    rng = np.random.default_rng(seed)
+    inner = region_cells(w, cube)
+    assume(inner.size >= (s + 2) ** n)
+    vals = Projector.on_region(w, cube, s)[0].residual(rng.normal(size=inner.size))
+    norm = lattice._lq(vals, q, w.cell_measure)
+    assume(norm > 0)
+    vals *= size * region_measure(w, cube) ** norm_exponent(params) / norm
+    vals[rng.random(inner.size) >= keep] = 0.0
+    beyond = rng.permutation(np.flatnonzero(~region_mask(w, cube)))[:extra]
+    spill = np.zeros(beyond.size)
+    if leak and beyond.size:
+        spill[0] = 1e-3
+    at, vals = np.concatenate((inner, beyond)), np.concatenate((vals, spill))
+    order = rng.permutation(at.size) if shuffle else np.argsort(at)
+    at, vals = at[order], vals[order]
+    cert = _cell_local(w, at, vals, cube, params)
+    f = _materialised(w, at, vals)
+    ref = validate_atom(f, cube, params)
+    exact, ratio, defects, scales = _window_route(f, cube, params)
+    expect = ([] if exact else ["support"]) + (["size"] if float.fromhex(ratio) > 1.0 + ATOM_NORM_RTOL else [])
+    expect += [f"moment {g}" for g, d in defects.items() if float.fromhex(d) > ATOM_MOMENT_RTOL * float.fromhex(scales[g])]
+    assert _kinds(cert) == _kinds(ref) == expect
+    assert cert.passed == ref.passed and cert.support_exact == ref.support_exact == exact
+    assert cert.cells_read == at.size and ref.cells_read == w.cell_count
+    if not shuffle:  # the nonzero cells in row-major order: the same sums
+        assert cert.moment_defects == ref.moment_defects
+    assert _within_ulps(cert.norm_ratio, ref.norm_ratio)
+    assert all(_within_ulps(cert.moment_scales[g], ref.moment_scales[g]) for g in ref.moment_scales)
+
+
+@pytest.mark.parametrize("fault", ["support", "size", "moments"])
+def test_cell_local_and_window_certification_fail_alike(fault):
+    # one fault per case, on the atom's own cells and on the window:
+    # a nonzero cell beyond the cube, values 1e-9 over the size bound, and a
+    # constant added, which breaks the zeroth moment
+    w = Window(2, (-2.0, -2.0), (2.0, 2.0), (64, 64))
+    params = NormParams(2.0, 2.0, 1, 0.25)
+    cube = Cube((0.25, -0.5), 6 * w.h)
+    atom = make_atom(5, cube, params, w)
+    cells, vals = atom.cells, atom.cell_values
+    if fault == "support":
+        cells, vals = np.append(cells, 0), np.append(vals, 1e-3)
+    elif fault == "size":
+        vals = vals * (1.0 + 1e-9)
+    else:
+        vals = vals + 0.1 * np.abs(vals).max()
+    for cert in (_cell_local(w, cells, vals, cube, params), validate_atom(_materialised(w, cells, vals), cube, params)):
+        assert not cert.passed
+        kinds = _kinds(cert)
+        if fault == "support":
+            assert kinds[0] == "support" and not cert.support_exact
+        elif fault == "size":
+            assert kinds == ["size"] and 1.0 + 1e-10 < cert.norm_ratio < 1.0 + 2e-9
+        else:
+            assert "moment (0, 0)" in kinds
+
+
+def test_atom_record_builds_its_window_values_once():
+    # make_atom certifies the cube's cells in row-major order, and the record
+    # keeps them; the window array is built on the first read, with the bytes
+    # of the window fill that each record used to hold
+    w = Window(2, (-2.0, -2.0), (2.0, 2.0), (64, 64))
+    params = NormParams(2.0, 2.0, 1, 0.25)
+    cube = Cube((0.25, -0.5), 6 * w.h)
+    atom = make_atom(5, cube, params, w)
+    assert np.array_equal(atom.cells, region_cells(w, cube))
+    assert atom.certification.cells_read == atom.cells.size == 36
+    assert "values" not in vars(atom)
+    first = atom.values
+    assert atom.values is first
+    assert hashlib.sha256(first.values.tobytes()).hexdigest()[:32] == "366b4c91b0149b1a9c5dfd2fa83db727"
+    assert validate_atom(first, cube, params).norm_ratio == atom.certification.norm_ratio  # atom make prints it
+
+
+def test_decomposition_atoms_are_certified_on_their_own_cells():
+    mol, levels = _pinned_molecule("2d-128-s1")
+    rep = decompose_molecule(mol, levels)
+    window = mol.values.window
+    for a in rep.atoms:
+        # each reads its level's cells (a correction atom, L_l then L_l+1),
+        # and holds no window-sized array until a reader asks for one
+        assert a.record.certification.cells_read == a.record.cells.size < window.cell_count
+        assert "values" not in vars(a.record)
+    # the window fill of a core and a correction atom, as before, bit for bit
+    core, corr = rep.atoms[2], rep.atoms[10]
+    assert (core.kind, core.level, corr.kind, corr.level, corr.nu) == ("core", 2, "correction", 1, (0, 1))
+    for a, digest in ((core, "e3ec7b5b05bfcfff39f242ec60a3c43b"), (corr, "a5d39a0e21e89761b1a5f47d7273dbe6")):
+        assert a.record.values is a.record.values
+        assert hashlib.sha256(a.record.values.values.tobytes()).hexdigest()[:32] == digest
+    # the figures of the certifications only gate: none is written
+    written = json.dumps(rep.to_json(), default=repr)
+    assert not any(key in written for key in ("norm_ratio", "moment", "cells_read"))
 
 
 # Decompositions pinned bit for bit (numpy 2.4.6, x86-64): residuals,
