@@ -186,13 +186,14 @@ def hilbert_kernel(order: int = 4) -> KernelSpec:
 
 def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec:
     """K(x, y) = (x_j - y_j) / |x - y|^(n+1); reduces to the line kernel at n=1."""
+    j, n = whole_number(j, "riesz component j"), whole_number(n, "riesz dimension n", 1)
     if n == 1:
         return replace(hilbert_kernel(order=4 if order is None else order), name="riesz0")
     if n != 2:
         raise ValueError("riesz kernel built for n in {1, 2}")
     if j not in (0, 1):
         raise ValueError("component j must be 0 or 1")
-    order = 2 if order is None else order
+    order = 2 if order is None else whole_number(order, "kernel order")
     if order > 2:
         raise ValueError(f"riesz derivatives implemented up to order 2, got {order!r}")
 
@@ -257,11 +258,16 @@ def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
             out = out * (-1.0) ** g * herm(g, t) * np.exp(-t * t)
         return out
 
-    return _convolution("smooth_bump", n, order, 1.0, dkappa)
+    return _convolution("smooth_bump", whole_number(n, "smooth_bump dimension n", 1), order, 1.0, dkappa)
+
+
+_NAMED = {}  # (name, n, order) of a built-in kernel -> the object kernel_by_name returns for it
 
 
 def kernel_by_name(name: str, **params) -> KernelSpec:
-    """Built-in kernel `name`; ValueError for parameters its builder does not take."""
+    """Built-in kernel `name`; ValueError for parameters its builder does not take or
+    rejects.  Parameters the builder normalises alike (j = 0 or 0.0) give one object,
+    the first built, so the tables memoised under it serve every run that names it."""
     builders = {
         "hilbert": hilbert_kernel,
         "riesz": riesz_kernel,
@@ -273,9 +279,10 @@ def kernel_by_name(name: str, **params) -> KernelSpec:
     if name not in builders:
         raise KeyError(f"unknown kernel {name!r}; have {sorted(builders)}")
     try:
-        return builders[name](**params)
+        kernel = builders[name](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for kernel {name!r}: {exc}") from None
+    return _NAMED.setdefault((kernel.name, kernel.n, kernel.order), kernel)
 
 
 def _validate_eta(eta: float, h: float) -> float:
@@ -457,8 +464,10 @@ def _conv_at_points(table, origin, eval_idx, grid_lo, W) -> np.ndarray:
     return out
 
 
+@_memo
 def _modulation(kernel: KernelSpec, window: Window) -> np.ndarray:
-    """The modulation a at every cell of the window (flat), row band by row band."""
+    """The modulation a at every cell of the window (flat), row band by row
+    band; read-only and memoised per (kernel, window)."""
     return np.concatenate([kernel.modulation(pts) for _, _, pts in _frame_bands(window)])
 
 

@@ -135,6 +135,11 @@ def _monomial_columns(window: Window, s: int) -> np.ndarray:
     return np.stack([GridFunction.monomial(window, g).flat for g in multi_indices(window.n, s)])
 
 
+def _monomial_rows(window: Window, s: int, cells) -> np.ndarray:
+    """_monomial_columns on the flat cells alone, C-contiguous, shape (dim, cells)."""
+    return np.take(_monomial_columns(window, s), cells, axis=1)
+
+
 @_memo
 def _cube_axes(window: Window, cube: Cube) -> tuple:
     """Per axis, which indices the cube's cells take.  They form a box, so a
@@ -144,10 +149,14 @@ def _cube_axes(window: Window, cube: Cube) -> tuple:
     return tuple(mask.any(axis=tuple(b for b in range(window.n) if b != a)) for a in range(window.n))
 
 
-def _moment_defects(window: Window, vals, nz, s: int, side: float, l1: float, failures: list):
-    """|moment| of vals on the flat cells nz and its scale l1 side^|gamma|, l1 the L^1
-    mass, per |gamma| <= s; a defect above ATOM_MOMENT_RTOL * scale appends a failure."""
-    found = moments(vals, np.take(_monomial_columns(window, s), nz, axis=1).T, window.cell_measure)
+def _moment_defects(window: Window, vals, rows, s: int, side: float, l1: float, failures: list):
+    """|moment| of vals over its nonzero cells, rows the monomials on vals' cells, and its
+    scale l1 side^|gamma|, l1 the L^1 mass, per |gamma| <= s; a defect above
+    ATOM_MOMENT_RTOL * scale appends a failure."""
+    if np.count_nonzero(vals) < vals.size:
+        nz = np.flatnonzero(vals)
+        vals, rows = vals[nz], np.take(rows, nz, axis=1)
+    found = moments(vals, rows.T, window.cell_measure)
     defects, scales = {}, {}
     for g, m in zip(multi_indices(window.n, s), found):
         defects[g] = abs(m)
@@ -157,21 +166,21 @@ def _moment_defects(window: Window, vals, nz, s: int, side: float, l1: float, fa
     return defects, scales
 
 
-def _certify(window: Window, cells: np.ndarray, vals: np.ndarray, cube: Cube, params, l1: float,
-             inside=None) -> AtomCertification:
+def _certify(window: Window, cells: np.ndarray, vals: np.ndarray, rows: np.ndarray, cube: Cube, params,
+             l1: float, inside=None) -> AtomCertification:
     """Certify vals on the flat cells (zero elsewhere) as an atom on the cube,
-    reading those cells alone; l1 is its L^1 mass, and inside says which cells
-    lie in the cube when the caller holds it (else they are looked up per
-    axis).  Support: every nonzero cell lies in the cube.  Size: the L^q norm
-    over the cells in the cube, and moments: the sums over the nonzero cells,
-    each in the order given."""
+    reading those cells and their monomial rows alone; l1 is its L^1 mass,
+    and inside says which cells lie in the cube when the caller holds it
+    (else they are looked up per axis).  Support: every nonzero cell lies in
+    the cube.  Size: the L^q norm over the cells in the cube, and moments:
+    the sums over the nonzero cells, each in the order given."""
     if inside is None:
         marks = _cube_axes(window, cube)
         if window.n == 1:
             inside = marks[0][cells]
         else:  # a floor division by a scalar is fast, np.divmod and % are not
-            rows = cells // window.cells[1]
-            inside = marks[0][rows] & marks[1][cells - rows * window.cells[1]]
+            row = cells // window.cells[1]
+            inside = marks[0][row] & marks[1][cells - row * window.cells[1]]
     whole = inside.all()  # as for every constructed atom: no cell to sort out
     inner, count = vals if whole else vals[inside], np.count_nonzero(vals)
     support_exact = whole or np.count_nonzero(inner) == count
@@ -180,8 +189,7 @@ def _certify(window: Window, cells: np.ndarray, vals: np.ndarray, cube: Cube, pa
     failures = [] if support_exact else ["support: nonzero cells outside the cube"]
     if norm_ratio > 1.0 + ATOM_NORM_RTOL:
         failures.append(f"size: L^q ratio {norm_ratio:.12g} exceeds 1")
-    nz = slice(None) if count == vals.size else np.flatnonzero(vals)
-    defects, scales = _moment_defects(window, vals[nz], cells[nz], params.s, cube.side, l1, failures)
+    defects, scales = _moment_defects(window, vals, rows, params.s, cube.side, l1, failures)
     route = "support" if whole else "window"
     return AtomCertification(bool(support_exact), norm_ratio, defects, scales, failures, route, cells.size)
 
@@ -197,15 +205,17 @@ def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification
     vals, inside = flat[cells], np.ones(cells.size, bool)  # region_cells lists the cube's cells
     if np.count_nonzero(flat != 0.0) != np.count_nonzero(vals):  # bool counts are fast
         cells, vals, inside = np.arange(window.cell_count), flat, region_mask(window, cube)
-    cert = _certify(window, cells, vals, cube, params, float(np.abs(flat).sum()) * window.cell_measure, inside)
+    whole = cells.size == window.cell_count  # then cells lists every cell in order
+    rows = _monomial_columns(window, params.s) if whole else _monomial_rows(window, params.s, cells)
+    cert = _certify(window, cells, vals, rows, cube, params, float(np.abs(flat).sum()) * window.cell_measure, inside)
     cert.cells_read = window.cell_count  # the nonzero count and the L^1 mass read the window
     return cert
 
 
-def _certified_atom(window: Window, cells, vals, cube: Cube, params, what: str, seed=None) -> AtomRecord:
+def _certified_atom(window: Window, cells, vals, rows, cube: Cube, params, what: str, seed=None) -> AtomRecord:
     """The record of the atom vals on the flat cells (zero elsewhere) on the cube, certified
-    on those cells alone; raises CertificationError naming `what` if it fails."""
-    cert = _certify(window, cells, vals, cube, params, float(np.abs(vals).sum()) * window.cell_measure)
+    on those cells and their monomial rows alone; raises CertificationError naming `what` if it fails."""
+    cert = _certify(window, cells, vals, rows, cube, params, float(np.abs(vals).sum()) * window.cell_measure)
     if not cert.passed:
         raise CertificationError(f"{what} failed: {cert.failures}")
     return AtomRecord(cube, params, window, cells, vals, seed, cert)
@@ -238,7 +248,8 @@ def make_atom(
         raise ZeroAtomError("projection removed the seed function entirely")
     bound = region_measure(window, cube) ** norm_exponent(params)
     seed = seed if seed_values is None else None
-    return _certified_atom(window, cells, resid * (bound / norm), cube, params, "constructed atom", seed)
+    rows = _monomial_rows(window, params.s, cells)
+    return _certified_atom(window, cells, resid * (bound / norm), rows, cube, params, "constructed atom", seed)
 
 
 @dataclass
@@ -296,22 +307,23 @@ def validate_molecule(
         ratios.append(ratio)
         if ratio > 1.0 + ATOM_NORM_RTOL:
             failures.append(f"annulus j={j} decay ratio {ratio:.12g} exceeds 1")
-    nz = np.flatnonzero(values.flat)
     l1 = float(np.abs(values.flat).sum()) * window.cell_measure
-    defects, scales = _moment_defects(window, values.flat[nz], nz, params.s, cube.side * 2**j_max, l1, failures)
+    rows = _monomial_columns(window, params.s)
+    defects, scales = _moment_defects(window, values.flat, rows, params.s, cube.side * 2**j_max, l1, failures)
     return MoleculeCertification(core_ratio, ratios, defects, scales, failures)
 
 
-def repair_moments(values: GridFunction, cube: Cube, s: int) -> GridFunction:
+def repair_moments(values: GridFunction, cube: Cube, s: int, m=None) -> GridFunction:
     """Cancel the global moments by a dual-basis correction on the core cube.
 
     Wide-window operator images carry a truncation-level moment defect; this
     subtracts sum_nu (int M x^nu) psi_nu 1_core / |core|, which has exactly
-    the same moments, leaving the tails untouched.
+    the same moments, leaving the tails untouched.  m holds those moments
+    (lattice.moments against _monomial_columns) when the caller has them.
     """
     window = values.window
     cells, _, duals, measure = _annulus_levels(window, cube, s, 0)[0]
-    m = moments(values.flat, _monomial_columns(window, s).T, window.cell_measure)
+    m = moments(values.flat, _monomial_columns(window, s).T, window.cell_measure) if m is None else m
     # moments must be removed jointly: build the correction, then subtract
     corr = np.zeros(window.cell_count)
     for m_nu, psi in zip(m, duals):
@@ -582,15 +594,15 @@ def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
         lam_j = lam_core * decay**j
         if np.any(core[j]):
             a_vals = core[j] / lam_j
-            rec = _certified_atom(window, cells, a_vals, cubes[j], params, f"core atom at level {j}")
+            rows = _monomial_rows(window, s, cells)
+            rec = _certified_atom(window, cells, a_vals, rows, cubes[j], params, f"core atom at level {j}")
             atoms.append(DecompositionAtom(j, "core", None, lam_j, rec))
             core[j] = lam_j * a_vals  # from here on, level j's share of the core partial sums
 
-    # tail moments over the window beyond each dyadic cube
-    eta = np.zeros((l_max + 1, len(gammas)))
-    for j in range(l_max + 1):
-        out = _outside_cells(window, cubes[j])
-        eta[j] = moments(vals[out], np.take(_monomial_columns(window, s), out, axis=1).T, cm)
+    # tail moments beyond each dyadic cube: one product of the monomial rows and M, gathered per cube
+    prod = _monomial_columns(window, s) * vals
+    eta = np.stack([np.take(prod, _outside_cells(window, q), axis=1).sum(axis=1) for q in cubes]) * cm
+    del prod
 
     # correction pieces eta_nu^{(j)} [ psi^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi^{(j)} 1_{L_j} / |L_j| ]
     # on the cells of L_j then L_{j+1}; a norm over Q_{j+1} reads them back
@@ -629,12 +641,13 @@ def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
         if l == l_max:
             break
         lam_t = c_tilde * decay**l
+        rows = _monomial_rows(window, s, pairs[l])  # level l's correction atoms share their cells
         for g in gammas:
             piece, norm = tilde_raw[(l, g)]
             if norm == 0.0 or c_tilde == 0.0:
                 continue
             what = f"correction atom level {l}, nu={g}"
-            rec = _certified_atom(window, pairs[l], piece / lam_t, cubes[l + 1], params, what)
+            rec = _certified_atom(window, pairs[l], piece / lam_t, rows, cubes[l + 1], params, what)
             atoms.append(DecompositionAtom(l, "correction", g, lam_t, rec))
             corr[l] += piece[: cells.size]
             corr[l + 1] += piece[cells.size :]

@@ -507,7 +507,7 @@ def _operator_molecule(kernel, atom, center_cube: Cube, params, eps, j_max, wind
         if abs(full) > 1e-8 * scale and abs(full) > abs(half_v) / 1.3:
             decaying = False
     if decaying:
-        ta = repair_moments(ta, center_cube, params.s)
+        ta = repair_moments(ta, center_cube, params.s, fulls)
     cert = validate_molecule(ta, center_cube, params, eps, j_max)
     c_needed = cert.constant_needed * (1.0 + 1e-9)
     info = {"pre_repair_defect": max(defects.values()), "repaired": decaying}

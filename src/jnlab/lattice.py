@@ -437,8 +437,10 @@ def monomials(pts: np.ndarray, gammas, anchor=None, scale: float = 1.0) -> np.nd
 
 def moments(values: np.ndarray, columns: np.ndarray, cell_measure: float) -> list[float]:
     """Midpoint-rule moments: the sums of values * column * cell_measure over
-    the cells, one per column of `columns` (e.g. a :func:`monomials` matrix)."""
-    return [float((values * col).sum()) * cell_measure for col in columns.T]
+    the cells, one per column of `columns` (e.g. a :func:`monomials` matrix).
+    The columns are made C-contiguous rows first, so each row's sum is the
+    pairwise sum of that product alone, bit for bit."""
+    return ((np.ascontiguousarray(columns.T) * values).sum(axis=1) * cell_measure).tolist()
 
 
 def check_packing(cubes, side: float, what: str) -> None:

@@ -688,6 +688,30 @@ def test_kernel_order_is_a_whole_number_the_builder_has():
             hilbert_kernel(order=bad)
     with pytest.raises(ValueError, match="up to order 2"):
         riesz_kernel(0, 2, order=3)  # its closed forms stop at 2
+    # j, n and order as a JSON file gives them: integral floats build the integer kernel
+    assert riesz_kernel(0.0, 2.0, order=2.0).name == "riesz0" and riesz_kernel(1.0).name == "riesz1"
+    assert type(riesz_kernel(0, 2, order=2.0).order) is int
+    assert smooth_bump_kernel(n=2.0).n == 2 and type(smooth_bump_kernel(n=2.0).n) is int
+    for bad, what in ((dict(j=0.5), "riesz component j"), (dict(j=[0]), "riesz component j"),
+                      (dict(n=2.5), "riesz dimension n"), (dict(order=1.5), "kernel order")):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            riesz_kernel(**bad)
+    with pytest.raises(ValueError, match="smooth_bump dimension n must be an integer >= 1"):
+        smooth_bump_kernel(n=1.5)
+
+
+def test_kernel_by_name_gives_one_object_per_description():
+    # the builder normalises first, so a bad or unhashable value is its ValueError
+    K = kernel_by_name("riesz", j=0, n=2)
+    assert kernel_by_name("riesz", j=0.0, n=2.0) is K and kernel_by_name("riesz0") is K
+    assert kernel_by_name("riesz", j=1, n=2) is not K and kernel_by_name("riesz", j=1, n=2).name == "riesz1"
+    assert kernel_by_name("hilbert", order=4.0) is kernel_by_name("hilbert")
+    with pytest.raises(ValueError, match="riesz component j"):
+        kernel_by_name("riesz", j=[0])
+    with pytest.raises(ValueError, match="bad parameters for kernel 'riesz'"):
+        kernel_by_name("riesz", k=0)
+    # the builders called directly still build a new kernel each time
+    assert riesz_kernel() is not riesz_kernel() and hilbert_kernel() is not hilbert_kernel()
 
 
 def test_monomial_exponents_and_eta_ladder_are_checked():
@@ -1051,7 +1075,8 @@ def test_unchanged_reports_pinned():
 
 def test_modulation_evaluated_once_per_atom():
     # the slot-1 scaling of the forward sums and the slot-2 weights of the
-    # dual route share one evaluation of a = 2 + sin x over the padded frame
+    # dual route share one evaluation of a = 2 + sin x over the padded frame,
+    # memoised per (kernel, frame), so the second atom on the frame reads it
     K = perturbed_kernel()
     sizes = []
 
@@ -1062,7 +1087,7 @@ def test_modulation_evaluated_once_per_atom():
     w = Window(1, (-2.0,), (2.0,), (64,))
     atoms = [make_atom(60 + i, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 1, 0.3), w) for i in range(2)]
     rep = vanishing_moment_defect(replace(K, modulation=counted), 1, atoms, padding=16)
-    assert sizes == [256, 256]  # one per atom, over the 256-cell padded frame
+    assert sizes == [256]  # one for both atoms, over the 256-cell padded frame
     assert rep.rows == vanishing_moment_defect(K, 1, atoms, padding=16).rows
 
 

@@ -21,7 +21,7 @@ from jnlab.lattice import (
 )
 from jnlab.polyproj import Projector, multi_indices
 from jnlab.spaces import NormParams, jn_con_norm
-from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose
+from jnlab.czkernel import apply_truncated, hilbert_kernel, kernel_transpose, riesz_kernel
 from jnlab.hardy import (
     ATOM_MOMENT_RTOL,
     ATOM_NORM_RTOL,
@@ -33,6 +33,8 @@ from jnlab.hardy import (
     _annulus_level,
     _annulus_levels,
     _certify,
+    _monomial_columns,
+    _monomial_rows,
     decompose_molecule,
     epsilon_window,
     hk_upper_bound,
@@ -610,8 +612,33 @@ def _kinds(cert) -> list:
 
 def _cell_local(w: Window, cells, vals, cube: Cube, params):
     """The certification that make_atom and decompose_molecule run on an
-    atom's own cells, with its L^1 mass summed over them."""
-    return _certify(w, cells, vals, cube, params, float(np.abs(vals).sum()) * w.cell_measure)
+    atom's own cells and their own gather of monomial rows, with its L^1 mass
+    summed over them."""
+    rows = _monomial_rows(w, params.s, cells)
+    return _certify(w, cells, vals, rows, cube, params, float(np.abs(vals).sum()) * w.cell_measure)
+
+
+def _gathered_defects(values: GridFunction, s: int) -> dict:
+    """|moment| per gamma as one sum per column over the gathered nonzero cells."""
+    w, flat = values.window, values.flat
+    nz = np.flatnonzero(flat)
+    cols = np.take(_monomial_columns(w, s), nz, axis=1)
+    return {g: abs(float((flat[nz] * col).sum()) * w.cell_measure).hex() for g, col in zip(multi_indices(w.n, s), cols)}
+
+
+def test_validate_molecule_dense_and_gather_routes_agree():
+    # an operator image is nonzero on every cell, so validate_molecule reads
+    # the monomial block as it is; with one cell set to 0.0 it gathers the
+    # nonzero cells.  Either way each moment is the sum over the gathered cells
+    params, w, cube, eps = ladder_setup()
+    image = apply_truncated(riesz_kernel(0, 2), make_atom(5, cube, params, w).values, w.h, eval_window=w)
+    center = Cube(cube.center, 2 * cube.side)
+    holed = image.flat.copy()
+    holed[w.cell_count // 3] = 0.0
+    for values, dense in ((image, True), (GridFunction(w, holed.reshape(w.cells)), False)):
+        assert (np.count_nonzero(values.flat) == w.cell_count) == dense
+        cert = validate_molecule(values, center, params, eps, 3)
+        assert {g: v.hex() for g, v in cert.moment_defects.items()} == _gathered_defects(values, params.s)
 
 
 def _materialised(w: Window, cells, vals) -> GridFunction:
@@ -812,3 +839,15 @@ def test_decomposition_is_pinned_bit_for_bit(name):
     } == PINNED_DECOMPOSITIONS[name]
     assert all(a.record.certification.route == "support" for a in rep.atoms)
     assert "route" not in json.dumps(rep.to_json(), default=repr)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DECOMPOSITIONS))
+def test_decomposition_atoms_certify_as_on_their_own_rows(name):
+    # a level's correction atoms share one gather of their cells' monomial
+    # rows; each atom's figures are those of a certification that gathers its own
+    mol, levels = _pinned_molecule(name)
+    rep = decompose_molecule(mol, levels)
+    assert any(a.kind == "correction" for a in rep.atoms)
+    for a in rep.atoms:
+        rec = a.record
+        assert _hexed(rec.certification) == _hexed(_cell_local(rec.window, rec.cells, rec.cell_values, rec.cube, rec.params))

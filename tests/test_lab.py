@@ -685,6 +685,9 @@ def test_cli_padding_below_four_exits_config_before_any_operator(tmp_path, capsy
         ("duality", {"family": {"kind": "random-osc", "count": 10, "seed": 7}}, "family kind must be 'atom'"),
         ("rm-boundedness", {"radii": [0.05, 0.5]}, "at most one for rm-boundedness"),
         ("jn-boundedness", {"params": {"p": 2.0, "q": 2.0, "s": 5, "alpha": 0.1}}, "s must be at most 4"),
+        ("atom-image", {"kernel": {"name": "riesz", "j": 0.5, "n": 2}}, "riesz component j must be an integer"),
+        ("decomposition", {"kernel": {"name": "riesz", "j": 2.0, "n": 2}}, "component j must be 0 or 1"),
+        ("duality", {"kernel": {"name": "smooth_bump", "n": 1.5}}, "smooth_bump dimension n must be an integer"),
     ],
 )
 def test_cli_bad_experiment_setting_exits_config(tmp_path, capsys, name, change, message):
@@ -702,6 +705,20 @@ def test_cli_apply_op_unknown_kernel_parameter_exits_config(tmp_path, capsys):
     rc = cli.main(["apply-op", "--kernel", "hilbert", "--kernel-params", '{"j": 1}', "--function", str(path)])
     assert rc == 3
     assert "bad parameters for kernel 'hilbert'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, code, message",
+    [('{"j": 0.0}', 0, ""), ('{"j": 1.0}', 0, ""), ('{"j": 0.5}', 3, "riesz component j"), ('{"j": [0]}', 3, "riesz component j")],
+)
+def test_cli_apply_op_reads_riesz_j_as_a_whole_number(tmp_path, capsys, params, code, message):
+    # j = 0.0 from a JSON object builds riesz0 (it was an IndexError, exit 1);
+    # a list is the builder's ValueError, not an unhashable key of the kernel cache
+    path = tmp_path / "f.json"
+    GridFunction.from_callable(Window(2, (-1.0, -1.0), (1.0, 1.0), (8, 8)), lambda x, y: x - y).save(path)
+    rc = cli.main(["apply-op", "--kernel", "riesz", "--kernel-params", params, "--function", str(path)])
+    assert rc == code
+    assert message in capsys.readouterr().err
 
 
 # --- one typed schema: every config field checked before the run -------------
@@ -871,8 +888,9 @@ def test_cli_norm_degree_above_the_cap_exits_config(tmp_path, capsys):
 
 
 def test_atom_image_runs_leave_the_memo_bounded():
-    # each run builds its own kernel; the tables memoised under it leave the
-    # store with it, so twenty runs hold what one run holds
+    # every run names one kernel, which kernel_by_name builds once; the
+    # tables memoised under it serve each later run, so twenty runs hold what
+    # one run holds
     def run(seed):
         config = ExperimentConfig(
             experiment="atom-image",

@@ -19,6 +19,7 @@ from jnlab.lattice import (
     integrate,
     lq_norm,
     whole_number,
+    moments,
     monomials,
     region_cells,
     region_mask,
@@ -440,3 +441,16 @@ def test_monomial_needs_one_exponent_per_axis():
         GridFunction.monomial(w2, (1,))
     with pytest.raises(LatticeError, match="needs 1 entries, one per window axis"):
         GridFunction.monomial(Window(1, (0.0,), (1.0,), (8,)), (0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5000), dim=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_moments_equal_the_per_column_sums_bit_for_bit(k, dim, seed):
+    # one product of C-contiguous rows, summed along each row, gives every
+    # column its own pairwise sum, for C-ordered and strided columns alike
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=k) * 10.0 ** rng.integers(-6, 7, size=k)
+    rows = rng.normal(size=(dim, k))
+    for columns in (np.ascontiguousarray(rows.T), rows.T):
+        per_column = [float((values * col).sum()) * 0.013 for col in columns.T]
+        assert [m.hex() for m in moments(values, columns, 0.013)] == [m.hex() for m in per_column]
