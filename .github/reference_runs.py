@@ -72,29 +72,38 @@ CLI = {
 }
 
 
-def defect_cases() -> list:
-    """(kernel, atoms, padding) of criterion 5: 8 line atoms through hilbert
-    and perturbed at padding 512, and 2 plane atoms through riesz0 at 256."""
-    params = NormParams(2.0, 2.0, 0, 0.25)
+def defect_cases() -> dict:
+    """name: (kernel, s, atoms, padding) of criterion 5: 8 line atoms through
+    hilbert and perturbed at padding 512 and 2 plane atoms through riesz0 at
+    256, all at s = 0, and 2 plane atoms at s = 1 through riesz0 at 64, whose
+    three gammas read each band of one streamed image."""
+    params, plane_window = NormParams(2.0, 2.0, 0, 0.25), Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48))
     line = [make_atom(100 + i, Cube((0.0,), 1.0), params, Window(1, (-2.0,), (2.0,), (512,))) for i in range(8)]
-    plane = [make_atom(200 + i, Cube((0.0, 0.0), 0.25), params, Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48))) for i in range(2)]
-    return [(hilbert_kernel(), line, 512), (perturbed_kernel(), line, 512), (riesz_kernel(0, 2), plane, 256)]
+    plane = [make_atom(200 + i, Cube((0.0, 0.0), 0.25), params, plane_window) for i in range(2)]
+    plane_s1 = [make_atom(300 + i, Cube((0.0, 0.0), 0.25), NormParams(2.0, 2.0, 1, 0.25), plane_window) for i in range(2)]
+    riesz0 = riesz_kernel(0, 2)
+    return {
+        "hilbert": (hilbert_kernel(), 0, line, 512),
+        "perturbed": (perturbed_kernel(), 0, line, 512),
+        "riesz0": (riesz0, 0, plane, 256),
+        "riesz0-s1": (riesz0, 1, plane_s1, 64),
+    }
 
 
-def write_defects(cases: list, root: Path, clear: bool) -> None:
+def write_defects(cases: dict, root: Path, clear: bool) -> None:
     """The defect rows of each atom of the cases, one row a line with its
-    floats as float.hex, in root/defects/<kernel>.txt.  With clear, each atom
+    floats as float.hex, in root/defects/<name>.txt.  With clear, each atom
     starts on an empty memo; without, it reads the difference table and the
     frame Taylor coefficients that earlier calls with its kernel left."""
     (root / "defects").mkdir()
-    for kernel, atoms, padding in cases:
+    for name, (kernel, s, atoms, padding) in cases.items():
         lines = []
         for atom in atoms:
             if clear:
                 lattice._MEMO.clear()
-            rows = vanishing_moment_defect(kernel, 0, [atom], padding=padding).rows
+            rows = vanishing_moment_defect(kernel, s, [atom], padding=padding).rows
             lines += ["\t".join(v.hex() if isinstance(v, float) else str(v) for v in row.values()) for row in rows]
-        (root / "defects" / f"{kernel.name}.txt").write_text("\n".join(lines) + "\n")
+        (root / "defects" / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
 def write_inputs(inputs: Path) -> None:

@@ -187,12 +187,12 @@ def hilbert_kernel(order: int = 4) -> KernelSpec:
 def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec:
     """K(x, y) = (x_j - y_j) / |x - y|^(n+1); reduces to the line kernel at n=1."""
     j, n = whole_number(j, "riesz component j"), whole_number(n, "riesz dimension n", 1)
+    if n not in (1, 2):
+        raise ValueError("riesz kernel built for n in {1, 2}")
+    if j not in range(n):
+        raise ValueError("component j must be 0 on the line" if n == 1 else "component j must be 0 or 1")
     if n == 1:
         return replace(hilbert_kernel(order=4 if order is None else order), name="riesz0")
-    if n != 2:
-        raise ValueError("riesz kernel built for n in {1, 2}")
-    if j not in (0, 1):
-        raise ValueError("component j must be 0 or 1")
     order = 2 if order is None else whole_number(order, "kernel order")
     if order > 2:
         raise ValueError(f"riesz derivatives implemented up to order 2, got {order!r}")
@@ -390,37 +390,35 @@ def _box_table(kappa, h, eta, eval_lo, eval_hi, src_lo, src_hi):
     return _shared_table(kappa, h, eta, tuple(map(int, origin)), hi), origin
 
 
-def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w) -> np.ndarray:
+def _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
     """Box sums out[x] = sum_s table[x - s - origin] w_s over the cells x of
-    the box eval_lo + [0, eval_shape), flat.  They run over rows of the
-    table's own pitch, where each source's shifted view is one contiguous run
-    of the flat table, in bands of whole rows of at most _BAND_CELLS cells (or
-    one row; a 1-D frame is rows of one cell).  Each band's valid columns go to
-    their rows of the output, which holds the box's cells and nothing more.
-    Each cell adds its sources in the same order whatever the bands, so the
-    sums are those of a one-shot accumulation, bit for bit.  The table must be
-    C-contiguous (the memoised one, not the reflected view)."""
+    the box eval_lo + [0, eval_shape), yielded as (slice of rows, rows) per
+    band of rows of the table's own pitch, where each source's shifted view
+    is one contiguous run of the flat table: bands of whole rows of at most
+    _BAND_CELLS cells (or one row; a 1-D frame is rows of one cell).  `rows`
+    views the band's valid columns and the next band overwrites it, so no
+    array of the box is made.  Each cell adds its sources in the same order
+    whatever the bands, so the sums are those of a one-shot accumulation, bit
+    for bit.  The table must be C-contiguous (the memoised one, not the
+    reflected view)."""
     if not table.flags.c_contiguous:
         raise ValueError("the forward sums need a C-contiguous difference table, not a strided or reflected view")
     flat, shape = table.reshape(-1), np.asarray(eval_shape)
     starts = np.ravel_multi_index(tuple((np.asarray(eval_lo) - origin - np.asarray(src_idx)).T), table.shape).tolist()
     size = int(np.ravel_multi_index(tuple(shape - 1), table.shape)) + 1  # through the last cell of the box
-    pitch, per = table.size // table.shape[0], int(np.prod(shape[1:]))  # cells per row of the table and of the box
+    pitch = table.size // table.shape[0]  # cells per row of the table
     rows = max(1, _BAND_CELLS // pitch)
-    out, tmp = np.empty(shape[0] * per), np.empty(min(size, rows * pitch))
-    acc = np.empty(rows * pitch) if per < pitch else None  # a band of sums, when rows carry columns beyond the box
+    tmp, acc = np.empty(min(size, rows * pitch)), np.empty(min(rows, shape[0]) * pitch)
     for r in range(0, shape[0], rows):
         k = min(rows, shape[0] - r)
         a, b = r * pitch, min((r + k) * pitch, size)
-        sums = out[r * per : (r + k) * per] if acc is None else acc[: b - a]
+        sums = acc[: b - a]
         sums[...] = 0.0
         for s, w in zip(starts, src_w):
             np.multiply(w, flat[s + a : s + b], out=tmp[: b - a])
             sums += tmp[: b - a]
-        if acc is not None:  # the last row of the last band ends at the box's last cell
-            band = acc[: k * pitch].reshape(k, *table.shape[1:])[(slice(None), *map(slice, shape[1:]))]
-            out[r * per : (r + k) * per].reshape(k, *shape[1:])[...] = band
-    return out
+        # the last row of the last band ends at the box's last cell
+        yield slice(r, r + k), acc[: k * pitch].reshape(k, *table.shape[1:])[(slice(None), *map(slice, shape[1:]))]
 
 
 def _toeplitz(v, lags: int) -> np.ndarray:
@@ -481,17 +479,40 @@ def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None
     return values * (a if cells is None else a[cells])
 
 
-def _frame_moment(values, factors, window: Window) -> float:
-    """lattice.moments of values (flat, over the window) against the monomial
-    with these per-axis factors, summed row band by row band."""
-    v = values.reshape(window.cells)
-    return sum(
-        moments(v[a:b].reshape(-1), _frame_rows(factors, a, b)[:, None], window.cell_measure)[0]
-        for a, b in _bands(window.cells)
-    )
+class _FrameMoments:
+    """The moments against y^gamma, for each of `gammas`, of an image over the window, the sub-box
+    at `offset` of a frame whose row bands arrive in order as (slice of frame rows, rows).  One of
+    the window's moment bands (_bands) is held at a time, and each full band's lattice.moments is
+    added in band order: `sums` are those of the whole image, bit for bit.  At gamma = 0 a band's
+    moment is its plain sum, the same float."""
+
+    def __init__(self, window: Window, offset, gammas):
+        self.window, self.gammas, self.factors = window, gammas, [monomial_factors(window, g) for g in gammas]
+        self.box, self.bands, self.row = _box(offset, window.cells), _bands(window.cells), 0  # row: the next to copy
+        self.buf, self.sums = np.empty((self.bands[0][1], *window.cells[1:])), [0.0] * len(gammas)
+
+    def __call__(self, at: slice, rows) -> None:
+        shift, cm = self.box[0].start - at.start, self.window.cell_measure  # the window's row w is rows[w + shift]
+        stop = min(at.stop - self.box[0].start, self.window.cells[0])
+        while self.row < stop:
+            a, b = self.bands[self.row // self.bands[0][1]]
+            end = min(stop, b)
+            self.buf[self.row - a : end - a] = rows[self.row + shift : end + shift][(slice(None), *self.box[1:])]
+            self.row = end
+            if end == b:
+                v = self.buf[: b - a].reshape(-1)
+                for k, (g, f) in enumerate(zip(self.gammas, self.factors)):
+                    self.sums[k] += float(v.sum()) * cm if not any(g) else moments(v, _frame_rows(f, a, b)[:, None], cm)[0]
 
 
-def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None, a=None):
+def _whole(out, window: Window, sink):
+    """The sums `out` at every cell of the window, or None once sink has them as one band."""
+    if sink is None:
+        return out
+    sink(slice(0, window.cells[0]), out.reshape(window.cells))
+
+
+def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None, a=None, sink=None):
     """Truncated sums: sum over the cells y of src_window with |x - y| >= eta
     of K(x, y) w_y, with the flat weights w = src_weights or, for a tuple of
     per-axis factors (a monomial's), their outer product times the cell
@@ -499,7 +520,10 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
     flat indices eval_cells, or at the rows of an (m, n) point array passed as
     eval_window; `a` is the modulation over the window it scales, if known.
     Returns the sums and the difference table (table, origin) they used, or
-    None for the pairwise sum.
+    None for the pairwise sum.  With a sink, the sums at every cell of
+    eval_window go to it instead, as sink(slice of rows, rows) band by band as
+    _conv_forward makes them (an image's __setitem__ is one), and the sums
+    returned are None.
 
     This is the one place that picks the engine.  A kernel with a difference
     kernel kappa, evaluated at cells of the source lattice, runs through one
@@ -523,10 +547,11 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
     if eval_lo is None:
         pts = eval_window.cell_midpoints(cells) if on_cells else eval_window
         keep = np.flatnonzero(src_weights)
-        return _truncated_raw(kernel, pts, src_window.cell_midpoints(keep), src_weights[keep], eta), None
+        out = _truncated_raw(kernel, pts, src_window.cell_midpoints(keep), src_weights[keep], eta)
+        return _whole(out, eval_window, sink), None
     count = src_window.cell_count if frame else np.count_nonzero(src_weights)
     if count == 0:
-        return np.zeros(len(cells)), table or (np.zeros((0,) * src_window.n), eval_lo)
+        return _whole(np.zeros(len(cells)), eval_window, sink), table or (np.zeros((0,) * src_window.n), eval_lo)
     nz = None
     if frame or count == src_weights.size:  # a dense frame is its own support box
         lo, hi = np.zeros(src_window.n, int), np.asarray(src_window.cells) - 1
@@ -544,14 +569,18 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         W = [(src_weights[0] * src_window.cell_measure, src_weights[1])] if frame else _modulated(
             kernel, 2, src_weights, src_window, a=a).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
         out = _conv_at_points(*table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
-        return _modulated(kernel, 1, out, eval_window, eval_cells, a), table
+        return _whole(_modulated(kernel, 1, out, eval_window, eval_cells, a), eval_window, sink), table
     if nz is None:
         nz = np.arange(count)
         src_at = _cell_indices(src_window, nz)
     weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, a)
-    out = _conv_forward(*table, eval_lo, eval_window.cells, src_at, weights)
-    out = _modulated(kernel, 1, out, eval_window, a=a)
-    return (out if eval_cells is None else out[eval_cells]), table
+    image = np.empty(eval_window.cells) if sink is None else None
+    for at, rows in _conv_forward(*table, eval_lo, eval_window.cells, src_at, weights):
+        if kernel.modulation is not None and kernel.modulation_slot == 1:  # each band scaled in place
+            a = _modulation(kernel, eval_window) if a is None else a
+            rows *= a.reshape(eval_window.cells)[at]
+        (sink or image.__setitem__)(at, rows)
+    return (None if sink else image.reshape(-1)[slice(None) if eval_cells is None else eval_cells]), table
 
 
 def apply_truncated(
@@ -871,21 +900,17 @@ def vanishing_moment_defect(
         src_w = weights[nz]
         # the modulation, if any, scales the same window in both routes
         a = None if kernel.modulation is None else _modulation(kernel, big if kernel.modulation_slot == 1 else window)
-        ta, table = _lattice_sums(kernel, h, window, weights, big, a=a)
+        glist = [tuple(int(v) for v in np.atleast_1d(g)) for g in (multi_indices(window.n, s) if gammas is None else gammas)]
+        # T(a) streams into its moments over the padded frame and over its half-padding sub-box
+        frame, half_frame = _FrameMoments(big, (0,) * big.n, glist), _FrameMoments(half, half.lattice_offset(big), glist)
+        _, table = _lattice_sums(kernel, h, window, weights, big, a=a, sink=lambda at, rows: (frame(at, rows), half_frame(at, rows)))
         if table is not None:
             # the forward table, reflected, serves the transpose's point sums
             table_cells += table[0].size
             table = table[0][(slice(None, None, -1),) * big.n], -(table[1] + np.asarray(table[0].shape) - 1)
-        # the half-padding frame is a sub-window of the padded one
-        ta_half = ta.reshape(big.cells)[_box(half.lattice_offset(big), half.cells)]
         a_l1 = float(np.abs(src_w).sum())
         corr = CorrectionSpec(cube.center, cube.side, s)
-        glist = gammas if gammas is not None else multi_indices(window.n, s)
-        for g in glist:
-            g = tuple(int(v) for v in np.atleast_1d(g))
-            xg = monomial_factors(big, g)
-            lhs = _frame_moment(ta, xg, big)
-            lhs_half = _frame_moment(ta_half, monomial_factors(half, g), half)
+        for g, xg, lhs, lhs_half in zip(glist, frame.factors, frame.sums, half_frame.sums):
             scale = a_l1 * cube.side ** sum(g)
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same

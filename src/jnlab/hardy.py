@@ -149,6 +149,15 @@ def _cube_axes(window: Window, cube: Cube) -> tuple:
     return tuple(mask.any(axis=tuple(b for b in range(window.n) if b != a)) for a in range(window.n))
 
 
+def _inside(window: Window, cube: Cube, cells: np.ndarray) -> np.ndarray:
+    """Which of the flat cells lie in the cube, by _cube_axes."""
+    marks = _cube_axes(window, cube)
+    if window.n == 1:
+        return marks[0][cells]
+    row = cells // window.cells[1]  # a floor division by a scalar is fast, np.divmod and % are not
+    return marks[0][row] & marks[1][cells - row * window.cells[1]]
+
+
 def _moment_defects(window: Window, vals, rows, s: int, side: float, l1: float, failures: list):
     """|moment| of vals over its nonzero cells, rows the monomials on vals' cells, and its
     scale l1 side^|gamma|, l1 the L^1 mass, per |gamma| <= s; a defect above
@@ -171,16 +180,10 @@ def _certify(window: Window, cells: np.ndarray, vals: np.ndarray, rows: np.ndarr
     """Certify vals on the flat cells (zero elsewhere) as an atom on the cube,
     reading those cells and their monomial rows alone; l1 is its L^1 mass,
     and inside says which cells lie in the cube when the caller holds it
-    (else they are looked up per axis).  Support: every nonzero cell lies in
+    (else _inside looks them up).  Support: every nonzero cell lies in
     the cube.  Size: the L^q norm over the cells in the cube, and moments:
     the sums over the nonzero cells, each in the order given."""
-    if inside is None:
-        marks = _cube_axes(window, cube)
-        if window.n == 1:
-            inside = marks[0][cells]
-        else:  # a floor division by a scalar is fast, np.divmod and % are not
-            row = cells // window.cells[1]
-            inside = marks[0][row] & marks[1][cells - row * window.cells[1]]
+    inside = _inside(window, cube, cells) if inside is None else inside
     whole = inside.all()  # as for every constructed atom: no cell to sort out
     inner, count = vals if whole else vals[inside], np.count_nonzero(vals)
     support_exact = whole or np.count_nonzero(inner) == count
@@ -212,10 +215,10 @@ def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification
     return cert
 
 
-def _certified_atom(window: Window, cells, vals, rows, cube: Cube, params, what: str, seed=None) -> AtomRecord:
-    """The record of the atom vals on the flat cells (zero elsewhere) on the cube, certified
-    on those cells and their monomial rows alone; raises CertificationError naming `what` if it fails."""
-    cert = _certify(window, cells, vals, rows, cube, params, float(np.abs(vals).sum()) * window.cell_measure)
+def _certified_atom(window: Window, cells, vals, rows, cube: Cube, params, what: str, seed=None, inside=None) -> AtomRecord:
+    """The record of the atom vals on the flat cells (zero elsewhere) on the cube, certified on those
+    cells and their monomial rows alone, as _certify; raises CertificationError naming `what` if it fails."""
+    cert = _certify(window, cells, vals, rows, cube, params, float(np.abs(vals).sum()) * window.cell_measure, inside)
     if not cert.passed:
         raise CertificationError(f"{what} failed: {cert.failures}")
     return AtomRecord(cube, params, window, cells, vals, seed, cert)
@@ -641,13 +644,14 @@ def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
         if l == l_max:
             break
         lam_t = c_tilde * decay**l
-        rows = _monomial_rows(window, s, pairs[l])  # level l's correction atoms share their cells
+        # level l's correction atoms share their cells and their cube
+        rows, inside = _monomial_rows(window, s, pairs[l]), _inside(window, cubes[l + 1], pairs[l])
         for g in gammas:
             piece, norm = tilde_raw[(l, g)]
             if norm == 0.0 or c_tilde == 0.0:
                 continue
             what = f"correction atom level {l}, nu={g}"
-            rec = _certified_atom(window, pairs[l], piece / lam_t, rows, cubes[l + 1], params, what)
+            rec = _certified_atom(window, pairs[l], piece / lam_t, rows, cubes[l + 1], params, what, inside=inside)
             atoms.append(DecompositionAtom(l, "correction", g, lam_t, rec))
             corr[l] += piece[: cells.size]
             corr[l + 1] += piece[cells.size :]

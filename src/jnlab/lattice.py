@@ -416,7 +416,9 @@ def monomial_factors(window: Window, gamma) -> tuple:
     gamma = tuple(int(g) for g in np.atleast_1d(gamma))
     if len(gamma) != window.n:
         raise LatticeError(f"multi-index {gamma} needs {window.n} entries, one per window axis")
-    return tuple(monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] for a, g in enumerate(gamma))
+    # a zero entry's factor is all ones, as monomials gives it, with no midpoints built
+    return tuple(monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] if g else np.ones(c)
+                 for a, (g, c) in enumerate(zip(gamma, window.cells)))
 
 
 def monomials(pts: np.ndarray, gammas, anchor=None, scale: float = 1.0) -> np.ndarray:
@@ -478,7 +480,8 @@ def _memo(fn):
     the oldest entries until the arrays held fit in _MEMO_BYTES.  Arguments
     named `kernel` or `kappa` are held weakly, and their entries leave the
     store when they are collected; a call with one that has no weak
-    reference is not memoised."""
+    reference is not memoised.  Those references live in the entry's key and
+    go with it: an entry evicted or cleared first leaves nothing behind."""
     sig = inspect.signature(fn)
     weak = [i for i, name in enumerate(sig.parameters) if name in ("kernel", "kappa")]
 
@@ -496,19 +499,20 @@ def _memo(fn):
         result = fn(*args)
         size = _frozen(result)
         if size <= _MEMO_BYTES:
+            if weak:  # equal to the lookup key, with references that call _forget
+                key = (call, tuple(weakref.ref(a, _forget) if i in weak else a for i, a in enumerate(args)))
             _MEMO[key] = result, size
             _MEMO.held = size + (_MEMO.held if len(_MEMO) > 1 else 0)  # a lone entry: as after _MEMO.clear()
             while _MEMO.held > _MEMO_BYTES:
                 _MEMO.held -= _MEMO.popitem(last=False)[1][1]
-            for i in weak:
-                weakref.finalize(args[i], _forget, key)
         return result
 
     return call
 
 
-def _forget(key) -> None:
-    if key in _MEMO:  # not yet evicted
+def _forget(ref) -> None:
+    """Drop the entry stored under ref, whose referent was just collected."""
+    for key in [k for k in _MEMO if any(a is ref for a in k[1])]:
         _MEMO.held -= _MEMO.pop(key)[1]
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jnlab import czkernel, lattice
-from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, monomials, region_cells
+from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, moments, monomials, region_cells
 from jnlab.polyproj import index_factorial, multi_indices
 from jnlab.spaces import NormParams
 from jnlab.czkernel import (
@@ -700,6 +700,17 @@ def test_kernel_order_is_a_whole_number_the_builder_has():
         smooth_bump_kernel(n=1.5)
 
 
+def test_riesz_on_the_line_has_only_component_zero():
+    # on the line the riesz kernel is the hilbert kernel, x - y has one
+    # component, and a j = 1 that ran it would be echoed as what did not run
+    assert kernel_by_name("riesz", j=0, n=1).name == riesz_kernel(0.0, 1.0).name == "riesz0"
+    for name, params in (("riesz", dict(j=1, n=1)), ("riesz", dict(j=1.0, n=1.0)), ("riesz1", dict(n=1))):
+        with pytest.raises(ValueError, match="component j must be 0 on the line"):
+            kernel_by_name(name, **params)
+    with pytest.raises(ValueError, match="component j must be 0 on the line"):
+        riesz_kernel(2, 1)
+
+
 def test_kernel_by_name_gives_one_object_per_description():
     # the builder normalises first, so a bad or unhashable value is its ValueError
     K = kernel_by_name("riesz", j=0, n=2)
@@ -749,6 +760,14 @@ def _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
     return out.reshape(-1)
 
 
+def _forward_image(table, origin, eval_lo, eval_shape, src_idx, src_w):
+    """The bands _conv_forward yields, put together into the box's image, flat."""
+    out = np.empty(tuple(eval_shape))
+    for at, rows in _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
+        out[at] = rows
+    return out.reshape(-1)
+
+
 def _one_shot_points(table, origin, eval_idx, grid_lo, W):
     last = np.asarray(grid_lo) + np.asarray(W.shape) - 1
     flip = (slice(None, None, -1),) * W.ndim
@@ -794,7 +813,7 @@ def test_banded_table_and_forward_equal_one_shot(K, monkeypatch):
         assert table.shape == (29, 9)[:n]
         ref = _one_shot_table(K.kappa, h, m * h, origin, origin + np.asarray(table.shape) - 1)
         assert np.array_equal(table, ref)
-        got = _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w)
+        got = _forward_image(table, origin, eval_lo, eval_shape, src_idx, src_w)
         assert np.array_equal(got, _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w))
 
 
@@ -813,7 +832,7 @@ def test_flat_forward_runs_equal_one_shot(K, monkeypatch):
         lo, hi = src_idx.min(axis=0), src_idx.max(axis=0)
         table, origin = _box_table(K.kappa, h, h, eval_lo, eval_lo + eval_shape - 1, lo, hi)
         assert table.shape[1:] == tuple(eval_shape[1:] + hi[1:] - lo[1:])
-        got = _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w)
+        got = _forward_image(table, origin, eval_lo, eval_shape, src_idx, src_w)
         assert np.array_equal(got, _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w))
 
 
@@ -826,7 +845,7 @@ def test_forward_sums_compact_in_place():
     table, origin = _box_table(K.kappa, 1 / 128, 1 / 128, (0, 0), shape - 1, src_idx.min(axis=0), src_idx.max(axis=0))
     tracemalloc.start()
     try:
-        out = _conv_forward(table, origin, (0, 0), shape, src_idx, src_w)
+        out = _forward_image(table, origin, (0, 0), shape, src_idx, src_w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -852,7 +871,7 @@ def test_forward_sums_reject_a_reflected_table():
     table, origin = _box_table(riesz_kernel(0, 2).kappa, 0.1, 0.1, (-4, -4), (4, 4), (0, 0), (1, 2))
     flipped = table[::-1, ::-1], -(origin + np.asarray(table.shape) - 1)
     with pytest.raises(ValueError, match="C-contiguous"):
-        _conv_forward(*flipped, (-4, -4), (9, 9), -src_idx, src_w)
+        _forward_image(*flipped, (-4, -4), (9, 9), -src_idx, src_w)
 
 
 @pytest.mark.parametrize("K", _BANDED_KERNELS, ids=lambda K: K.name)
@@ -931,6 +950,97 @@ def test_frame_reports_independent_of_band_size(monkeypatch):
         for key in ("lhs", "rhs", "half_padding_lhs"):
             assert abs(a[key] - b[key]) <= 1e-12 * scale
     assert np.max(np.abs(img_b - img)) <= 1e-12 * np.max(np.abs(img))
+
+
+def _whole_image_moment(values, factors, window: Window) -> float:
+    """The frame moment of an image held whole: lattice.moments against the
+    outer product of the factors, summed over the window's moment bands."""
+    v = values.reshape(window.cells)
+    return sum(
+        moments(v[a:b].reshape(-1), functools.reduce(np.multiply.outer, (factors[0][a:b], *factors[1:])).reshape(-1)[:, None],
+                window.cell_measure)[0]
+        for a, b in czkernel._bands(window.cells)
+    )
+
+
+def _slot1_modulated_riesz():
+    return replace(riesz_kernel(0, 2), modulation=lambda z: 2.0 + np.sin(z[..., 0]) * np.cos(3.0 * z[..., 1]))
+
+
+@pytest.mark.parametrize(
+    "K", [riesz_kernel(0, 2), riesz_kernel(1, 2), _slot1_modulated_riesz(), kernel_transpose(_slot1_modulated_riesz()),
+          perturbed_kernel()],
+    ids=lambda K: f"{K.name}-slot{K.modulation_slot if K.modulation else 0}",
+)
+@pytest.mark.parametrize("s", [0, 1])
+def test_streamed_frame_moments_equal_whole_image(K, s, monkeypatch):
+    # the image T(a) streams from the forward sums into the moments over the
+    # padded frame (64^2) and its half-padding sub-box (32^2), each held one
+    # moment band at a time; with bands of 2 forward rows (pitch 67), 3 frame
+    # rows and 6 half-frame rows, none of the three cuts agrees with another.
+    # A line frame (256 cells, half 128) is one moment band, fed in forward
+    # bands of 193 cells
+    monkeypatch.setattr(czkernel, "_BAND_CELLS", 3 * 64 + 1)
+    n = K.n
+    w = Window(n, (-1.0,) * n, (1.0,) * n, (16,) * n if n == 2 else (64,))
+    atom = make_atom(90, Cube((0.0,) * n, 0.5), NormParams(2.0, 2.0, s, 0.3), w)
+    rep = vanishing_moment_defect(K, s, [atom], padding=16)
+    big, half = w.padded(4.0), w.padded(2.0)  # padding 16 on a cube a quarter of the window's side
+    image, table = _lattice_sums(K, w.h, w, atom.values.flat * w.cell_measure, big)
+    if n == 2:
+        assert (table[0].shape[1], big.cells[1], half.cells[1]) == (67, 64, 32)
+    part = image.reshape(big.cells)[tuple(slice(o, o + c) for o, c in zip(half.lattice_offset(big), half.cells))]
+    assert [r["gamma"] for r in rep.rows] == multi_indices(n, s)
+    for r in rep.rows:
+        g = r["gamma"]
+        assert r["lhs"] == _whole_image_moment(image, monomial_factors(big, g), big)
+        assert r["half_padding_lhs"] == _whole_image_moment(part, monomial_factors(half, g), half)
+
+
+def test_point_sums_reach_the_frame_moments_as_one_band():
+    # a dense source on a frame no larger than its window takes the point
+    # sums, not the forward ones; they reach both accumulators whole
+    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
+    f = GridFunction(w, np.random.default_rng(4).normal(size=w.cells))
+    atom = SimpleNamespace(values=f, cube=Cube((0.0, 0.0), 0.5))  # padding 4 on a 4-cell side: frame = half = window
+    K = riesz_kernel(0, 2)
+    rep = vanishing_moment_defect(K, 1, [atom], padding=4)
+    image, _ = _lattice_sums(K, w.h, w, f.flat * w.cell_measure, w)
+    for r in rep.rows:
+        assert r["lhs"] == r["half_padding_lhs"] == _whole_image_moment(image, monomial_factors(w, r["gamma"]), w)
+
+
+def test_plain_sum_is_the_moment_against_ones():
+    # a gamma = 0 frame moment takes a band's plain sum: the same float as
+    # lattice.moments against a column of ones
+    rng = np.random.default_rng(29)
+    sizes = np.unique(np.r_[2, 3, 100_003, np.exp(rng.uniform(np.log(2), np.log(100_003), 197)).astype(int)])
+    for cells in sizes.tolist():
+        v = rng.normal(size=cells) * 10.0 ** rng.integers(-3, 4)
+        w = Window(1, (0.0,), (cells / 7.0,), (cells,))
+        frame = czkernel._FrameMoments(w, (0,), [(0,)])
+        frame(slice(0, cells), v)
+        assert frame.sums[0] == moments(v, np.ones((cells, 1)), w.cell_measure)[0]
+
+
+def test_warm_plane_defect_holds_no_frame():
+    # the benchmark's plane item: a 1536^2 padded frame (18.9 MB of float64)
+    # whose image only its moments read; with the difference table memoised,
+    # a call holds a few bands of the frame, never the frame
+    w = Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48))
+    atom = make_atom(200, Cube((0.0, 0.0), 0.25), NormParams(2.0, 2.0, 0, 0.25), w)
+    K = riesz_kernel(0, 2)
+    lattice._MEMO.clear()
+    cold = vanishing_moment_defect(K, 0, [atom], padding=256)
+    tracemalloc.start()
+    try:
+        warm = vanishing_moment_defect(K, 0, [atom], padding=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert warm.rows == cold.rows
+    frame_bytes = 1536 * 1536 * 8
+    assert peak <= 8 * czkernel._BAND_CELLS * 8 <= frame_bytes / 8  # about 4.2 bands
 
 
 @pytest.mark.parametrize(
@@ -1184,6 +1294,19 @@ def test_memo_entries_leave_with_their_kernel():
     gc.collect()
     assert not any(isinstance(a, weakref.ref) for key in lattice._MEMO for a in key[1])
     assert len(lattice._MEMO) == 1 and lattice._MEMO.held == held
+
+
+def test_clear_and_run_cycles_leave_nothing_behind():
+    # a kernel built by name lives on, and each cycle on a cleared memo stores
+    # its entries anew; what ties an entry to the kernel leaves with the entry
+    K = kernel_by_name("perturbed")
+    atom = _atoms_on_one_cube(1)[0]
+    counts = []
+    for _ in range(4):
+        lattice._MEMO.clear()
+        vanishing_moment_defect(K, 1, [atom], padding=16)
+        counts.append((len(weakref.finalize._registry), weakref.getweakrefcount(K), weakref.getweakrefcount(K.kappa)))
+    assert counts[1:] == counts[:-1]
 
 
 def test_a_kappa_without_weak_references_is_not_memoised():

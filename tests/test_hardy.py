@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jnlab import lattice
+from jnlab import hardy, lattice
 from jnlab.lattice import (
     Cube,
     GridFunction,
@@ -33,6 +33,7 @@ from jnlab.hardy import (
     _annulus_level,
     _annulus_levels,
     _certify,
+    _inside,
     _monomial_columns,
     _monomial_rows,
     decompose_molecule,
@@ -842,12 +843,17 @@ def test_decomposition_is_pinned_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DECOMPOSITIONS))
-def test_decomposition_atoms_certify_as_on_their_own_rows(name):
+def test_decomposition_atoms_certify_as_on_their_own_rows(name, monkeypatch):
     # a level's correction atoms share one gather of their cells' monomial
-    # rows; each atom's figures are those of a certification that gathers its own
+    # rows and one lookup of which cells lie in their cube; each atom's
+    # figures are those of a certification that gathers and looks up its own
     mol, levels = _pinned_molecule(name)
+    lookups = []
+    monkeypatch.setattr(hardy, "_inside", lambda *args: lookups.append(args) or _inside(*args))
     rep = decompose_molecule(mol, levels)
+    monkeypatch.undo()
     assert any(a.kind == "correction" for a in rep.atoms)
+    assert len(lookups) == sum(a.kind == "core" for a in rep.atoms) + levels  # one per core atom and per level below the top
     for a in rep.atoms:
         rec = a.record
         assert _hexed(rec.certification) == _hexed(_cell_local(rec.window, rec.cells, rec.cell_values, rec.cube, rec.params))

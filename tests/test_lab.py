@@ -688,6 +688,7 @@ def test_cli_padding_below_four_exits_config_before_any_operator(tmp_path, capsy
         ("atom-image", {"kernel": {"name": "riesz", "j": 0.5, "n": 2}}, "riesz component j must be an integer"),
         ("decomposition", {"kernel": {"name": "riesz", "j": 2.0, "n": 2}}, "component j must be 0 or 1"),
         ("duality", {"kernel": {"name": "smooth_bump", "n": 1.5}}, "smooth_bump dimension n must be an integer"),
+        ("rm-boundedness", {"kernel": {"name": "riesz", "j": 1, "n": 1}}, "component j must be 0 on the line"),
     ],
 )
 def test_cli_bad_experiment_setting_exits_config(tmp_path, capsys, name, change, message):
