@@ -45,47 +45,42 @@ __all__ = [
     "DefectReport",
 ]
 
-_PAIR_BUDGET = 4_000_000  # max pairwise entries held at once
 _BAND_CELLS = 1 << 15  # cells per row band of a full-frame pass (fits in cache)
 _TILE = 64  # cells per side of a 2-D point-sum tile (see _conv_at_points)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Off-diagonal kernel with closed-form slot derivatives up to `order`.
+    """Off-diagonal kernel K(x, y) = a(x) kappa(x - y) with closed-form slot
+    derivatives up to `order`.
 
-    k(x, y), d1(gamma, x, y), d2(gamma, x, y) accept arrays of shape (..., n)
-    and return (...).  Values on the diagonal are never used (masked off).
-
-    A kernel of the form K(x, y) = a(x) kappa(x - y) also carries its
-    difference kernel `kappa(u)` and, if it has one, the modulation `a(z)`
-    together with the slot it multiplies (`modulation_slot` 1 for a(x), 2 for
-    a(y)).  On a shared midpoint lattice such a kernel runs through one
+    d1(gamma, x, y), d2(gamma, x, y) and kappa(u) accept arrays of shape
+    (..., n) and return (...).  Values on the diagonal are never used (masked
+    off).  The difference kernel `kappa` is required; the modulation `a(z)`,
+    if any, comes with the slot it multiplies (`modulation_slot` 1 for a(x),
+    2 for a(y)).  The sums run on the source's midpoint lattice through one
     difference table of kappa that covers only the differences x - y between
     the evaluation cells and the bounding box of the source cells; the
     modulation then scales the evaluation side (slot 1) or the source weights
-    (slot 2).  Kernels without kappa, and explicit off-lattice evaluation
-    points, take the pairwise sum of k.  The Taylor correction always uses
-    the closed-form d1.
+    (slot 2).  The Taylor correction uses the closed-form d1.
     """
 
     name: str
     n: int
     order: int
     delta: float
-    k: callable
     d1: callable
     d2: callable
-    kappa: callable | None = None
+    kappa: callable
     modulation: callable | None = None
     modulation_slot: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "order", whole_number(self.order, "kernel order"))
+        if not callable(self.kappa):
+            raise TypeError("a kernel needs its difference kernel kappa")
         if self.modulation_slot not in (1, 2):
             raise ValueError("modulation_slot must be 1 or 2")
-        if self.modulation is not None and self.kappa is None:
-            raise ValueError("a modulated kernel needs its difference kernel kappa")
 
 
 @dataclass(frozen=True)
@@ -118,11 +113,10 @@ def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
         n=kernel.n,
         order=kernel.order,
         delta=kernel.delta,
-        k=lambda x, y: kernel.k(y, x),
         d1=lambda g, x, y: kernel.d2(g, y, x),
         d2=lambda g, x, y: kernel.d1(g, y, x),
         # 0.0 - u rather than -u: zero components stay +0.0, as in y - x
-        kappa=None if kappa is None else (lambda u: kappa(0.0 - u)),
+        kappa=lambda u: kappa(0.0 - u),
         modulation=kernel.modulation,
         modulation_slot=3 - kernel.modulation_slot,
     )
@@ -146,7 +140,6 @@ def _convolution(name, n, order, delta, dkappa, dmod=None) -> KernelSpec:
     if dmod is None:
         return KernelSpec(
             name, n, order, delta,
-            k=lambda x, y: kappa(x - y),
             d1=lambda g, x, y: dkappa(tuple(g), x - y),
             d2=d2k, kappa=kappa,
         )
@@ -164,7 +157,6 @@ def _convolution(name, n, order, delta, dkappa, dmod=None) -> KernelSpec:
 
     return KernelSpec(
         name, n, order, delta,
-        k=lambda x, y: a(x) * kappa(x - y),
         d1=d1,
         d2=lambda g, x, y: a(x) * d2k(g, x, y),
         kappa=kappa, modulation=a,
@@ -296,28 +288,6 @@ def _source_arrays(f: GridFunction):
     """Midpoints and quadrature weights of f's nonzero cells."""
     nz = np.nonzero(f.flat)[0]
     return f.window.cell_midpoints(nz), f.flat[nz] * f.window.cell_measure
-
-
-def _truncated_raw(kernel, eval_pts, src_pts, src_w, eta) -> np.ndarray:
-    """sum over sources with |x - y| >= eta of K(x, y) * weight."""
-    eta2 = eta * eta * (1.0 - 1e-12)
-    out = np.zeros(eval_pts.shape[0])
-    n_eval, n_src = eval_pts.shape[0], src_pts.shape[0]
-    if n_src == 0:
-        return out
-    chunk = max(1, _PAIR_BUDGET // n_src)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n_eval, chunk):
-            X = eval_pts[start : start + chunk]
-            D = X[:, None, :] - src_pts[None, :, :]
-            d2 = (D * D).sum(axis=2)
-            mask = d2 >= eta2
-            kv = kernel.k(
-                np.broadcast_to(X[:, None, :], D.shape),
-                np.broadcast_to(src_pts[None, :, :], D.shape),
-            )
-            out[start : start + chunk] = np.where(mask, kv, 0.0) @ src_w
-    return out
 
 
 def _cell_indices(window: Window, flat_idx: np.ndarray) -> np.ndarray:
@@ -516,39 +486,32 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
     """Truncated sums: sum over the cells y of src_window with |x - y| >= eta
     of K(x, y) w_y, with the flat weights w = src_weights or, for a tuple of
     per-axis factors (a monomial's), their outer product times the cell
-    measure.  They are taken at every cell x of eval_window, at its cells with
-    flat indices eval_cells, or at the rows of an (m, n) point array passed as
-    eval_window; `a` is the modulation over the window it scales, if known.
-    Returns the sums and the difference table (table, origin) they used, or
-    None for the pairwise sum.  With a sink, the sums at every cell of
-    eval_window go to it instead, as sink(slice of rows, rows) band by band as
-    _conv_forward makes them (an image's __setitem__ is one), and the sums
-    returned are None.
+    measure.  They are taken at every cell x of eval_window or at its cells
+    with flat indices eval_cells; `a` is the modulation over the window it
+    scales, if known.  Returns the sums and the difference table (table,
+    origin) they used.  With a sink, the sums at every cell of eval_window go
+    to it instead, as sink(slice of rows, rows) band by band as _conv_forward
+    makes them (an image's __setitem__ is one), and the sums returned are None.
 
-    This is the one place that picks the engine.  A kernel with a difference
-    kernel kappa, evaluated at cells of the source lattice, runs through one
-    difference table of kappa at the source pitch over the evaluation window
-    minus the bounding box of the nonzero sources (or through `table`, which
-    must cover the differences in use).  With no more evaluation cells than
-    nonzero sources, or factors, each evaluation cell takes one point sum over
-    the weight box (_conv_at_points); otherwise each nonzero source adds one
-    shifted view over the evaluation window.  The modulation scales the source
-    weights (slot 2) or the sums (slot 1).  Kernels without kappa, other
-    lattices and explicit points take the pairwise sum over nonzero sources."""
+    The sums run through one difference table of kappa at the source pitch
+    over the evaluation window minus the bounding box of the nonzero sources
+    (or through `table`, which must cover the differences in use).  With no
+    more evaluation cells than nonzero sources, or factors, each evaluation
+    cell takes one point sum over the weight box (_conv_at_points); otherwise
+    each nonzero source adds one shifted view over the evaluation window.  The
+    modulation scales the source weights (slot 2) or the sums (slot 1).  An
+    evaluation window off the source lattice is a ValueError."""
     if kernel.n != src_window.n:
         raise ValueError(f"kernel {kernel.name!r} is {kernel.n}-D but the source window is {src_window.n}-D")
-    on_cells = isinstance(eval_window, Window)
-    if on_cells:
-        cells = range(eval_window.cell_count) if eval_cells is None else eval_cells
-    eval_lo = eval_window.lattice_offset(src_window) if on_cells and kernel.kappa is not None else None
-    frame = isinstance(src_weights, tuple)  # in 2-D one rank-one term of the point sums
-    if frame and (eval_lo is None or src_window.n == 1 or kernel.modulation is not None):
-        src_weights, frame = _frame_rows(src_weights) * src_window.cell_measure, False
+    eval_lo = eval_window.lattice_offset(src_window)
     if eval_lo is None:
-        pts = eval_window.cell_midpoints(cells) if on_cells else eval_window
-        keep = np.flatnonzero(src_weights)
-        out = _truncated_raw(kernel, pts, src_window.cell_midpoints(keep), src_weights[keep], eta)
-        return _whole(out, eval_window, sink), None
+        what = ("dimension" if eval_window.n != src_window.n else
+                "pitch" if abs(eval_window.h - src_window.h) > 1e-12 * src_window.h else "midpoint phase")
+        raise ValueError(f"the evaluation window has another {what} than the source lattice")
+    cells = range(eval_window.cell_count) if eval_cells is None else eval_cells
+    frame = isinstance(src_weights, tuple)  # in 2-D one rank-one term of the point sums
+    if frame and (src_window.n == 1 or kernel.modulation is not None):
+        src_weights, frame = _frame_rows(src_weights) * src_window.cell_measure, False
     count = src_window.cell_count if frame else np.count_nonzero(src_weights)
     if count == 0:
         return _whole(np.zeros(len(cells)), eval_window, sink), table or (np.zeros((0,) * src_window.n), eval_lo)
@@ -593,16 +556,15 @@ def apply_truncated(
     """Truncated singular integral at radius eta (integer multiple of h).
 
     Integration runs over f's window with zero extension outside.  Returns a
-    GridFunction on eval_window (default: f's window), or a plain array when
-    explicit eval_points are given.  Kernels with a difference kernel kappa
-    evaluated on a shared lattice go through the difference-table engine.
+    GridFunction on eval_window (default: f's window), which must lie on f's
+    lattice.  The sums are taken at cells only: `eval_points` is kept by name,
+    and any value but None is a ValueError.
     """
+    if eval_points is not None:
+        raise ValueError("apply_truncated evaluates at cells only: pass an eval_window on f's lattice")
     eta = _validate_eta(eta, f.window.h)
     window = eval_window or f.window
-    target = window if eval_points is None else np.atleast_2d(np.asarray(eval_points, dtype=float))
-    out, _ = _lattice_sums(kernel, eta, f.window, f.flat * f.window.cell_measure, target)
-    if eval_points is not None:
-        return out
+    out, _ = _lattice_sums(kernel, eta, f.window, f.flat * f.window.cell_measure, window)
     return GridFunction(window, out.reshape(window.cells))
 
 
@@ -610,7 +572,7 @@ def apply_truncated(
 class CZResult:
     """Three-rung truncation ladder with Cauchy increments.  `tol` is the
     increment tolerance of `converged`: 1e-3 * max|f|, or 1e-3 for f = 0.
-    `engine` ("table"/"pairwise") and `table_cells` as in DefectReport."""
+    `table_cells` counts the difference-table entries of the rungs."""
 
     result: GridFunction
     etas: list[float]
@@ -620,7 +582,6 @@ class CZResult:
     converged: bool
     diverged: bool
     converged_fraction: float
-    engine: str
     table_cells: int
 
     def to_json(self) -> list[dict]:
@@ -633,7 +594,7 @@ class CZResult:
         ]
 
 
-def _ladder_result(window, ladder, etas, tol, engine, table_cells) -> CZResult:
+def _ladder_result(window, ladder, etas, tol, table_cells) -> CZResult:
     incs = [float(np.max(np.abs(ladder[i + 1] - ladder[i]))) for i in range(len(ladder) - 1)]
     converged = (not incs) or incs[-1] <= tol
     diverged = len(incs) >= 2 and incs[-1] > incs[0] and incs[-1] > tol
@@ -643,7 +604,7 @@ def _ladder_result(window, ladder, etas, tol, engine, table_cells) -> CZResult:
         fraction = float(np.count_nonzero(per_point <= tol)) / per_point.size
     else:
         fraction = 1.0
-    return CZResult(gf, etas, ladder, incs, tol, converged, diverged, fraction, engine, table_cells)
+    return CZResult(gf, etas, ladder, incs, tol, converged, diverged, fraction, table_cells)
 
 
 def apply_cz(
@@ -659,10 +620,9 @@ def apply_cz(
     window = eval_window or f.window
     weights = f.flat * f.window.cell_measure
     sums = [_lattice_sums(kernel, _validate_eta(m * h, h), f.window, weights, window) for m in eta_cells]
-    tables = [table[0].size for _, table in sums if table is not None]
     tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
-    engine = "table" if tables else "pairwise"
-    return _ladder_result(window, [out for out, _ in sums], [m * h for m in eta_cells], tol, engine, sum(tables))
+    cells = sum(table[0].size for _, table in sums)
+    return _ladder_result(window, [out for out, _ in sums], [m * h for m in eta_cells], tol, cells)
 
 
 def _taylor_correction(kernel, corr: CorrectionSpec, sources, eval_pts) -> np.ndarray:
@@ -756,7 +716,7 @@ def apply_modified(
     # the Taylor correction does not depend on the exclusion radius: build
     # its polynomial once for the whole ladder
     corr_eval = _taylor_correction(kernel_tilde, corr, _point_chunks(*_source_arrays(f)), window.midpoints())
-    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol, cz.engine, cz.table_cells)
+    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol, cz.table_cells)
     ref = window.reference_cube()
     canonical = base.result - moment_projection(base.result, ref, corr.order).on_grid(window)
     return ModifiedResult(**vars(base), canonical=canonical, reference_cube=ref, correction=corr)
@@ -776,9 +736,8 @@ def _check_padding(padding: float) -> None:
 
 @dataclass
 class MonomialImage:
-    """Corrected image of a monomial.  `engine` is "table" or "pairwise";
-    `table_cells` counts the difference-table entries at the stated padding
-    (0 on the pairwise path)."""
+    """Corrected image of a monomial.  `table_cells` counts the
+    difference-table entries at the stated padding."""
 
     values: GridFunction
     nu: tuple
@@ -786,7 +745,6 @@ class MonomialImage:
     sensitivity: float
     truncation_warn: bool
     integration_cells: tuple
-    engine: str
     table_cells: int
 
 
@@ -816,7 +774,7 @@ def modified_on_monomial(
         big = eval_window.padded(factor)
         main, table = _lattice_sums(kernel_tilde, h, big, monomial_factors(big, nu), eval_window)
         correction = _taylor_polynomial(_frame_coefficients(kernel_tilde, 1, corr, big, nu), corr, eval_pts)
-        return big, 0 if table is None else table[0].size, main - correction
+        return big, table[0].size, main - correction
 
     big, cells, base = run(padding)
     scale = max(float(np.max(np.abs(GridFunction.monomial(eval_window, nu).flat))), 1e-30)
@@ -832,7 +790,6 @@ def modified_on_monomial(
         sensitivity=sensitivity,
         truncation_warn=bool(check_doubling and sensitivity > 0.02),
         integration_cells=big.cells,
-        engine="table" if cells else "pairwise",
         table_cells=cells,
     )
 
@@ -848,16 +805,15 @@ def poly_distance(g: GridFunction, region, s: int, floor: float = 0.0) -> float:
 
 @dataclass
 class DefectReport:
-    """Moment defects per atom and gamma.  `engine` is "table" or "pairwise";
-    `table_cells` is the number of difference-table entries each atom reads,
-    summed over the atoms, memoised or not (0 on the pairwise path)."""
+    """Moment defects per atom and gamma.  `table_cells` is the number of
+    difference-table entries each atom reads, summed over the atoms, memoised
+    or not."""
 
     rows: list
     max_defect: float
     max_mismatch: float
     truncation_warning: bool
     padding: float
-    engine: str
     table_cells: int
 
 
@@ -904,10 +860,9 @@ def vanishing_moment_defect(
         # T(a) streams into its moments over the padded frame and over its half-padding sub-box
         frame, half_frame = _FrameMoments(big, (0,) * big.n, glist), _FrameMoments(half, half.lattice_offset(big), glist)
         _, table = _lattice_sums(kernel, h, window, weights, big, a=a, sink=lambda at, rows: (frame(at, rows), half_frame(at, rows)))
-        if table is not None:
-            # the forward table, reflected, serves the transpose's point sums
-            table_cells += table[0].size
-            table = table[0][(slice(None, None, -1),) * big.n], -(table[1] + np.asarray(table[0].shape) - 1)
+        # the forward table, reflected, serves the transpose's point sums
+        table_cells += table[0].size
+        table = table[0][(slice(None, None, -1),) * big.n], -(table[1] + np.asarray(table[0].shape) - 1)
         a_l1 = float(np.abs(src_w).sum())
         corr = CorrectionSpec(cube.center, cube.side, s)
         for g, xg, lhs, lhs_half in zip(glist, frame.factors, frame.sums, half_frame.sums):
@@ -942,6 +897,5 @@ def vanishing_moment_defect(
         max_mismatch=max(r["mismatch"] for r in rows),
         truncation_warning=warn,
         padding=padding,
-        engine="table" if table_cells else "pairwise",
         table_cells=table_cells,
     )

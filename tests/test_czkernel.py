@@ -41,7 +41,6 @@ from jnlab.czkernel import (
     _point_chunks,
     _source_arrays,
     _taylor_correction,
-    _truncated_raw,
 )
 from jnlab.hardy import make_atom
 
@@ -54,13 +53,37 @@ def sample_pairs(n, count=100, seed=0):
     return x[keep], y[keep]
 
 
+def _k(K):
+    """K(x, y) from the kernel's difference kernel kappa and its modulation slot."""
+
+    def k(x, y):
+        out = K.kappa(x - y)
+        return out if K.modulation is None else out * K.modulation(x if K.modulation_slot == 1 else y)
+
+    return k
+
+
+def _pairwise_sums(k, eval_pts, src_pts, src_w, eta):
+    """The reference sums: over the sources with |x - y| >= eta, k(x, y) times
+    the weight, one pair at a time; no difference table."""
+    D = eval_pts[:, None, :] - src_pts[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kv = k(np.broadcast_to(eval_pts[:, None, :], D.shape), np.broadcast_to(src_pts[None, :, :], D.shape))
+    return np.where((D * D).sum(axis=2) >= eta * eta * (1.0 - 1e-12), kv, 0.0) @ src_w
+
+
+def _cells_at(window: Window, xs) -> np.ndarray:
+    """Indices of the cells of a line window that hold the points xs."""
+    return np.floor((np.asarray(xs, dtype=float) - window.lower[0]) / window.h).astype(int)
+
+
 def test_transpose_hilbert_antisymmetric():
     K = hilbert_kernel()
     Kt = kernel_transpose(K)
     x, y = sample_pairs(1)
-    assert np.max(np.abs(Kt.k(x, y) + K.k(x, y))) <= 1e-14
+    assert np.max(np.abs(_k(Kt)(x, y) + _k(K)(x, y))) <= 1e-14
     Ktt = kernel_transpose(Kt)
-    assert np.max(np.abs(Ktt.k(x, y) - K.k(x, y))) <= 1e-14
+    assert np.max(np.abs(_k(Ktt)(x, y) - _k(K)(x, y))) <= 1e-14
     # derivative slots swap
     assert np.allclose(Kt.d1((2,), x, y), K.d2((2,), y, x))
 
@@ -69,7 +92,7 @@ def test_transpose_riesz_odd():
     R = riesz_kernel(0, 2)
     Rt = kernel_transpose(R)
     x, y = sample_pairs(2)
-    assert np.max(np.abs(Rt.k(x, y) + R.k(x, y))) <= 1e-14
+    assert np.max(np.abs(_k(Rt)(x, y) + _k(R)(x, y))) <= 1e-14
 
 
 def test_riesz_derivative_consistency():
@@ -80,7 +103,7 @@ def test_riesz_derivative_consistency():
     for axis, g in [(0, (1, 0)), (1, (0, 1))]:
         shift = np.zeros(2)
         shift[axis] = eps
-        numeric = (R.k(x, y + shift) - R.k(x, y - shift)) / (2 * eps)
+        numeric = (_k(R)(x, y + shift) - _k(R)(x, y - shift)) / (2 * eps)
         closed = R.d2(g, x, y)
         denom = np.maximum(np.abs(closed), 1.0)
         assert np.max(np.abs(numeric - closed) / denom) <= 1e-4
@@ -90,25 +113,30 @@ def test_perturbed_derivative_consistency():
     K = perturbed_kernel()
     x, y = sample_pairs(1, count=50, seed=4)
     eps = 1e-6
-    numeric = (K.k(x + eps, y) - K.k(x - eps, y)) / (2 * eps)
+    numeric = (_k(K)(x + eps, y) - _k(K)(x - eps, y)) / (2 * eps)
     closed = K.d1((1,), x, y)
     assert np.max(np.abs(numeric - closed)) <= 1e-4 * np.max(np.abs(closed))
 
 
 def test_truncated_odd_cancellation():
+    # f = 1 at pitch 1/32 on a window symmetric about its midpoint 0, eta = 16h
     K = hilbert_kernel()
-    w = Window(1, (-1.0,), (1.0,), (64,))
+    w = Window(1, (-65 / 64,), (65 / 64,), (65,))
     one = GridFunction.from_callable(w, lambda x: np.ones_like(x))
-    out = apply_truncated(K, one, 0.5, eval_points=[[0.0]])
-    assert abs(out[0]) <= 1e-12
+    out = apply_truncated(K, one, 0.5)
+    assert w.axis_midpoints(0)[_cells_at(w, 0.0)] == 0.0
+    assert abs(out.flat[_cells_at(w, 0.0)]) <= 1e-12
 
 
 def test_truncated_linear_closed_form():
+    # the integral of y / (x - y) over |x - y| >= 1/4 in [-1, 1] is
+    # x ln((1 + x)/(1 - x)) - 3/2, here at the midpoint of the cell holding 0
     K = hilbert_kernel()
     w = Window(1, (-1.0,), (1.0,), (64,))
     f = GridFunction.from_callable(w, lambda x: x)
-    out = apply_truncated(K, f, 0.25, eval_points=[[0.0]])
-    assert abs(out[0] + 1.5) <= 2 * w.h
+    out = apply_truncated(K, f, 0.25)
+    x = w.axis_midpoints(0)[_cells_at(w, 0.0)]
+    assert abs(out.flat[_cells_at(w, 0.0)] - (x * np.log((1 + x) / (1 - x)) - 1.5)) <= 2 * w.h
 
 
 def test_truncated_eta_validation():
@@ -160,8 +188,9 @@ def test_cz_constant_center_cancellation():
     K = hilbert_kernel()
     w = Window(1, (-1.0,), (1.0,), (65,))  # odd count: 0 is a midpoint
     one = GridFunction.from_callable(w, lambda x: np.ones_like(x))
-    out = apply_truncated(K, one, w.h, eval_points=[[0.0]])
-    assert abs(out[0]) <= 1e-12
+    out = apply_truncated(K, one, w.h)
+    assert w.axis_midpoints(0)[_cells_at(w, 0.0)] == 0.0
+    assert abs(out.flat[_cells_at(w, 0.0)]) <= 1e-12
 
 
 def test_cz_increment_slope_on_smooth_compact():
@@ -268,12 +297,7 @@ def test_monomial_image_additive_in_kernel():
     corr = CorrectionSpec((0.0,), 0.5, 0)
     K1 = hilbert_kernel()
     K2 = smooth_bump_kernel()
-    Ksum = KernelSpec(
-        "sum", 1, 0, 1.0,
-        k=lambda x, y: K1.k(x, y) + K2.k(x, y),
-        d1=lambda g, x, y: K1.d1(g, x, y) + K2.d1(g, x, y),
-        d2=lambda g, x, y: K1.d2(g, x, y) + K2.d2(g, x, y),
-    )
+    Ksum = _sum_kernel()
     a = modified_on_monomial(kernel_transpose(K1), corr, (0,), ew, padding=8, check_doubling=False)
     b = modified_on_monomial(kernel_transpose(K2), corr, (0,), ew, padding=8, check_doubling=False)
     c = modified_on_monomial(kernel_transpose(Ksum), corr, (0,), ew, padding=8, check_doubling=False)
@@ -327,7 +351,7 @@ def test_smooth_bump_regularity_quotient_decays():
     def quotient(gap):
         x = y + gap
         d = np.abs(x[:, 0] - y[:, 0])
-        return np.max(np.abs(B.k(x, y) - B.k(x, z)) * d ** (1 + B.delta)
+        return np.max(np.abs(_k(B)(x, y) - _k(B)(x, z)) * d ** (1 + B.delta)
                       / np.abs(y[:, 0] - z[:, 0]) ** B.delta)
     assert quotient(6.0) < 1e-3 * quotient(1.0)
 
@@ -359,9 +383,10 @@ def test_truncated_indicator_closed_form():
     w = Window(1, (-2.0,), (2.0,), (512,))
     a, b = -0.5, 0.25
     f = GridFunction.from_callable(w, lambda x: ((x >= a) & (x < b)).astype(float))
-    xs = np.array([[1.0], [1.5], [-1.25]])
-    out = apply_truncated(K, f, w.h, eval_points=xs)
-    exact = np.log(np.abs((xs[:, 0] - a) / (xs[:, 0] - b)))
+    cells = _cells_at(w, [1.0, 1.5, -1.25])  # at the midpoints of the cells holding these
+    out = apply_truncated(K, f, w.h).flat[cells]
+    xs = w.axis_midpoints(0)[cells]
+    exact = np.log(np.abs((xs - a) / (xs - b)))
     assert np.max(np.abs(out - exact)) <= 5e-3
 
 
@@ -392,21 +417,16 @@ def test_vanishing_moment_defect_order_one():
     assert {r["gamma"] for r in rep.rows} == {(0,), (1,)}
 
 
-# --- difference-table engine against the pairwise reference path ----------
-
-
-def _pairwise(kernel):
-    """The same kernel with its difference kernel dropped: pairwise path."""
-    return replace(kernel, kappa=None, modulation=None)
+# --- difference-table engine against the pairwise reference sums ----------
 
 
 def _sum_kernel():
     K1, K2 = hilbert_kernel(), smooth_bump_kernel()
     return KernelSpec(
         "sum", 1, 0, 1.0,
-        k=lambda x, y: K1.k(x, y) + K2.k(x, y),
         d1=lambda g, x, y: K1.d1(g, x, y) + K2.d1(g, x, y),
         d2=lambda g, x, y: K1.d2(g, x, y) + K2.d2(g, x, y),
+        kappa=lambda u: K1.kappa(u) + K2.kappa(u),
     )
 
 
@@ -429,7 +449,7 @@ def test_modulated_table_matches_pairwise(transposed, m):
         src_pts, src_w = _source_arrays(f)
         for ew in windows:
             got = apply_truncated(K, f, m * w.h, eval_window=ew).flat
-            ref = _truncated_raw(K, ew.midpoints(), src_pts, src_w, m * w.h)
+            ref = _pairwise_sums(_k(K), ew.midpoints(), src_pts, src_w, m * w.h)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -454,14 +474,39 @@ def test_range_restricted_table_is_slice_of_full():
 
 def test_monomial_image_table_matches_pairwise():
     ew = Window(1, (-1.0,), (1.0,), (32,))
+    big = ew.padded(8.0)
     for K in (kernel_transpose(perturbed_kernel()), perturbed_kernel()):
         corr = CorrectionSpec((0.1,), 0.5, 1)
         for nu in ((0,), (1,)):
             fast = modified_on_monomial(K, corr, nu, ew, padding=8, check_doubling=False)
-            slow = modified_on_monomial(_pairwise(K), corr, nu, ew, padding=8, check_doubling=False)
-            assert (fast.engine, slow.engine) == ("table", "pairwise")
-            ref = slow.values.values
+            assert fast.integration_cells == big.cells
+            weights = GridFunction.monomial(big, nu).flat * big.cell_measure
+            main = _pairwise_sums(_k(K), ew.midpoints(), big.midpoints(), weights, ew.h)
+            ref = main - _taylor_correction(K, corr, _point_chunks(big.midpoints(), weights), ew.midpoints())
             assert np.max(np.abs(fast.values.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _pairwise_defect_sums(K, s, atom, padding):
+    """(lhs, rhs, half_padding_lhs) per gamma of an atom's defect report, from
+    the pairwise sums: T(a) on the padded frame paired with y^gamma there and
+    on the half-padding frame, and a paired with the corrected transpose image
+    of y^gamma."""
+    window, cube = atom.values.window, atom.cube
+    factor = max(padding * max(1, round(cube.side / window.h)) / min(window.cells), 1.0)
+    big, half = window.padded(factor), window.padded(max(factor / 2.0, 1.0))
+    nz = np.flatnonzero(atom.values.flat)
+    src_pts, src_w = window.cell_midpoints(nz), atom.values.flat[nz] * window.cell_measure
+    image = _pairwise_sums(_k(K), big.midpoints(), src_pts, src_w, window.h)
+    part = image.reshape(big.cells)[_box(half.lattice_offset(big), half.cells)].reshape(-1)
+    Kt, corr = kernel_transpose(K), CorrectionSpec(cube.center, cube.side, s)
+    sums = []
+    for g in multi_indices(window.n, s):
+        y_g = GridFunction.monomial(big, g).flat * big.cell_measure
+        dual = _pairwise_sums(_k(Kt), src_pts, big.midpoints(), y_g, window.h)
+        dual = dual - _taylor_correction(Kt, corr, _point_chunks(big.midpoints(), y_g), src_pts)
+        half_g = GridFunction.monomial(half, g).flat * half.cell_measure
+        sums.append((float(image @ y_g), float(dual @ src_w), float(part @ half_g)))
+    return sums
 
 
 def test_vanishing_moment_defect_table_matches_pairwise():
@@ -469,12 +514,12 @@ def test_vanishing_moment_defect_table_matches_pairwise():
     atoms = [make_atom(60 + i, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 1, 0.3), w) for i in range(2)]
     for K in (perturbed_kernel(), hilbert_kernel()):
         fast = vanishing_moment_defect(K, 1, atoms, padding=16)
-        slow = vanishing_moment_defect(_pairwise(K), 1, atoms, padding=16)
-        assert (fast.engine, slow.engine) == ("table", "pairwise")
-        for a, b in zip(fast.rows, slow.rows):
-            scale = abs(b["lhs"]) / b["defect"]
-            for key in ("lhs", "rhs", "half_padding_lhs"):
-                assert abs(a[key] - b[key]) <= 1e-12 * scale
+        ref = [sums for atom in atoms for sums in _pairwise_defect_sums(K, 1, atom, 16)]
+        assert len(fast.rows) == len(ref)
+        for a, b in zip(fast.rows, ref):
+            scale = abs(a["lhs"]) / a["defect"]
+            for key, value in zip(("lhs", "rhs", "half_padding_lhs"), b):
+                assert abs(a[key] - value) <= 1e-12 * scale
 
 
 
@@ -510,9 +555,8 @@ def test_lattice_sums_on_eval_cells_match_pairwise(K, m):
         keep = np.flatnonzero(weights)
         for ew in evals:
             cells = np.sort(rng.choice(ew.cell_count, 7, replace=False))
-            got, table = _lattice_sums(K, m * src.h, src, weights, ew, cells)
-            assert table is not None
-            ref = _truncated_raw(K, ew.cell_midpoints(cells), src.cell_midpoints(keep), weights[keep], m * src.h)
+            got, _ = _lattice_sums(K, m * src.h, src, weights, ew, cells)
+            ref = _pairwise_sums(_k(K), ew.cell_midpoints(cells), src.cell_midpoints(keep), weights[keep], m * src.h)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -559,7 +603,7 @@ def test_perturbed_builder_matches_closed_forms():
 
     K = perturbed_kernel()
     x, y = sample_pairs(1, count=200, seed=8)
-    assert np.max(np.abs(K.k(x, y) - k(x, y)) / np.abs(k(x, y))) <= 1e-14
+    assert np.max(np.abs(_k(K)(x, y) - k(x, y)) / np.abs(k(x, y))) <= 1e-14
     assert np.array_equal(K.modulation(x), 2.0 + np.sin(x[:, 0]))
     for g in range(K.order + 1):
         assert np.array_equal(K.d1((g,), x, y), d1(g, x, y))
@@ -580,7 +624,6 @@ def test_perturbed_defects_pinned():
     for s, (seeds, alpha, defects) in pinned.items():
         atoms = [make_atom(i, Cube((0.0,), 1.0), NormParams(2.0, 2.0, s, alpha), w) for i in seeds]
         rep = vanishing_moment_defect(perturbed_kernel(), s, atoms, padding=64)
-        assert rep.engine == "table"
         got = [r["defect"] for r in rep.rows]
         assert got == pytest.approx(defects, rel=1e-10)
         assert rep.max_mismatch <= 1e-13
@@ -592,27 +635,24 @@ def test_engine_observability():
     support = int(np.count_nonzero(atom.values.values))
     rep = vanishing_moment_defect(hilbert_kernel(), 0, [atom], padding=16)
     big_cells = 64 * 16 // 4  # padding times the support side, in cells
-    assert rep.engine == "table"
     assert support <= rep.table_cells - big_cells + 1 <= 16
-    rep_p = vanishing_moment_defect(_sum_kernel(), 0, [atom], padding=16)
-    assert (rep_p.engine, rep_p.table_cells) == ("pairwise", 0)
+    # the table covers the geometry, whatever the kernel: the summed kernel reads as many entries
+    assert vanishing_moment_defect(_sum_kernel(), 0, [atom], padding=16).table_cells == rep.table_cells
     ew = Window(1, (-1.0,), (1.0,), (16,))
     corr = CorrectionSpec((0.0,), 0.5, 0)
     img = modified_on_monomial(kernel_transpose(hilbert_kernel()), corr, (0,), ew, padding=4, check_doubling=False)
-    assert img.engine == "table"
     assert img.table_cells == img.integration_cells[0] + 16 - 1
-    img_p = modified_on_monomial(_sum_kernel(), corr, (0,), ew, padding=4, check_doubling=False)
-    assert (img_p.engine, img_p.table_cells) == ("pairwise", 0)
+    img_s = modified_on_monomial(_sum_kernel(), corr, (0,), ew, padding=4, check_doubling=False)
+    assert img_s.table_cells == img.table_cells
     # the ladder: one table per rung over the window minus the dense source box
     f = GridFunction.from_callable(ew, lambda x: np.cos(3 * x))
     cz = apply_cz(hilbert_kernel(), f)
-    assert (cz.engine, cz.table_cells) == ("table", 3 * (2 * 16 - 1))
+    assert cz.table_cells == 3 * (2 * 16 - 1)
     mod = apply_modified(kernel_transpose(hilbert_kernel()), corr, f)
-    assert (mod.engine, mod.table_cells) == ("table", 3 * (2 * 16 - 1))
-    cz_p = apply_cz(_sum_kernel(), f)
-    assert (cz_p.engine, cz_p.table_cells) == ("pairwise", 0)
-    assert apply_cz(hilbert_kernel(), GridFunction.zeros(ew)).engine == "table"
-    # neither field reaches the JSON of the ladder
+    assert mod.table_cells == 3 * (2 * 16 - 1)
+    assert apply_cz(_sum_kernel(), f).table_cells == cz.table_cells
+    assert apply_cz(hilbert_kernel(), GridFunction.zeros(ew)).table_cells == 0
+    # the count does not reach the JSON of the ladder
     assert set(cz.to_json()[0]) == {"point", "eta_ladder_values", "converged"}
 
 
@@ -646,8 +686,36 @@ def test_defect_and_monomial_input_guards():
                 kernel_transpose(hilbert_kernel()), CorrectionSpec((0.0,), 0.5, 0), (0,),
                 Window(1, (-1.0,), (1.0,), (16,)), padding=bad,
             )
-    with pytest.raises(ValueError):
-        KernelSpec("bad", 1, 0, 1.0, k=None, d1=None, d2=None, modulation=np.sin)
+    with pytest.raises(TypeError, match="kappa"):
+        KernelSpec("bad", 1, 0, 1.0, d1=None, d2=None, modulation=np.sin)
+
+
+def test_sums_run_on_the_source_lattice_only():
+    # an evaluation window of another pitch, midpoint phase or dimension, and
+    # explicit points, are ValueErrors; a kernel needs kappa to be built
+    K = hilbert_kernel()
+    w = Window(1, (-1.0,), (1.0,), (64,))
+    f = GridFunction.from_callable(w, np.cos)
+    corr = CorrectionSpec((0.0,), 0.5, 0)
+    others = {
+        "pitch": Window(1, (-1.0,), (1.0,), (48,)),
+        "midpoint phase": Window(1, (-0.99,), (1.01,), (64,)),
+        "dimension": Window(2, (-1.0, -1.0), (1.0, 1.0), (64, 64)),
+    }
+    for what, other in others.items():
+        calls = [
+            lambda: apply_truncated(K, f, w.h, eval_window=other),
+            lambda: apply_cz(K, f, eval_window=other),
+            lambda: apply_modified(kernel_transpose(K), corr, f, eval_window=other),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"another {what} than the source lattice"):
+                call()
+    for points in ([[0.0]], np.zeros((0, 1))):
+        with pytest.raises(ValueError, match="pass an eval_window"):
+            apply_truncated(K, f, w.h, eval_points=points)
+    with pytest.raises(TypeError, match="kappa"):
+        replace(K, kappa=None)
 
 
 def test_monomial_multi_index_must_match_the_window():
@@ -1087,9 +1155,9 @@ def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed):
     # <T_eta f, g> = <f, T~_eta g> with T~ = kernel_transpose(T).  T f takes
     # the shifted sums of a sparse f over g's window; T~ g takes the point
     # sums at f's support cells, of a monomial frame (one rank-one term) or of
-    # a random g (one term per row); a kappa-less kernel takes the pairwise
-    # sum on both sides
-    K = _pairwise(_ADJOINT_KERNELS[k]) if pairwise else _ADJOINT_KERNELS[k]
+    # a random g (one term per row); the pairwise case takes the reference
+    # pairwise sums on both sides
+    K = _ADJOINT_KERNELS[k]
     n = K.n
     rng = np.random.default_rng(seed)
     gw = Window(n, (-1.0,) * n, (1.0,) * n, (48,) if n == 1 else (16, 16))
@@ -1106,11 +1174,15 @@ def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed):
         g = rng.normal(size=gw.cell_count)
         g_weights = g * hn
     eta = m * gw.h
-    Tf, _ = _lattice_sums(K, eta, fw, f * hn, gw)
-    Ttg, _ = _lattice_sums(kernel_transpose(K), eta, gw, g_weights, fw, nz)
+    if pairwise:
+        Tf = _pairwise_sums(_k(K), gw.midpoints(), fw.cell_midpoints(nz), f[nz] * hn, eta)
+        Ttg = _pairwise_sums(_k(kernel_transpose(K)), fw.cell_midpoints(nz), gw.midpoints(), g * hn, eta)
+    else:
+        Tf, _ = _lattice_sums(K, eta, fw, f * hn, gw)
+        Ttg, _ = _lattice_sums(kernel_transpose(K), eta, gw, g_weights, fw, nz)
     lhs, rhs = float(Tf @ g) * hn, float(f[nz] @ Ttg) * hn
-    abs_k = KernelSpec("abs", n, 0, 1.0, k=lambda x, y: np.abs(K.k(x, y)), d1=None, d2=None)
-    scale = float(_truncated_raw(abs_k, gw.midpoints(), fw.cell_midpoints(nz), np.abs(f[nz]) * hn, eta) @ np.abs(g))
+    scale = float(_pairwise_sums(lambda x, y: np.abs(_k(K)(x, y)), gw.midpoints(), fw.cell_midpoints(nz),
+                                 np.abs(f[nz]) * hn, eta) @ np.abs(g))
     assert abs(lhs - rhs) <= 64 * np.finfo(float).eps * scale * hn
 
 
@@ -1129,12 +1201,11 @@ def test_factored_point_sums_match_pairwise(K):
             frame = monomial_factors(big, g)
             weights = GridFunction.monomial(big, g).flat * big.cell_measure
             full, _ = _lattice_sums(K, big.h, big, frame, ew)
-            ref = _truncated_raw(K, ew.midpoints(), big.midpoints(), weights, big.h)
+            ref = _pairwise_sums(_k(K), ew.midpoints(), big.midpoints(), weights, big.h)
             scale = np.max(np.abs(ref))  # some sums cancel to roundoff: bound against the largest
             for cells in (None, scattered, np.array([ew.cell_count // 2 + 1])):
-                got, table = _lattice_sums(K, big.h, big, frame, ew, cells)
+                got, _ = _lattice_sums(K, big.h, big, frame, ew, cells)
                 idx = np.arange(ew.cell_count) if cells is None else cells
-                assert table is not None
                 assert np.max(np.abs(got - ref[idx])) <= 1e-12 * scale
                 # a point's sum does not depend on which other points are evaluated
                 assert np.array_equal(got, full[idx])
