@@ -47,6 +47,8 @@ __all__ = [
 
 _BAND_CELLS = 1 << 15  # cells per row band of a full-frame pass (fits in cache)
 _TILE = 64  # cells per side of a 2-D point-sum tile (see _conv_at_points)
+_ROW = 128  # cells per row, and starts per tile, of the 1-D Toeplitz products
+_DIRECT_COST = {"forward": 9, "points": 4}  # a multiply-add of the direct 1-D sums, in GEMM ones
 
 
 @dataclass(frozen=True)
@@ -397,6 +399,51 @@ def _toeplitz(v, lags: int) -> np.ndarray:
     return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(z, lags)[:, ::-1])
 
 
+def _toeplitz_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
+    """_conv_forward of a 1-D box as Toeplitz products of the S taps over the sources' box: rows of
+    B = _ROW cells, their table segments (B + S - 1 cells) copied into one band buffer, one GEMM a
+    band.  A last partial row ends at the last cell, and the cells the row before lacks move up."""
+    (lo,), (hi,), count = src_idx.min(axis=0), src_idx.max(axis=0), eval_shape[0]
+    taps = np.zeros(hi - lo + 1)
+    taps[hi - src_idx[:, 0]] = src_w
+    B = min(_ROW, count)
+    M = _toeplitz(taps, B)
+    segments = np.lib.stride_tricks.sliding_window_view(table[eval_lo[0] - origin[0] - hi :], M.shape[0])
+    rows, last = -(-count // B), count - B
+    band = min(rows, max(1, _BAND_CELLS // M.shape[0]))  # rows per GEMM
+    X, out = np.empty((band, M.shape[0])), np.empty((band, B))
+    for r in range(0, rows, band):
+        k, a = min(band, rows - r), r * B
+        X[: k - 1], X[k - 1] = segments[a : a + (k - 1) * B : B], segments[min(a + (k - 1) * B, last)]
+        flat, cells = np.matmul(X[:k], M, out=out[:k]).reshape(-1), min(k * B, count - a)
+        flat[(k - 1) * B : cells] = flat[k * B - cells + (k - 1) * B : k * B]
+        yield slice(a, a + cells), flat[:cells]
+
+
+def _toeplitz_points(table, origin, eval_idx, grid_lo, W) -> np.ndarray:
+    """_conv_at_points of a 1-D box of L >= B = _ROW taps (W, or W reversed on a plain table), by tiles
+    of B starts from the first entry of the table's positive view: C = W2^T @ X as two GEMMs, W2 the
+    taps as (L/B, B) and X[r, v] = table[tile + rB + v] (v < 2B - 1), and out[d] = sum_u C[u, d + u];
+    taps past the last whole row add a Toeplitz product.  A tile's shapes depend on the table and the
+    taps alone, so a point's sum does not depend on which other points are evaluated."""
+    L, B, starts = W.size, _ROW, (np.asarray(eval_idx) - grid_lo - W.size + 1 - origin)[:, 0]
+    pos, taps, at = (table[::-1], W, table.size - L - starts) if table.strides[0] < 0 else (table, W[::-1].copy(), starts)
+    Q = L // B
+    W2, C = taps[: Q * B].reshape(Q, B).T, np.empty((B, 2 * B - 1))
+    diagonals = np.lib.stride_tricks.as_strided(C, (B, B), (C.strides[0] + C.strides[1], C.strides[1]))
+    tiles, out = at // B, np.empty(at.size)
+    for t in np.unique(tiles):
+        J = min(B, pos.size - L + 1 - t * B)  # the tile's starts with all L taps inside the table
+        seg = pos[t * B : t * B + J + L - 1]
+        np.matmul(W2, seg[: Q * B].reshape(Q, B), out=C[:, :B])
+        np.matmul(W2, np.lib.stride_tricks.sliding_window_view(seg[B:], J - 1)[::B][:Q], out=C[:, B : B + J - 1])
+        sums = diagonals[:, :J].sum(axis=0)
+        if L > Q * B:
+            sums += seg[Q * B :] @ _toeplitz(taps[Q * B :], J)
+        out[tiles == t] = sums[at[tiles == t] - t * B]
+    return out
+
+
 def _conv_at_points(table, origin, eval_idx, grid_lo, W) -> np.ndarray:
     """Point sums out[k] = sum over the cells y of the weight box grid_lo +
     [0, shape) of table[x_k - y - origin] W[y - grid_lo], W the box or, in 2-D,
@@ -439,14 +486,15 @@ def _modulation(kernel: KernelSpec, window: Window) -> np.ndarray:
     return np.concatenate([kernel.modulation(pts) for _, _, pts in _frame_bands(window)])
 
 
-def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None, a=None):
+def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None, a=None, own=False):
     """values * a when the kernel's modulation a multiplies `slot`: values
     over every cell of the window (flat), or at the cells with flat indices
-    `cells`; `a` is the modulation over the window, if the caller has it."""
+    `cells`; `a` is the modulation over the window, if the caller has it.
+    Values the caller owns (`own`) are scaled in place."""
     if kernel.modulation is None or kernel.modulation_slot != slot:
         return values
     a = _modulation(kernel, window) if a is None else a
-    return values * (a if cells is None else a[cells])
+    return np.multiply(values, a if cells is None else a[cells], out=values if own else None)
 
 
 class _FrameMoments:
@@ -510,11 +558,12 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         raise ValueError(f"the evaluation window has another {what} than the source lattice")
     cells = range(eval_window.cell_count) if eval_cells is None else eval_cells
     frame = isinstance(src_weights, tuple)  # in 2-D one rank-one term of the point sums
-    if frame and (src_window.n == 1 or kernel.modulation is not None):
+    own = frame and (src_window.n == 1 or kernel.modulation is not None)  # weights made here
+    if own:
         src_weights, frame = _frame_rows(src_weights) * src_window.cell_measure, False
     count = src_window.cell_count if frame else np.count_nonzero(src_weights)
     if count == 0:
-        return _whole(np.zeros(len(cells)), eval_window, sink), table or (np.zeros((0,) * src_window.n), eval_lo)
+        return _whole(np.zeros(len(cells)), eval_window, sink), table or (np.zeros((0,) * src_window.n), eval_lo), "forward"
     nz = None
     if frame or count == src_weights.size:  # a dense frame is its own support box
         lo, hi = np.zeros(src_window.n, int), np.asarray(src_window.cells) - 1
@@ -523,6 +572,15 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         src_at = _cell_indices(src_window, nz)
         lo, hi = src_at.min(axis=0), src_at.max(axis=0)
     points = frame or len(cells) <= count
+    route = "points" if points else "forward"
+    if src_window.n == 1:  # one cost estimate, in GEMM multiply-adds (README, "The 1-D Toeplitz products")
+        taps = int(hi[0] - lo[0]) + 1
+        if points:  # a dot per point, or two GEMMs per tile of _ROW starts that the points span
+            span = int(np.ptp(cells)) // _ROW + 1
+            direct, products = _DIRECT_COST[route] * len(cells) * taps, 2 * _ROW * taps * span if taps >= _ROW else np.inf
+        else:  # numpy passes per source, or a Toeplitz row of _ROW + taps - 1 per cell
+            direct, products = _DIRECT_COST[route] * count, _ROW + taps - 1
+        route = "toeplitz" if products < direct else route
     if table is None:
         box_lo, box_hi = eval_lo, eval_lo + np.asarray(eval_window.cells) - 1
         if points and src_window.n == 2:  # whole tiles of the point sums
@@ -530,20 +588,21 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         table = _box_table(kernel.kappa, src_window.h, eta, box_lo, box_hi, lo, hi)
     if points:
         W = [(src_weights[0] * src_window.cell_measure, src_weights[1])] if frame else _modulated(
-            kernel, 2, src_weights, src_window, a=a).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
-        out = _conv_at_points(*table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
-        return _whole(_modulated(kernel, 1, out, eval_window, eval_cells, a), eval_window, sink), table
+            kernel, 2, src_weights, src_window, a=a, own=own).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
+        out = (_toeplitz_points if route == "toeplitz" else _conv_at_points)(
+            *table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
+        return _whole(_modulated(kernel, 1, out, eval_window, eval_cells, a, True), eval_window, sink), table, route
     if nz is None:
         nz = np.arange(count)
         src_at = _cell_indices(src_window, nz)
-    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, a)
+    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, a, True)
     image = np.empty(eval_window.cells) if sink is None else None
-    for at, rows in _conv_forward(*table, eval_lo, eval_window.cells, src_at, weights):
+    for at, rows in (_toeplitz_forward if route == "toeplitz" else _conv_forward)(*table, eval_lo, eval_window.cells, src_at, weights):
         if kernel.modulation is not None and kernel.modulation_slot == 1:  # each band scaled in place
             a = _modulation(kernel, eval_window) if a is None else a
             rows *= a.reshape(eval_window.cells)[at]
         (sink or image.__setitem__)(at, rows)
-    return (None if sink else image.reshape(-1)[slice(None) if eval_cells is None else eval_cells]), table
+    return (None if sink else image.reshape(-1)[slice(None) if eval_cells is None else eval_cells]), table, route
 
 
 def apply_truncated(
@@ -564,7 +623,7 @@ def apply_truncated(
         raise ValueError("apply_truncated evaluates at cells only: pass an eval_window on f's lattice")
     eta = _validate_eta(eta, f.window.h)
     window = eval_window or f.window
-    out, _ = _lattice_sums(kernel, eta, f.window, f.flat * f.window.cell_measure, window)
+    out, _, _ = _lattice_sums(kernel, eta, f.window, f.flat * f.window.cell_measure, window)
     return GridFunction(window, out.reshape(window.cells))
 
 
@@ -572,7 +631,8 @@ def apply_truncated(
 class CZResult:
     """Three-rung truncation ladder with Cauchy increments.  `tol` is the
     increment tolerance of `converged`: 1e-3 * max|f|, or 1e-3 for f = 0.
-    `table_cells` counts the difference-table entries of the rungs."""
+    `table_cells` counts the difference-table entries of the rungs, and
+    `route` says how the rungs' sums ran: "forward", "points" or "toeplitz"."""
 
     result: GridFunction
     etas: list[float]
@@ -583,6 +643,7 @@ class CZResult:
     diverged: bool
     converged_fraction: float
     table_cells: int
+    route: str
 
     def to_json(self) -> list[dict]:
         """The ladder at the first 16 cells."""
@@ -594,7 +655,7 @@ class CZResult:
         ]
 
 
-def _ladder_result(window, ladder, etas, tol, table_cells) -> CZResult:
+def _ladder_result(window, ladder, etas, tol, table_cells, route) -> CZResult:
     incs = [float(np.max(np.abs(ladder[i + 1] - ladder[i]))) for i in range(len(ladder) - 1)]
     converged = (not incs) or incs[-1] <= tol
     diverged = len(incs) >= 2 and incs[-1] > incs[0] and incs[-1] > tol
@@ -604,7 +665,7 @@ def _ladder_result(window, ladder, etas, tol, table_cells) -> CZResult:
         fraction = float(np.count_nonzero(per_point <= tol)) / per_point.size
     else:
         fraction = 1.0
-    return CZResult(gf, etas, ladder, incs, tol, converged, diverged, fraction, table_cells)
+    return CZResult(gf, etas, ladder, incs, tol, converged, diverged, fraction, table_cells, route)
 
 
 def apply_cz(
@@ -621,8 +682,8 @@ def apply_cz(
     weights = f.flat * f.window.cell_measure
     sums = [_lattice_sums(kernel, _validate_eta(m * h, h), f.window, weights, window) for m in eta_cells]
     tol = 1e-3 * float(np.max(np.abs(f.values))) if np.any(f.values) else 1e-3
-    cells = sum(table[0].size for _, table in sums)
-    return _ladder_result(window, [out for out, _ in sums], [m * h for m in eta_cells], tol, cells)
+    cells = sum(table[0].size for _, table, _ in sums)
+    return _ladder_result(window, [out for out, _, _ in sums], [m * h for m in eta_cells], tol, cells, sums[0][2])
 
 
 def _taylor_correction(kernel, corr: CorrectionSpec, sources, eval_pts) -> np.ndarray:
@@ -716,7 +777,7 @@ def apply_modified(
     # the Taylor correction does not depend on the exclusion radius: build
     # its polynomial once for the whole ladder
     corr_eval = _taylor_correction(kernel_tilde, corr, _point_chunks(*_source_arrays(f)), window.midpoints())
-    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol, cz.table_cells)
+    base = _ladder_result(window, [rung - corr_eval for rung in cz.ladder], cz.etas, cz.tol, cz.table_cells, cz.route)
     ref = window.reference_cube()
     canonical = base.result - moment_projection(base.result, ref, corr.order).on_grid(window)
     return ModifiedResult(**vars(base), canonical=canonical, reference_cube=ref, correction=corr)
@@ -737,7 +798,8 @@ def _check_padding(padding: float) -> None:
 @dataclass
 class MonomialImage:
     """Corrected image of a monomial.  `table_cells` counts the
-    difference-table entries at the stated padding."""
+    difference-table entries at the stated padding, and `route` says how its
+    sums ran (see CZResult)."""
 
     values: GridFunction
     nu: tuple
@@ -746,6 +808,7 @@ class MonomialImage:
     truncation_warn: bool
     integration_cells: tuple
     table_cells: int
+    route: str
 
 
 def modified_on_monomial(
@@ -772,14 +835,14 @@ def modified_on_monomial(
 
     def run(factor):
         big = eval_window.padded(factor)
-        main, table = _lattice_sums(kernel_tilde, h, big, monomial_factors(big, nu), eval_window)
+        main, table, route = _lattice_sums(kernel_tilde, h, big, monomial_factors(big, nu), eval_window)
         correction = _taylor_polynomial(_frame_coefficients(kernel_tilde, 1, corr, big, nu), corr, eval_pts)
-        return big, table[0].size, main - correction
+        return big, table[0].size, main - correction, route
 
-    big, cells, base = run(padding)
+    big, cells, base, route = run(padding)
     scale = max(float(np.max(np.abs(GridFunction.monomial(eval_window, nu).flat))), 1e-30)
     if check_doubling:
-        _, _, doubled = run(2 * padding)
+        doubled = run(2 * padding)[2]
         sensitivity = float(np.max(np.abs(doubled - base))) / scale
     else:
         sensitivity = float("nan")
@@ -791,6 +854,7 @@ def modified_on_monomial(
         truncation_warn=bool(check_doubling and sensitivity > 0.02),
         integration_cells=big.cells,
         table_cells=cells,
+        route=route,
     )
 
 
@@ -807,7 +871,8 @@ def poly_distance(g: GridFunction, region, s: int, floor: float = 0.0) -> float:
 class DefectReport:
     """Moment defects per atom and gamma.  `table_cells` is the number of
     difference-table entries each atom reads, summed over the atoms, memoised
-    or not."""
+    or not.  `routes` holds, per atom, the route of its image's sums and then
+    that of its dual route for each gamma (see CZResult)."""
 
     rows: list
     max_defect: float
@@ -815,6 +880,7 @@ class DefectReport:
     truncation_warning: bool
     padding: float
     table_cells: int
+    routes: list
 
 
 def vanishing_moment_defect(
@@ -840,7 +906,7 @@ def vanishing_moment_defect(
         raise ValueError("need at least one atom")
     rows = []
     warn = False
-    table_cells = 0
+    table_cells, routes = 0, []
     tilde = kernel_transpose(kernel)
     for idx, atom in enumerate(atoms):
         window, cube = atom.values.window, atom.cube
@@ -859,7 +925,8 @@ def vanishing_moment_defect(
         glist = [tuple(int(v) for v in np.atleast_1d(g)) for g in (multi_indices(window.n, s) if gammas is None else gammas)]
         # T(a) streams into its moments over the padded frame and over its half-padding sub-box
         frame, half_frame = _FrameMoments(big, (0,) * big.n, glist), _FrameMoments(half, half.lattice_offset(big), glist)
-        _, table = _lattice_sums(kernel, h, window, weights, big, a=a, sink=lambda at, rows: (frame(at, rows), half_frame(at, rows)))
+        _, table, route = _lattice_sums(kernel, h, window, weights, big, a=a, sink=lambda at, rows: (frame(at, rows), half_frame(at, rows)))
+        routes.append((route,))
         # the forward table, reflected, serves the transpose's point sums
         table_cells += table[0].size
         table = table[0][(slice(None, None, -1),) * big.n], -(table[1] + np.asarray(table[0].shape) - 1)
@@ -872,7 +939,8 @@ def vanishing_moment_defect(
             # padded lattice, so the two sides share every quadrature node); its
             # Taylor coefficients are keyed on the kernel, shared by every atom on the cube
             coefs = _frame_coefficients(kernel, 2, corr, big, g)
-            tmain, _ = _lattice_sums(tilde, h, big, xg, window, nz, table, a)
+            tmain, _, route = _lattice_sums(tilde, h, big, xg, window, nz, table, a)
+            routes[-1] += (route,)
             tmono = tmain - _taylor_polynomial(coefs, corr, window.cell_midpoints(nz))
             rhs = float((tmono * src_w).sum())
             defect = abs(lhs) / scale
@@ -898,4 +966,5 @@ def vanishing_moment_defect(
         truncation_warning=warn,
         padding=padding,
         table_cells=table_cells,
+        routes=routes,
     )

@@ -416,8 +416,9 @@ def monomial_factors(window: Window, gamma) -> tuple:
     gamma = tuple(int(g) for g in np.atleast_1d(gamma))
     if len(gamma) != window.n:
         raise LatticeError(f"multi-index {gamma} needs {window.n} entries, one per window axis")
-    # a zero entry's factor is all ones, as monomials gives it, with no midpoints built
-    return tuple(monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] if g else np.ones(c)
+    # a zero entry's factor is all ones, as monomials gives it, as a read-only view: no
+    # midpoints and no array are built (a 1-D frame's would be frame-sized)
+    return tuple(monomials(window.axis_midpoints(a)[:, None], [(g,)])[:, 0] if g else np.broadcast_to(1.0, (c,))
                  for a, (g, c) in enumerate(zip(gamma, window.cells)))
 
 

@@ -1,5 +1,6 @@
 import functools
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -41,6 +42,7 @@ from jnlab.czkernel import (
     _point_chunks,
     _source_arrays,
     _taylor_correction,
+    _toeplitz_points,
 )
 from jnlab.hardy import make_atom
 
@@ -555,7 +557,7 @@ def test_lattice_sums_on_eval_cells_match_pairwise(K, m):
         keep = np.flatnonzero(weights)
         for ew in evals:
             cells = np.sort(rng.choice(ew.cell_count, 7, replace=False))
-            got, _ = _lattice_sums(K, m * src.h, src, weights, ew, cells)
+            got, _, _ = _lattice_sums(K, m * src.h, src, weights, ew, cells)
             ref = _pairwise_sums(_k(K), ew.cell_midpoints(cells), src.cell_midpoints(keep), weights[keep], m * src.h)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -570,11 +572,11 @@ def test_reflected_forward_table_serves_the_transpose(K):
     rng = np.random.default_rng(7)
     atom = np.where(rng.uniform(size=small.cell_count) < 0.5, rng.normal(size=small.cell_count), 0.0)
     frame = rng.normal(size=big.cell_count)
-    _, (table, origin) = _lattice_sums(K, small.h, small, atom, big)
+    _, (table, origin), _ = _lattice_sums(K, small.h, small, atom, big)
     reflected = table[(slice(None, None, -1),) * n], -(origin + np.asarray(table.shape) - 1)
     cells = np.flatnonzero(atom)
-    got, used = _lattice_sums(Kt, small.h, big, frame, small, cells, reflected)
-    built, (table_t, origin_t) = _lattice_sums(Kt, small.h, big, frame, small, cells)
+    got, used, _ = _lattice_sums(Kt, small.h, big, frame, small, cells, reflected)
+    built, (table_t, origin_t), _ = _lattice_sums(Kt, small.h, big, frame, small, cells)
     assert used is reflected
     # the transpose's own table covers the whole evaluation window, the
     # reflected one only the atom's support box: one is a slice of the other
@@ -654,6 +656,24 @@ def test_engine_observability():
     assert apply_cz(hilbert_kernel(), GridFunction.zeros(ew)).table_cells == 0
     # the count does not reach the JSON of the ladder
     assert set(cz.to_json()[0]) == {"point", "eta_ladder_values", "converged"}
+    # each result names the route of its sums: the atom's 16 sources (the switch point) shift
+    # over the frame as Toeplitz products, and 16 dense cells take 16 point sums of 16 taps
+    assert (rep.routes, img.route, cz.route, mod.route) == ([("toeplitz", "points")], "points", "points", "points")
+    lw = Window(1, (-2.0,), (2.0,), (512,))
+    line = make_atom(71, Cube((0.0,), 1.0), NormParams(2.0, 2.0, 1, 0.25), lw)
+    assert vanishing_moment_defect(hilbert_kernel(), 1, [line], padding=8).routes == [("toeplitz",) * 3]
+    wide = Window(1, (-1.0,), (1.0,), (256,))
+    assert modified_on_monomial(kernel_transpose(hilbert_kernel()), corr, (0,), wide, padding=4,
+                                check_doubling=False).route == "toeplitz"
+    sparse = np.zeros(512)
+    sparse[[100, 300]] = 1.0
+    assert apply_cz(hilbert_kernel(), GridFunction(lw, sparse)).route == "forward"
+    assert apply_cz(hilbert_kernel(), line.values).route == "toeplitz"
+    w2 = Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
+    assert apply_cz(riesz_kernel(0, 2), GridFunction.from_callable(w2, lambda x, y: np.cos(3 * x))).route == "points"
+    assert apply_cz(riesz_kernel(0, 2), GridFunction(w2, np.eye(16))).route == "forward"
+    # the route reaches no JSON either
+    assert "route" not in json.dumps(apply_cz(hilbert_kernel(), line.values).to_json())
 
 
 def test_correction_spec_rejects_bad_input():
@@ -1054,7 +1074,7 @@ def test_streamed_frame_moments_equal_whole_image(K, s, monkeypatch):
     atom = make_atom(90, Cube((0.0,) * n, 0.5), NormParams(2.0, 2.0, s, 0.3), w)
     rep = vanishing_moment_defect(K, s, [atom], padding=16)
     big, half = w.padded(4.0), w.padded(2.0)  # padding 16 on a cube a quarter of the window's side
-    image, table = _lattice_sums(K, w.h, w, atom.values.flat * w.cell_measure, big)
+    image, table, _ = _lattice_sums(K, w.h, w, atom.values.flat * w.cell_measure, big)
     if n == 2:
         assert (table[0].shape[1], big.cells[1], half.cells[1]) == (67, 64, 32)
     part = image.reshape(big.cells)[tuple(slice(o, o + c) for o, c in zip(half.lattice_offset(big), half.cells))]
@@ -1073,7 +1093,7 @@ def test_point_sums_reach_the_frame_moments_as_one_band():
     atom = SimpleNamespace(values=f, cube=Cube((0.0, 0.0), 0.5))  # padding 4 on a 4-cell side: frame = half = window
     K = riesz_kernel(0, 2)
     rep = vanishing_moment_defect(K, 1, [atom], padding=4)
-    image, _ = _lattice_sums(K, w.h, w, f.flat * w.cell_measure, w)
+    image, _, _ = _lattice_sums(K, w.h, w, f.flat * w.cell_measure, w)
     for r in rep.rows:
         assert r["lhs"] == r["half_padding_lhs"] == _whole_image_moment(image, monomial_factors(w, r["gamma"]), w)
 
@@ -1150,19 +1170,21 @@ _ADJOINT_KERNELS = [
     pairwise=st.booleans(),
     gamma=st.integers(0, 5),
     seed=st.integers(0, 2**16),
+    dense=st.booleans(),
 )
-def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed):
+def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed, dense):
     # <T_eta f, g> = <f, T~_eta g> with T~ = kernel_transpose(T).  T f takes
     # the shifted sums of a sparse f over g's window; T~ g takes the point
     # sums at f's support cells, of a monomial frame (one rank-one term) or of
     # a random g (one term per row); the pairwise case takes the reference
-    # pairwise sums on both sides
+    # pairwise sums on both sides.  In 1-D f has 100 cells and g 256: a dense
+    # f takes the Toeplitz products on both sides
     K = _ADJOINT_KERNELS[k]
     n = K.n
     rng = np.random.default_rng(seed)
-    gw = Window(n, (-1.0,) * n, (1.0,) * n, (48,) if n == 1 else (16, 16))
-    fw = Window(n, (-0.25,) * n, (0.5,) * n, (18,) if n == 1 else (6, 6))  # on g's lattice
-    f = np.where(rng.uniform(size=fw.cell_count) < 0.3, rng.normal(size=fw.cell_count), 0.0)
+    gw = Window(n, (-1.0,) * n, (1.0,) * n, (256,) if n == 1 else (16, 16))
+    fw = Window(n, (-0.25,) * n, (-0.25 + 100 / 128,) if n == 1 else (0.5, 0.5), (100,) if n == 1 else (6, 6))  # on g's lattice
+    f = np.where(rng.uniform(size=fw.cell_count) < (0.9 if dense else 0.3), rng.normal(size=fw.cell_count), 0.0)
     f[rng.integers(fw.cell_count)] = 1.0
     nz = np.flatnonzero(f)
     hn = gw.cell_measure
@@ -1178,8 +1200,10 @@ def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed):
         Tf = _pairwise_sums(_k(K), gw.midpoints(), fw.cell_midpoints(nz), f[nz] * hn, eta)
         Ttg = _pairwise_sums(_k(kernel_transpose(K)), fw.cell_midpoints(nz), gw.midpoints(), g * hn, eta)
     else:
-        Tf, _ = _lattice_sums(K, eta, fw, f * hn, gw)
-        Ttg, _ = _lattice_sums(kernel_transpose(K), eta, gw, g_weights, fw, nz)
+        Tf, _, forward = _lattice_sums(K, eta, fw, f * hn, gw)
+        Ttg, _, points = _lattice_sums(kernel_transpose(K), eta, gw, g_weights, fw, nz)
+        if n == 1 and dense:
+            assert (forward, points) == ("toeplitz", "toeplitz")
     lhs, rhs = float(Tf @ g) * hn, float(f[nz] @ Ttg) * hn
     scale = float(_pairwise_sums(lambda x, y: np.abs(_k(K)(x, y)), gw.midpoints(), fw.cell_midpoints(nz),
                                  np.abs(f[nz]) * hn, eta) @ np.abs(g))
@@ -1200,20 +1224,96 @@ def test_factored_point_sums_match_pairwise(K):
         for g in multi_indices(2, 2):
             frame = monomial_factors(big, g)
             weights = GridFunction.monomial(big, g).flat * big.cell_measure
-            full, _ = _lattice_sums(K, big.h, big, frame, ew)
+            full, _, _ = _lattice_sums(K, big.h, big, frame, ew)
             ref = _pairwise_sums(_k(K), ew.midpoints(), big.midpoints(), weights, big.h)
             scale = np.max(np.abs(ref))  # some sums cancel to roundoff: bound against the largest
             for cells in (None, scattered, np.array([ew.cell_count // 2 + 1])):
-                got, _ = _lattice_sums(K, big.h, big, frame, ew, cells)
+                got, _, _ = _lattice_sums(K, big.h, big, frame, ew, cells)
                 idx = np.arange(ew.cell_count) if cells is None else cells
                 assert np.max(np.abs(got - ref[idx])) <= 1e-12 * scale
                 # a point's sum does not depend on which other points are evaluated
                 assert np.array_equal(got, full[idx])
 
 
+# --- 1-D Toeplitz products: the pairwise oracle and the tile rule ----------
+
+
+_LINE_KERNELS = [hilbert_kernel(), perturbed_kernel(), kernel_transpose(perturbed_kernel()), smooth_bump_kernel()]
+
+
+def _roundoff_scale(K, eval_pts, src_pts, src_w, eta):
+    """sum |K(x, y)| |w_y| over the pairs of each sum: the scale of its roundoff."""
+    return _pairwise_sums(lambda x, y: np.abs(_k(K)(x, y)), eval_pts, src_pts, np.abs(src_w), eta)
+
+
+@pytest.mark.parametrize("K", _LINE_KERNELS, ids=lambda K: K.name)
+@pytest.mark.parametrize("taps, route", [(15, "forward"), (16, "toeplitz"), (200, "toeplitz")])
+def test_toeplitz_forward_matches_pairwise(K, taps, route):
+    # S dense sources shifted over 300 cells, rows of 128 and a partial third:
+    # the cost estimate takes the Toeplitz products from S = 16 on
+    src = Window(1, (-2.0,), (2.0,), (400,))
+    w = np.zeros(src.cell_count)
+    w[100 : 100 + taps] = np.random.default_rng(taps).normal(size=taps)
+    ew = Window(1, (-1.5,), (-1.5 + 300 * src.h,), (300,))
+    keep = np.flatnonzero(w)
+    for m in (1, 3):
+        got, _, used = _lattice_sums(K, m * src.h, src, w, ew)
+        assert used == route
+        args = ew.midpoints(), src.cell_midpoints(keep), w[keep], m * src.h
+        assert np.all(np.abs(got - _pairwise_sums(_k(K), *args)) <= 64 * np.finfo(float).eps * _roundoff_scale(K, *args))
+
+
+@pytest.mark.parametrize("P", _LINE_KERNELS, ids=lambda K: K.name)
+@pytest.mark.parametrize("points, route", [(64, "points"), (65, "toeplitz"), (300, "toeplitz")])
+def test_toeplitz_point_sums_match_pairwise(P, points, route):
+    # a dense 600-cell frame (four tap rows of 128 and 88 taps more) summed at
+    # a run of cells of the 300-cell window inside it: one tile of 128 starts
+    # pays for its two GEMMs from 65 points on.  The run goes through P's own
+    # table and through the reflected forward table of P's transpose, as in
+    # the dual route of the defect report
+    small = Window(1, (-1.5,), (1.5,), (300,))
+    big = small.padded(2.0)
+    rng = np.random.default_rng(points)
+    frame = rng.normal(size=big.cell_count) * big.cell_measure
+    _, (table, origin), _ = _lattice_sums(kernel_transpose(P), small.h, small, np.ones(small.cell_count), big)
+    reflected = table[::-1], -(origin + np.asarray(table.shape) - 1)
+    cells = np.arange(points) + (small.cell_count - points) // 2
+    args = small.cell_midpoints(cells), big.midpoints(), frame, small.h
+    ref, scale = _pairwise_sums(_k(P), *args), _roundoff_scale(P, *args)
+    for given in (None, reflected):
+        got, _, used = _lattice_sums(P, small.h, big, frame, small, cells, given)
+        assert used == route
+        assert np.all(np.abs(got - ref) <= 64 * np.finfo(float).eps * scale)
+
+
+def test_toeplitz_point_sum_does_not_depend_on_the_other_points():
+    # tiles of 128 starts from the table's first entry, each with shapes fixed
+    # by the table and the taps: a cell's sum is the same float whichever
+    # other cells are evaluated, on the engine's own table and on a reflected one
+    K = kernel_transpose(hilbert_kernel())
+    ew = Window(1, (-1.5,), (1.5,), (300,))
+    big = ew.padded(2.0)
+    frame = np.random.default_rng(31).normal(size=big.cell_count) * big.cell_measure
+    full, table, route = _lattice_sums(K, ew.h, big, frame, ew)
+    assert route == "toeplitz"
+    most = np.flatnonzero(np.arange(ew.cell_count) % 7)
+    got, _, route = _lattice_sums(K, ew.h, big, frame, ew, most)
+    assert route == "toeplitz" and np.array_equal(got, full[most])
+    _, (fwd, origin), _ = _lattice_sums(hilbert_kernel(), ew.h, ew, np.ones(ew.cell_count), big)
+    reflected = fwd[::-1], -(origin + np.asarray(fwd.shape) - 1)
+    on_reflected, _, _ = _lattice_sums(K, ew.h, big, frame, ew, np.arange(ew.cell_count), reflected)
+    eval_lo = ew.lattice_offset(big)
+    for tab, whole in ((table, full), (reflected, on_reflected)):
+        for cells in (np.sort(np.random.default_rng(5).choice(ew.cell_count, 9, replace=False)), np.array([151])):
+            got = _toeplitz_points(*tab, eval_lo + cells[:, None], np.zeros(1, int), frame)
+            assert np.array_equal(got, whole[cells])
+
+
 def test_unchanged_reports_pinned():
-    # float.hex values recorded before the 2-D point sums were factored: the
-    # forward sums, the frame moments and every 1-D sum keep their bits
+    # float.hex values: the 2-D rows recorded before the 2-D point sums were
+    # factored (the forward sums and the frame moments keep their bits); the
+    # 1-D rows re-recorded when the 1-D forward sums became Toeplitz products
+    # (lhs and half_padding_lhs moved, the direct point sums of rhs did not)
     w2 = Window(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
     atom = make_atom(90, Cube((0.0, 0.0), 0.5), NormParams(2.0, 2.0, 0, 0.25), w2)
     rep = vanishing_moment_defect(riesz_kernel(0, 2), 0, [atom], padding=16)
@@ -1226,25 +1326,27 @@ def test_unchanged_reports_pinned():
     keys = ("defect", "mismatch", "lhs", "rhs", "half_padding_lhs")
     pinned = {
         "hilbert": [
-            ("0x1.53c8a4fa12ed9p-27", "0x1.4842e1e58e21ap-53", "-0x1.198c328000000p-27",
-             "-0x1.198c32c400000p-27", "-0x1.19e6e46200000p-24", True),
-            ("0x1.0cc47c3f8ea3ep-9", "0x1.0e553280cf670p-53", "-0x1.bd67eefca5340p-10",
-             "-0x1.bd67eefca5500p-10", "-0x1.bd7dacae40ae6p-9", True),
+            ("0x1.53c8a55a9f11fp-27", "0x1.cf6d7b25f5d52p-56", "-0x1.198c32d000000p-27",
+             "-0x1.198c32c400000p-27", "-0x1.19e6e46c00000p-24", True),
+            ("0x1.0cc47c3f8ea23p-9", "0x1.28e222e4517c9p-53", "-0x1.bd67eefca5314p-10",
+             "-0x1.bd67eefca5500p-10", "-0x1.bd7dacae40a9ep-9", True),
         ],
         "perturbed": [
-            ("0x1.9b34af9d3b267p-5", "0x1.34f3a76ea3e37p-53", "-0x1.54ba817092c58p-5",
-             "-0x1.54ba817092c68p-5", "-0x1.549cbf7e05920p-5", False),
-            ("0x1.3b3511284ffecp-8", "0x1.4aacc9346b697p-48", "-0x1.052ef1aee0620p-8",
-             "-0x1.052ef1aedf500p-8", "-0x1.e3f5175320458p-8", True),
+            ("0x1.9b34af9d3b284p-5", "0x1.34f3a76ea3e37p-54", "-0x1.54ba817092c70p-5",
+             "-0x1.54ba817092c68p-5", "-0x1.549cbf7e05938p-5", False),
+            ("0x1.3b3511284fff6p-8", "0x1.4b47430822bb6p-48", "-0x1.052ef1aee0628p-8",
+             "-0x1.052ef1aedf500p-8", "-0x1.e3f5175320438p-8", True),
         ],
     }
     for K in (hilbert_kernel(), perturbed_kernel()):
         rep = vanishing_moment_defect(K, 1, atoms, padding=64)
+        assert rep.routes == [("toeplitz", "points", "points")]
         assert [tuple(r[k].hex() for k in keys) + (r["decaying"],) for r in rep.rows] == pinned[K.name]
     img = modified_on_monomial(
         kernel_transpose(perturbed_kernel()), CorrectionSpec((0.1,), 0.5, 1), (1,), Window(1, (-1.0,), (1.0,), (16,)),
         padding=8,
     )
+    assert img.route == "points"
     assert [float(v).hex() for v in img.values.flat] == [
         "0x1.33c63ebb98338p+1", "0x1.14d9b2dbcd090p+1", "0x1.ffa0c8e5aeb00p+0", "0x1.e6de1c7ad7770p+0",
         "0x1.dc6170a106110p+0", "0x1.dca3683839b10p+0", "0x1.e3b7ed7ec80b0p+0", "0x1.ed6916a3d1ae0p+0",
