@@ -74,9 +74,10 @@ CLI = {
 
 def defect_cases() -> dict:
     """name: (kernel, s, atoms, padding) of criterion 5: 8 line atoms through
-    hilbert and perturbed at padding 512 and 2 plane atoms through riesz0 at
-    256, all at s = 0, and 2 plane atoms at s = 1 through riesz0 at 64, whose
-    three gammas read each band of one streamed image."""
+    hilbert and perturbed at padding 512 and 2 plane atoms through riesz0 and
+    riesz1 at 256, all at s = 0, and 2 plane atoms at s = 1 through riesz0 at
+    64, whose three gammas read each band of one streamed image.  Every plane
+    image takes the 2-D row products."""
     params, plane_window = NormParams(2.0, 2.0, 0, 0.25), Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48))
     line = [make_atom(100 + i, Cube((0.0,), 1.0), params, Window(1, (-2.0,), (2.0,), (512,))) for i in range(8)]
     plane = [make_atom(200 + i, Cube((0.0, 0.0), 0.25), params, plane_window) for i in range(2)]
@@ -87,6 +88,7 @@ def defect_cases() -> dict:
         "perturbed": (perturbed_kernel(), 0, line, 512),
         "riesz0": (riesz0, 0, plane, 256),
         "riesz0-s1": (riesz0, 1, plane_s1, 64),
+        "riesz1": (riesz_kernel(1, 2), 0, plane, 256),
     }
 
 

@@ -48,7 +48,8 @@ __all__ = [
 _BAND_CELLS = 1 << 15  # cells per row band of a full-frame pass (fits in cache)
 _TILE = 64  # cells per side of a 2-D point-sum tile (see _conv_at_points)
 _ROW = 128  # cells per row, and starts per tile, of the 1-D Toeplitz products
-_DIRECT_COST = {"forward": 9, "points": 4}  # a multiply-add of the direct 1-D sums, in GEMM ones
+_DIRECT_COST = {"forward": 9, "points": 4}  # a multiply-add of the direct sums, in GEMM ones
+_ROWS_READ, _ROW_SHIFTS, _ROWS_COST = 15, 15, (16, 1 << 17)  # 2-D row products: most rows read, box columns; entry, band cost
 
 
 @dataclass(frozen=True)
@@ -420,6 +421,29 @@ def _toeplitz_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
         yield slice(a, a + cells), flat[:cells]
 
 
+def _row_band(box, shape) -> int:  # the output rows k of a band of _rows_forward over an S0 x S1 box
+    return min(shape[0], _ROWS_READ + 1 - box[0], max(1, _BAND_CELLS // (box[1] * (shape[1] + box[1] - 1))))
+
+
+def _rows_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
+    """_conv_forward of a 2-D box, one GEMM a band of k rows: Toe[(b, t), t + a] = R[a, b], R the S0 x S1
+    weight box reversed, times a view of the k + S0 - 1 table rows the band reads, cut to its C + S1 - 1
+    columns; one np.add.reduce over a strided view of the product (_BAND_CELLS entries, or a row) sums its S1
+    column shifts in order.  A last partial band is the k rows that end at the last row.  With k + S0 - 1
+    <= _ROWS_READ, S1 <= _ROW_SHIFTS and bands of 2+ cells, a cell's bits do not depend on band or window."""
+    hi = src_idx.max(axis=0)
+    (S0, S1), (rows, C), (a, b) = hi - src_idx.min(axis=0) + 1, eval_shape, (hi - src_idx).T[:, :, None]
+    k, base = _row_band((S0, S1), eval_shape), np.asarray(eval_lo) - origin - hi
+    toe, t = np.zeros((S1, k, k + S0 - 1)), np.arange(k)
+    toe[b, t, t + a] = src_w[:, None]
+    toe, P, acc = toe.reshape(S1 * k, -1), np.empty((S1 * k, C + S1 - 1)), np.empty((k, C))
+    shifts = np.lib.stride_tricks.as_strided(P, (S1, k, C), (P.strides[0] * k + P.strides[1], *P.strides))
+    for r in range(0, rows, k):
+        top = min(r, rows - k)
+        np.matmul(toe, table[base[0] + top : base[0] + top + k + S0 - 1, base[1] : base[1] + C + S1 - 1], out=P)
+        yield slice(r, min(r + k, rows)), np.add.reduce(shifts, axis=0, out=acc)[r - top :]
+
+
 def _toeplitz_points(table, origin, eval_idx, grid_lo, W) -> np.ndarray:
     """_conv_at_points of a 1-D box of L >= B = _ROW taps (W, or W reversed on a plain table), by tiles
     of B starts from the first entry of the table's positive view: C = W2^T @ X as two GEMMs, W2 the
@@ -546,9 +570,9 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
     (or through `table`, which must cover the differences in use).  With no
     more evaluation cells than nonzero sources, or factors, each evaluation
     cell takes one point sum over the weight box (_conv_at_points); otherwise
-    each nonzero source adds one shifted view over the evaluation window.  The
-    modulation scales the source weights (slot 2) or the sums (slot 1).  An
-    evaluation window off the source lattice is a ValueError."""
+    each nonzero source adds one shifted view over the evaluation window, or a cost estimate picks their
+    products (README, "The 1-D Toeplitz products", "The 2-D row products").  The modulation scales the
+    source weights (slot 2) or the sums (slot 1).  An evaluation window off the source lattice is a ValueError."""
     if kernel.n != src_window.n:
         raise ValueError(f"kernel {kernel.name!r} is {kernel.n}-D but the source window is {src_window.n}-D")
     eval_lo = eval_window.lattice_offset(src_window)
@@ -581,6 +605,11 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         else:  # numpy passes per source, or a Toeplitz row of _ROW + taps - 1 per cell
             direct, products = _DIRECT_COST[route] * count, _ROW + taps - 1
         route = "toeplitz" if products < direct else route
+    elif src_window.n == 2 and not points and 2 <= hi[1] - lo[1] + 1 <= _ROW_SHIFTS and hi[0] - lo[0] < _ROWS_READ:
+        (S0, S1), (R, C) = hi - lo + 1, eval_window.cells  # numpy passes per source and table cell, or row products
+        k = _row_band((S0, S1), (R, C))
+        products = -(-R // k) * (_ROWS_COST[0] * S1 * k * (C + S1 - 1) + _ROWS_COST[1])
+        route = "rows" if products < _DIRECT_COST[route] * count * R * (C + S1 - 1) else route
     if table is None:
         box_lo, box_hi = eval_lo, eval_lo + np.asarray(eval_window.cells) - 1
         if points and src_window.n == 2:  # whole tiles of the point sums
@@ -597,7 +626,8 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         src_at = _cell_indices(src_window, nz)
     weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, a, True)
     image = np.empty(eval_window.cells) if sink is None else None
-    for at, rows in (_toeplitz_forward if route == "toeplitz" else _conv_forward)(*table, eval_lo, eval_window.cells, src_at, weights):
+    sums = {"toeplitz": _toeplitz_forward, "rows": _rows_forward}.get(route, _conv_forward)
+    for at, rows in sums(*table, eval_lo, eval_window.cells, src_at, weights):
         if kernel.modulation is not None and kernel.modulation_slot == 1:  # each band scaled in place
             a = _modulation(kernel, eval_window) if a is None else a
             rows *= a.reshape(eval_window.cells)[at]
@@ -631,8 +661,8 @@ def apply_truncated(
 class CZResult:
     """Three-rung truncation ladder with Cauchy increments.  `tol` is the
     increment tolerance of `converged`: 1e-3 * max|f|, or 1e-3 for f = 0.
-    `table_cells` counts the difference-table entries of the rungs, and
-    `route` says how the rungs' sums ran: "forward", "points" or "toeplitz"."""
+    `table_cells` counts the difference-table entries of the rungs, and `route` says how the rungs'
+    sums ran: "forward" or "points" (direct), "toeplitz" (1-D products) or "rows" (2-D row products)."""
 
     result: GridFunction
     etas: list[float]

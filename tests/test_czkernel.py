@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jnlab import czkernel, lattice
+from jnlab import czkernel, lab, lattice
 from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, moments, monomials, region_cells
 from jnlab.polyproj import index_factorial, multi_indices
 from jnlab.spaces import NormParams
@@ -34,14 +34,17 @@ from jnlab.czkernel import (
 from jnlab.czkernel import (
     _box,
     _box_table,
+    _cell_indices,
     _conv_at_points,
     _conv_forward,
     _difference_table,
     _frame_sources,
     _lattice_sums,
     _point_chunks,
+    _rows_forward,
     _source_arrays,
     _taylor_correction,
+    _toeplitz_forward,
     _toeplitz_points,
 )
 from jnlab.hardy import make_atom
@@ -676,6 +679,34 @@ def test_engine_observability():
     assert "route" not in json.dumps(apply_cz(hilbert_kernel(), line.values).to_json())
 
 
+def test_benchmark_shapes_keep_their_routes(monkeypatch):
+    # dichotomy: a plane item's 1536^2 image of a 6 x 6 atom takes the 2-D row products, and a line
+    # item's image and dual route the Toeplitz products; molecule-2d: every forward sum of an item
+    # (128^2 images of a 4 x 4 atom) stays on the direct shifted sums
+    params = NormParams(2.0, 2.0, 0, 0.25)
+    plane = make_atom(200, Cube((0.0, 0.0), 0.25), params, Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48)))
+    assert vanishing_moment_defect(riesz_kernel(0, 2), 0, [plane], padding=256).routes == [("rows", "points")]
+    line = make_atom(100, Cube((0.0,), 1.0), params, Window(1, (-2.0,), (2.0,), (512,)))
+    assert vanishing_moment_defect(hilbert_kernel(), 0, [line], padding=512).routes == [("toeplitz", "toeplitz")]
+    seen = []
+
+    def recorded(kernel, eta, src_window, src_weights, eval_window, *args, **kwargs):
+        out = _lattice_sums(kernel, eta, src_window, src_weights, eval_window, *args, **kwargs)
+        if not isinstance(src_weights, tuple):
+            box = _cell_indices(src_window, np.flatnonzero(src_weights))
+            seen.append((eval_window.cells, tuple(np.ptp(box, axis=0) + 1), out[2]))
+        return out
+
+    monkeypatch.setattr(czkernel, "_lattice_sums", recorded)
+    config = {"window": {"n": 2, "lower": [-2.0, -2.0], "upper": [2.0, 2.0], "cells": [128, 128]},
+              "kernel": {"name": "riesz", "j": 0, "n": 2}, "params": {"p": 2.0, "q": 2.0, "s": 1, "alpha": 0.25},
+              "family": {"kind": "atom", "count": 1, "seed": 0}, "epsilon": 5.0 / 24.0, "levels": 5}
+    for name in ("atom-image", "decomposition"):
+        lab.run_experiment(name, lab.ExperimentConfig(experiment=name, **config))
+    assert ((128, 128), (4, 4), "forward") in seen
+    assert all(route != "rows" for _, _, route in seen)
+
+
 def test_correction_spec_rejects_bad_input():
     for center, radius, order in (
         ((0.0,), math.nan, 0),
@@ -848,10 +879,10 @@ def _one_shot_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
     return out.reshape(-1)
 
 
-def _forward_image(table, origin, eval_lo, eval_shape, src_idx, src_w):
-    """The bands _conv_forward yields, put together into the box's image, flat."""
+def _forward_image(table, origin, eval_lo, eval_shape, src_idx, src_w, sums=_conv_forward):
+    """The bands the forward sums (_conv_forward by default) yield, put together into the box's image, flat."""
     out = np.empty(tuple(eval_shape))
-    for at, rows in _conv_forward(table, origin, eval_lo, eval_shape, src_idx, src_w):
+    for at, rows in sums(table, origin, eval_lo, eval_shape, src_idx, src_w):
         out[at] = rows
     return out.reshape(-1)
 
@@ -934,6 +965,24 @@ def test_forward_sums_compact_in_place():
     tracemalloc.start()
     try:
         out = _forward_image(table, origin, (0, 0), shape, src_idx, src_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 512 * 512 * 8
+    assert peak <= out.nbytes + 2 * czkernel._BAND_CELLS * 8
+
+
+def test_row_products_compact_in_place():
+    # the 2-D row products hold one product of at most a band of entries and
+    # the band's sums, and read the table through views: one call peaks at its
+    # output plus two bands
+    K, shape = riesz_kernel(0, 2), np.array([512, 512])
+    src_idx = np.argwhere(np.ones((6, 6), bool)) + 200
+    src_w = np.random.default_rng(1).normal(size=36)
+    table, origin = _box_table(K.kappa, 1 / 128, 1 / 128, (0, 0), shape - 1, src_idx.min(axis=0), src_idx.max(axis=0))
+    tracemalloc.start()
+    try:
+        out = _forward_image(table, origin, (0, 0), shape, src_idx, src_w, _rows_forward)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1137,13 +1186,17 @@ def test_warm_plane_defect_holds_no_frame():
 )
 def test_half_window_image_is_slice_of_full(K, cells):
     # the atom-image triage reads T(atom) on window.padded(0.5) as a slice of
-    # T(atom) on the window: both must be the same sums, bit for bit
+    # T(atom) on the window: both must be the same sums, bit for bit.  The
+    # atom's image takes one route on both windows: an 8 x 8 atom at 128^2
+    # and 64^2 the 2-D row products
     n = K.n
+    route = {512: "toeplitz", 128: "rows", 32: "forward"}[cells]
     w = Window(n, (-2.0,) * n, (2.0,) * n, (cells,) * n)
     atom = make_atom(3, Cube((0.0,) * n, 0.25 if cells > 32 else 0.5), NormParams(2.0, 2.0, 1, 0.25), w)
     dense = GridFunction(w, np.random.default_rng(cells).normal(size=(cells,) * n))
     half = w.padded(0.5)
     part = tuple(slice(o, o + c) for o, c in zip(half.lattice_offset(w), half.cells))
+    assert [_lattice_sums(K, w.h, w, atom.values.flat, ew)[2] for ew in (w, half)] == [route, route]
     for f in (atom.values, dense):
         full = apply_truncated(K, f, w.h, eval_window=w)
         assert np.array_equal(apply_truncated(K, f, w.h, eval_window=half).values, full.values[part])
@@ -1171,19 +1224,22 @@ _ADJOINT_KERNELS = [
     gamma=st.integers(0, 5),
     seed=st.integers(0, 2**16),
     dense=st.booleans(),
+    wide=st.booleans(),
 )
-def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed, dense):
+def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed, dense, wide):
     # <T_eta f, g> = <f, T~_eta g> with T~ = kernel_transpose(T).  T f takes
     # the shifted sums of a sparse f over g's window; T~ g takes the point
     # sums at f's support cells, of a monomial frame (one rank-one term) or of
     # a random g (one term per row); the pairwise case takes the reference
     # pairwise sums on both sides.  In 1-D f has 100 cells and g 256: a dense
-    # f takes the Toeplitz products on both sides
+    # f takes the Toeplitz products on both sides.  In 2-D f has 6^2 cells and
+    # g 16^2, or 128^2 when wide, where a dense f takes the 2-D row products
     K = _ADJOINT_KERNELS[k]
     n = K.n
     rng = np.random.default_rng(seed)
-    gw = Window(n, (-1.0,) * n, (1.0,) * n, (256,) if n == 1 else (16, 16))
-    fw = Window(n, (-0.25,) * n, (-0.25 + 100 / 128,) if n == 1 else (0.5, 0.5), (100,) if n == 1 else (6, 6))  # on g's lattice
+    side = 128 if wide else 16
+    gw = Window(n, (-1.0,) * n, (1.0,) * n, (256,) if n == 1 else (side, side))
+    fw = Window(n, (-0.25,) * n, (-0.25 + 100 / 128,) if n == 1 else (-0.25 + 12 / side,) * 2, (100,) if n == 1 else (6, 6))  # on g's lattice
     f = np.where(rng.uniform(size=fw.cell_count) < (0.9 if dense else 0.3), rng.normal(size=fw.cell_count), 0.0)
     f[rng.integers(fw.cell_count)] = 1.0
     nz = np.flatnonzero(f)
@@ -1204,6 +1260,8 @@ def test_adjoint_identity(k, m, monomial, pairwise, gamma, seed, dense):
         Ttg, _, points = _lattice_sums(kernel_transpose(K), eta, gw, g_weights, fw, nz)
         if n == 1 and dense:
             assert (forward, points) == ("toeplitz", "toeplitz")
+        if n == 2 and dense and wide:
+            assert forward == "rows"
     lhs, rhs = float(Tf @ g) * hn, float(f[nz] @ Ttg) * hn
     scale = float(_pairwise_sums(lambda x, y: np.abs(_k(K)(x, y)), gw.midpoints(), fw.cell_midpoints(nz),
                                  np.abs(f[nz]) * hn, eta) @ np.abs(g))
@@ -1307,6 +1365,81 @@ def test_toeplitz_point_sum_does_not_depend_on_the_other_points():
         for cells in (np.sort(np.random.default_rng(5).choice(ew.cell_count, 9, replace=False)), np.array([151])):
             got = _toeplitz_points(*tab, eval_lo + cells[:, None], np.zeros(1, int), frame)
             assert np.array_equal(got, whole[cells])
+
+
+def test_toeplitz_forward_bits_keep_under_window_shifts():
+    # with S = 129 taps a row's segment is B + S - 1 = 256 cells, the widest whose sums were measured
+    # to keep their bits wherever the window starts (README, "The 1-D Toeplitz products")
+    taps, count = 129, 1000
+    rng = np.random.default_rng(29)
+    src_idx, src_w = np.arange(taps)[:, None], rng.normal(size=taps)
+    table, origin = _box_table(hilbert_kernel().kappa, 1 / 128, 1 / 128, (0,), (count + 599,), (0,), (taps - 1,))
+    full = _forward_image(table, origin, (0,), (count + 600,), src_idx, src_w, _toeplitz_forward)
+    for shift in (1, 7, 64, 127, 128, 129, 300, 599):
+        got = _forward_image(table, origin, (shift,), (count,), src_idx, src_w, _toeplitz_forward)
+        assert np.array_equal(got, full[shift : shift + count])
+
+
+# --- 2-D row products: the pairwise oracle, the bits of a cell, admission ---
+
+
+_PLANE_KERNELS = [
+    riesz_kernel(0, 2),
+    riesz_kernel(1, 2),
+    kernel_transpose(riesz_kernel(0, 2)),
+    smooth_bump_kernel(2),
+    _slot1_modulated_riesz(),
+    kernel_transpose(_slot1_modulated_riesz()),
+]
+
+
+@pytest.mark.parametrize("K", _PLANE_KERNELS, ids=lambda K: f"{K.name}-slot{K.modulation_slot if K.modulation else 0}")
+@pytest.mark.parametrize("density", [1.0, 0.6])
+def test_row_products_match_pairwise(K, density):
+    # a 6 x 7 box of sources, dense or with some cells zero, shifted over a 200 x 160 window inside
+    # the 256^2 source window: the cost estimate takes the row products
+    src = Window(2, (-1.0, -1.0), (1.0, 1.0), (256, 256))
+    rng = np.random.default_rng(int(10 * density))
+    box = rng.normal(size=(6, 7)) * (rng.random((6, 7)) < density)
+    box[0, 0], box[-1, -1] = 1.0, -0.5
+    w = np.zeros(src.cells)
+    w[120:126, 100:107] = box
+    lower = (-1.0 + 30 * src.h, -1.0 + 50 * src.h)
+    ew = Window(2, lower, (lower[0] + 200 * src.h, lower[1] + 160 * src.h), (200, 160))
+    keep = np.flatnonzero(w)
+    for m in (1, 2):
+        got, _, used = _lattice_sums(K, m * src.h, src, w.reshape(-1), ew)
+        assert used == "rows"
+        args = ew.midpoints(), src.cell_midpoints(keep), w.flat[keep], m * src.h
+        assert np.all(np.abs(got - _pairwise_sums(_k(K), *args)) <= 64 * np.finfo(float).eps * _roundoff_scale(K, *args))
+
+
+def test_row_product_bits_do_not_depend_on_the_band_or_the_window(monkeypatch):
+    # a cell's sum is the same float whatever band holds it (k = 1, 3, 7 or 10 rows, a last band
+    # of fewer rows than k ending at the last row) and whatever window (offsets and extents)
+    rng = np.random.default_rng(17)
+    src_idx = np.unique(np.vstack([np.argwhere(rng.random((6, 9)) < 0.7), [[0, 0], [5, 8]]]), axis=0) + 3
+    src_w = rng.normal(size=len(src_idx))
+    shape = np.array([61, 90])
+    table, origin = _box_table(riesz_kernel(1, 2).kappa, 0.01, 0.01, (0, 0), shape - 1, src_idx.min(axis=0), src_idx.max(axis=0))
+    full = _forward_image(table, origin, (0, 0), shape, src_idx, src_w, _rows_forward).reshape(shape)
+    windows = [((0, 0), (61, 90)), ((7, 13), (23, 40)), ((60, 0), (1, 90)), ((5, 88), (50, 2)), ((30, 31), (31, 59))]
+    for band in (9 * 98, 3 * 9 * 98, 7 * 9 * 98 + 5, 1 << 15):  # k = 1, 3, 7 and 10 rows of the whole window
+        monkeypatch.setattr(czkernel, "_BAND_CELLS", band)
+        for lo, cells in windows:
+            got = _forward_image(table, origin, lo, cells, src_idx, src_w, _rows_forward).reshape(cells)
+            assert np.array_equal(got, full[lo[0] : lo[0] + cells[0], lo[1] : lo[1] + cells[1]])
+
+
+def test_row_products_take_boxes_of_2_to_15_columns_and_15_rows():
+    # a one-column box would make numpy take a matrix-vector product, whose bits depend on k; a
+    # 16-row box makes a band read 16 table rows, where a cell's bits depend on k and the window, and
+    # past 15 columns another host lost them: those boxes go direct however large the window
+    src = Window(2, (-1.0, -1.0), (1.0, 1.0), (256, 256))
+    for box, route in (((6, 1), "forward"), ((4, 16), "forward"), ((16, 4), "forward"), ((6, 2), "rows"), ((15, 15), "rows")):
+        w = np.zeros(src.cells)
+        w[100 : 100 + box[0], 80 : 80 + box[1]] = 1.0
+        assert _lattice_sums(riesz_kernel(0, 2), src.h, src, w.reshape(-1), src)[2] == route
 
 
 def test_unchanged_reports_pinned():
