@@ -58,6 +58,12 @@ CONFIGS = {
     "eqs1": (["equivalence"], {"experiment": "equivalence", "params": {"p": 2.0, "q": 2.0, "s": 1, "alpha": 0.0}, "family": OSC11}),
     "eqinf": (["equivalence"], {"experiment": "equivalence", "params": {"p": 2.0, "q": "inf", "s": 0, "alpha": 0.0}, "family": OSC11}),
     "eq2ds1": (["equivalence"], {"experiment": "equivalence", "window": {**WIN2, "cells": [24, 24]}, "kernel": RIESZ0, "params": {**P2S1, "alpha": 0.0}, "family": {"kind": "random-osc", "count": 2, "seed": 7}}),
+    # the polynomial family: degree-1 polynomials have no oscillation, so every family ratio is skipped
+    "jnpoly": (["jn-boundedness"], {"experiment": "jn-boundedness", "params": {**P2S1, "alpha": 0.1}, "family": {"kind": "polynomial", "count": 3, "seed": 7}, "refine": False}),
+    # at s = 0 the polynomials are constants: the jn bracket is skipped, the rm one is not
+    "eqpoly": (["equivalence"], {"experiment": "equivalence", "family": {"kind": "polynomial", "count": 3, "seed": 7}}),
+    # 2-D s = 2: the second derivatives of the riesz kernel in the Taylor correction
+    "jn2ds2": (["jn-boundedness"], {"experiment": "jn-boundedness", "window": {**WIN2, "cells": [24, 24]}, "kernel": RIESZ0, "params": {"p": 2.0, "q": 2.0, "s": 2, "alpha": 0.1}, "family": {"kind": "random-osc", "count": 2, "seed": 7}, "refine": False}),
 }
 
 # the CLI's own artefacts, written under OUT/cli/<name>, on the seeded inputs of write_inputs
@@ -69,6 +75,16 @@ CLI = {
     "apply-op": "apply-op --kernel perturbed --function {inputs}/f1.json --mode modified --s 1",
     "atom.json": "atom make --seed 5 --cells 128 --alpha 0.25",
     "molecule": "molecule decompose --function {inputs}/mol.json --region cube:0.0:0.25 --epsilon 0.3 --alpha 0.25",
+    # the 1-D direct forward sums: three sources spread over 1024 cells
+    "apply-truncated": "apply-op --kernel hilbert --function {inputs}/spikes.json --mode truncated --eta 0.00390625",
+    # the 2-D point sums over a dense box of weights
+    "apply-cz": "apply-op --kernel riesz0 --function {inputs}/f2.json --mode cz",
+    "project-annulus.json": "project --function {inputs}/f1.json --region annulus:0.0:0.5:1 --s 1",
+    # every override flag of `experiment`; the 200-cell window's point sums leave a tap remainder
+    "experiment-flags": "experiment jn-boundedness --seed 3 --cells 200 --padding 12 --tol-residual 1e-5 --tol-pairing 0.01 --tol-refine 3",
+    # the check commands write no file: OUT/cli/<name>.txt keeps what they print
+    "atom-check.txt": "atom check --function {inputs}/atom.json --region cube:0.0:0.5 --alpha 0.25",
+    "molecule-check.txt": "molecule check --function {inputs}/mol.json --region cube:0.0:0.25 --epsilon 0.3 --alpha 0.25",
 }
 
 
@@ -77,11 +93,14 @@ def defect_cases() -> dict:
     hilbert and perturbed at padding 512 and 2 plane atoms through riesz0 and
     riesz1 at 256, all at s = 0, and 2 plane atoms at s = 1 through riesz0 at
     64, whose three gammas read each band of one streamed image.  Every plane
-    image takes the 2-D row products."""
+    image takes the 2-D row products.  Two small line atoms through hilbert
+    at padding 64 take the 1-D direct sums."""
     params, plane_window = NormParams(2.0, 2.0, 0, 0.25), Window(2, (-1.0, -1.0), (1.0, 1.0), (48, 48))
     line = [make_atom(100 + i, Cube((0.0,), 1.0), params, Window(1, (-2.0,), (2.0,), (512,))) for i in range(8)]
     plane = [make_atom(200 + i, Cube((0.0, 0.0), 0.25), params, plane_window) for i in range(2)]
     plane_s1 = [make_atom(300 + i, Cube((0.0, 0.0), 0.25), NormParams(2.0, 2.0, 1, 0.25), plane_window) for i in range(2)]
+    # two 4-cell atoms: fewer sources than a Toeplitz row, so the dual route takes one dot per point
+    small = [make_atom(400 + i, Cube((0.0,), 0.25), params, Window(1, (-2.0,), (2.0,), (64,))) for i in range(2)]
     riesz0 = riesz_kernel(0, 2)
     return {
         "hilbert": (hilbert_kernel(), 0, line, 512),
@@ -89,6 +108,7 @@ def defect_cases() -> dict:
         "riesz0": (riesz0, 0, plane, 256),
         "riesz0-s1": (riesz0, 1, plane_s1, 64),
         "riesz1": (riesz_kernel(1, 2), 0, plane, 256),
+        "hilbert-small": (hilbert_kernel(), 0, small, 64),
     }
 
 
@@ -115,6 +135,10 @@ def write_inputs(inputs: Path) -> None:
     rng = np.random.default_rng(7)
     GridFunction(Window(1, (-1.0,), (1.0,), (128,)), rng.normal(size=128)).save(inputs / "f1.json")
     GridFunction(Window(2, (-1.0, -1.0), (1.0, 1.0), (32, 32)), rng.normal(size=(32, 32))).save(inputs / "f2.json")
+    spikes = np.zeros(1024)
+    spikes[[100, 500, 900]] = (1.0, -2.0, 0.5)
+    GridFunction(Window(1, (-1.0,), (1.0,), (1024,)), spikes).save(inputs / "spikes.json")
+    make_atom(5, Cube((0.0,), 0.5), NormParams(2.0, 2.0, 0, 0.25), Window(1, (-1.0,), (1.0,), (128,))).values.save(inputs / "atom.json")
     molecule = make_molecule(5, Cube((0.0,), 0.25), NormParams(2.0, 2.0, 0, 0.25), 0.3, Window(1, (-2.0,), (2.0,), (256,)), 3)
     molecule.values.save(inputs / "mol.json")
 
@@ -128,26 +152,33 @@ def runs(inputs: Path) -> list:
 
 
 def run_all(table: list, root: Path, run) -> None:
-    """Run each entry through run(argv), which returns its exit code, into
-    root, which must not exist yet, and check that each exits 0 and adds its
-    files there: an experiment its CSV and JSON, a CLI command one at least."""
+    """Run each entry through run(argv), which returns its exit code and what
+    it printed, into root, which must not exist yet, and check that each exits
+    0 and adds its files there: an experiment its CSV and JSON, a CLI command
+    one at least.  An entry whose name ends in .txt gets no --out: that file
+    holds what it printed."""
     root.mkdir(parents=True)
     for out, argv in table:
-        argv = [*argv, "--out", str(root / out)]
+        printed = out.endswith(".txt")
+        argv = argv if printed else [*argv, "--out", str(root / out)]
         before = sum(1 for p in root.rglob("*") if p.is_file())
-        code = run(argv)
+        code, text = run(argv)
+        if printed:
+            (root / out).parent.mkdir(parents=True, exist_ok=True)
+            (root / out).write_text(text)
         added = sum(1 for p in root.rglob("*") if p.is_file()) - before
         if code != 0 or added < (2 if argv[0] == "experiment" else 1):
             sys.exit(f"jnlab {' '.join(argv)}: exit {code}, {added} new files under {root}")
 
 
-def cold(argv: list) -> int:
-    return subprocess.run([sys.executable, "-m", "jnlab.cli", *argv], stdout=subprocess.DEVNULL).returncode
+def cold(argv: list) -> tuple:
+    done = subprocess.run([sys.executable, "-m", "jnlab.cli", *argv], stdout=subprocess.PIPE, text=True)
+    return done.returncode, done.stdout
 
 
-def warm(argv: list) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
-        return main(argv)
+def warm(argv: list) -> tuple:
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        return main(argv), text.getvalue()
 
 
 if __name__ == "__main__":

@@ -200,18 +200,14 @@ def _certify(window: Window, cells: np.ndarray, vals: np.ndarray, rows: np.ndarr
 def validate_atom(values: GridFunction, cube: Cube, params) -> AtomCertification:
     """Check support, L^q size, and vanishing moments; failures are data.
 
-    _certify reads the cube's cells (route "support") if they hold every
-    nonzero cell, else every window cell (route "window"), in row-major
-    order either way, with the window's L^1 mass as the moment scale."""
+    _certify reads the cube's cells and the nonzero cells beyond it (route
+    "window" if there are any), in row-major order, with the window's L^1
+    mass as the moment scale."""
     window, flat = values.window, values.flat
-    cells = region_cells(window, cube)
-    vals, inside = flat[cells], np.ones(cells.size, bool)  # region_cells lists the cube's cells
-    if np.count_nonzero(flat != 0.0) != np.count_nonzero(vals):  # bool counts are fast
-        cells, vals, inside = np.arange(window.cell_count), flat, region_mask(window, cube)
-    whole = cells.size == window.cell_count  # then cells lists every cell in order
-    rows = _monomial_columns(window, params.s) if whole else _monomial_rows(window, params.s, cells)
-    cert = _certify(window, cells, vals, rows, cube, params, float(np.abs(flat).sum()) * window.cell_measure, inside)
-    cert.cells_read = window.cell_count  # the nonzero count and the L^1 mass read the window
+    cells = np.union1d(region_cells(window, cube), np.flatnonzero(flat))
+    rows = _monomial_rows(window, params.s, cells)
+    cert = _certify(window, cells, flat[cells], rows, cube, params, float(np.abs(flat).sum()) * window.cell_measure)
+    cert.cells_read = window.cell_count  # the nonzero cells and the L^1 mass read the window
     return cert
 
 
@@ -289,7 +285,8 @@ def validate_molecule(
     epsilon: float,
     j_max: int,
 ) -> MoleculeCertification:
-    """Per-annulus decay margins, core margin, and global moment defects."""
+    """Per-annulus decay margins, core margin, and global moment defects, on
+    a window that holds Q_{j_max}."""
     j_max = whole_number(j_max, "j_max")
     window = values.window
     c = norm_exponent(params)
@@ -301,7 +298,10 @@ def validate_molecule(
     core_bound = core_measure**c
     core_ratio = lq_norm(values, cube, params.q) / core_bound
     ratios = []
-    failures = []
+    top, tol = cube.dilate(2**j_max), 1e-9 * window.h  # Q_{j_max}, which the window must hold
+    held = all(lo - tol <= z - top.side / 2 and z + top.side / 2 <= hi + tol
+               for z, lo, hi in zip(top.center, window.lower, window.upper))
+    failures = [] if held else [f"window does not fully contain level {j_max}"]
     if core_ratio > 1.0 + ATOM_NORM_RTOL:
         failures.append(f"core size ratio {core_ratio:.12g} exceeds 1")
     for j in range(1, j_max + 1):
@@ -560,13 +560,11 @@ def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
     side_cells = round(cube.side / h)
     if abs(cube.side - side_cells * h) > 1e-9 * h:
         raise CertificationError("core cube side must be a whole number of cells")
-    # the dyadic cubes Q_j = 2^j Q, j <= l_max; the innermost and outermost
-    # are checked before the ladder can raise
+    # the dyadic cubes Q_j = 2^j Q, j <= l_max; the innermost is checked here and
+    # the outermost by the certification, before the ladder can raise
     cubes = [cube.dilate(2**j) for j in range(l_max + 1)]
     if region_cells(window, cubes[0]).size != side_cells**n:
         raise CertificationError("core cube must be cell-aligned inside the window")
-    if region_cells(window, cubes[l_max]).size != (side_cells * 2**l_max) ** n:
-        raise CertificationError(f"window does not fully contain level {l_max}")
 
     cert = validate_molecule(mol.values, cube, params, eps, l_max)
     if not cert.passed:

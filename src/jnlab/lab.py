@@ -245,27 +245,12 @@ def make_family(kind: str, window: Window, count: int, seed: int, params: NormPa
             n_bumps = int(rng.integers(3, 9))
             out.append(_eval_bumps(_bump_specs(rng, window, n_bumps), window))
         return out
-    if kind == "step":
-        for i in range(count):
-            frac = 0.25 + 0.5 * (i / max(count - 1, 1))
-            cut = window.lower[0] + frac * (window.upper[0] - window.lower[0])
-            pts = window.midpoints()
-            out.append(GridFunction(window, (pts[:, 0] < cut).astype(float).reshape(window.cells)))
-        return out
     if kind == "polynomial":
         s = params.s if params is not None else 1
         for _ in range(count):
             coeffs = {g: rng.uniform(-1, 1) for g in multi_indices(window.n, s)}
             P = Polynomial(window.n, s, tuple(window.center), 1.0, coeffs)
             out.append(P.on_grid(window))
-        return out
-    if kind == "atom":
-        if params is None:
-            raise ConfigError("atom family needs norm parameters")
-        side = (window.upper[0] - window.lower[0]) / 4.0
-        cube = Cube(tuple(window.center), side)
-        for i in range(count):
-            out.append(make_atom(seed + i, cube, params, window).values)
         return out
     raise ConfigError(f"unknown family kind {kind!r}")
 
@@ -288,13 +273,16 @@ def _ratio_rows(values):
 def _family(config: ExperimentConfig, count: int, key: str = "count") -> tuple[str, int, int]:
     """Kind, size and seed of the experiment's function family.  The size is
     family[key], `count` if the config names none; ValueError unless it is a
-    whole number >= 1, or if an experiment that draws atoms names another kind."""
+    whole number >= 1, or if the kind is not one the experiment draws: atoms
+    for the experiments that draw them, else make_family's."""
     what = f"the test family needs at least one function: family {key}"
     size = whole_number(config.family.get(key, count), what, 1)
     seed = whole_number(config.family.get("seed", 7), "family seed")
-    kind = config.family.get("kind", "atom" if config.experiment in _ATOM_FAMILIES else "random-osc")
-    if config.experiment in _ATOM_FAMILIES and kind != "atom":
-        raise ValueError(f"{config.experiment} draws atoms, so family kind must be 'atom', got {kind!r}")
+    # the kinds the experiment draws, its default first
+    kinds = ("atom",) if config.experiment in _ATOM_FAMILIES else ("random-osc", "polynomial")
+    kind = config.family.get("kind", kinds[0])
+    if kind not in kinds:
+        raise ValueError(f"{config.experiment} family kind must be {' or '.join(map(repr, kinds))}, got {kind!r}")
     return kind, size, seed
 
 
@@ -566,21 +554,12 @@ def run_duality(config: ExperimentConfig) -> ExperimentResult:
     _, n_atoms, seed = _family(config, 10)
     n_funcs = _family(config, 5, "functions")[1]
     tol = config.tol("pairing_mismatch")
-    span = window.span
-    cube = Cube(tuple(window.center), span / 8.0)
+    cube = Cube(tuple(window.center), window.span / 8.0)
     corr = _central_correction(window, params.s)
-    inner = Window(
-        window.n,
-        tuple(c - span / 4 for c in window.center),
-        tuple(c + span / 4 for c in window.center),
-        tuple(c // 2 for c in window.cells),
-    )
-    funcs = make_family("random-osc", inner, n_funcs, seed + 1000)
+    funcs = make_family("random-osc", window.padded(0.5), n_funcs, seed + 1000)  # on the window's lattice
 
     def embed(f_small: GridFunction, win: Window) -> GridFunction:
         off = f_small.window.lattice_offset(win)
-        if off is None:
-            raise ConfigError("duality window must align with the test-function lattice")
         vals = np.zeros(win.cells)
         vals[tuple(slice(o, o + c) for o, c in zip(off, f_small.window.cells))] = f_small.values
         return GridFunction(win, vals)

@@ -31,14 +31,11 @@ def test_family_determinism_and_kinds():
     f2 = make_family("random-osc", w, 5, seed=3)
     for a, b in zip(f1, f2):
         assert np.array_equal(a.values, b.values)
-    steps = make_family("step", w, 3, seed=0)
-    assert all(set(np.unique(s.values)) <= {0.0, 1.0} for s in steps)
     polys = make_family("polynomial", w, 2, seed=1, params=NormParams(2, 2, 1, 0.0))
     assert len(polys) == 2
-    atoms = make_family("atom", w, 2, seed=1, params=NormParams(2, 2, 0, 0.25))
-    assert len(atoms) == 2
-    with pytest.raises(ConfigError):
-        make_family("mystery", w, 1, seed=0)
+    for kind in ("step", "atom", "mystery"):  # the experiments that draw atoms call make_atom
+        with pytest.raises(ConfigError):
+            make_family(kind, w, 1, seed=0, params=NormParams(2, 2, 0, 0.25))
 
 
 def test_family_refines_same_functions():
@@ -342,6 +339,26 @@ def test_cli_molecule_check_and_decompose(tmp_path):
 
 
 @pytest.mark.parametrize("action", ["check", "decompose"])
+@pytest.mark.parametrize("j_max, held", [(4, True), (5, False), (30, False)])
+def test_cli_molecule_levels_must_lie_in_the_window(tmp_path, capsys, action, j_max, held):
+    # Q_4 of the 0.25 cube is the whole window; from level 5 on the annuli
+    # are empty, and an empty annulus must not read as a met decay bound
+    from jnlab.lattice import Cube
+    from jnlab.hardy import make_molecule
+
+    mol = make_molecule(5, Cube((0.0,), 0.25), NormParams(2.0, 2.0, 0, 0.25), 0.3, Window(1, (-2.0,), (2.0,), (256,)), 3)
+    path = tmp_path / "mol.json"
+    mol.values.save(path)
+    rc = cli.main([
+        "molecule", action, "--function", str(path), "--region", "cube:0.0:0.25",
+        "--epsilon", "0.3", "--j-max", str(j_max), "--alpha", "0.25", "--s", "1",
+    ])
+    assert rc == 2  # at s = 1 the molecule's first moment fails in any case
+    said = capsys.readouterr()
+    assert (f"window does not fully contain level {j_max}" in said.out + said.err) == (not held)
+
+
+@pytest.mark.parametrize("action", ["check", "decompose"])
 def test_cli_molecule_rejects_negative_j_max(tmp_path, capsys, action):
     w = Window(1, (-2.0,), (2.0,), (64,))
     path = tmp_path / "f.json"
@@ -534,6 +551,14 @@ def test_cli_equivalence_without_radii_exits_config(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cells", [130, 255])
+def test_duality_runs_at_cell_counts_not_divisible_by_four(tmp_path, cells):
+    # the test functions live on window.padded(0.5), on the window's lattice at any count
+    assert cli.main(["experiment", "duality", "--cells", str(cells), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "duality.json").read_text())
+    assert rows["summary"]["max_mismatch"] < 1e-3
+
+
 def test_duality_computes_one_image_per_function_and_window(monkeypatch):
     from jnlab import lab
 
@@ -689,6 +714,9 @@ def test_cli_padding_below_four_exits_config_before_any_operator(tmp_path, capsy
         ("decomposition", {"kernel": {"name": "riesz", "j": 2.0, "n": 2}}, "component j must be 0 or 1"),
         ("duality", {"kernel": {"name": "smooth_bump", "n": 1.5}}, "smooth_bump dimension n must be an integer"),
         ("rm-boundedness", {"kernel": {"name": "riesz", "j": 1, "n": 1}}, "component j must be 0 on the line"),
+        ("jn-boundedness", {"family": {"kind": "step", "count": 2, "seed": 7}}, "family kind must be 'random-osc' or"),
+        ("rm-boundedness", {"family": {"kind": "atom", "count": 2, "seed": 7}}, "family kind must be 'random-osc' or"),
+        ("equivalence", {"family": {"kind": "mystery", "count": 2, "seed": 7}}, "family kind must be 'random-osc' or"),
     ],
 )
 def test_cli_bad_experiment_setting_exits_config(tmp_path, capsys, name, change, message):
