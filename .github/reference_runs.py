@@ -79,6 +79,8 @@ CLI = {
     "apply-truncated": "apply-op --kernel hilbert --function {inputs}/spikes.json --mode truncated --eta 0.00390625",
     # the 2-D point sums over a dense box of weights
     "apply-cz": "apply-op --kernel riesz0 --function {inputs}/f2.json --mode cz",
+    # riesz on the line (n = 1), the Hilbert kernel under the name riesz0, through its transpose
+    "apply-riesz-line": 'apply-op --kernel riesz --kernel-params {{"j":0,"n":1}} --function {inputs}/f1.json --mode modified --s 1',
     "project-annulus.json": "project --function {inputs}/f1.json --region annulus:0.0:0.5:1 --s 1",
     # every override flag of `experiment`; the 200-cell window's point sums leave a tap remainder
     "experiment-flags": "experiment jn-boundedness --seed 3 --cells 200 --padding 12 --tol-residual 1e-5 --tol-pairing 0.01 --tol-refine 3",

@@ -115,6 +115,7 @@ def cmd_atom(args) -> int:
         cube = Cube(((args.lower + args.upper) / 2.0,), span / 4.0)
         record = make_atom(args.seed, cube, params, window)
         if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             record.values.save(Path(args.out))
         print(json.dumps({"norm_ratio": record.certification.norm_ratio,
                           "passed": record.certification.passed}))

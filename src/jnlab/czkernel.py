@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,27 +109,37 @@ class CorrectionSpec:
 
 def kernel_transpose(kernel: KernelSpec) -> KernelSpec:
     """Swap the kernel slots; slot derivatives swap along, kappa is reflected
-    and the modulation moves to the other slot."""
-    kappa = kernel.kappa
-    return KernelSpec(
-        name=kernel.name + "_t",
-        n=kernel.n,
-        order=kernel.order,
-        delta=kernel.delta,
-        d1=lambda g, x, y: kernel.d2(g, y, x),
-        d2=lambda g, x, y: kernel.d1(g, y, x),
-        # 0.0 - u rather than -u: zero components stay +0.0, as in y - x
-        kappa=lambda u: kappa(0.0 - u),
-        modulation=kernel.modulation,
-        modulation_slot=3 - kernel.modulation_slot,
-    )
+    and the modulation moves to the other slot.  Built once per kernel and
+    kept on it, so the transpose's memo entries serve every later call, and
+    the transpose of the transpose is the kernel."""
+    if "_transpose" not in vars(kernel):
+        kappa = kernel.kappa
+        tilde = KernelSpec(
+            name=kernel.name + "_t",
+            n=kernel.n,
+            order=kernel.order,
+            delta=kernel.delta,
+            d1=lambda g, x, y: kernel.d2(g, y, x),
+            d2=lambda g, x, y: kernel.d1(g, y, x),
+            # 0.0 - u rather than -u: zero components stay +0.0, as in y - x
+            kappa=lambda u: kappa(0.0 - u),
+            modulation=kernel.modulation,
+            modulation_slot=3 - kernel.modulation_slot,
+        )
+        vars(kernel)["_transpose"], vars(tilde)["_transpose"] = tilde, kernel
+    return vars(kernel)["_transpose"]
+
+
+_NAMED = {}  # (name, n, order) of a built-in kernel -> its one object
 
 
 def _convolution(name, n, order, delta, dkappa, dmod=None) -> KernelSpec:
     """K(x, y) = a(x) kappa(x - y) from dkappa(gamma, u), the derivatives of
     kappa, and dmod(gamma, z), those of the modulation a (a = 1 when dmod is
     None).  The second slot's derivatives follow from the chain rule, the
-    first slot's from the Leibniz rule."""
+    first slot's from the Leibniz rule.  The first kernel built for a (name,
+    n, order) is the one every later build returns, so the tables memoised
+    under it serve every run that names it."""
     zero = (0,) * n
 
     def kappa(u):
@@ -141,11 +151,8 @@ def _convolution(name, n, order, delta, dkappa, dmod=None) -> KernelSpec:
         return sign * dkappa(g, x - y)
 
     if dmod is None:
-        return KernelSpec(
-            name, n, order, delta,
-            d1=lambda g, x, y: dkappa(tuple(g), x - y),
-            d2=d2k, kappa=kappa,
-        )
+        kernel = KernelSpec(name, n, order, delta, d1=lambda g, x, y: dkappa(tuple(g), x - y), d2=d2k, kappa=kappa)
+        return _NAMED.setdefault((name, n, kernel.order), kernel)
 
     def a(z):
         return dmod(zero, z)
@@ -158,12 +165,8 @@ def _convolution(name, n, order, delta, dkappa, dmod=None) -> KernelSpec:
             out = out + coef * dmod(beta, x) * dkappa(rest, x - y)
         return out
 
-    return KernelSpec(
-        name, n, order, delta,
-        d1=d1,
-        d2=lambda g, x, y: a(x) * d2k(g, x, y),
-        kappa=kappa, modulation=a,
-    )
+    kernel = KernelSpec(name, n, order, delta, d1=d1, d2=lambda g, x, y: a(x) * d2k(g, x, y), kappa=kappa, modulation=a)
+    return _NAMED.setdefault((name, n, kernel.order), kernel)
 
 
 def _dhilbert(gamma, u):
@@ -187,7 +190,7 @@ def riesz_kernel(j: int = 0, n: int = 2, order: int | None = None) -> KernelSpec
     if j not in range(n):
         raise ValueError("component j must be 0 on the line" if n == 1 else "component j must be 0 or 1")
     if n == 1:
-        return replace(hilbert_kernel(order=4 if order is None else order), name="riesz0")
+        return _convolution("riesz0", 1, 4 if order is None else order, 1.0, _dhilbert)
     order = 2 if order is None else whole_number(order, "kernel order")
     if order > 2:
         raise ValueError(f"riesz derivatives implemented up to order 2, got {order!r}")
@@ -256,13 +259,9 @@ def smooth_bump_kernel(n: int = 1, order: int = 4) -> KernelSpec:
     return _convolution("smooth_bump", whole_number(n, "smooth_bump dimension n", 1), order, 1.0, dkappa)
 
 
-_NAMED = {}  # (name, n, order) of a built-in kernel -> the object kernel_by_name returns for it
-
-
 def kernel_by_name(name: str, **params) -> KernelSpec:
-    """Built-in kernel `name`; ValueError for parameters its builder does not take or
-    rejects.  Parameters the builder normalises alike (j = 0 or 0.0) give one object,
-    the first built, so the tables memoised under it serve every run that names it."""
+    """Built-in kernel `name`, the object its builder returns; ValueError for parameters
+    the builder does not take or rejects."""
     builders = {
         "hilbert": hilbert_kernel,
         "riesz": riesz_kernel,
@@ -274,10 +273,9 @@ def kernel_by_name(name: str, **params) -> KernelSpec:
     if name not in builders:
         raise KeyError(f"unknown kernel {name!r}; have {sorted(builders)}")
     try:
-        kernel = builders[name](**params)
+        return builders[name](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for kernel {name!r}: {exc}") from None
-    return _NAMED.setdefault((kernel.name, kernel.n, kernel.order), kernel)
 
 
 def _validate_eta(eta: float, h: float) -> float:
@@ -504,20 +502,20 @@ def _conv_at_points(table, origin, eval_idx, grid_lo, W) -> np.ndarray:
 
 
 @_memo
-def _modulation(kernel: KernelSpec, window: Window) -> np.ndarray:
+def _modulation(modulation, window: Window) -> np.ndarray:
     """The modulation a at every cell of the window (flat), row band by row
-    band; read-only and memoised per (kernel, window)."""
-    return np.concatenate([kernel.modulation(pts) for _, _, pts in _frame_bands(window)])
+    band; read-only and memoised per (a, window), so a kernel and its
+    transpose, which share a, read one evaluation."""
+    return np.concatenate([modulation(pts) for _, _, pts in _frame_bands(window)])
 
 
-def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None, a=None, own=False):
+def _modulated(kernel: KernelSpec, slot: int, values, window: Window, cells=None, own=False):
     """values * a when the kernel's modulation a multiplies `slot`: values
     over every cell of the window (flat), or at the cells with flat indices
-    `cells`; `a` is the modulation over the window, if the caller has it.
-    Values the caller owns (`own`) are scaled in place."""
+    `cells`.  Values the caller owns (`own`) are scaled in place."""
     if kernel.modulation is None or kernel.modulation_slot != slot:
         return values
-    a = _modulation(kernel, window) if a is None else a
+    a = _modulation(kernel.modulation, window)
     return np.multiply(values, a if cells is None else a[cells], out=values if own else None)
 
 
@@ -554,13 +552,12 @@ def _whole(out, window: Window, sink):
     sink(slice(0, window.cells[0]), out.reshape(window.cells))
 
 
-def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None, a=None, sink=None):
+def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=None, table=None, sink=None):
     """Truncated sums: sum over the cells y of src_window with |x - y| >= eta
     of K(x, y) w_y, with the flat weights w = src_weights or, for a tuple of
     per-axis factors (a monomial's), their outer product times the cell
     measure.  They are taken at every cell x of eval_window or at its cells
-    with flat indices eval_cells; `a` is the modulation over the window it
-    scales, if known.  Returns the sums and the difference table (table,
+    with flat indices eval_cells.  Returns the sums and the difference table (table,
     origin) they used.  With a sink, the sums at every cell of eval_window go
     to it instead, as sink(slice of rows, rows) band by band as _conv_forward
     makes them (an image's __setitem__ is one), and the sums returned are None.
@@ -617,20 +614,19 @@ def _lattice_sums(kernel, eta, src_window, src_weights, eval_window, eval_cells=
         table = _box_table(kernel.kappa, src_window.h, eta, box_lo, box_hi, lo, hi)
     if points:
         W = [(src_weights[0] * src_window.cell_measure, src_weights[1])] if frame else _modulated(
-            kernel, 2, src_weights, src_window, a=a, own=own).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
+            kernel, 2, src_weights, src_window, own=own).reshape(src_window.cells)[_box(lo, hi - lo + 1)]
         out = (_toeplitz_points if route == "toeplitz" else _conv_at_points)(
             *table, eval_lo + _cell_indices(eval_window, np.asarray(cells)), lo, W)
-        return _whole(_modulated(kernel, 1, out, eval_window, eval_cells, a, True), eval_window, sink), table, route
+        return _whole(_modulated(kernel, 1, out, eval_window, eval_cells, True), eval_window, sink), table, route
     if nz is None:
         nz = np.arange(count)
         src_at = _cell_indices(src_window, nz)
-    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, a, True)
+    weights = _modulated(kernel, 2, src_weights[nz], src_window, nz, True)
     image = np.empty(eval_window.cells) if sink is None else None
     sums = {"toeplitz": _toeplitz_forward, "rows": _rows_forward}.get(route, _conv_forward)
     for at, rows in sums(*table, eval_lo, eval_window.cells, src_at, weights):
         if kernel.modulation is not None and kernel.modulation_slot == 1:  # each band scaled in place
-            a = _modulation(kernel, eval_window) if a is None else a
-            rows *= a.reshape(eval_window.cells)[at]
+            rows *= _modulation(kernel.modulation, eval_window).reshape(eval_window.cells)[at]
         (sink or image.__setitem__)(at, rows)
     return (None if sink else image.reshape(-1)[slice(None) if eval_cells is None else eval_cells]), table, route
 
@@ -756,11 +752,10 @@ def _taylor_polynomial(coefs, corr: CorrectionSpec, eval_pts) -> np.ndarray:
 
 
 @_memo
-def _frame_coefficients(kernel, slot: int, corr: CorrectionSpec, window: Window, gamma: tuple) -> tuple:
-    """_taylor_coefficients of K in `slot` (in slot 2, the transpose's) over the
-    window's cells weighted by y^gamma, built once while the kernel lives."""
-    d1 = kernel.d1 if slot == 1 else (lambda g, x, y: kernel.d2(g, y, x))
-    return _taylor_coefficients(d1, corr, _frame_sources(window, monomial_factors(window, gamma)))
+def _frame_coefficients(kernel, corr: CorrectionSpec, window: Window, gamma: tuple) -> tuple:
+    """_taylor_coefficients of the kernel over the window's cells weighted by
+    y^gamma; memoised per kernel, correction, window and gamma."""
+    return _taylor_coefficients(kernel.d1, corr, _frame_sources(window, monomial_factors(window, gamma)))
 
 
 def _point_chunks(pts, w):
@@ -866,7 +861,7 @@ def modified_on_monomial(
     def run(factor):
         big = eval_window.padded(factor)
         main, table, route = _lattice_sums(kernel_tilde, h, big, monomial_factors(big, nu), eval_window)
-        correction = _taylor_polynomial(_frame_coefficients(kernel_tilde, 1, corr, big, nu), corr, eval_pts)
+        correction = _taylor_polynomial(_frame_coefficients(kernel_tilde, corr, big, nu), corr, eval_pts)
         return big, table[0].size, main - correction, route
 
     big, cells, base, route = run(padding)
@@ -950,12 +945,10 @@ def vanishing_moment_defect(
         if not nz.size:
             raise ValueError(f"atom {idx} vanishes identically")
         src_w = weights[nz]
-        # the modulation, if any, scales the same window in both routes
-        a = None if kernel.modulation is None else _modulation(kernel, big if kernel.modulation_slot == 1 else window)
         glist = [tuple(int(v) for v in np.atleast_1d(g)) for g in (multi_indices(window.n, s) if gammas is None else gammas)]
         # T(a) streams into its moments over the padded frame and over its half-padding sub-box
         frame, half_frame = _FrameMoments(big, (0,) * big.n, glist), _FrameMoments(half, half.lattice_offset(big), glist)
-        _, table, route = _lattice_sums(kernel, h, window, weights, big, a=a, sink=lambda at, rows: (frame(at, rows), half_frame(at, rows)))
+        _, table, route = _lattice_sums(kernel, h, window, weights, big, sink=lambda at, rows: (frame(at, rows), half_frame(at, rows)))
         routes.append((route,))
         # the forward table, reflected, serves the transpose's point sums
         table_cells += table[0].size
@@ -967,9 +960,9 @@ def vanishing_moment_defect(
             # dual route: pair a with the corrected transpose image of y^gamma
             # (evaluated at the atom's support cells, integrated over the same
             # padded lattice, so the two sides share every quadrature node); its
-            # Taylor coefficients are keyed on the kernel, shared by every atom on the cube
-            coefs = _frame_coefficients(kernel, 2, corr, big, g)
-            tmain, _, route = _lattice_sums(tilde, h, big, xg, window, nz, table, a)
+            # Taylor coefficients are keyed on the transpose, shared by every atom on the cube
+            coefs = _frame_coefficients(tilde, corr, big, g)
+            tmain, _, route = _lattice_sums(tilde, h, big, xg, window, nz, table)
             routes[-1] += (route,)
             tmono = tmain - _taylor_polynomial(coefs, corr, window.cell_midpoints(nz))
             rhs = float((tmono * src_w).sum())

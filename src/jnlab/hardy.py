@@ -355,13 +355,6 @@ def _annulus_levels(window: Window, cube: Cube, s: int, j_max: int) -> tuple:
     return tuple(_annulus_level(window, cube, s, j) for j in range(j_max + 1))
 
 
-@_memo
-def _outside_cells(window: Window, cube: Cube) -> np.ndarray:
-    """The sorted flat indices of the window cells outside the cube: the
-    cells of a tail moment."""
-    return np.flatnonzero(~region_mask(window, cube))
-
-
 def _dual_step(levels, j: int, nu: int) -> tuple:
     """psi_nu^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi_nu^{(j)} 1_{L_j} / |L_j|
     as its values (lo, hi) on the cells of L_j and of L_{j+1}."""
@@ -600,9 +593,11 @@ def decompose_molecule(mol: MoleculeRecord, l_max: int) -> DecompositionReport:
             atoms.append(DecompositionAtom(j, "core", None, lam_j, rec))
             core[j] = lam_j * a_vals  # from here on, level j's share of the core partial sums
 
-    # tail moments beyond each dyadic cube: one product of the monomial rows and M, gathered per cube
+    # tail moments beyond each dyadic cube: one product of the monomial rows and M, each row
+    # summed over the cells outside the cube (by _cube_axes), gathered in row-major order
     prod = _monomial_columns(window, s) * vals
-    eta = np.stack([np.take(prod, _outside_cells(window, q), axis=1).sum(axis=1) for q in cubes]) * cm
+    outside = (~functools.reduce(np.logical_and.outer, _cube_axes(window, q)).ravel() for q in cubes)
+    eta = np.array([[row[out].sum() for row in prod] for out in outside]) * cm
     del prod
 
     # correction pieces eta_nu^{(j)} [ psi^{(j+1)} 1_{L_{j+1}} / |L_{j+1}| - psi^{(j)} 1_{L_j} / |L_j| ]

@@ -18,7 +18,6 @@ import functools
 import inspect
 import json
 import math
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -478,30 +477,22 @@ def _memo(fn):
     values and has no defaulted arguments, in _MEMO under fn and its arguments
     in positional order, however passed.  Results are read-only, as callers
     share them.  A hit is one lookup and leaves the order alone; a miss evicts
-    the oldest entries until the arrays held fit in _MEMO_BYTES.  Arguments
-    named `kernel` or `kappa` are held weakly, and their entries leave the
-    store when they are collected; a call with one that has no weak
-    reference is not memoised.  Those references live in the entry's key and
-    go with it: an entry evicted or cleared first leaves nothing behind."""
+    the oldest entries until the arrays held fit in _MEMO_BYTES.  Keys hold
+    their arguments: a built-in kernel and its transpose are one object each
+    (czkernel.kernel_by_name, kernel_transpose) and live on anyway."""
     sig = inspect.signature(fn)
-    weak = [i for i, name in enumerate(sig.parameters) if name in ("kernel", "kappa")]
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
         if kwargs:
             args = sig.bind(*args, **kwargs).args
-        try:
-            key = (call, tuple(weakref.ref(a) if i in weak else a for i, a in enumerate(args)) if weak else args)
-        except TypeError:  # not weakly referable, as a numpy ufunc: not memoised
-            return fn(*args)
+        key = call, args
         hit = _MEMO.get(key)
         if hit is not None:
             return hit[0]
         result = fn(*args)
         size = _frozen(result)
         if size <= _MEMO_BYTES:
-            if weak:  # equal to the lookup key, with references that call _forget
-                key = (call, tuple(weakref.ref(a, _forget) if i in weak else a for i, a in enumerate(args)))
             _MEMO[key] = result, size
             _MEMO.held = size + (_MEMO.held if len(_MEMO) > 1 else 0)  # a lone entry: as after _MEMO.clear()
             while _MEMO.held > _MEMO_BYTES:
@@ -509,12 +500,6 @@ def _memo(fn):
         return result
 
     return call
-
-
-def _forget(ref) -> None:
-    """Drop the entry stored under ref, whose referent was just collected."""
-    for key in [k for k in _MEMO if any(a is ref for a in k[1])]:
-        _MEMO.held -= _MEMO.pop(key)[1]
 
 
 def region_mask(window: Window, region: Region) -> np.ndarray:

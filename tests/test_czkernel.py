@@ -1,9 +1,7 @@
 import functools
-import gc
 import json
 import math
 import tracemalloc
-import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jnlab import czkernel, lab, lattice
-from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, moments, monomials, region_cells
+from jnlab.lattice import Cube, GridFunction, Window, monomial_factors, moments, monomials
 from jnlab.polyproj import index_factorial, multi_indices
 from jnlab.spaces import NormParams
 from jnlab.czkernel import (
@@ -840,8 +838,8 @@ def test_kernel_by_name_gives_one_object_per_description():
         kernel_by_name("riesz", j=[0])
     with pytest.raises(ValueError, match="bad parameters for kernel 'riesz'"):
         kernel_by_name("riesz", k=0)
-    # the builders called directly still build a new kernel each time
-    assert riesz_kernel() is not riesz_kernel() and hilbert_kernel() is not hilbert_kernel()
+    # the builders return the same object too
+    assert riesz_kernel() is riesz_kernel() is kernel_by_name("riesz0") and hilbert_kernel() is hilbert_kernel()
 
 
 def test_monomial_exponents_and_eta_ladder_are_checked():
@@ -1492,7 +1490,7 @@ def test_unchanged_reports_pinned():
 def test_modulation_evaluated_once_per_atom():
     # the slot-1 scaling of the forward sums and the slot-2 weights of the
     # dual route share one evaluation of a = 2 + sin x over the padded frame,
-    # memoised per (kernel, frame), so the second atom on the frame reads it
+    # memoised per (a, frame), so the second atom on the frame reads it
     K = perturbed_kernel()
     sizes = []
 
@@ -1578,47 +1576,38 @@ def test_warm_defect_reports_equal_cold(monkeypatch, name):
     assert list(builds.values()) == [1, len(multi_indices(K.n, 1))]
 
 
-def test_memo_entries_leave_with_their_kernel():
+def test_a_kernel_and_its_transpose_are_built_once():
+    # one transpose per kernel, whose transpose is the kernel, so a second defect and
+    # transpose-image cycle reads every table, modulation and Taylor coefficient that
+    # the first memoised, and stores nothing new
+    K = kernel_by_name("perturbed")
+    Kt = kernel_transpose(K)
+    assert kernel_transpose(K) is Kt and kernel_transpose(Kt) is K and Kt.modulation is K.modulation
     atom = _atoms_on_one_cube(1)[0]
     ew = Window(1, (-1.0,), (1.0,), (16,))
+
+    def cycle():
+        rows = vanishing_moment_defect(K, 1, [atom], padding=16).rows
+        img = modified_on_monomial(kernel_transpose(K), CorrectionSpec((0.1,), 0.5, 1), (1,), ew, padding=8,
+                                   check_doubling=False)
+        return rows, img.values.flat.tolist()
+
     lattice._MEMO.clear()
-    region_cells(ew, Cube((0.0,), 0.5))  # geometry stays
-    held = lattice._MEMO.held
-    K = perturbed_kernel()
-    Kt = kernel_transpose(K)
-    vanishing_moment_defect(K, 1, [atom], padding=16)
-    modified_on_monomial(Kt, CorrectionSpec((0.1,), 0.5, 1), (1,), ew, padding=8, check_doubling=False)
-    # tables under kappa, frame coefficients under the kernel, each held weakly
-    named = {id(a()) for key in lattice._MEMO for a in key[1] if isinstance(a, weakref.ref)}
-    assert named == {id(K), id(K.kappa), id(Kt), id(Kt.kappa)}
-    assert lattice._MEMO.held > held
+    first, keys = cycle(), list(lattice._MEMO)
+    # tables under kappa, the modulation under a, frame coefficients under the transpose
+    held = {id(a) for key in keys for a in key[1] if callable(a) or isinstance(a, czkernel.KernelSpec)}
+    assert held == {id(K.kappa), id(Kt.kappa), id(K.modulation), id(Kt)}
     for result, _ in lattice._MEMO.values():
         if isinstance(result, np.ndarray):
             with pytest.raises(ValueError):
                 result.flat[0] = 0
-    del K, Kt
-    gc.collect()
-    assert not any(isinstance(a, weakref.ref) for key in lattice._MEMO for a in key[1])
-    assert len(lattice._MEMO) == 1 and lattice._MEMO.held == held
+    assert cycle() == first and list(lattice._MEMO) == keys
 
 
-def test_clear_and_run_cycles_leave_nothing_behind():
-    # a kernel built by name lives on, and each cycle on a cleared memo stores
-    # its entries anew; what ties an entry to the kernel leaves with the entry
-    K = kernel_by_name("perturbed")
-    atom = _atoms_on_one_cube(1)[0]
-    counts = []
-    for _ in range(4):
-        lattice._MEMO.clear()
-        vanishing_moment_defect(K, 1, [atom], padding=16)
-        counts.append((len(weakref.finalize._registry), weakref.getweakrefcount(K), weakref.getweakrefcount(K.kappa)))
-    assert counts[1:] == counts[:-1]
-
-
-def test_a_kappa_without_weak_references_is_not_memoised():
+def test_a_ufunc_kappa_is_memoised_like_any_other():
     f = GridFunction.from_callable(Window(1, (-1.0,), (1.0,), (32,)), np.cos)
     H = hilbert_kernel()
-    K = replace(H, kappa=np.reciprocal)  # a ufunc takes no weak reference
+    K = replace(H, kappa=np.reciprocal)
     lattice._MEMO.clear()
     assert np.array_equal(apply_truncated(K, f, 1 / 16).values, apply_truncated(H, f, 1 / 16).values)
-    assert sum(key[0] is czkernel._shared_table for key in lattice._MEMO) == 1  # H's table only
+    assert [key[1][0] for key in lattice._MEMO if key[0] is czkernel._shared_table] == [np.reciprocal, H.kappa]

@@ -890,6 +890,13 @@ def test_cli_atom_check_without_its_inputs_exits_config(tmp_path, capsys, missin
     assert cli.main(["atom", "make", "--cells", "64", "--alpha", "0.25"]) == 0
 
 
+def test_cli_atom_make_out_makes_its_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "atom.json"
+    assert cli.main(["atom", "make", "--seed", "5", "--cells", "64", "--alpha", "0.25", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert GridFunction.load(out).window.cells == (64,)
+
+
 @pytest.mark.parametrize("kernel, params, n", [("riesz", '{"n": 2}', 1), ("hilbert", "{}", 2)])
 def test_cli_apply_op_kernel_of_another_dimension_exits_config(tmp_path, capsys, kernel, params, n):
     path = tmp_path / "f.json"
