@@ -1,7 +1,9 @@
 import functools
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1576,6 +1578,52 @@ def test_warm_defect_reports_equal_cold(monkeypatch, name):
     assert list(builds.values()) == [1, len(multi_indices(K.n, 1))]
 
 
+def test_memo_entries_leave_with_their_kernel():
+    # the memo keys a hand-built kernel's entries on its kappa, its transpose's kappa,
+    # their shared modulation and the transpose, and holds them while it holds the
+    # entries; nothing else does, so when the entries leave the kernels go too
+    atom = _atoms_on_one_cube(1)[0]
+    ew = Window(1, (-1.0,), (1.0,), (16,))
+    P = perturbed_kernel()
+    K = replace(P, kappa=lambda u: P.kappa(u))  # no name holds it
+    Kt = kernel_transpose(K)
+    lattice._MEMO.clear()
+    vanishing_moment_defect(K, 1, [atom], padding=16)
+    modified_on_monomial(Kt, CorrectionSpec((0.1,), 0.5, 1), (1,), ew, padding=8, check_doubling=False)
+    # tables under kappa, the modulation under a, frame coefficients under the transpose
+    held = {id(a) for key in lattice._MEMO for a in key[1] if callable(a) or isinstance(a, czkernel.KernelSpec)}
+    assert held == {id(K.kappa), id(Kt.kappa), id(K.modulation), id(Kt)}
+    assert lattice._MEMO.held > 0
+    for result, _ in lattice._MEMO.values():
+        if isinstance(result, np.ndarray):
+            with pytest.raises(ValueError):
+                result.flat[0] = 0
+    refs = [weakref.ref(x) for x in (K, Kt, K.kappa, Kt.kappa)]
+    del K, Kt
+    gc.collect()
+    assert all(r() is not None for r in refs)
+    lattice._MEMO.clear()
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+
+
+def test_clear_and_run_cycles_leave_nothing_behind():
+    # a kernel built by name lives on, and each cycle on a cleared memo stores
+    # the same entries anew and ties nothing more to the kernel or its transpose
+    K = kernel_by_name("perturbed")
+    atom = _atoms_on_one_cube(1)[0]
+    ew = Window(1, (-1.0,), (1.0,), (16,))
+    counts = []
+    for _ in range(4):
+        lattice._MEMO.clear()
+        vanishing_moment_defect(K, 1, [atom], padding=16)
+        modified_on_monomial(kernel_transpose(K), CorrectionSpec((0.1,), 0.5, 1), (1,), ew, padding=8,
+                             check_doubling=False)
+        counts.append((len(lattice._MEMO), lattice._MEMO.held, len(weakref.finalize._registry),
+                       weakref.getweakrefcount(K), weakref.getweakrefcount(K.kappa)))
+    assert counts[1:] == counts[:-1]
+
+
 def test_a_kernel_and_its_transpose_are_built_once():
     # one transpose per kernel, whose transpose is the kernel, so a second defect and
     # transpose-image cycle reads every table, modulation and Taylor coefficient that
@@ -1594,13 +1642,6 @@ def test_a_kernel_and_its_transpose_are_built_once():
 
     lattice._MEMO.clear()
     first, keys = cycle(), list(lattice._MEMO)
-    # tables under kappa, the modulation under a, frame coefficients under the transpose
-    held = {id(a) for key in keys for a in key[1] if callable(a) or isinstance(a, czkernel.KernelSpec)}
-    assert held == {id(K.kappa), id(Kt.kappa), id(K.modulation), id(Kt)}
-    for result, _ in lattice._MEMO.values():
-        if isinstance(result, np.ndarray):
-            with pytest.raises(ValueError):
-                result.flat[0] = 0
     assert cycle() == first and list(lattice._MEMO) == keys
 
 
